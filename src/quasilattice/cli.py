@@ -113,10 +113,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bandwidth", type=float, help="bath bandwidth, GHz (default 0.5)")
     p.add_argument("--modes", type=int, help="bath mode count (default 601)")
     p.add_argument("--t-final", type=float, help="horizon, ns (default: auto from the analytic rate)")
-    p.add_argument("--dt", type=float, help="integrator step, ns (default 0.2)")
+    p.add_argument("--dt", type=float, help="sampling step, ns (default 0.2)")
     p.add_argument("--sample-stride", type=int, help="write every k-th step (default 10)")
-    p.add_argument("--l-resolved", action="store_true",
-                   help="accumulate the per-mode weight as an explicit l-sum")
 
     p = sub.add_parser("validate", help="run the full self-check suite (JSON report)")
     _add_shared(p)
@@ -329,21 +327,20 @@ def run_dynamics(args: argparse.Namespace) -> int:
         t_final = min(horizon, 0.8 * recurrence)
     traj = dynamics.integrate_amplitudes(
         lattice, cavity, bath, t_final, args.dt,
-        branch=args.branch, l_resolved=args.l_resolved,
+        branch=args.branch, sample_stride=args.sample_stride,
     )
-    stride = max(1, args.sample_stride)
+    stride = traj.sample_stride
 
     fh = _open_out(args)
     out = fh or sys.stdout
     try:
         writer = csv.writer(out)
         writer.writerow(["t_ns", "re_alpha", "im_alpha", "alpha_sq", "beta_total_sq", "norm_residual"])
-        for i in range(0, traj.times.size, stride):
-            a = traj.alpha[i]
-            beta_sq = float(np.sum(np.abs(traj.beta[:, i]) ** 2))
+        rows = zip(traj.times[::stride], traj.alpha[::stride], traj.beta_total_sq, traj.norm_history)
+        for t, a, beta_sq, norm in rows:
             writer.writerow([
-                _fmt(traj.times[i]), _fmt(a.real), _fmt(a.imag),
-                _fmt(abs(a) ** 2), _fmt(beta_sq), _fmt(abs(1.0 - traj.norm_history[i])),
+                _fmt(t), _fmt(a.real), _fmt(a.imag),
+                _fmt(abs(a) ** 2), _fmt(beta_sq), _fmt(abs(1.0 - norm)),
             ])
     finally:
         if fh:

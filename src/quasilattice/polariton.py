@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -177,12 +176,15 @@ def diagonalize_sector(
     )
 
 
-def _descending_index_sets(n_top: int, q: int):
-    """Index tuples j_1 > ... > j_q in {0..n_top} with pairwise gaps >= 2."""
-    for comb in combinations(range(n_top + 1), q):
-        desc = comb[::-1]
-        if all(desc[i] - desc[i + 1] >= 2 for i in range(q - 1)):
-            yield desc
+def _descending_index_sets(n_top: int, q: int, low: int = 0):
+    """Index tuples j_1 > ... > j_q in {low..n_top} with pairwise gaps >= 2,
+    ordered as their reversals are by itertools.combinations."""
+    if q == 0:
+        yield ()
+        return
+    for j in range(low, n_top - 2 * q + 3):
+        for rest in _descending_index_sets(n_top, q - 1, j + 2):
+            yield rest + (j,)
 
 
 def _refine_splitting(

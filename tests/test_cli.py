@@ -127,6 +127,24 @@ class TestDynamics:
             rows = list(csv.reader(fh))[1:]
         assert all(float(r[3]) == 1.0 for r in rows)
 
+    def test_single_mode_bath(self, tmp_path):
+        out = tmp_path / "dyn.csv"
+        assert run([
+            "dynamics", "--modes", "1", "--t-final", "40", "--dt", "0.2", "--out", str(out),
+        ]) == 0
+        with open(out) as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert len(rows) == len(range(0, 201, 10))
+
+    @pytest.mark.parametrize("bad", [["--sample-stride", "0"], ["--sample-stride", "-3"], ["--l-resolved"]])
+    def test_bad_dynamics_arguments_are_usage_errors(self, tmp_path, bad):
+        out = tmp_path / "dyn.csv"
+        code = run([
+            "dynamics", "--modes", "11", "--bandwidth", "0.4",
+            "--t-final", "10", "--dt", "0.2", "--out", str(out),
+        ] + bad)
+        assert code == cli.EXIT_USAGE
+
     def test_recurrence_violation_is_usage_error(self, tmp_path):
         out = tmp_path / "dyn.csv"
         code = run([

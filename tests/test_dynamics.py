@@ -12,6 +12,46 @@ CAV = CavitySpec(omega_c=6.729, eta=0.1)
 LAT = LatticeSpec(n_qubits=4, relative_spacing=2 / 3, omega_q=3 * 6.729)
 
 
+def _rk4_reference(lattice, cavity, bath, t_final, dt):
+    """Fixed-step fourth-order Runge-Kutta integration of the amplitude
+    equations in the interaction picture, an independent reference for
+    the exact propagator.  Returns alpha and sum_k |beta_k|^2 per step."""
+    detunings = lattice.omega_q - bath.mode_frequencies
+    s_k = np.atleast_1d(
+        radiation.s_factor(lattice, cavity, bath.mode_frequencies)
+    ).astype(complex)
+    g_s = bath.couplings * s_k  # enters d(alpha)/dt
+    g_s_conj = bath.couplings * np.conj(s_k)  # enters d(beta)/dt
+
+    n_steps = int(math.ceil(t_final / dt - 1e-12))
+    times = np.arange(n_steps + 1) * dt
+    alpha_hist = np.empty(n_steps + 1, dtype=complex)
+    beta_sq_hist = np.empty(n_steps + 1)
+
+    alpha = 1.0 + 0.0j
+    beta = np.zeros(bath.n_modes, dtype=complex)
+    alpha_hist[0] = alpha
+    beta_sq_hist[0] = 0.0
+
+    def deriv(t, a, b):
+        phase = np.exp(-1j * detunings * t)
+        da = -1j * np.sum(g_s * b * phase)
+        db = -1j * g_s_conj * a * np.conj(phase)
+        return da, db
+
+    for step in range(n_steps):
+        t = times[step]
+        da1, db1 = deriv(t, alpha, beta)
+        da2, db2 = deriv(t + dt / 2, alpha + dt / 2 * da1, beta + dt / 2 * db1)
+        da3, db3 = deriv(t + dt / 2, alpha + dt / 2 * da2, beta + dt / 2 * db2)
+        da4, db4 = deriv(t + dt, alpha + dt * da3, beta + dt * db3)
+        alpha = alpha + dt / 6 * (da1 + 2 * da2 + 2 * da3 + da4)
+        beta = beta + dt / 6 * (db1 + 2 * db2 + 2 * db3 + db4)
+        alpha_hist[step + 1] = alpha
+        beta_sq_hist[step + 1] = float(np.sum(np.abs(beta) ** 2))
+    return alpha_hist, beta_sq_hist
+
+
 class TestBathSpec:
     def test_uniform_grid_centered_on_qubit(self):
         bath = dynamics.normalized_bath(LAT, bandwidth=0.5, n_modes=11)
@@ -53,16 +93,57 @@ class TestIntegration:
         expected = np.cos(rabi * traj.times) ** 2
         assert np.max(np.abs(np.abs(traj.alpha) ** 2 - expected)) < 1e-9
 
+    @pytest.mark.parametrize("n_qubits", [1, 4])
+    def test_single_mode_rabi_is_exact_over_many_periods(self, n_qubits):
+        lat = LatticeSpec(n_qubits, 2 / 3, LAT.omega_q)
+        g = 1.0  # 7 (N=1) and 27 (N=4) Rabi periods in the horizon
+        bath = dynamics.BathSpec(np.array([lat.omega_q]), np.array([g]), 1.0)
+        rabi = g * abs(radiation.s_factor(lat, CAV, lat.omega_q))
+        traj = dynamics.integrate_amplitudes(lat, CAV, bath, 3000.0, 0.5)
+        expected = np.cos(rabi * traj.times) ** 2
+        assert np.max(np.abs(np.abs(traj.alpha) ** 2 - expected)) < 1e-12
+        assert np.max(np.abs(traj.beta_total_sq - (1.0 - expected))) < 1e-12
+
     def test_norm_conservation(self):
         bath = dynamics.normalized_bath(LAT, bandwidth=0.4, n_modes=101)
         traj = dynamics.integrate_amplitudes(LAT, CAV, bath, 60.0, 0.2)
         assert np.max(np.abs(1.0 - traj.norm_history)) < 1e-6 * max(1.0, traj.times[-1])
 
+    @pytest.mark.parametrize(
+        "n_qubits, ell", [(1, 2 / 3), (3, 2 / 3), (4, 2 / 3), (1, 0.0), (4, 0.0), (4, 1.0)]
+    )
+    def test_matches_rk4_reference(self, n_qubits, ell):
+        lat = LatticeSpec(n_qubits, ell, LAT.omega_q)
+        bath = dynamics.normalized_bath(lat, bandwidth=0.4, n_modes=51)
+        traj = dynamics.integrate_amplitudes(lat, CAV, bath, 40.0, 0.2)
+        alpha, beta_sq = _rk4_reference(lat, CAV, bath, 40.0, 0.2)
+        assert np.max(np.abs(traj.alpha - alpha)) < 1e-10
+        assert np.max(np.abs(traj.beta_total_sq - beta_sq)) < 1e-10
+
     def test_step_halving_convergence(self):
+        # RK4's global error is O(dt^4): halving dt cuts it by about 16
         bath = dynamics.normalized_bath(LAT, bandwidth=0.4, n_modes=51)
-        a = dynamics.integrate_amplitudes(LAT, CAV, bath, 40.0, 0.2)
-        b = dynamics.integrate_amplitudes(LAT, CAV, bath, 40.0, 0.1)
-        assert abs(abs(a.alpha[-1]) - abs(b.alpha[-1])) < 1e-7
+        errors = []
+        for dt in (0.2, 0.1):
+            exact = dynamics.integrate_amplitudes(LAT, CAV, bath, 40.0, dt).alpha
+            alpha, _ = _rk4_reference(LAT, CAV, bath, 40.0, dt)
+            errors.append(np.max(np.abs(alpha - exact)))
+        assert errors[0] > 8 * errors[1]
+
+    def test_sampled_rows(self):
+        bath = dynamics.normalized_bath(LAT, bandwidth=0.4, n_modes=51)
+        every = dynamics.integrate_amplitudes(LAT, CAV, bath, 40.0, 0.2)
+        strided = dynamics.integrate_amplitudes(LAT, CAV, bath, 40.0, 0.2, sample_stride=7)
+        assert strided.times.size == strided.alpha.size == 201
+        assert strided.beta_total_sq.size == strided.norm_history.size == len(range(0, 201, 7))
+        assert np.array_equal(strided.alpha, every.alpha)
+        assert np.allclose(strided.beta_total_sq, every.beta_total_sq[::7], rtol=0, atol=1e-14)
+
+    def test_rejects_sample_stride_below_one(self):
+        bath = dynamics.normalized_bath(LAT, bandwidth=0.4, n_modes=11)
+        for stride in (0, -3):
+            with pytest.raises(ValueError):
+                dynamics.integrate_amplitudes(LAT, CAV, bath, 5.0, 0.2, sample_stride=stride)
 
     def test_coarse_step_rejected(self):
         bath = dynamics.normalized_bath(LAT, bandwidth=10.0, n_modes=51)
@@ -75,26 +156,21 @@ class TestIntegration:
         with pytest.raises(dynamics.RecurrenceError):
             dynamics.integrate_amplitudes(LAT, CAV, bath, horizon, 0.2)
 
-    def test_l_resolved_matches_collapsed(self):
-        bath = dynamics.normalized_bath(LAT, bandwidth=0.4, n_modes=31)
-        a = dynamics.integrate_amplitudes(LAT, CAV, bath, 30.0, 0.2)
-        b = dynamics.integrate_amplitudes(LAT, CAV, bath, 30.0, 0.2, l_resolved=True)
-        assert np.max(np.abs(a.alpha - b.alpha)) < 1e-12
-
     def test_initial_condition(self):
         bath = dynamics.normalized_bath(LAT, bandwidth=0.4, n_modes=11)
         traj = dynamics.integrate_amplitudes(LAT, CAV, bath, 5.0, 0.2)
         assert traj.alpha[0] == 1.0
-        assert np.all(traj.beta[:, 0] == 0.0)
+        assert traj.beta_total_sq[0] == 0.0
+        assert traj.norm_history[0] == 1.0
 
 
 class TestFitDecay:
     def _synthetic(self, rate: float) -> dynamics.AmplitudeTrajectory:
         t = np.linspace(0.0, 100.0, 501)
         alpha = np.exp(-0.5 * rate * t).astype(complex)
-        beta = np.sqrt(np.maximum(0.0, 1.0 - np.abs(alpha) ** 2))[None, :].astype(complex)
         return dynamics.AmplitudeTrajectory(
-            times=t, alpha=alpha, beta=beta, norm_history=np.ones_like(t)
+            times=t, alpha=alpha, beta_total_sq=1.0 - np.abs(alpha) ** 2,
+            norm_history=np.ones_like(t),
         )
 
     def test_exact_exponential(self):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -94,6 +95,15 @@ class TestDiagonalization:
 
 
 class TestClosedForm:
+    def test_index_sets_match_filtered_combinations(self):
+        for n_top in range(-2, 15):
+            for q in range(n_top // 2 + 3):
+                filtered = [
+                    c[::-1] for c in itertools.combinations(range(n_top + 1), q)
+                    if all(b - a >= 2 for a, b in zip(c, c[1:]))
+                ]
+                assert list(polariton._descending_index_sets(n_top, q)) == filtered
+
     def test_matches_eigensolver_across_sectors(self):
         rng = np.random.default_rng(3)
         for _ in range(30):
