@@ -156,6 +156,24 @@ class TestIntegration:
         with pytest.raises(dynamics.RecurrenceError):
             dynamics.integrate_amplitudes(LAT, CAV, bath, horizon, 0.2)
 
+    def test_l_resolved_matches_collapsed(self, monkeypatch):
+        # the transition element is l-uniform, so driving the propagator
+        # with an explicit per-l sum of chi_l gives the same dynamics as
+        # the collapsed s(k)
+        def l_resolved_s(lattice, cavity, k, branch=0):
+            element = radiation.first_excited_transition(lattice, cavity, branch)
+            s_k = np.zeros(np.size(k), dtype=complex)
+            for l in radiation.l_values(lattice):
+                s_k += radiation.chi(lattice, cavity, l, k)
+            return s_k * element / lattice.n_qubits
+
+        bath = dynamics.normalized_bath(LAT, bandwidth=0.4, n_modes=31)
+        a = dynamics.integrate_amplitudes(LAT, CAV, bath, 30.0, 0.2)
+        monkeypatch.setattr(dynamics, "s_factor", l_resolved_s)
+        b = dynamics.integrate_amplitudes(LAT, CAV, bath, 30.0, 0.2)
+        assert np.max(np.abs(a.alpha - b.alpha)) < 1e-12
+        assert np.max(np.abs(a.beta_total_sq - b.beta_total_sq)) < 1e-12
+
     def test_initial_condition(self):
         bath = dynamics.normalized_bath(LAT, bandwidth=0.4, n_modes=11)
         traj = dynamics.integrate_amplitudes(LAT, CAV, bath, 5.0, 0.2)
