@@ -1,10 +1,11 @@
 """Command-line front end: parameter parsing, sweep orchestration, and
 CSV/JSON emission.
 
-Exit codes: 0 success, 1 validation failure, 2 bad arguments, 3 I/O
-error.  All floating-point CSV values are written with 17 significant
-digits so they round-trip exactly, and repeated runs with the same
-configuration are byte-identical.
+Exit codes: 0 success, 1 validation failure, 2 bad arguments (a request
+too large to allocate among them), 3 I/O error.  All floating-point CSV
+values are written with 17 significant digits so they round-trip
+exactly, and repeated runs with the same configuration are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -36,7 +36,6 @@ _DEFAULTS = {
     "format": "csv",
     "branch": 0,
     "seed": 0,
-    "threads": 0,  # 0 means machine parallelism
     "k_min": 0.05,
     "k_max": 30.0,
     "k_points": 600,
@@ -71,7 +70,6 @@ def _add_shared(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--eta", type=float, help="cavity coupling, GHz (default 0.1)")
     parser.add_argument("--out", help="output path (default stdout)")
     parser.add_argument("--format", choices=["csv", "json"], help="output format")
-    parser.add_argument("--threads", type=int, help="worker pool size (default: machine parallelism)")
     parser.add_argument("--branch", type=int, help="polariton branch index (default 0)")
     parser.add_argument("--seed", type=int, help="seed for randomized validation draws")
 
@@ -177,26 +175,15 @@ def _open_out(args: argparse.Namespace):
     return None
 
 
-def _pool_size(args: argparse.Namespace) -> int:
-    if args.threads and args.threads > 0:
-        return args.threads
-    return os.cpu_count() or 1
-
-
 def run_chi_sweep(args: argparse.Namespace) -> int:
     lattice, cavity = _specs(args)
     if args.k_points < 2:
         raise ValueError("--k-points must be at least 2")
-    if not 0 < args.k_min < args.k_max:
-        raise ValueError("need 0 < --k-min < --k-max")
+    if not 0 < args.k_min < args.k_max < math.inf:
+        raise ValueError("need 0 < --k-min < --k-max < inf")
     k_grid = np.linspace(args.k_min, args.k_max, args.k_points)
     ls = radiation.l_values(lattice)
-
-    def one_branch(l: float) -> np.ndarray:
-        return np.atleast_1d(radiation.chi(lattice, cavity, l, k_grid))
-
-    with ThreadPoolExecutor(max_workers=_pool_size(args)) as pool:
-        rows_by_l = list(pool.map(one_branch, ls))
+    rows_by_l = [radiation.chi(lattice, cavity, l, k_grid) for l in ls]
 
     fh = _open_out(args)
     out = fh or sys.stdout
@@ -226,28 +213,23 @@ def run_decay_sweep(args: argparse.Namespace) -> int:
         prefactor = radiation.PrefactorInputs(mu=args.mu, epsilon_d=args.epsilon_d, area=args.area)
 
     if args.sweep == "ell":
-        axis = np.linspace(args.ell_min, args.ell_max, args.points)
         if not 0.0 <= args.ell_min < args.ell_max <= 1.0:
             raise ValueError("ell sweep range must satisfy 0 <= min < max <= 1")
-        def point(x: float):
-            lat = LatticeSpec(n_qubits=args.n, relative_spacing=float(x), omega_q=args.omega_q)
-            cav = CavitySpec(omega_c=args.omega_c, eta=args.eta)
-            return radiation.decay_rate(lat, cav, prefactor, args.branch)
-        ells = axis
+        ells = np.linspace(args.ell_min, args.ell_max, args.points)
         omegas = np.full(args.points, args.omega_q)
     else:
-        if not 0.0 < args.omega_q_min < args.omega_q_max:
-            raise ValueError("omega_q sweep range must satisfy 0 < min < max")
-        axis = np.linspace(args.omega_q_min, args.omega_q_max, args.points)
-        def point(x: float):
-            lat = LatticeSpec(n_qubits=args.n, relative_spacing=args.ell, omega_q=float(x))
-            cav = CavitySpec(omega_c=args.omega_c, eta=args.eta)
-            return radiation.decay_rate(lat, cav, prefactor, args.branch)
+        if not 0.0 < args.omega_q_min < args.omega_q_max < math.inf:
+            raise ValueError("omega_q sweep range must satisfy 0 < min < max < inf")
         ells = np.full(args.points, args.ell)
-        omegas = axis
-
-    with ThreadPoolExecutor(max_workers=_pool_size(args)) as pool:
-        results = list(pool.map(point, axis))
+        omegas = np.linspace(args.omega_q_min, args.omega_q_max, args.points)
+    cavity = CavitySpec(omega_c=args.omega_c, eta=args.eta)
+    results = [
+        radiation.decay_rate(
+            LatticeSpec(n_qubits=args.n, relative_spacing=float(ell), omega_q=float(wq)),
+            cavity, prefactor, args.branch,
+        )
+        for ell, wq in zip(ells, omegas)
+    ]
 
     header = ["ell", "omega_q_ghz", "s_kq_abs", "s_zero_abs", "gamma_normalized"]
     if prefactor is not None:
@@ -272,6 +254,7 @@ def run_spectrum(args: argparse.Namespace) -> int:
     lattice, cavity = _specs(args)
     two_r = lattice.two_r
     two_u_max = -two_r + 2 * args.u_max_offset
+    raising = polariton.transition_matrices(lattice, cavity, two_u_max).raise_elements
     sectors = []
     for two_u in range(-two_r, two_u_max + 1, 2):
         sec = polariton.diagonalize_sector(lattice, cavity, two_u)
@@ -288,12 +271,9 @@ def run_spectrum(args: argparse.Namespace) -> int:
             ],
         }
         if two_u > -two_r:
-            lower = polariton.diagonalize_sector(lattice, cavity, two_u - 2)
+            lower_dimension = sectors[-1]["dimension"]
             entry["raising_elements_from_lower"] = [
-                [
-                    float(polariton.raising_element(lattice, sec, lower, b_up, b_lo))
-                    for b_lo in range(lower.basis.dimension)
-                ]
+                [float(raising[two_u, b_up, b_lo]) for b_lo in range(lower_dimension)]
                 for b_up in range(sec.basis.dimension)
             ]
         sectors.append(entry)
@@ -405,7 +385,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ValueError, dynamics.StepSizeError, dynamics.RecurrenceError) as exc:
+    except (ValueError, MemoryError, dynamics.StepSizeError, dynamics.RecurrenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RuntimeError as exc:

@@ -96,8 +96,8 @@ def normalized_bath(
     With this measure the golden-rule rate for |alpha|^2 equals
     |s(k_q)|^2, matching the normalized analytic decay rate.
     """
-    if bandwidth <= 0 or n_modes < 1:
-        raise ValueError("bandwidth must be positive and n_modes >= 1")
+    if not 0 < bandwidth < math.inf or n_modes < 1:
+        raise ValueError("bandwidth must be positive and finite, and n_modes >= 1")
     w_q = lattice.omega_q
     if n_modes == 1:
         freqs = np.array([w_q])
@@ -167,8 +167,8 @@ def integrate_amplitudes(
     resolve the fastest bath detuning, and the RecurrenceError guard keeps
     the horizon inside the discretized bath's recurrence time.
     """
-    if t_final <= 0 or dt <= 0:
-        raise ValueError("t_final and dt must be positive")
+    if not (0 < t_final < math.inf and 0 < dt < math.inf):
+        raise ValueError("t_final and dt must be positive and finite")
     if sample_stride < 1:
         raise ValueError(f"sample_stride must be at least 1, got {sample_stride}")
     detunings = lattice.omega_q - bath.mode_frequencies

@@ -40,8 +40,8 @@ class LatticeSpec:
             raise ValueError(
                 f"relative_spacing must lie in [0, 1], got {self.relative_spacing}"
             )
-        if self.omega_q <= 0.0:
-            raise ValueError(f"omega_q must be positive, got {self.omega_q}")
+        if not 0.0 < self.omega_q < math.inf:
+            raise ValueError(f"omega_q must be positive and finite, got {self.omega_q}")
 
     @property
     def two_r(self) -> int:
@@ -63,10 +63,10 @@ class CavitySpec:
     eta: float
 
     def __post_init__(self) -> None:
-        if self.omega_c <= 0.0:
-            raise ValueError(f"omega_c must be positive, got {self.omega_c}")
-        if self.eta < 0.0:
-            raise ValueError(f"eta must be nonnegative, got {self.eta}")
+        if not 0.0 < self.omega_c < math.inf:
+            raise ValueError(f"omega_c must be positive and finite, got {self.omega_c}")
+        if not 0.0 <= self.eta < math.inf:
+            raise ValueError(f"eta must be nonnegative and finite, got {self.eta}")
 
     def detuning(self, lattice: LatticeSpec) -> float:
         """Cavity-qubit detuning omega_c - omega_q, GHz."""

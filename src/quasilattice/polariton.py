@@ -104,19 +104,23 @@ def sector_basis(lattice: LatticeSpec, two_u: int) -> SectorBasis:
     return SectorBasis(two_u=two_u, entries=entries)
 
 
-def _ladder_couplings(
-    lattice: LatticeSpec, cavity: CavitySpec, basis: SectorBasis
-) -> np.ndarray:
-    """Off-diagonal elements between consecutive basis states (n-1, n)."""
+def _sector_tridiagonal(
+    lattice: LatticeSpec, cavity: CavitySpec, two_u: int
+) -> tuple[SectorBasis, np.ndarray, np.ndarray]:
+    """Basis, diagonal and off-diagonal of one sector's tridiagonal block
+    Hamiltonian (see ``build_sector_hamiltonian``)."""
+    basis = sector_basis(lattice, two_u)
     two_r = lattice.two_r
     f = deformation_factor(lattice)
-    out = []
+    diag = np.array(
+        [lattice.omega_q * two_m / 2.0 + cavity.omega_c * n for n, two_m in basis.entries]
+    )
+    off = []
     for n, two_m in basis.entries[1:]:
-        # coupling of (n, m) to (n-1, m+1): eta*sqrt(n)*sqrt(f*(r-m)(r+m+1))
         rm = (two_r - two_m) / 2.0
         rm1 = (two_r + two_m) / 2.0 + 1.0
-        out.append(cavity.eta * math.sqrt(n) * math.sqrt(f * rm * rm1))
-    return np.array(out)
+        off.append(cavity.eta * math.sqrt(n) * math.sqrt(f * rm * rm1))
+    return basis, diag, np.array(off)
 
 
 def build_sector_hamiltonian(
@@ -128,12 +132,8 @@ def build_sector_hamiltonian(
     single off-diagonal couples (n, m) to (n-1, m+1) with strength
     eta*sqrt(n)*sqrt(f*(r-m)*(r+m+1)).
     """
-    basis = sector_basis(lattice, two_u)
-    diag = np.array(
-        [lattice.omega_q * two_m / 2.0 + cavity.omega_c * n for n, two_m in basis.entries]
-    )
+    _, diag, off = _sector_tridiagonal(lattice, cavity, two_u)
     h = np.diag(diag)
-    off = _ladder_couplings(lattice, cavity, basis)
     idx = np.arange(len(off))
     h[idx, idx + 1] = off
     h[idx + 1, idx] = off
@@ -148,11 +148,7 @@ def diagonalize_sector(
     Coefficient columns carry the gauge c_0 >= 0 (first nonzero entry
     nonnegative for decoupled cases where c_0 = 0).
     """
-    basis = sector_basis(lattice, two_u)
-    diag = np.array(
-        [lattice.omega_q * two_m / 2.0 + cavity.omega_c * n for n, two_m in basis.entries]
-    )
-    off = _ladder_couplings(lattice, cavity, basis)
+    basis, diag, off = _sector_tridiagonal(lattice, cavity, two_u)
     if basis.dimension == 1:
         vals, vecs = diag.copy(), np.ones((1, 1))
     else:

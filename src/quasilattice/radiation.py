@@ -55,8 +55,10 @@ class PrefactorInputs:
     area: float
 
     def __post_init__(self) -> None:
-        if self.epsilon_d <= 0 or self.area <= 0:
-            raise ValueError("epsilon_d and area must be positive")
+        if not (
+            0 < self.epsilon_d < math.inf and 0 < self.area < math.inf and math.isfinite(self.mu)
+        ):
+            raise ValueError("epsilon_d and area must be positive, and all three finite")
 
 
 @dataclass(frozen=True)
@@ -90,17 +92,15 @@ def l_values(lattice: LatticeSpec) -> np.ndarray:
     return np.arange(n) / n
 
 
-def chi(
-    lattice: LatticeSpec, cavity: CavitySpec, l: float, k
+def _site_sum(
+    lattice: LatticeSpec, cavity: CavitySpec, weights: np.ndarray, k
 ) -> complex | np.ndarray:
-    """Coupling coefficient of collective mode l to a photon of
-    frequency k (GHz), as the direct finite sum over qubit sites.
+    """sum_j weights[j] * exp(i*theta*k*j) over the sites j = 0..N-1,
+    with theta = pi*ell/omega_c the site phase per unit frequency.
 
     Accepts scalar or array k; complex k is allowed (the sum is entire).
     """
-    n = lattice.n_qubits
-    j = np.arange(n)
-    weights = np.cos(j * math.pi * l)
+    j = np.arange(lattice.n_qubits)
     k_arr = np.asarray(k, dtype=complex)
     phases = np.exp(
         1j * math.pi * lattice.relative_spacing / cavity.omega_c * np.multiply.outer(k_arr, j)
@@ -109,6 +109,18 @@ def chi(
     if np.ndim(k) == 0:
         return complex(out)
     return out
+
+
+def chi(
+    lattice: LatticeSpec, cavity: CavitySpec, l: float, k
+) -> complex | np.ndarray:
+    """Coupling coefficient of collective mode l to a photon of
+    frequency k (GHz), as the direct finite sum over qubit sites.
+
+    Accepts scalar or array k; complex k is allowed (the sum is entire).
+    """
+    j = np.arange(lattice.n_qubits)
+    return _site_sum(lattice, cavity, np.cos(j * math.pi * l), k)
 
 
 def chi_closed_form(
@@ -187,15 +199,16 @@ def s_factor(
 
     The ground-to-first-excited raising element [S+] of the chosen
     branch is applied uniformly across l; pass transition_element to
-    reuse a precomputed value across a k-sweep.
+    reuse a precomputed value across a k-sweep.  The l-sum is taken
+    inside the site sum: sum_l cos(j*pi*l) over l = 0, 1/N, ...,
+    (N-1)/N is N at j = 0, 1 at odd j and 0 at even j > 0.
     """
     n = lattice.n_qubits
     if transition_element is None:
         transition_element = first_excited_transition(lattice, cavity, branch)
-    total = 0.0
-    for l in l_values(lattice):
-        total = total + chi(lattice, cavity, l, k)
-    return transition_element * total / n
+    weights = (np.arange(n) % 2).astype(float)
+    weights[0] = n
+    return transition_element * _site_sum(lattice, cavity, weights, k) / n
 
 
 def coupling_profile(
@@ -205,10 +218,8 @@ def coupling_profile(
     ls = l_values(lattice)
     k_grid = np.asarray(k_grid, dtype=float)
     rows = [np.atleast_1d(chi(lattice, cavity, l, k_grid)) for l in ls]
-    chi_matrix = np.vstack(rows)
-    element = first_excited_transition(lattice, cavity, branch)
-    s = element * chi_matrix.sum(axis=0) / lattice.n_qubits
-    return CouplingProfile(l_values=ls, k_grid=k_grid, chi=chi_matrix, s_factor=s)
+    s = np.atleast_1d(s_factor(lattice, cavity, k_grid, branch))
+    return CouplingProfile(l_values=ls, k_grid=k_grid, chi=np.vstack(rows), s_factor=s)
 
 
 def quasi_period(lattice: LatticeSpec, cavity: CavitySpec) -> float:

@@ -189,6 +189,32 @@ class TestPlumbing:
 
     def test_determinism(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        run(["chi-sweep", "--k-points", "30", "--threads", "4", "--out", str(a)])
-        run(["chi-sweep", "--k-points", "30", "--threads", "1", "--out", str(b)])
-        assert a.read_bytes() == b.read_bytes()
+        for argv in (["chi-sweep", "--k-points", "30"], ["decay-sweep", "--points", "21"]):
+            assert run(argv + ["--out", str(a)]) == 0
+            assert run(argv + ["--out", str(b)]) == 0
+            assert a.read_bytes() == b.read_bytes()
+
+    def test_threads_flag_is_gone(self):
+        assert run(["chi-sweep", "--k-points", "5", "--threads", "4"]) == cli.EXIT_USAGE
+
+    @pytest.mark.parametrize("argv", [
+        ["dynamics", "--omega-q", "nan"],
+        ["dynamics", "--omega-c", "inf"],
+        ["dynamics", "--eta", "nan"],
+        ["dynamics", "--bandwidth", "nan"],
+        ["decay-sweep", "--points", "5", "--eta", "inf"],
+        ["chi-sweep", "--k-points", "5", "--omega-c", "nan"],
+        ["chi-sweep", "--k-points", "5", "--k-max", "inf"],
+        ["decay-sweep", "--points", "5", "--mu", "nan", "--epsilon-d", "1", "--area", "1"],
+        ["dynamics", "--modes", "1", "--t-final", "inf"],
+    ])
+    def test_non_finite_inputs_are_usage_errors(self, tmp_path, argv):
+        assert run(argv + ["--out", str(tmp_path / "x.csv")]) == cli.EXIT_USAGE
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_unallocatable_horizon_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "dyn.csv"
+        code = run(["dynamics", "--modes", "1", "--t-final", "1e15", "--out", str(out)])
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1

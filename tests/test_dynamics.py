@@ -71,6 +71,11 @@ class TestBathSpec:
         with pytest.raises(ValueError):
             dynamics.normalized_bath(LAT, bandwidth=100.0, n_modes=11)
 
+    @pytest.mark.parametrize("bandwidth", [math.nan, math.inf])
+    def test_rejects_non_finite_bandwidth(self, bandwidth):
+        with pytest.raises(ValueError):
+            dynamics.normalized_bath(LAT, bandwidth=bandwidth, n_modes=11)
+
     def test_physical_couplings_scale(self):
         a = dynamics.physical_bath(LAT, 0.5, 11, mu=1.0, epsilon_d=1.0, volume=1.0)
         b = dynamics.physical_bath(LAT, 0.5, 11, mu=2.0, epsilon_d=1.0, volume=1.0)
@@ -144,6 +149,12 @@ class TestIntegration:
         for stride in (0, -3):
             with pytest.raises(ValueError):
                 dynamics.integrate_amplitudes(LAT, CAV, bath, 5.0, 0.2, sample_stride=stride)
+
+    def test_rejects_non_finite_horizon_and_step(self):
+        bath = dynamics.normalized_bath(LAT, bandwidth=0.4, n_modes=1)
+        for t_final, dt in ((math.inf, 0.2), (math.nan, 0.2), (5.0, math.inf), (5.0, math.nan)):
+            with pytest.raises(ValueError):
+                dynamics.integrate_amplitudes(LAT, CAV, bath, t_final, dt)
 
     def test_coarse_step_rejected(self):
         bath = dynamics.normalized_bath(LAT, bandwidth=10.0, n_modes=51)

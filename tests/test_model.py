@@ -71,6 +71,18 @@ def test_cavity_validation_and_detuning():
         CavitySpec(omega_c=6.729, eta=-0.1)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_specs_reject_non_finite(bad):
+    with pytest.raises(ValueError):
+        LatticeSpec(n_qubits=4, relative_spacing=bad, omega_q=10.0)
+    with pytest.raises(ValueError):
+        LatticeSpec(n_qubits=4, relative_spacing=0.5, omega_q=bad)
+    with pytest.raises(ValueError):
+        CavitySpec(omega_c=bad, eta=0.1)
+    with pytest.raises(ValueError):
+        CavitySpec(omega_c=6.729, eta=bad)
+
+
 def test_weights_profile_validation():
     with pytest.raises(ValueError):
         CouplingProfileSpec(np.array([1.0, 2.0]))

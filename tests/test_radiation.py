@@ -95,6 +95,20 @@ class TestSFactor:
         at_zero = radiation.s_factor(lat, CAV, 0.0)
         assert at_kq == pytest.approx(at_zero, abs=1e-13)
 
+    @pytest.mark.parametrize("ell", [0.0, 2 / 3, 1.0, 0.3])
+    def test_matches_explicit_l_sum(self, ell):
+        k_real = np.linspace(-30.0, 30.0, 301)
+        k_complex = k_real + 0.4j * np.cos(k_real)
+        for n in range(1, 10):
+            lat = LatticeSpec(n, ell, 13.458)
+            element = radiation.first_excited_transition(lat, CAV)
+            for k in (k_real, k_complex, 7.5, 2.0 - 0.3j):
+                explicit = element / n * sum(
+                    np.asarray(radiation.chi(lat, CAV, l, k)) for l in radiation.l_values(lat)
+                )
+                s = np.asarray(radiation.s_factor(lat, CAV, k))
+                assert np.all(np.abs(s - explicit) <= 1e-14 * np.maximum(1.0, np.abs(s)))
+
     def test_profile_consistency(self):
         k = np.linspace(0.1, 30.0, 50)
         prof = radiation.coupling_profile(LAT, CAV, k)
@@ -125,6 +139,9 @@ class TestDecayRate:
     def test_prefactor_validation(self):
         with pytest.raises(ValueError):
             radiation.PrefactorInputs(mu=0.5, epsilon_d=-1.0, area=1.5)
+        for mu, epsilon_d, area in ((math.nan, 2.0, 1.5), (0.5, math.inf, 1.5), (0.5, 2.0, math.nan)):
+            with pytest.raises(ValueError):
+                radiation.PrefactorInputs(mu=mu, epsilon_d=epsilon_d, area=area)
 
     def test_symmetric_in_spacing_at_even_harmonic(self):
         # omega_q at twice the cavity frequency makes the sweep mirror-symmetric
@@ -143,9 +160,12 @@ class TestPrincipalValue:
         assert res.self_consistency < 0.002
 
     def test_constant_coupling_gives_zero(self, monkeypatch):
-        # stubbing chi to 1 makes s constant, so both sides vanish
+        # a constant s makes both sides vanish
         monkeypatch.setattr(
-            radiation, "chi", lambda lattice, cavity, l, k: np.ones_like(np.asarray(k, dtype=complex))
+            radiation, "s_factor",
+            lambda lattice, cavity, k, branch=0, transition_element=None: np.ones_like(
+                np.asarray(k, dtype=complex)
+            ),
         )
         res = radiation.pv_integral_check(LAT, CAV, consistency_tol=math.inf)
         assert res.analytic == pytest.approx(0.0, abs=1e-15)
