@@ -33,7 +33,6 @@ _DEFAULTS = {
     "omega_c": 6.729,
     "eta": 0.1,
     "omega_q": 13.458,
-    "format": "csv",
     "branch": 0,
     "seed": 0,
     "k_min": 0.05,
@@ -69,7 +68,6 @@ def _add_shared(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--omega-c", type=float, help="cavity frequency, GHz (default 6.729)")
     parser.add_argument("--eta", type=float, help="cavity coupling, GHz (default 0.1)")
     parser.add_argument("--out", help="output path (default stdout)")
-    parser.add_argument("--format", choices=["csv", "json"], help="output format")
     parser.add_argument("--branch", type=int, help="polariton branch index (default 0)")
     parser.add_argument("--seed", type=int, help="seed for randomized validation draws")
 

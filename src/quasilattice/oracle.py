@@ -1,10 +1,10 @@
 """Brute-force exact numerics in the full qubit-chain x Fock product
 space.
 
-Everything here is built from dense Kronecker products at small N and
-serves as an independent check on the deformed collective-spin model:
-commutation relations, Dicke-state structure, excitation conservation,
-and exact sector spectra.
+Operators are built at small N from Kronecker identities and basis-index
+bits, with no product-space matrix product, and serve as an independent
+check on the deformed collective-spin model: commutation relations,
+Dicke-state structure, excitation conservation, and exact sector spectra.
 """
 
 from __future__ import annotations
@@ -72,24 +72,31 @@ class CommutatorReport:
         return all(c < self.tolerance for c in checks)
 
 
-def _site_operator(op: np.ndarray, site: int, n_qubits: int) -> np.ndarray:
-    """Embed a single-qubit operator at one site of the chain."""
-    mat = np.array([[1.0]])
-    for j in range(n_qubits):
-        mat = np.kron(mat, op if j == site else np.eye(2))
-    return mat
-
-
-_SIGMA_Z = np.diag([0.5, -0.5])
-_SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]])
+def _spin_operators(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """s_z, the weighted s_plus and the cos^2-weighted sigma_z on the 2^N
+    qubit space, read off the basis index: bit N-1-j is 0 when site j is
+    up, the order of `dicke_basis`."""
+    n = len(weights)
+    index = np.arange(2**n)
+    s_z = np.zeros(2**n)
+    sigma_z = np.zeros(2**n)
+    s_plus = np.zeros((2**n, 2**n))
+    for j in range(n):
+        bit = 1 << (n - 1 - j)
+        down = (index & bit) != 0
+        site_z = np.where(down, -0.5, 0.5)
+        s_z += site_z
+        sigma_z += weights[j] ** 2 * site_z
+        s_plus[index[down] - bit, index[down]] = weights[j]
+    return np.diag(s_z), s_plus, np.diag(sigma_z)
 
 
 def build_operators(
     lattice: LatticeSpec, cavity: CavitySpec, n_max: int
 ) -> ProductSpaceOperators:
-    """Kronecker-product construction of the collective operators and
-    H_total = omega_q*S_z + omega_c*a_dag*a + eta*(S_plus*a + S_minus*a_dag).
-    """
+    """Collective operators and H_total = omega_q*S_z + omega_c*a_dag*a
+    + eta*(S_plus*a + S_minus*a_dag), from (x (x) 1)(1 (x) y) = x (x) y:
+    each entry is a single product, rounded as the dense product would be."""
     n = lattice.n_qubits
     if n > _MAX_QUBITS or n_max > _MAX_FOCK:
         raise DimensionGuardError(
@@ -98,15 +105,7 @@ def build_operators(
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     weights = coupling_weights(lattice).coupling_weights
-    dim_spin = 2**n
-
-    s_z = np.zeros((dim_spin, dim_spin))
-    s_plus = np.zeros((dim_spin, dim_spin))
-    sigma_z = np.zeros((dim_spin, dim_spin))
-    for j in range(n):
-        s_z += _site_operator(_SIGMA_Z, j, n)
-        s_plus += weights[j] * _site_operator(_SIGMA_PLUS, j, n)
-        sigma_z += weights[j] ** 2 * _site_operator(_SIGMA_Z, j, n)
+    s_z, s_plus, sigma_z = _spin_operators(weights)
     s_minus = s_plus.conj().T
 
     dim_fock = n_max + 1
@@ -114,7 +113,7 @@ def build_operators(
     a_dag = a.conj().T
 
     eye_f = np.eye(dim_fock)
-    eye_s = np.eye(dim_spin)
+    eye_s = np.eye(2**n)
     S_z = np.kron(s_z, eye_f)
     S_plus = np.kron(s_plus, eye_f)
     S_minus = np.kron(s_minus, eye_f)
@@ -123,8 +122,8 @@ def build_operators(
     A_dag = np.kron(eye_s, a_dag)
     H = (
         lattice.omega_q * S_z
-        + cavity.omega_c * (A_dag @ A)
-        + cavity.eta * (S_plus @ A + S_minus @ A_dag)
+        + cavity.omega_c * np.kron(eye_s, a_dag @ a)
+        + cavity.eta * (np.kron(s_plus, a) + np.kron(s_minus, a_dag))
     )
     return ProductSpaceOperators(
         lattice=lattice,
@@ -149,20 +148,25 @@ def verify_commutators(ops: ProductSpaceOperators, tol: float = 1e-12) -> Commut
 
     r1 = float(np.max(np.abs(comm(ops.S_z, ops.S_plus) - ops.S_plus)))
     r2 = float(np.max(np.abs(comm(ops.S_z, ops.S_minus) + ops.S_minus)))
-    r3 = float(np.max(np.abs(comm(ops.S_plus, ops.S_minus) - 2.0 * ops.Sigma_z)))
+    pm = comm(ops.S_plus, ops.S_minus)
+    r3 = float(np.max(np.abs(pm - 2.0 * ops.Sigma_z)))
     r4 = None
     if ops.lattice.relative_spacing == 0.0:
-        r4 = float(np.max(np.abs(comm(ops.S_plus, ops.S_minus) - 2.0 * ops.S_z)))
+        r4 = float(np.max(np.abs(pm - 2.0 * ops.S_z)))
     return CommutatorReport(
         sz_splus=r1, sz_sminus=r2, splus_sminus_sigma=r3, splus_sminus_sz=r4, tolerance=tol
     )
 
 
+def _excitation_number(ops: ProductSpaceOperators) -> np.ndarray:
+    """Diagonal of S_z + a_dag*a, which is diagonal in the product basis."""
+    return np.diag(ops.S_z) + np.einsum("ki,ki->i", ops.a, ops.a)
+
+
 def excitation_conservation_residual(ops: ProductSpaceOperators) -> float:
-    """Max-abs norm of [H_total, S_z + a_dag*a]."""
-    number = ops.S_z + ops.a_dagger @ ops.a
-    comm = ops.H_total @ number - number @ ops.H_total
-    return float(np.max(np.abs(comm)))
+    """Max-abs norm of [H_total, S_z + a_dag*a], entries H_ij*(n_j - n_i)."""
+    number = _excitation_number(ops)
+    return float(np.max(np.abs(ops.H_total * (number[None, :] - number[:, None]))))
 
 
 def dicke_basis(n_qubits: int) -> dict[int, np.ndarray]:
@@ -187,12 +191,9 @@ def dicke_basis(n_qubits: int) -> dict[int, np.ndarray]:
 
 def dicke_diagonal_elements(ops: ProductSpaceOperators) -> np.ndarray:
     """Diagonal matrix elements <r,m|S_plus|r,m> in the qubit space."""
-    n = ops.lattice.n_qubits
     weights = coupling_weights(ops.lattice).coupling_weights
-    s_plus_spin = np.zeros((2**n, 2**n))
-    for j in range(n):
-        s_plus_spin += weights[j] * _site_operator(_SIGMA_PLUS, j, n)
-    basis = dicke_basis(n)
+    _, s_plus_spin, _ = _spin_operators(weights)
+    basis = dicke_basis(ops.lattice.n_qubits)
     return np.array([v @ s_plus_spin @ v for _, v in sorted(basis.items())])
 
 
@@ -202,7 +203,7 @@ def sector_indices(ops: ProductSpaceOperators, two_u: int) -> np.ndarray:
     The conserved operator S_z + a_dag*a is diagonal in the product
     basis; its eigenvalue on each basis state selects the sector.
     """
-    number = np.diag(ops.S_z + ops.a_dagger @ ops.a)
+    number = _excitation_number(ops)
     return np.nonzero(np.abs(2.0 * number - two_u) < 1e-9)[0]
 
 

@@ -198,6 +198,14 @@ class TestPlumbing:
         assert run(["chi-sweep", "--k-points", "5", "--threads", "4"]) == cli.EXIT_USAGE
 
     @pytest.mark.parametrize("argv", [
+        ["chi-sweep", "--k-points", "5", "--format", "json"],
+        ["spectrum", "--format", "csv"],
+    ])
+    def test_format_flag_is_gone(self, tmp_path, argv):
+        assert run(argv + ["--out", str(tmp_path / "x.out")]) == cli.EXIT_USAGE
+        assert not (tmp_path / "x.out").exists()
+
+    @pytest.mark.parametrize("argv", [
         ["dynamics", "--omega-q", "nan"],
         ["dynamics", "--omega-c", "inf"],
         ["dynamics", "--eta", "nan"],

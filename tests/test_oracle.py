@@ -1,10 +1,52 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from quasilattice.model import CavitySpec, LatticeSpec, deformation_factor
+from quasilattice.model import CavitySpec, LatticeSpec, coupling_weights, deformation_factor
 from quasilattice import oracle, polariton
 
 CAV = CavitySpec(omega_c=6.729, eta=0.1)
+FIELDS = ("S_z", "S_plus", "S_minus", "Sigma_z", "a", "a_dagger", "H_total")
+
+
+def _kron_reference(lattice, cavity, n_max):
+    """Independent dense construction of the product-space operators:
+    per-site Kronecker chains and dense matrix products."""
+
+    def site_operator(op, site, n_qubits):
+        mat = np.array([[1.0]])
+        for j in range(n_qubits):
+            mat = np.kron(mat, op if j == site else np.eye(2))
+        return mat
+
+    sigma_z_1 = np.diag([0.5, -0.5])
+    sigma_plus_1 = np.array([[0.0, 1.0], [0.0, 0.0]])
+    n = lattice.n_qubits
+    weights = coupling_weights(lattice).coupling_weights
+    dim_spin = 2**n
+    s_z = np.zeros((dim_spin, dim_spin))
+    s_plus = np.zeros((dim_spin, dim_spin))
+    sigma_z = np.zeros((dim_spin, dim_spin))
+    for j in range(n):
+        s_z += site_operator(sigma_z_1, j, n)
+        s_plus += weights[j] * site_operator(sigma_plus_1, j, n)
+        sigma_z += weights[j] ** 2 * site_operator(sigma_z_1, j, n)
+    a = np.diag(np.sqrt(np.arange(1, n_max + 1)), 1)
+    eye_f = np.eye(n_max + 1)
+    eye_s = np.eye(dim_spin)
+    S_z = np.kron(s_z, eye_f)
+    S_plus = np.kron(s_plus, eye_f)
+    S_minus = np.kron(s_plus.conj().T, eye_f)
+    A = np.kron(eye_s, a)
+    A_dag = np.kron(eye_s, a.conj().T)
+    H = (
+        lattice.omega_q * S_z
+        + cavity.omega_c * (A_dag @ A)
+        + cavity.eta * (S_plus @ A + S_minus @ A_dag)
+    )
+    return {"S_z": S_z, "S_plus": S_plus, "S_minus": S_minus,
+            "Sigma_z": np.kron(sigma_z, eye_f), "a": A, "a_dagger": A_dag, "H_total": H}
 
 
 class TestBuildOperators:
@@ -31,6 +73,20 @@ class TestBuildOperators:
         lat = LatticeSpec(n_qubits=4, relative_spacing=2 / 3, omega_q=13.458)
         ops = oracle.build_operators(lat, CAV, n_max=4)
         assert np.max(np.abs(ops.H_total - ops.H_total.conj().T)) < 1e-13
+
+    @pytest.mark.parametrize("ell", [0.0, 0.3, 2 / 3, 1.0])
+    def test_matches_kron_reference(self, ell):
+        for n in range(1, 7):
+            for n_max in (1, 3, 6):
+                lat = LatticeSpec(n_qubits=n, relative_spacing=ell, omega_q=13.458)
+                ops = oracle.build_operators(lat, CAV, n_max=n_max)
+                ref = _kron_reference(lat, CAV, n_max)
+                for field in FIELDS:
+                    assert np.array_equal(getattr(ops, field), ref[field]), (n, n_max, field)
+                number = np.diag(ref["S_z"] + ref["a_dagger"] @ ref["a"])
+                for two_u in range(-n, n + 2 * n_max + 1, 2):
+                    dense = np.nonzero(np.abs(2.0 * number - two_u) < 1e-9)[0]
+                    assert np.array_equal(oracle.sector_indices(ops, two_u), dense)
 
     def test_site_weights_enter_raising_operator(self):
         lat = LatticeSpec(n_qubits=4, relative_spacing=2 / 3, omega_q=13.458)
@@ -73,6 +129,19 @@ class TestSectorSpectra:
             lat = LatticeSpec(n_qubits=4, relative_spacing=ell, omega_q=13.458)
             ops = oracle.build_operators(lat, CAV, n_max=4)
             assert oracle.excitation_conservation_residual(ops) < 1e-12
+
+    def test_conservation_guard_fires(self):
+        lat = LatticeSpec(n_qubits=3, relative_spacing=0.3, omega_q=13.458)
+        ops = oracle.build_operators(lat, CAV, n_max=3)
+        # all spins down (spin index 7) with 0 and 1 photons: 2u = -3 and -1
+        i, j, delta = 7 * 4, 7 * 4 + 1, 1e-6
+        assert ops.H_total[i, j] == 0.0
+        H = ops.H_total.copy()
+        H[i, j] = H[j, i] = delta
+        broken = dataclasses.replace(ops, H_total=H)
+        assert oracle.excitation_conservation_residual(broken) == pytest.approx(delta, rel=1e-15)
+        with pytest.raises(RuntimeError):
+            oracle.exact_sector_spectrum(broken, -3)
 
     def test_homogeneous_limit_matches_model(self):
         for n in (2, 4, 6):
