@@ -11,6 +11,7 @@ byte-identical.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -136,12 +137,13 @@ def _load_config(path: str) -> dict:
 
 def _resolve(args: argparse.Namespace) -> argparse.Namespace:
     """Fill unset options from the config file, then from defaults.
-    Command-line flags always win."""
-    from_file: dict[str, str] = {}
-    if getattr(args, "config", None):
-        from_file = _load_config(args.config)
+    Command-line flags always win; a config key that names no option of
+    the subcommand is a ValueError."""
+    from_file = _load_config(args.config) if args.config else {}
     for key, raw in from_file.items():
-        if getattr(args, key, None) is None and hasattr(args, key):
+        if key == "command" or not hasattr(args, key):
+            raise ValueError(f"{args.config}: no option {key!r} for {args.command}")
+        if getattr(args, key) is None:
             default = _DEFAULTS.get(key)
             if isinstance(default, int) and not isinstance(default, bool):
                 setattr(args, key, int(raw))
@@ -164,13 +166,17 @@ def _specs(args: argparse.Namespace) -> tuple[LatticeSpec, CavitySpec]:
     return lattice, cavity
 
 
-def _open_out(args: argparse.Namespace):
-    if args.out:
-        directory = os.path.dirname(os.path.abspath(args.out))
-        if not os.path.isdir(directory):
-            raise OSError(f"output directory does not exist: {directory}")
-        return open(args.out, "w", newline="")
-    return None
+@contextlib.contextmanager
+def _output(args: argparse.Namespace):
+    """The --out file, open for writing, or stdout without --out."""
+    if not args.out:
+        yield sys.stdout
+        return
+    directory = os.path.dirname(os.path.abspath(args.out))
+    if not os.path.isdir(directory):
+        raise OSError(f"output directory does not exist: {directory}")
+    with open(args.out, "w", newline="") as fh:
+        yield fh
 
 
 def run_chi_sweep(args: argparse.Namespace) -> int:
@@ -183,9 +189,7 @@ def run_chi_sweep(args: argparse.Namespace) -> int:
     ls = radiation.l_values(lattice)
     rows_by_l = [radiation.chi(lattice, cavity, l, k_grid) for l in ls]
 
-    fh = _open_out(args)
-    out = fh or sys.stdout
-    try:
+    with _output(args) as out:
         writer = csv.writer(out)
         writer.writerow(["l_index", "l_value", "omega_k_ghz", "re_chi", "im_chi", "abs_chi", "arg_chi_rad"])
         for i, (l, vals) in enumerate(zip(ls, rows_by_l)):
@@ -194,9 +198,6 @@ def run_chi_sweep(args: argparse.Namespace) -> int:
                     i, _fmt(l), _fmt(k), _fmt(z.real), _fmt(z.imag),
                     _fmt(abs(z)), _fmt(math.atan2(z.imag, z.real)),
                 ])
-    finally:
-        if fh:
-            fh.close()
     return EXIT_OK
 
 
@@ -232,9 +233,7 @@ def run_decay_sweep(args: argparse.Namespace) -> int:
     header = ["ell", "omega_q_ghz", "s_kq_abs", "s_zero_abs", "gamma_normalized"]
     if prefactor is not None:
         header.append("gamma_physical_ghz")
-    fh = _open_out(args)
-    out = fh or sys.stdout
-    try:
+    with _output(args) as out:
         writer = csv.writer(out)
         writer.writerow(header)
         for ell, wq, res in zip(ells, omegas, results):
@@ -242,9 +241,6 @@ def run_decay_sweep(args: argparse.Namespace) -> int:
             if prefactor is not None:
                 row.append(_fmt(res.gamma_physical))
             writer.writerow(row)
-    finally:
-        if fh:
-            fh.close()
     return EXIT_OK
 
 
@@ -283,14 +279,9 @@ def run_spectrum(args: argparse.Namespace) -> int:
         "eta_ghz": cavity.eta,
         "sectors": sectors,
     }
-    fh = _open_out(args)
-    out = fh or sys.stdout
-    try:
+    with _output(args) as out:
         json.dump(doc, out, indent=2)
         out.write("\n")
-    finally:
-        if fh:
-            fh.close()
     return EXIT_OK
 
 
@@ -309,9 +300,7 @@ def run_dynamics(args: argparse.Namespace) -> int:
     )
     stride = traj.sample_stride
 
-    fh = _open_out(args)
-    out = fh or sys.stdout
-    try:
+    with _output(args) as out:
         writer = csv.writer(out)
         writer.writerow(["t_ns", "re_alpha", "im_alpha", "alpha_sq", "beta_total_sq", "norm_residual"])
         rows = zip(traj.times[::stride], traj.alpha[::stride], traj.beta_total_sq, traj.norm_history)
@@ -320,9 +309,6 @@ def run_dynamics(args: argparse.Namespace) -> int:
                 _fmt(t), _fmt(a.real), _fmt(a.imag),
                 _fmt(abs(a) ** 2), _fmt(beta_sq), _fmt(abs(1.0 - norm)),
             ])
-    finally:
-        if fh:
-            fh.close()
 
     summary = {
         "t_final_ns": float(traj.times[-1]),
@@ -351,14 +337,9 @@ def run_validate(args: argparse.Namespace) -> int:
     report = validation.run_all(seed=args.seed)
     doc = report.to_dict()
     doc["seed"] = args.seed
-    fh = _open_out(args)
-    out = fh or sys.stdout
-    try:
+    with _output(args) as out:
         json.dump(doc, out, indent=2, sort_keys=True)
         out.write("\n")
-    finally:
-        if fh:
-            fh.close()
     return EXIT_OK if report.passed else EXIT_VALIDATION
 
 

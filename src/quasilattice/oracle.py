@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CavitySpec, LatticeSpec, coupling_weights, deformation_factor
+from .model import CavitySpec, LatticeSpec, coupling_weights
 
 _MAX_QUBITS = 8
 _MAX_FOCK = 12
@@ -229,11 +229,3 @@ def exact_sector_spectrum(ops: ProductSpaceOperators, two_u: int) -> np.ndarray:
         )
     block = ops.H_total[np.ix_(idx, idx)]
     return np.linalg.eigvalsh(block)
-
-
-def deformation_factor_bridge(ops: ProductSpaceOperators) -> tuple[float, float]:
-    """Mean-square site weight from the exact Sigma_z, paired with the
-    model's deformation factor for comparison."""
-    weights = coupling_weights(ops.lattice).coupling_weights
-    exact = float(np.mean(weights**2))
-    return exact, deformation_factor(ops.lattice)

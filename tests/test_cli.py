@@ -187,6 +187,14 @@ class TestPlumbing:
         with open(out2) as fh:
             assert len(list(csv.reader(fh))) == 1 + 4 * 3
 
+    @pytest.mark.parametrize("line", ["omegaq = 99", "format = json"])
+    def test_unknown_config_key_is_usage_error(self, tmp_path, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "x.csv"
+        assert run(["chi-sweep", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_USAGE
+        assert not out.exists()
+
     def test_determinism(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for argv in (["chi-sweep", "--k-points", "30"], ["decay-sweep", "--points", "21"]):

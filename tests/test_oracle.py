@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from quasilattice.model import CavitySpec, LatticeSpec, coupling_weights, deformation_factor
+from quasilattice.model import CavitySpec, LatticeSpec, coupling_weights
 from quasilattice import oracle, polariton
 
 CAV = CavitySpec(omega_c=6.729, eta=0.1)
@@ -189,12 +189,3 @@ class TestDickeStates:
             ops = oracle.build_operators(lat, CAV, n_max=1)
             diag = oracle.dicke_diagonal_elements(ops)
             assert np.max(np.abs(diag)) < 1e-13
-
-
-def test_deformation_factor_bridge():
-    for n in (2, 4, 6):
-        for ell in (0.0, 0.3, 2 / 3, 0.9):
-            lat = LatticeSpec(n_qubits=n, relative_spacing=ell, omega_q=13.458)
-            ops = oracle.build_operators(lat, CAV, n_max=1)
-            exact, model = oracle.deformation_factor_bridge(ops)
-            assert exact == pytest.approx(model, abs=1e-12)

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from hypothesis import given, settings, strategies as st
+
 from quasilattice.model import CavitySpec, LatticeSpec
-from quasilattice import radiation
+from quasilattice import radiation, validation
 
 LAT = LatticeSpec(n_qubits=4, relative_spacing=2 / 3, omega_q=13.458)
 CAV = CavitySpec(omega_c=6.729, eta=0.1)
@@ -153,24 +155,86 @@ class TestDecayRate:
         assert np.max(np.abs(np.array(gammas) - np.array(gammas)[::-1])) < 1e-10
 
 
+# Mutants of the numeric side of the principal-value check; the closed
+# form does not call s_factor, so it keeps the true level shift.
+S_FACTOR = radiation.s_factor
+COT_INTEGRAL = radiation._cot_integral
+
+
+def _wrong_weights(lattice, cavity, k, branch=0, transition_element=None):
+    # (N, 1, 1, 1, ...) instead of (N, 1, 0, 1, ...)
+    n = lattice.n_qubits
+    weights = np.ones(n)
+    weights[0] = n
+    return transition_element * radiation._site_sum(lattice, cavity, weights, k) / n
+
+
+def _wrong_theta(lattice, cavity, k, branch=0, transition_element=None):
+    return S_FACTOR(lattice, cavity, 1.01 * np.asarray(k), branch, transition_element)
+
+
+def _flipped_kq(lattice, cavity, element, centres, m):
+    return COT_INTEGRAL(lattice, cavity, element, -centres, m)
+
+
 class TestPrincipalValue:
     def test_matches_analytic(self):
         res = radiation.pv_integral_check(LAT, CAV)
-        assert res.numeric == pytest.approx(res.analytic, rel=0.01)
-        assert res.self_consistency < 0.002
+        assert abs(res.numeric - res.analytic) < res.bound
+        assert abs(res.analytic) > 1e6 * res.bound
+        assert res.self_consistency < 1e-12
+        assert validation.check_pv()[0].passed
 
     def test_constant_coupling_gives_zero(self, monkeypatch):
-        # a constant s makes both sides vanish
+        # a constant s has no level shift: the numeric side vanishes while
+        # the closed form keeps the true value, so the check fails
         monkeypatch.setattr(
             radiation, "s_factor",
             lambda lattice, cavity, k, branch=0, transition_element=None: np.ones_like(
                 np.asarray(k, dtype=complex)
             ),
         )
-        res = radiation.pv_integral_check(LAT, CAV, consistency_tol=math.inf)
-        assert res.analytic == pytest.approx(0.0, abs=1e-15)
-        assert abs(res.numeric) < 1e-6
+        res = radiation.pv_integral_check(LAT, CAV)
+        assert res.numeric == 0.0
+        assert res.analytic == pytest.approx(1.0447e-4, rel=1e-4)
+        assert not validation.check_pv()[0].passed
 
-    def test_rejects_oversized_exclusion(self):
-        with pytest.raises(ValueError):
-            radiation.pv_integral_check(LAT, CAV, delta=20.0)
+    @pytest.mark.parametrize("name, mutant", [
+        ("s_factor", _wrong_weights),
+        ("s_factor", _wrong_theta),
+        ("_cot_integral", _flipped_kq),
+    ])
+    def test_numeric_side_mutation_fails(self, monkeypatch, name, mutant):
+        monkeypatch.setattr(radiation, name, mutant)
+        check = validation.check_pv()[0]
+        assert not check.passed
+        assert check.residual > 1e3
+
+    @pytest.mark.parametrize("n, ell, omega_q", [
+        (1, 2 / 3, 13.458),  # one qubit: |s|^2 is constant and Delta = 0
+        (5, 2 / 3, 13.458),  # odd N
+        (7, 0.37, 9.3),  # odd N
+        (4, 0.0, 13.458),  # no quasi-period: |s|^2 is constant
+        (4, 1.0, 9.3),
+        (4, 1.0, 13.458),  # omega_q = omega_K at ell = 1
+        (4, 2 / 3, 2 * 20.187),  # omega_q on a quasi-period multiple: Delta = 0
+        (4, 0.75, 13.458),  # exact zero of Delta at omega_q = 2*omega_c
+    ])
+    def test_edge_inputs_pass(self, n, ell, omega_q):
+        lat = LatticeSpec(n, ell, omega_q)
+        res = radiation.pv_integral_check(lat, CAV)
+        assert abs(res.numeric - res.analytic) < res.bound
+        assert res.self_consistency < 1e-12
+        if n == 1 or ell == 0.0:
+            assert res.numeric == 0.0 and res.analytic == 0.0
+        assert validation.check_pv(lat, CAV)[0].passed
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(1, 32),
+        ell=st.floats(0.0, 1.0),
+        omega_q=st.floats(5.0, 20.0),
+    )
+    def test_ratio_to_bound_below_one(self, n, ell, omega_q):
+        check = validation.check_pv(LatticeSpec(n, ell, omega_q), CAV)[0]
+        assert check.residual < 1.0
