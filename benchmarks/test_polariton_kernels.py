@@ -1,0 +1,31 @@
+"""pytest-benchmark kernels for the polariton layer.
+
+Outside the Tier-1 ``testpaths``; run explicitly with
+
+    python -m pytest benchmarks/test_polariton_kernels.py --benchmark-only
+
+The kernels carry no timing asserts.  ``transition_matrices`` at N=32
+covers every sector up to 2u = +32, the sector pairs of the N=32
+``spectrum --u-max-offset 32`` operation of the validate-oracle
+benchmark workload; ``first_excited_transition`` at N=16 is the 1 x 2
+case that every ``decay_rate`` point pays.
+"""
+
+import math
+
+from quasilattice import polariton
+from quasilattice.model import CavitySpec, LatticeSpec
+
+CAVITY = CavitySpec(omega_c=6.729, eta=0.1)
+
+
+def test_transition_matrices(benchmark):
+    lattice = LatticeSpec(n_qubits=32, relative_spacing=0.37, omega_q=13.458)
+    result = benchmark(polariton.transition_matrices, lattice, CAVITY, 32)
+    assert len(result.raise_elements) == sum(k * (k + 1) for k in range(1, 33))
+
+
+def test_first_excited_transition(benchmark):
+    lattice = LatticeSpec(n_qubits=16, relative_spacing=0.37, omega_q=13.458)
+    element = benchmark(polariton.first_excited_transition, lattice, CAVITY)
+    assert math.isfinite(element)

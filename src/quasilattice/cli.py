@@ -50,6 +50,7 @@ _DEFAULTS = {
     "t_final": 0.0,  # 0 means auto from the analytic rate
     "dt": 0.2,
     "sample_stride": 10,
+    "sweep": "ell",
 }
 # The dynamics default drive frequency sits on a quasi-period multiple
 # (3*omega_c for ell=2/3), where the discretized-continuum golden rule
@@ -94,8 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decay-sweep", help="normalized decay rate over ell or omega_q (CSV)")
     _add_shared(p)
-    p.add_argument("--sweep", choices=["ell", "omega-q"], default="ell",
-                   help="sweep axis (default ell)")
+    p.add_argument("--sweep", choices=["ell", "omega-q"], help="sweep axis (default ell)")
     p.add_argument("--ell-min", type=float, help="ell sweep start (default 0)")
     p.add_argument("--ell-max", type=float, help="ell sweep end (default 1)")
     p.add_argument("--omega-q-min", type=float, help="omega_q sweep start, GHz")
@@ -119,10 +119,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(path: str) -> dict:
-    """Plain key=value file; '#' starts a comment, dashes and
-    underscores in keys are interchangeable."""
-    values: dict[str, str] = {}
+def _config_argv(path: str) -> list[str]:
+    """A plain key=value file as the flags ``--key=value``; '#' starts a
+    comment, dashes and underscores in keys are interchangeable."""
+    flags = []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -131,26 +131,20 @@ def _load_config(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
             key, val = line.split("=", 1)
-            values[key.strip().replace("-", "_")] = val.strip()
-    return values
+            flags.append(f"--{key.strip().replace('_', '-')}={val.strip()}")
+    return flags
 
 
-def _resolve(args: argparse.Namespace) -> argparse.Namespace:
-    """Fill unset options from the config file, then from defaults.
-    Command-line flags always win; a config key that names no option of
-    the subcommand is a ValueError."""
-    from_file = _load_config(args.config) if args.config else {}
-    for key, raw in from_file.items():
-        if key == "command" or not hasattr(args, key):
-            raise ValueError(f"{args.config}: no option {key!r} for {args.command}")
-        if getattr(args, key) is None:
-            default = _DEFAULTS.get(key)
-            if isinstance(default, int) and not isinstance(default, bool):
-                setattr(args, key, int(raw))
-            elif isinstance(default, float):
-                setattr(args, key, float(raw))
-            else:
-                setattr(args, key, raw)
+def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+    """Parse argv, with the --config file's keys read as the subcommand's
+    flags placed before argv's own, so that argparse converts and checks
+    them (a key that names no option, a value of the wrong type or an
+    invalid choice is a usage error) and the command line wins.  Options
+    still unset take their defaults."""
+    args = parser.parse_args(argv)
+    if args.config:
+        # argv[0] is the subcommand: the top-level parser has no options.
+        args = parser.parse_args(argv[:1] + _config_argv(args.config) + argv[1:])
     for key, default in _DEFAULTS.items():
         if hasattr(args, key) and getattr(args, key) is None:
             if key == "omega_q" and args.command == "dynamics":
@@ -248,8 +242,8 @@ def run_spectrum(args: argparse.Namespace) -> int:
     lattice, cavity = _specs(args)
     two_r = lattice.two_r
     two_u_max = -two_r + 2 * args.u_max_offset
-    raising = polariton.transition_matrices(lattice, cavity, two_u_max).raise_elements
     sectors = []
+    lower = None
     for two_u in range(-two_r, two_u_max + 1, 2):
         sec = polariton.diagonalize_sector(lattice, cavity, two_u)
         entry = {
@@ -264,13 +258,12 @@ def run_spectrum(args: argparse.Namespace) -> int:
                 for b in range(sec.basis.dimension)
             ],
         }
-        if two_u > -two_r:
-            lower_dimension = sectors[-1]["dimension"]
-            entry["raising_elements_from_lower"] = [
-                [float(raising[two_u, b_up, b_lo]) for b_lo in range(lower_dimension)]
-                for b_up in range(sec.basis.dimension)
-            ]
+        if lower is not None:
+            entry["raising_elements_from_lower"] = polariton.raising_matrix(
+                lattice, sec, lower
+            ).tolist()
         sectors.append(entry)
+        lower = sec
     doc = {
         "n_qubits": lattice.n_qubits,
         "relative_spacing": lattice.relative_spacing,
@@ -353,14 +346,12 @@ _RUNNERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = _parse(build_parser(), argv)
+        return _RUNNERS[args.command](args)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    try:
-        args = _resolve(args)
-        return _RUNNERS[args.command](args)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -1,14 +1,16 @@
 """Brute-force exact numerics in the full qubit-chain x Fock product
 space.
 
-Operators are built at small N from Kronecker identities and basis-index
-bits, with no product-space matrix product, and serve as an independent
-check on the deformed collective-spin model: commutation relations,
-Dicke-state structure, excitation conservation, and exact sector spectra.
+Operators are built at small N by writing their nonzero entries, found
+from basis-index bits, into zero arrays, with no product-space matrix
+product, and serve as an independent check on the deformed
+collective-spin model: commutation relations, Dicke-state structure,
+excitation conservation, and exact sector spectra.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -53,6 +55,20 @@ class ProductSpaceOperators:
     def dimension(self) -> int:
         return self.H_total.shape[0]
 
+    # Computed once per operator set; dataclasses.replace makes a new set.
+    @functools.cached_property
+    def excitation_number(self) -> np.ndarray:
+        """Diagonal of S_z + a_dag*a, which is diagonal in the product
+        basis (read-only)."""
+        number = np.diag(self.S_z) + np.einsum("ki,ki->i", self.a, self.a)
+        number.flags.writeable = False
+        return number
+
+    @functools.cached_property
+    def conservation_residual(self) -> float:
+        """``excitation_conservation_residual`` of this operator set."""
+        return excitation_conservation_residual(self)
+
 
 @dataclass(frozen=True)
 class CommutatorReport:
@@ -72,31 +88,43 @@ class CommutatorReport:
         return all(c < self.tolerance for c in checks)
 
 
-def _spin_operators(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """s_z, the weighted s_plus and the cos^2-weighted sigma_z on the 2^N
-    qubit space, read off the basis index: bit N-1-j is 0 when site j is
-    up, the order of `dicke_basis`."""
+def _spin_terms(
+    weights: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Diagonals of s_z and of the cos^2-weighted sigma_z on the 2^N qubit
+    space, and the entries (up, down, weight) of the weighted s_plus, read
+    off the basis index: bit N-1-j is 0 when site j is up, the order of
+    `dicke_basis`."""
     n = len(weights)
     index = np.arange(2**n)
     s_z = np.zeros(2**n)
     sigma_z = np.zeros(2**n)
-    s_plus = np.zeros((2**n, 2**n))
+    up, down, weight = [], [], []
     for j in range(n):
         bit = 1 << (n - 1 - j)
-        down = (index & bit) != 0
-        site_z = np.where(down, -0.5, 0.5)
+        is_down = (index & bit) != 0
+        site_z = np.where(is_down, -0.5, 0.5)
         s_z += site_z
         sigma_z += weights[j] ** 2 * site_z
-        s_plus[index[down] - bit, index[down]] = weights[j]
-    return np.diag(s_z), s_plus, np.diag(sigma_z)
+        down.append(index[is_down])
+        up.append(down[-1] - bit)
+        weight.append(np.full(down[-1].size, weights[j]))
+    return s_z, sigma_z, np.concatenate(up), np.concatenate(down), np.concatenate(weight)
 
 
 def build_operators(
     lattice: LatticeSpec, cavity: CavitySpec, n_max: int
 ) -> ProductSpaceOperators:
     """Collective operators and H_total = omega_q*S_z + omega_c*a_dag*a
-    + eta*(S_plus*a + S_minus*a_dag), from (x (x) 1)(1 (x) y) = x (x) y:
-    each entry is a single product, rounded as the dense product would be."""
+    + eta*(S_plus*a + S_minus*a_dag) on the product basis, index
+    spin*(n_max+1) + photons.
+
+    Each field starts from zeros and receives only its nonzero entries,
+    each rounded as in the Kronecker and dense-product construction
+    (omega_q*s_z + omega_c*k on the diagonal of H_total,
+    eta*(w_j*sqrt(k+1)) off it), so the fields equal that
+    construction's.  The coupling is added onto +0.0, as there, so the
+    zeros of H_total stay +0.0 at eta = 0 too."""
     n = lattice.n_qubits
     if n > _MAX_QUBITS or n_max > _MAX_FOCK:
         raise DimensionGuardError(
@@ -105,26 +133,38 @@ def build_operators(
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     weights = coupling_weights(lattice).coupling_weights
-    s_z, s_plus, sigma_z = _spin_operators(weights)
-    s_minus = s_plus.conj().T
+    s_z, sigma_z, up, down, weight = _spin_terms(weights)
 
     dim_fock = n_max + 1
-    a = np.diag(np.sqrt(np.arange(1, dim_fock)), 1)
-    a_dag = a.conj().T
+    dim = 2**n * dim_fock
+    photons = np.arange(dim_fock)
+    ladder = np.sqrt(photons)  # <k-1|a|k> = sqrt(k)
+    S_z, S_plus, S_minus, Sigma_z, A, A_dag, H = (np.zeros((dim, dim)) for _ in range(7))
 
-    eye_f = np.eye(dim_fock)
-    eye_s = np.eye(2**n)
-    S_z = np.kron(s_z, eye_f)
-    S_plus = np.kron(s_plus, eye_f)
-    S_minus = np.kron(s_minus, eye_f)
-    Sigma_z = np.kron(sigma_z, eye_f)
-    A = np.kron(eye_s, a)
-    A_dag = np.kron(eye_s, a_dag)
-    H = (
-        lattice.omega_q * S_z
-        + cavity.omega_c * np.kron(eye_s, a_dag @ a)
-        + cavity.eta * (np.kron(s_plus, a) + np.kron(s_minus, a_dag))
+    s_z_diag = np.repeat(s_z, dim_fock)
+    np.fill_diagonal(S_z, s_z_diag)
+    np.fill_diagonal(Sigma_z, np.repeat(sigma_z, dim_fock))
+    np.fill_diagonal(
+        H, lattice.omega_q * s_z_diag + cavity.omega_c * np.tile(ladder * ladder, 2**n)
     )
+
+    # a lowers the photon number at fixed spin: <s, k-1|a|s, k> = sqrt(k).
+    fock_to = (np.arange(2**n)[:, None] * dim_fock + photons[None, :-1]).ravel()
+    A[fock_to, fock_to + 1] = np.tile(ladder[1:], 2**n)
+    A_dag[fock_to + 1, fock_to] = A[fock_to, fock_to + 1]
+
+    # S_plus raises one site at fixed photon number.
+    spin_to = (up[:, None] * dim_fock + photons[None, :]).ravel()
+    spin_from = (down[:, None] * dim_fock + photons[None, :]).ravel()
+    S_plus[spin_to, spin_from] = np.repeat(weight, dim_fock)
+    S_minus[spin_from, spin_to] = S_plus[spin_to, spin_from]
+
+    # S_plus*a takes (down, k+1) to (up, k) with weight_j*sqrt(k+1).
+    to = (up[:, None] * dim_fock + photons[None, :-1]).ravel()
+    frm = (down[:, None] * dim_fock + photons[None, 1:]).ravel()
+    coupling = cavity.eta * (weight[:, None] * ladder[None, 1:]).ravel()
+    H[to, frm] += coupling
+    H[frm, to] += coupling
     return ProductSpaceOperators(
         lattice=lattice,
         cavity=cavity,
@@ -158,15 +198,15 @@ def verify_commutators(ops: ProductSpaceOperators, tol: float = 1e-12) -> Commut
     )
 
 
-def _excitation_number(ops: ProductSpaceOperators) -> np.ndarray:
-    """Diagonal of S_z + a_dag*a, which is diagonal in the product basis."""
-    return np.diag(ops.S_z) + np.einsum("ki,ki->i", ops.a, ops.a)
-
-
 def excitation_conservation_residual(ops: ProductSpaceOperators) -> float:
-    """Max-abs norm of [H_total, S_z + a_dag*a], entries H_ij*(n_j - n_i)."""
-    number = _excitation_number(ops)
-    return float(np.max(np.abs(ops.H_total * (number[None, :] - number[:, None]))))
+    """Max-abs norm of [H_total, S_z + a_dag*a], entries H_ij*(n_j - n_i).
+
+    Only the nonzero H_ij can give a nonzero entry, so only they are
+    formed, with no dense temporary."""
+    number = ops.excitation_number
+    rows, cols = np.nonzero(ops.H_total)
+    commutator = ops.H_total[rows, cols] * (number[cols] - number[rows])
+    return float(np.max(np.abs(commutator), initial=0.0))
 
 
 def dicke_basis(n_qubits: int) -> dict[int, np.ndarray]:
@@ -190,9 +230,9 @@ def dicke_basis(n_qubits: int) -> dict[int, np.ndarray]:
 
 
 def dicke_diagonal_elements(ops: ProductSpaceOperators) -> np.ndarray:
-    """Diagonal matrix elements <r,m|S_plus|r,m> in the qubit space."""
-    weights = coupling_weights(ops.lattice).coupling_weights
-    _, s_plus_spin, _ = _spin_operators(weights)
+    """Diagonal matrix elements <r,m|S_plus|r,m> in the qubit space, read
+    from the photon-vacuum block of S_plus."""
+    s_plus_spin = np.ascontiguousarray(ops.S_plus[:: ops.n_max + 1, :: ops.n_max + 1])
     basis = dicke_basis(ops.lattice.n_qubits)
     return np.array([v @ s_plus_spin @ v for _, v in sorted(basis.items())])
 
@@ -203,7 +243,7 @@ def sector_indices(ops: ProductSpaceOperators, two_u: int) -> np.ndarray:
     The conserved operator S_z + a_dag*a is diagonal in the product
     basis; its eigenvalue on each basis state selects the sector.
     """
-    number = _excitation_number(ops)
+    number = ops.excitation_number
     return np.nonzero(np.abs(2.0 * number - two_u) < 1e-9)[0]
 
 
@@ -213,7 +253,7 @@ def exact_sector_spectrum(ops: ProductSpaceOperators, two_u: int) -> np.ndarray:
     Refuses sectors whose basis states reach the Fock cutoff, where the
     truncated ladder would corrupt the spectrum.
     """
-    residual = excitation_conservation_residual(ops)
+    residual = ops.conservation_residual
     if residual > 1e-12:
         raise RuntimeError(
             f"H_total does not conserve the excitation number (residual {residual:.3e})"

@@ -156,16 +156,14 @@ def diagonalize_sector(
             vals, vecs = eigh_tridiagonal(diag, off)
         except Exception as exc:  # pragma: no cover - LAPACK failure
             raise RuntimeError(f"sector 2u={two_u} eigensolver failed: {exc}") from exc
-    if not np.all(np.isfinite(vals)):
+    if not np.isfinite(vals).all():
         raise RuntimeError(f"sector 2u={two_u} produced non-finite eigenvalues")
-    order = np.argsort(vals)
+    order = vals.argsort()
     vals = vals[order]
-    vecs = vecs[:, order]
-    for b in range(vecs.shape[1]):
-        col = vecs[:, b]
-        lead = col[np.nonzero(np.abs(col) > 1e-14)[0][0]]
-        if lead < 0:
-            vecs[:, b] = -col
+    vecs = vecs.take(order, axis=1)
+    for b, col in enumerate(vecs.T.tolist()):
+        if next(c for c in col if abs(c) > 1e-14) < 0:
+            vecs[:, b] *= -1.0
     eps = vals - lattice.omega_q * two_u / 2.0
     return PolaritonSector(
         basis=basis, eigenvalues=vals, coefficients=vecs, stark_splittings=eps
@@ -303,6 +301,34 @@ def closed_form_coefficients(
     return coeffs
 
 
+def raising_matrix(
+    lattice: LatticeSpec, upper: PolaritonSector, lower: PolaritonSector
+) -> np.ndarray:
+    """Collective raising elements from every branch of sector u-1 into
+    every branch of sector u, as a dim_u x dim_(u-1) matrix indexed
+    (branch_upper, branch_lower).
+
+    The basis states of the two sectors that share a photon number n are
+    joined by the ladder amplitude sqrt(f*(r+u-n)*(r-u+n+1)); their
+    coefficient outer products are accumulated in ascending n, so every
+    entry is rounded as a per-element sum over n would be.
+    """
+    if upper.basis.two_u != lower.basis.two_u + 2:
+        raise ValueError("raising element requires adjacent sectors u and u-1")
+    f = deformation_factor(lattice)
+    u = upper.basis.two_u / 2.0
+    r = lattice.two_r / 2.0
+    lower_by_n = {n: j for j, (n, _) in enumerate(lower.basis.entries)}
+    out = np.zeros((upper.basis.dimension, lower.basis.dimension))
+    for i, (n, _) in enumerate(upper.basis.entries):
+        j = lower_by_n.get(n)
+        if j is None:
+            continue
+        amp = math.sqrt(f * (r + u - n) * (r - u + n + 1))
+        out += np.multiply.outer(upper.coefficients[i], lower.coefficients[j]) * amp
+    return out
+
+
 def raising_element(
     lattice: LatticeSpec,
     upper: PolaritonSector,
@@ -310,28 +336,16 @@ def raising_element(
     branch_upper: int,
     branch_lower: int,
 ) -> float:
-    """Collective raising element from a branch of sector u-1 into u."""
-    if upper.basis.two_u != lower.basis.two_u + 2:
-        raise ValueError("raising element requires adjacent sectors u and u-1")
-    two_r = lattice.two_r
-    f = deformation_factor(lattice)
-    u = upper.basis.two_u / 2.0
-    r = two_r / 2.0
-    lower_by_n = {n: i for i, (n, _) in enumerate(lower.basis.entries)}
-    total = 0.0
-    for i, (n, _) in enumerate(upper.basis.entries):
-        j = lower_by_n.get(n)
-        if j is None:
-            continue
-        amp = math.sqrt(f * (r + u - n) * (r - u + n + 1))
-        total += upper.coefficients[i, branch_upper] * lower.coefficients[j, branch_lower] * amp
-    return total
+    """Collective raising element from a branch of sector u-1 into u: one
+    entry of ``raising_matrix``."""
+    return raising_matrix(lattice, upper, lower)[branch_upper, branch_lower]
 
 
 def transition_matrices(
     lattice: LatticeSpec, cavity: CavitySpec, two_u_max: int | None = None
 ) -> TransitionMatrices:
-    """Raising/lowering elements for all sectors up to u_max.
+    """Raising/lowering elements for all sectors up to u_max, one
+    ``raising_matrix`` per adjacent sector pair.
 
     By default covers the five lowest sectors (u_max = -r + 4).  Lowering
     elements are populated from the raising ones by conjugate symmetry.
@@ -346,13 +360,10 @@ def transition_matrices(
     raise_elements: dict[tuple[int, int, int], float] = {}
     lower_elements: dict[tuple[int, int, int], float] = {}
     for two_u in range(-two_r + 2, two_u_max + 1, 2):
-        upper = sectors[two_u]
-        lower = sectors[two_u - 2]
-        for b_up in range(upper.basis.dimension):
-            for b_lo in range(lower.basis.dimension):
-                el = raising_element(lattice, upper, lower, b_up, b_lo)
-                raise_elements[(two_u, b_up, b_lo)] = el
-                lower_elements[(two_u - 2, b_lo, b_up)] = el
+        matrix = raising_matrix(lattice, sectors[two_u], sectors[two_u - 2])
+        for (b_up, b_lo), el in np.ndenumerate(matrix):
+            raise_elements[(two_u, b_up, b_lo)] = el
+            lower_elements[(two_u - 2, b_lo, b_up)] = el
     return TransitionMatrices(raise_elements=raise_elements, lower_elements=lower_elements)
 
 

@@ -195,6 +195,38 @@ class TestPlumbing:
         assert run(["chi-sweep", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_USAGE
         assert not out.exists()
 
+    def test_config_values_take_option_types(self, tmp_path):
+        # options without a built-in default: mu, epsilon-d and area
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("mu = 0.5\nepsilon-d = 2\narea = 1\npoints = 5\n")
+        out = tmp_path / "decay.csv"
+        assert run(["decay-sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        with open(out) as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0][-1] == "gamma_physical_ghz" and len(rows) == 6
+
+    def test_config_sweep_key(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("sweep = omega-q\npoints = 3\nomega-q-min = 5\nomega-q-max = 25\n")
+        out = tmp_path / "decay.csv"
+        assert run(["decay-sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        with open(out) as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [float(r[1]) for r in rows] == [5.0, 15.0, 25.0]
+        # the flag wins over the file
+        assert run(["decay-sweep", "--config", str(cfg), "--sweep", "ell", "--out", str(out)]) == 0
+        with open(out) as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [float(r[0]) for r in rows] == [0.0, 0.5, 1.0]
+
+    @pytest.mark.parametrize("line", ["sweep = bogus", "points = five", "mu = x"])
+    def test_bad_config_value_is_usage_error(self, tmp_path, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "x.csv"
+        assert run(["decay-sweep", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_USAGE
+        assert not out.exists()
+
     def test_determinism(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for argv in (["chi-sweep", "--k-points", "30"], ["decay-sweep", "--points", "21"]):

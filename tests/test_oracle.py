@@ -76,17 +76,31 @@ class TestBuildOperators:
 
     @pytest.mark.parametrize("ell", [0.0, 0.3, 2 / 3, 1.0])
     def test_matches_kron_reference(self, ell):
-        for n in range(1, 7):
-            for n_max in (1, 3, 6):
-                lat = LatticeSpec(n_qubits=n, relative_spacing=ell, omega_q=13.458)
-                ops = oracle.build_operators(lat, CAV, n_max=n_max)
-                ref = _kron_reference(lat, CAV, n_max)
-                for field in FIELDS:
-                    assert np.array_equal(getattr(ops, field), ref[field]), (n, n_max, field)
-                number = np.diag(ref["S_z"] + ref["a_dagger"] @ ref["a"])
-                for two_u in range(-n, n + 2 * n_max + 1, 2):
-                    dense = np.nonzero(np.abs(2.0 * number - two_u) < 1e-9)[0]
-                    assert np.array_equal(oracle.sector_indices(ops, two_u), dense)
+        sizes = [(n, n_max) for n in range(1, 7) for n_max in (1, 3, 6)]
+        sizes += [(n, n_max) for n in (7, 8) for n_max in (1, 2)]
+        for n, n_max in sizes:
+            lat = LatticeSpec(n_qubits=n, relative_spacing=ell, omega_q=13.458)
+            ops = oracle.build_operators(lat, CAV, n_max=n_max)
+            ref = _kron_reference(lat, CAV, n_max)
+            for field in FIELDS:
+                assert np.array_equal(getattr(ops, field), ref[field]), (n, n_max, field)
+            # signed zeros too: the coupling is added onto +0.0
+            assert np.array_equal(np.signbit(ops.H_total), np.signbit(ref["H_total"]))
+            number = np.diag(ref["S_z"] + ref["a_dagger"] @ ref["a"])
+            for two_u in range(-n, n + 2 * n_max + 1, 2):
+                dense = np.nonzero(np.abs(2.0 * number - two_u) < 1e-9)[0]
+                assert np.array_equal(oracle.sector_indices(ops, two_u), dense)
+
+    def test_decoupled_signed_zeros(self):
+        # at eta = 0 each coupling entry eta*w_j*sqrt(k+1) is -0.0 where
+        # w_j < 0; added onto +0.0 it stays +0.0, as in the dense sum
+        cav0 = CavitySpec(omega_c=6.729, eta=0.0)
+        for n, ell in ((3, 2 / 3), (8, 0.37)):
+            lat = LatticeSpec(n_qubits=n, relative_spacing=ell, omega_q=13.458)
+            ops = oracle.build_operators(lat, cav0, n_max=2)
+            ref = _kron_reference(lat, cav0, 2)
+            assert np.array_equal(np.signbit(ops.H_total), np.signbit(ref["H_total"]))
+            assert not np.any(np.signbit(ops.H_total[ops.H_total == 0.0]))
 
     def test_site_weights_enter_raising_operator(self):
         lat = LatticeSpec(n_qubits=4, relative_spacing=2 / 3, omega_q=13.458)
@@ -140,8 +154,27 @@ class TestSectorSpectra:
         H[i, j] = H[j, i] = delta
         broken = dataclasses.replace(ops, H_total=H)
         assert oracle.excitation_conservation_residual(broken) == pytest.approx(delta, rel=1e-15)
-        with pytest.raises(RuntimeError):
-            oracle.exact_sector_spectrum(broken, -3)
+        # the cached residual belongs to each operator set: every call on
+        # the broken set raises, and intact sets, old or new, do not
+        for _ in range(2):
+            with pytest.raises(RuntimeError):
+                oracle.exact_sector_spectrum(broken, -3)
+        fresh = oracle.build_operators(lat, CAV, n_max=3)
+        for intact in (fresh, ops):
+            assert oracle.exact_sector_spectrum(intact, -3).shape == (1,)
+
+    def test_conservation_guard_runs_once_per_operator_set(self, monkeypatch):
+        lat = LatticeSpec(n_qubits=3, relative_spacing=0.3, omega_q=13.458)
+        ops = oracle.build_operators(lat, CAV, n_max=3)
+        calls = []
+        residual = oracle.excitation_conservation_residual
+        monkeypatch.setattr(
+            oracle, "excitation_conservation_residual",
+            lambda o: calls.append(o) or residual(o),
+        )
+        for two_u in (-3, -1, 1):
+            oracle.exact_sector_spectrum(ops, two_u)
+        assert len(calls) == 1 and calls[0] is ops
 
     def test_homogeneous_limit_matches_model(self):
         for n in (2, 4, 6):

@@ -11,6 +11,34 @@ LAT = LatticeSpec(n_qubits=4, relative_spacing=2 / 3, omega_q=13.458)
 CAV = CavitySpec(omega_c=6.729, eta=0.1)
 
 
+def _raising_reference(lattice, upper, lower):
+    """Every raising element by its own loop: the coefficient products
+    of the basis states sharing a photon number n, times the ladder
+    amplitude sqrt(f*(r+u-n)*(r-u+n+1)), summed in ascending n."""
+    f = deformation_factor(lattice)
+    u = upper.basis.two_u / 2.0
+    r = lattice.two_r / 2.0
+    lower_by_n = {n: j for j, (n, _) in enumerate(lower.basis.entries)}
+    shared = [
+        (i, lower_by_n[n], math.sqrt(f * (r + u - n) * (r - u + n + 1)))
+        for i, (n, _) in enumerate(upper.basis.entries)
+        if n in lower_by_n
+    ]
+    c_up, c_lo = upper.coefficients.tolist(), lower.coefficients.tolist()
+    out = np.zeros((upper.basis.dimension, lower.basis.dimension))
+    for b_up, b_lo in np.ndindex(out.shape):
+        total = 0.0
+        for i, j, amp in shared:
+            total += c_up[i][b_up] * c_lo[j][b_lo] * amp
+        out[b_up, b_lo] = total
+    return out
+
+
+def _bits(x):
+    """The IEEE bit patterns, so that +0.0 and -0.0 differ."""
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
 class TestSectorBasis:
     def test_ground_sector_is_one_dimensional(self):
         basis = polariton.sector_basis(LAT, -4)
@@ -204,3 +232,31 @@ class TestTransitions:
         f = deformation_factor(LAT)
         # single ladder amplitude sqrt(f*(r+u)*(r-u+1)) with u=-1: sqrt(4f)
         assert total == pytest.approx(4 * f, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16, 32])
+    def test_matrix_kernel_matches_reference(self, n):
+        # every sector pair up to one above the top sector u = r, where
+        # the upper sector's lowest photon number has no partner below
+        for ell, eta in itertools.product((0.0, 0.37, 2 / 3, 1.0), (0.0, 0.1)):
+            lat = LatticeSpec(n_qubits=n, relative_spacing=ell, omega_q=13.458)
+            cav = CavitySpec(omega_c=6.729, eta=eta)
+            two_u_max = lat.two_r + 2
+            tm = polariton.transition_matrices(lat, cav, two_u_max)
+            sectors = [
+                polariton.diagonalize_sector(lat, cav, two_u)
+                for two_u in range(-lat.two_r, two_u_max + 1, 2)
+            ]
+            keys = set()
+            for lower, upper in zip(sectors, sectors[1:]):
+                two_u = upper.basis.two_u
+                ref = _raising_reference(lat, upper, lower)
+                index = list(np.ndindex(ref.shape))
+                raised = [tm.raise_elements[two_u, b_up, b_lo] for b_up, b_lo in index]
+                lowered = [tm.lower_elements[two_u - 2, b_lo, b_up] for b_up, b_lo in index]
+                assert np.array_equal(_bits(raised), _bits(ref).ravel())
+                assert np.array_equal(_bits(lowered), _bits(ref).ravel())
+                for b_up, b_lo in (index[0], index[-1]):
+                    got = polariton.raising_element(lat, upper, lower, b_up, b_lo)
+                    assert _bits(got) == _bits(ref[b_up, b_lo])
+                keys.update((two_u, b_up, b_lo) for b_up, b_lo in index)
+            assert set(tm.raise_elements) == keys
