@@ -5,10 +5,11 @@ Outside the Tier-1 ``testpaths``; run explicitly with
     python -m pytest benchmarks/test_polariton_kernels.py --benchmark-only
 
 The kernels carry no timing asserts.  ``transition_matrices`` at N=32
-covers every sector up to 2u = +32, the sector pairs of the N=32
-``spectrum --u-max-offset 32`` operation of the validate-oracle
-benchmark workload; ``first_excited_transition`` at N=16 is the 1 x 2
-case that every ``decay_rate`` point pays.
+covers every sector up to 2u = +32: it is the whole sector walk of the
+N=32 ``spectrum --u-max-offset 32`` operation of the validate-oracle
+benchmark workload.  ``diagonalize_sector`` at N=32, 2u=0 is the
+middle sector of that walk (dimension 17); ``first_excited_transition``
+at N=16 is the 1 x 2 case that every ``decay_rate`` point pays.
 """
 
 import math
@@ -22,7 +23,14 @@ CAVITY = CavitySpec(omega_c=6.729, eta=0.1)
 def test_transition_matrices(benchmark):
     lattice = LatticeSpec(n_qubits=32, relative_spacing=0.37, omega_q=13.458)
     result = benchmark(polariton.transition_matrices, lattice, CAVITY, 32)
-    assert len(result.raise_elements) == sum(k * (k + 1) for k in range(1, 33))
+    assert [sec.basis.dimension for sec in result.sectors] == list(range(1, 34))
+    assert [m.shape for m in result.raising] == [(k + 1, k) for k in range(1, 33)]
+
+
+def test_diagonalize_sector(benchmark):
+    lattice = LatticeSpec(n_qubits=32, relative_spacing=0.37, omega_q=13.458)
+    sector = benchmark(polariton.diagonalize_sector, lattice, CAVITY, 0)
+    assert sector.basis.dimension == 17
 
 
 def test_first_excited_transition(benchmark):

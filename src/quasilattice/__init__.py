@@ -3,7 +3,6 @@ decay for a finite qubit quasi-lattice coupled to a cavity mode."""
 
 from .model import (
     CavitySpec,
-    CouplingProfileSpec,
     LatticeSpec,
     coupling_weights,
     deformation_factor,
@@ -18,12 +17,10 @@ from .polariton import (
     transition_matrices,
 )
 from .radiation import (
-    CouplingProfile,
     DecayResult,
     PrefactorInputs,
     chi,
     chi_closed_form,
-    coupling_profile,
     decay_rate,
     pv_integral_check,
     quasi_period,
@@ -43,8 +40,6 @@ __all__ = [
     "AmplitudeTrajectory",
     "BathSpec",
     "CavitySpec",
-    "CouplingProfile",
-    "CouplingProfileSpec",
     "DecayResult",
     "LatticeSpec",
     "PolaritonSector",
@@ -54,7 +49,6 @@ __all__ = [
     "chi",
     "chi_closed_form",
     "closed_form_coefficients",
-    "coupling_profile",
     "coupling_weights",
     "decay_rate",
     "deformation_factor",

@@ -1,6 +1,13 @@
 """Command-line front end: parameter parsing, sweep orchestration, and
 CSV/JSON emission.
 
+Each option is declared once, with its default, on the subcommands that
+read it: ``--config`` and ``--out`` on all five; the model flags
+``--n``, ``--ell``, ``--omega-q``, ``--omega-c`` and ``--eta`` on
+``spectrum``, ``chi-sweep``, ``decay-sweep`` and ``dynamics``;
+``--branch`` on ``decay-sweep`` and ``dynamics``; ``--seed`` on
+``validate``.  Any other flag, or ``--config`` key, is a usage error.
+
 Exit codes: 0 success, 1 validation failure, 2 bad arguments (a request
 too large to allocate among them), 3 I/O error.  All floating-point CSV
 values are written with 17 significant digits so they round-trip
@@ -28,50 +35,30 @@ EXIT_VALIDATION = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 
-_DEFAULTS = {
-    "n": 4,
-    "ell": 2.0 / 3.0,
-    "omega_c": 6.729,
-    "eta": 0.1,
-    "omega_q": 13.458,
-    "branch": 0,
-    "seed": 0,
-    "k_min": 0.05,
-    "k_max": 30.0,
-    "k_points": 600,
-    "ell_min": 0.0,
-    "ell_max": 1.0,
-    "points": 201,
-    "omega_q_min": 1.0,
-    "omega_q_max": 40.5,
-    "u_max_offset": 4,
-    "bandwidth": 0.5,
-    "modes": 601,
-    "t_final": 0.0,  # 0 means auto from the analytic rate
-    "dt": 0.2,
-    "sample_stride": 10,
-    "sweep": "ell",
-}
-# The dynamics default drive frequency sits on a quasi-period multiple
-# (3*omega_c for ell=2/3), where the discretized-continuum golden rule
-# coincides with the analytic normalized rate.
-_DYNAMICS_OMEGA_Q = 3 * 6.729
-
-
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _add_shared(parser: argparse.ArgumentParser) -> None:
+class _HelpFormatter(argparse.HelpFormatter):
+    """Appends an option's default, if it has one, to its help text."""
+
+    def _get_help_string(self, action: argparse.Action) -> str:
+        if action.default in (None, argparse.SUPPRESS):
+            return action.help
+        return f"{action.help} (default %(default)s)"
+
+
+def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key=value file; command-line flags override it")
-    parser.add_argument("--n", type=int, help="number of qubits (default 4)")
-    parser.add_argument("--ell", type=float, help="relative spacing in [0, 1] (default 2/3)")
-    parser.add_argument("--omega-q", type=float, help="qubit frequency, GHz")
-    parser.add_argument("--omega-c", type=float, help="cavity frequency, GHz (default 6.729)")
-    parser.add_argument("--eta", type=float, help="cavity coupling, GHz (default 0.1)")
     parser.add_argument("--out", help="output path (default stdout)")
-    parser.add_argument("--branch", type=int, help="polariton branch index (default 0)")
-    parser.add_argument("--seed", type=int, help="seed for randomized validation draws")
+
+
+def _add_model(parser: argparse.ArgumentParser, omega_q: float = 13.458) -> None:
+    parser.add_argument("--n", type=int, default=4, help="number of qubits")
+    parser.add_argument("--ell", type=float, default=2 / 3, help="relative spacing in [0, 1]")
+    parser.add_argument("--omega-q", type=float, default=omega_q, help="qubit frequency, GHz")
+    parser.add_argument("--omega-c", type=float, default=6.729, help="cavity frequency, GHz")
+    parser.add_argument("--eta", type=float, default=0.1, help="cavity coupling, GHz")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -82,39 +69,48 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("spectrum", help="polariton branches per excitation sector (JSON)")
-    _add_shared(p)
-    p.add_argument("--u-max-offset", type=int,
-                   help="sectors up to u = -r + offset (default 4)")
+    def command(name: str, summary: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary, formatter_class=_HelpFormatter)
+        _add_common(p)
+        return p
 
-    p = sub.add_parser("chi-sweep", help="coupling coefficient chi_l(k) over a k-grid (CSV)")
-    _add_shared(p)
-    p.add_argument("--k-min", type=float, help="lowest omega_k, GHz (default 0.05)")
-    p.add_argument("--k-max", type=float, help="highest omega_k, GHz (default 30)")
-    p.add_argument("--k-points", type=int, help="grid size (default 600)")
+    p = command("spectrum", "polariton branches per excitation sector (JSON)")
+    _add_model(p)
+    p.add_argument("--u-max-offset", type=int, default=4, help="sectors up to u = -r + offset")
 
-    p = sub.add_parser("decay-sweep", help="normalized decay rate over ell or omega_q (CSV)")
-    _add_shared(p)
-    p.add_argument("--sweep", choices=["ell", "omega-q"], help="sweep axis (default ell)")
-    p.add_argument("--ell-min", type=float, help="ell sweep start (default 0)")
-    p.add_argument("--ell-max", type=float, help="ell sweep end (default 1)")
-    p.add_argument("--omega-q-min", type=float, help="omega_q sweep start, GHz")
-    p.add_argument("--omega-q-max", type=float, help="omega_q sweep end, GHz")
-    p.add_argument("--points", type=int, help="sweep grid size (default 201)")
+    p = command("chi-sweep", "coupling coefficient chi_l(k) over a k-grid (CSV)")
+    _add_model(p)
+    p.add_argument("--k-min", type=float, default=0.05, help="lowest omega_k, GHz")
+    p.add_argument("--k-max", type=float, default=30.0, help="highest omega_k, GHz")
+    p.add_argument("--k-points", type=int, default=600, help="grid size")
+
+    p = command("decay-sweep", "normalized decay rate over ell or omega_q (CSV)")
+    _add_model(p)
+    p.add_argument("--branch", type=int, default=0, help="polariton branch index")
+    p.add_argument("--sweep", choices=["ell", "omega-q"], default="ell", help="sweep axis")
+    p.add_argument("--ell-min", type=float, default=0.0, help="ell sweep start")
+    p.add_argument("--ell-max", type=float, default=1.0, help="ell sweep end")
+    p.add_argument("--omega-q-min", type=float, default=1.0, help="omega_q sweep start, GHz")
+    p.add_argument("--omega-q-max", type=float, default=40.5, help="omega_q sweep end, GHz")
+    p.add_argument("--points", type=int, default=201, help="sweep grid size")
     p.add_argument("--mu", type=float, help="dipole moment for the physical prefactor")
     p.add_argument("--epsilon-d", type=float, help="dielectric constant for the prefactor")
     p.add_argument("--area", type=float, help="resonator cross-section for the prefactor")
 
-    p = sub.add_parser("dynamics", help="polariton amplitude decay into a discretized bath (CSV)")
-    _add_shared(p)
-    p.add_argument("--bandwidth", type=float, help="bath bandwidth, GHz (default 0.5)")
-    p.add_argument("--modes", type=int, help="bath mode count (default 601)")
-    p.add_argument("--t-final", type=float, help="horizon, ns (default: auto from the analytic rate)")
-    p.add_argument("--dt", type=float, help="sampling step, ns (default 0.2)")
-    p.add_argument("--sample-stride", type=int, help="write every k-th step (default 10)")
+    p = command("dynamics", "polariton amplitude decay into a discretized bath (CSV)")
+    # The default drive frequency sits on a quasi-period multiple
+    # (3*omega_c for ell=2/3), where the discretized-continuum golden rule
+    # coincides with the analytic normalized rate.
+    _add_model(p, omega_q=3 * 6.729)
+    p.add_argument("--branch", type=int, default=0, help="polariton branch index")
+    p.add_argument("--bandwidth", type=float, default=0.5, help="bath bandwidth, GHz")
+    p.add_argument("--modes", type=int, default=601, help="bath mode count")
+    p.add_argument("--t-final", type=float, default=0.0, help="horizon, ns; 0 is auto from the analytic rate")
+    p.add_argument("--dt", type=float, default=0.2, help="sampling step, ns")
+    p.add_argument("--sample-stride", type=int, default=10, help="write every k-th step")
 
-    p = sub.add_parser("validate", help="run the full self-check suite (JSON report)")
-    _add_shared(p)
+    p = command("validate", "run the full self-check suite (JSON report)")
+    p.add_argument("--seed", type=int, default=0, help="seed for randomized validation draws")
 
     return parser
 
@@ -139,18 +135,11 @@ def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespa
     """Parse argv, with the --config file's keys read as the subcommand's
     flags placed before argv's own, so that argparse converts and checks
     them (a key that names no option, a value of the wrong type or an
-    invalid choice is a usage error) and the command line wins.  Options
-    still unset take their defaults."""
+    invalid choice is a usage error) and the command line wins."""
     args = parser.parse_args(argv)
     if args.config:
         # argv[0] is the subcommand: the top-level parser has no options.
-        args = parser.parse_args(argv[:1] + _config_argv(args.config) + argv[1:])
-    for key, default in _DEFAULTS.items():
-        if hasattr(args, key) and getattr(args, key) is None:
-            if key == "omega_q" and args.command == "dynamics":
-                setattr(args, key, _DYNAMICS_OMEGA_Q)
-            else:
-                setattr(args, key, default)
+        return parser.parse_args(argv[:1] + _config_argv(args.config) + argv[1:])
     return args
 
 
@@ -240,15 +229,14 @@ def run_decay_sweep(args: argparse.Namespace) -> int:
 
 def run_spectrum(args: argparse.Namespace) -> int:
     lattice, cavity = _specs(args)
-    two_r = lattice.two_r
-    two_u_max = -two_r + 2 * args.u_max_offset
+    walk = polariton.transition_matrices(
+        lattice, cavity, -lattice.two_r + 2 * args.u_max_offset
+    )
     sectors = []
-    lower = None
-    for two_u in range(-two_r, two_u_max + 1, 2):
-        sec = polariton.diagonalize_sector(lattice, cavity, two_u)
+    for i, sec in enumerate(walk.sectors):
         entry = {
-            "two_u": two_u,
-            "u": two_u / 2.0,
+            "two_u": sec.basis.two_u,
+            "u": sec.basis.two_u / 2.0,
             "dimension": sec.basis.dimension,
             "basis": [{"n": n, "two_m": tm} for n, tm in sec.basis.entries],
             "omega_ghz": [float(v) for v in sec.eigenvalues],
@@ -258,12 +246,9 @@ def run_spectrum(args: argparse.Namespace) -> int:
                 for b in range(sec.basis.dimension)
             ],
         }
-        if lower is not None:
-            entry["raising_elements_from_lower"] = polariton.raising_matrix(
-                lattice, sec, lower
-            ).tolist()
+        if i > 0:
+            entry["raising_elements_from_lower"] = walk.raising[i - 1].tolist()
         sectors.append(entry)
-        lower = sec
     doc = {
         "n_qubits": lattice.n_qubits,
         "relative_spacing": lattice.relative_spacing,

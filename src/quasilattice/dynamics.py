@@ -41,10 +41,12 @@ class NonMonotoneWindowError(RuntimeError):
 class BathSpec:
     """Discretized radiation continuum.
 
-    mode_frequencies: strictly increasing grid of omega_k, GHz.
-    couplings: per-mode amplitudes g_k, GHz, already scaled by the
-        continuum measure sqrt(spacing/2pi-type factor).
-    spacing: grid spacing used for the density normalization.
+    mode_frequencies: strictly increasing, positive, finite grid of
+        omega_k, GHz.
+    couplings: finite nonnegative per-mode amplitudes g_k, GHz, already
+        scaled by the continuum measure sqrt(spacing/2pi-type factor).
+    spacing: positive finite grid spacing used for the density
+        normalization.
     """
 
     mode_frequencies: np.ndarray
@@ -56,14 +58,18 @@ class BathSpec:
         g = np.asarray(self.couplings, dtype=float)
         if w.ndim != 1 or w.size == 0:
             raise ValueError("mode_frequencies must be a nonempty vector")
+        if g.shape != w.shape:
+            raise ValueError("couplings must match mode_frequencies in shape")
+        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(g))):
+            raise ValueError("mode frequencies and couplings must be finite")
         if np.any(np.diff(w) <= 0):
             raise ValueError("mode_frequencies must be strictly increasing")
         if np.any(w <= 0):
             raise ValueError("mode frequencies must be positive")
-        if g.shape != w.shape:
-            raise ValueError("couplings must match mode_frequencies in shape")
         if np.any(g < 0):
             raise ValueError("couplings must be nonnegative")
+        if not 0 < self.spacing < math.inf:
+            raise ValueError(f"spacing must be positive and finite, got {self.spacing}")
         object.__setattr__(self, "mode_frequencies", w)
         object.__setattr__(self, "couplings", g)
 

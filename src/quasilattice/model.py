@@ -73,25 +73,10 @@ class CavitySpec:
         return self.omega_c - lattice.omega_q
 
 
-@dataclass(frozen=True)
-class CouplingProfileSpec:
-    """Per-qubit cavity coupling weights cos(j*pi*ell), j = 0..N-1."""
-
-    coupling_weights: np.ndarray
-
-    def __post_init__(self) -> None:
-        w = np.asarray(self.coupling_weights, dtype=float)
-        object.__setattr__(self, "coupling_weights", w)
-        if w.ndim != 1 or w.size < 1:
-            raise ValueError("coupling_weights must be a nonempty 1-d vector")
-        if np.any(np.abs(w) > 1.0 + 1e-15):
-            raise ValueError("coupling weights must lie in [-1, 1]")
-
-
-def coupling_weights(lattice: LatticeSpec) -> CouplingProfileSpec:
+def coupling_weights(lattice: LatticeSpec) -> np.ndarray:
     """Cavity coupling weight of each qubit: entry j is cos(j*pi*ell)."""
     j = np.arange(lattice.n_qubits)
-    return CouplingProfileSpec(np.cos(j * math.pi * lattice.relative_spacing))
+    return np.cos(j * math.pi * lattice.relative_spacing)
 
 
 def deformation_factor(lattice: LatticeSpec) -> float:

@@ -132,7 +132,7 @@ def build_operators(
         )
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    weights = coupling_weights(lattice).coupling_weights
+    weights = coupling_weights(lattice)
     s_z, sigma_z, up, down, weight = _spin_terms(weights)
 
     dim_fock = n_max + 1

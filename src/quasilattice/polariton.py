@@ -44,10 +44,6 @@ class SectorBasis:
     def dimension(self) -> int:
         return len(self.entries)
 
-    @property
-    def photon_numbers(self) -> np.ndarray:
-        return np.array([n for n, _ in self.entries])
-
 
 @dataclass(frozen=True)
 class PolaritonSector:
@@ -72,16 +68,18 @@ class PolaritonSector:
 
 @dataclass(frozen=True)
 class TransitionMatrices:
-    """Collective raising/lowering elements between adjacent sectors.
+    """A ladder of diagonalized sectors and the collective raising
+    elements between neighbours.
 
-    raise_elements maps (two_u, branch_u, branch_lower) to the raising
-    element from sector u-1 into sector u; lower_elements is its
-    conjugate map (two_u, branch_u, branch_upper).  Same-sector elements
-    vanish identically and are absent.
+    sectors: the sectors 2u = -2r, -2r + 2, ..., in ascending order.
+    raising: raising[i] is ``raising_matrix`` from sectors[i] into
+        sectors[i + 1], indexed (branch_upper, branch_lower).  The
+        coefficients are real, so the lowering elements are its
+        transpose; same-sector elements vanish identically.
     """
 
-    raise_elements: dict[tuple[int, int, int], float]
-    lower_elements: dict[tuple[int, int, int], float]
+    sectors: tuple[PolaritonSector, ...]
+    raising: tuple[np.ndarray, ...]
 
 
 def sector_basis(lattice: LatticeSpec, two_u: int) -> SectorBasis:
@@ -342,29 +340,26 @@ def raising_element(
 
 
 def transition_matrices(
-    lattice: LatticeSpec, cavity: CavitySpec, two_u_max: int | None = None
+    lattice: LatticeSpec, cavity: CavitySpec, two_u_max: int
 ) -> TransitionMatrices:
-    """Raising/lowering elements for all sectors up to u_max, one
-    ``raising_matrix`` per adjacent sector pair.
+    """Every sector from the ground sector 2u = -2r up to 2u_max, each
+    diagonalized once, and one ``raising_matrix`` per adjacent pair.
 
-    By default covers the five lowest sectors (u_max = -r + 4).  Lowering
-    elements are populated from the raising ones by conjugate symmetry.
+    Raises ValueError when 2u_max lies below the ground sector.
     """
     two_r = lattice.two_r
-    if two_u_max is None:
-        two_u_max = -two_r + 8
-    sectors = {
-        two_u: diagonalize_sector(lattice, cavity, two_u)
+    if two_u_max < -two_r:
+        raise ValueError(
+            f"sector ladder top 2u={two_u_max} lies below the ground sector 2u={-two_r}"
+        )
+    sectors = tuple(
+        diagonalize_sector(lattice, cavity, two_u)
         for two_u in range(-two_r, two_u_max + 1, 2)
-    }
-    raise_elements: dict[tuple[int, int, int], float] = {}
-    lower_elements: dict[tuple[int, int, int], float] = {}
-    for two_u in range(-two_r + 2, two_u_max + 1, 2):
-        matrix = raising_matrix(lattice, sectors[two_u], sectors[two_u - 2])
-        for (b_up, b_lo), el in np.ndenumerate(matrix):
-            raise_elements[(two_u, b_up, b_lo)] = el
-            lower_elements[(two_u - 2, b_lo, b_up)] = el
-    return TransitionMatrices(raise_elements=raise_elements, lower_elements=lower_elements)
+    )
+    raising = tuple(
+        raising_matrix(lattice, upper, lower) for lower, upper in zip(sectors, sectors[1:])
+    )
+    return TransitionMatrices(sectors=sectors, raising=raising)
 
 
 def first_excited_transition(

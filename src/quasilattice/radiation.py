@@ -27,22 +27,6 @@ class SingularDenominatorError(ValueError):
 
 
 @dataclass(frozen=True)
-class CouplingProfile:
-    """chi_l(k) and the collective factor s(k) sampled on a k-grid.
-
-    l_values: the N transform indices l = 0, 1/N, ..., (N-1)/N.
-    k_grid: photon frequencies omega_k, GHz.
-    chi: complex matrix, row per l, column per k.
-    s_factor: complex vector over k.
-    """
-
-    l_values: np.ndarray
-    k_grid: np.ndarray
-    chi: np.ndarray
-    s_factor: np.ndarray
-
-
-@dataclass(frozen=True)
 class PrefactorInputs:
     """Physical inputs for the dimensional decay-rate prefactor.
 
@@ -212,17 +196,6 @@ def s_factor(
     weights = (np.arange(n) % 2).astype(float)
     weights[0] = n
     return transition_element * _site_sum(lattice, cavity, weights, k) / n
-
-
-def coupling_profile(
-    lattice: LatticeSpec, cavity: CavitySpec, k_grid: np.ndarray, branch: int = 0
-) -> CouplingProfile:
-    """Sample chi_l(k) for every l and the collective s(k) on a grid."""
-    ls = l_values(lattice)
-    k_grid = np.asarray(k_grid, dtype=float)
-    rows = [np.atleast_1d(chi(lattice, cavity, l, k_grid)) for l in ls]
-    s = np.atleast_1d(s_factor(lattice, cavity, k_grid, branch))
-    return CouplingProfile(l_values=ls, k_grid=k_grid, chi=np.vstack(rows), s_factor=s)
 
 
 def quasi_period(lattice: LatticeSpec, cavity: CavitySpec) -> float:

@@ -73,7 +73,7 @@ def check_deformation_identity(rng: np.random.Generator) -> list[CheckResult]:
         n = int(rng.integers(1, 9))
         ell = float(rng.uniform(0.0, 1.0))
         lat = LatticeSpec(n_qubits=n, relative_spacing=ell, omega_q=10.0)
-        w = coupling_weights(lat).coupling_weights
+        w = coupling_weights(lat)
         worst_id = max(worst_id, abs(deformation_factor(lat) - float(np.mean(w**2))))
         mirror = LatticeSpec(n_qubits=n, relative_spacing=1.0 - ell, omega_q=10.0)
         worst_sym = max(

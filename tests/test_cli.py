@@ -101,6 +101,13 @@ class TestSpectrum:
         assert "raising_elements_from_lower" not in doc["sectors"][0]
         assert len(doc["sectors"][1]["raising_elements_from_lower"]) == 2
 
+    def test_negative_u_max_offset_is_usage_error(self, tmp_path):
+        out = tmp_path / "spec.json"
+        assert run(["spectrum", "--u-max-offset", "-1", "--out", str(out)]) == cli.EXIT_USAGE
+        assert not out.exists()
+        assert run(["spectrum", "--u-max-offset", "0", "--out", str(out)]) == 0
+        assert [sec["two_u"] for sec in json.loads(out.read_text())["sectors"]] == [-4]
+
 
 class TestDynamics:
     def test_schema_and_summary(self, tmp_path):
@@ -233,6 +240,52 @@ class TestPlumbing:
             assert run(argv + ["--out", str(a)]) == 0
             assert run(argv + ["--out", str(b)]) == 0
             assert a.read_bytes() == b.read_bytes()
+
+    # Every subcommand's defaults, one entry per option it declares.
+    _MODEL = {"n": 4, "ell": 2.0 / 3.0, "omega_q": 13.458, "omega_c": 6.729, "eta": 0.1}
+    _DEFAULTS = {
+        "spectrum": dict(_MODEL, u_max_offset=4),
+        "chi-sweep": dict(_MODEL, k_min=0.05, k_max=30.0, k_points=600),
+        "decay-sweep": dict(
+            _MODEL, branch=0, sweep="ell", ell_min=0.0, ell_max=1.0, omega_q_min=1.0,
+            omega_q_max=40.5, points=201, mu=None, epsilon_d=None, area=None,
+        ),
+        "dynamics": dict(
+            _MODEL, omega_q=3 * 6.729, branch=0, bandwidth=0.5, modes=601, t_final=0.0,
+            dt=0.2, sample_stride=10,
+        ),
+        "validate": {"seed": 0},
+    }
+
+    @pytest.mark.parametrize("command", sorted(_DEFAULTS))
+    def test_defaults(self, command):
+        args = vars(cli._parse(cli.build_parser(), [command]))
+        expected = dict(self._DEFAULTS[command], command=command, config=None, out=None)
+        assert args == expected
+        for key, value in expected.items():
+            assert type(args[key]) is type(value)
+
+    @pytest.mark.parametrize("argv", [
+        ["validate", "--n", "8"],
+        ["validate", "--eta", "0.5"],
+        ["validate", "--branch", "1"],
+        ["spectrum", "--branch", "1"],
+        ["spectrum", "--seed", "3"],
+        ["chi-sweep", "--k-points", "5", "--seed", "3"],
+        ["decay-sweep", "--points", "5", "--seed", "1"],
+        ["dynamics", "--modes", "11", "--seed", "1"],
+    ])
+    def test_unread_flag_is_usage_error(self, tmp_path, argv):
+        out = tmp_path / "x.out"
+        assert run(argv + ["--out", str(out)]) == cli.EXIT_USAGE
+        assert not out.exists()
+
+    def test_unread_config_key_is_usage_error(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("k-points = 5\nseed = 1\n")
+        out = tmp_path / "x.csv"
+        assert run(["chi-sweep", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_USAGE
+        assert not out.exists()
 
     def test_threads_flag_is_gone(self):
         assert run(["chi-sweep", "--k-points", "5", "--threads", "4"]) == cli.EXIT_USAGE

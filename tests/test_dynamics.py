@@ -67,6 +67,28 @@ class TestBathSpec:
         with pytest.raises(ValueError):
             dynamics.BathSpec(np.array([-1.0, 2.0]), np.array([0.1, 0.1]), 3.0)
 
+    @pytest.mark.parametrize("freqs, couplings", [
+        ([1.0, math.inf], [0.1, 0.1]),
+        ([1.0, math.nan], [0.1, 0.1]),
+        ([1.0, 2.0], [math.nan, 0.1]),
+        ([1.0, 2.0], [math.inf, 0.1]),
+    ])
+    def test_rejects_non_finite_modes(self, freqs, couplings):
+        with pytest.raises(ValueError, match="finite"):
+            dynamics.BathSpec(np.array(freqs), np.array(couplings), 1.0)
+
+    @pytest.mark.parametrize("spacing", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bad_spacing(self, spacing):
+        with pytest.raises(ValueError, match="spacing"):
+            dynamics.BathSpec(np.array([1.0, 2.0]), np.array([0.1, 0.1]), spacing)
+
+    @pytest.mark.parametrize("epsilon_d", [0.0, -1.0])
+    def test_physical_bath_rejects_non_finite_couplings(self, epsilon_d):
+        # 1/0 and sqrt of a negative give inf and nan couplings
+        with np.errstate(divide="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="finite"):
+                dynamics.physical_bath(LAT, 0.5, 11, mu=1.0, epsilon_d=epsilon_d, volume=1.0)
+
     def test_rejects_nonpositive_frequencies(self):
         with pytest.raises(ValueError):
             dynamics.normalized_bath(LAT, bandwidth=100.0, n_modes=11)

@@ -5,7 +5,6 @@ import pytest
 
 from quasilattice.model import (
     CavitySpec,
-    CouplingProfileSpec,
     LatticeSpec,
     coupling_weights,
     deformation_factor,
@@ -23,7 +22,7 @@ def test_matches_mean_squared_weights():
         n = int(rng.integers(1, 9))
         ell = float(rng.uniform(0.0, 1.0))
         lat = LatticeSpec(n_qubits=n, relative_spacing=ell, omega_q=10.0)
-        w = coupling_weights(lat).coupling_weights
+        w = coupling_weights(lat)
         assert deformation_factor(lat) == pytest.approx(float(np.mean(w**2)), abs=1e-13)
 
 
@@ -46,7 +45,7 @@ def test_singularity_branch_is_continuous():
 
 def test_weights_for_four_qubits_at_two_thirds():
     lat = LatticeSpec(n_qubits=4, relative_spacing=2 / 3, omega_q=13.458)
-    w = coupling_weights(lat).coupling_weights
+    w = coupling_weights(lat)
     assert np.allclose(w, [1.0, -0.5, -0.5, 1.0], atol=1e-12)
 
 
@@ -81,13 +80,6 @@ def test_specs_reject_non_finite(bad):
         CavitySpec(omega_c=bad, eta=0.1)
     with pytest.raises(ValueError):
         CavitySpec(omega_c=6.729, eta=bad)
-
-
-def test_weights_profile_validation():
-    with pytest.raises(ValueError):
-        CouplingProfileSpec(np.array([1.0, 2.0]))
-    with pytest.raises(ValueError):
-        CouplingProfileSpec(np.array([]))
 
 
 def test_doubled_spin_and_resonant_momentum():

@@ -23,7 +23,7 @@ def _kron_reference(lattice, cavity, n_max):
     sigma_z_1 = np.diag([0.5, -0.5])
     sigma_plus_1 = np.array([[0.0, 1.0], [0.0, 0.0]])
     n = lattice.n_qubits
-    weights = coupling_weights(lattice).coupling_weights
+    weights = coupling_weights(lattice)
     dim_spin = 2**n
     s_z = np.zeros((dim_spin, dim_spin))
     s_plus = np.zeros((dim_spin, dim_spin))

@@ -209,11 +209,6 @@ class TestTransitions:
             got = polariton.first_excited_transition(LAT, CAV, branch=b)
             assert abs(got) == pytest.approx(abs(expected), abs=1e-12)
 
-    def test_conjugate_symmetry(self):
-        tm = polariton.transition_matrices(LAT, CAV)
-        for (two_u, b_up, b_lo), val in tm.raise_elements.items():
-            assert tm.lower_elements[(two_u - 2, b_lo, b_up)] == val
-
     def test_adjacency_required(self):
         upper = polariton.diagonalize_sector(LAT, CAV, 0)
         lower = polariton.diagonalize_sector(LAT, CAV, -4)
@@ -228,7 +223,7 @@ class TestTransitions:
         # the collective ladder amplitudes are the sector off-diagonals:
         # summing |element|^2 over branch pairs gives the squared ladder norm
         tm = polariton.transition_matrices(LAT, CAV, two_u_max=-2)
-        total = sum(v**2 for k, v in tm.raise_elements.items() if k[0] == -2)
+        total = float(np.sum(tm.raising[0] ** 2))
         f = deformation_factor(LAT)
         # single ladder amplitude sqrt(f*(r+u)*(r-u+1)) with u=-1: sqrt(4f)
         assert total == pytest.approx(4 * f, abs=1e-12)
@@ -246,17 +241,27 @@ class TestTransitions:
                 polariton.diagonalize_sector(lat, cav, two_u)
                 for two_u in range(-lat.two_r, two_u_max + 1, 2)
             ]
-            keys = set()
-            for lower, upper in zip(sectors, sectors[1:]):
-                two_u = upper.basis.two_u
+            assert len(tm.raising) == len(sectors) - 1
+            for lower, upper, got in zip(sectors, sectors[1:], tm.raising):
                 ref = _raising_reference(lat, upper, lower)
-                index = list(np.ndindex(ref.shape))
-                raised = [tm.raise_elements[two_u, b_up, b_lo] for b_up, b_lo in index]
-                lowered = [tm.lower_elements[two_u - 2, b_lo, b_up] for b_up, b_lo in index]
-                assert np.array_equal(_bits(raised), _bits(ref).ravel())
-                assert np.array_equal(_bits(lowered), _bits(ref).ravel())
-                for b_up, b_lo in (index[0], index[-1]):
-                    got = polariton.raising_element(lat, upper, lower, b_up, b_lo)
-                    assert _bits(got) == _bits(ref[b_up, b_lo])
-                keys.update((two_u, b_up, b_lo) for b_up, b_lo in index)
-            assert set(tm.raise_elements) == keys
+                assert np.array_equal(_bits(got), _bits(ref))
+                for b_up, b_lo in ((0, 0), (ref.shape[0] - 1, ref.shape[1] - 1)):
+                    element = polariton.raising_element(lat, upper, lower, b_up, b_lo)
+                    assert _bits(element) == _bits(ref[b_up, b_lo])
+
+    @pytest.mark.parametrize("n", [1, 4, 5, 16])
+    def test_ladder_sectors_match_fresh_diagonalization(self, n):
+        lat = LatticeSpec(n_qubits=n, relative_spacing=0.37, omega_q=13.458)
+        tm = polariton.transition_matrices(lat, CAV, lat.two_r + 2)
+        two_us = list(range(-lat.two_r, lat.two_r + 3, 2))
+        assert [sec.basis.two_u for sec in tm.sectors] == two_us
+        for sec, two_u in zip(tm.sectors, two_us):
+            fresh = polariton.diagonalize_sector(lat, CAV, two_u)
+            assert sec.basis == fresh.basis
+            for field in ("eigenvalues", "coefficients", "stark_splittings"):
+                assert np.array_equal(_bits(getattr(sec, field)), _bits(getattr(fresh, field)))
+
+    def test_ladder_below_ground_sector_rejected(self):
+        assert len(polariton.transition_matrices(LAT, CAV, -LAT.two_r).sectors) == 1
+        with pytest.raises(ValueError, match="below the ground sector"):
+            polariton.transition_matrices(LAT, CAV, -LAT.two_r - 2)
