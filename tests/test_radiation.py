@@ -110,10 +110,14 @@ class TestSFactor:
                 )
                 s = np.asarray(radiation.s_factor(lat, CAV, k))
                 assert np.all(np.abs(s - explicit) <= 1e-14 * np.maximum(1.0, np.abs(s)))
-                # an array of k agrees with scalar calls at its points
-                points = np.ravel(k)[::25]
-                scalar = np.array([radiation.s_factor(lat, CAV, kk) for kk in points])
-                assert np.max(np.abs(np.ravel(s)[::25] - scalar)) < 1e-13
+
+    def test_profile_consistency(self):
+        k = np.linspace(0.1, 30.0, 50)
+        chi = np.array([radiation.chi(LAT, CAV, l, k) for l in radiation.l_values(LAT)])
+        assert chi.shape == (4, 50)
+        profile = radiation.s_factor(LAT, CAV, k)
+        direct = np.array([radiation.s_factor(LAT, CAV, kk) for kk in k])
+        assert np.max(np.abs(profile - direct)) < 1e-13
 
     def test_quasi_periodic_magnitude(self):
         period = radiation.quasi_period(LAT, CAV)
