@@ -6,10 +6,13 @@ Outside the Tier-1 ``testpaths``; run explicitly with
 
 The kernels carry no timing asserts.  The N=8, n_max=8 build (product
 dimension 2304) and its lowest sectors match the ``exact_spectrum``
-operation of the validate-oracle benchmark workload.  The single-sector
-kernel reuses one operator set, whose conservation guard is computed on
-the first call only; the three-sector kernel gets a fresh set each
-round, so it pays the guard once, as that operation does.
+operation of the validate-oracle benchmark workload; the build holds
+only nonzeros and forms no dense field.  The single-sector kernel
+reuses one operator set, whose conservation guard is computed on the
+first call only; the three-sector kernel gets a fresh set each round,
+so it pays the guard once, as that operation does.  The commutator-field
+kernel builds a set at N=6, n_max=1 and forms the dense fields
+``verify_commutators`` reads, as each draw of ``check_commutators`` does.
 """
 
 import dataclasses
@@ -23,6 +26,8 @@ from quasilattice.model import CavitySpec, LatticeSpec
 LATTICE = LatticeSpec(n_qubits=8, relative_spacing=0.0, omega_q=13.458)
 CAVITY = CavitySpec(omega_c=6.729, eta=0.1)
 N_MAX = 8
+DENSE_FIELDS = ("S_z", "S_plus", "S_minus", "Sigma_z", "a", "a_dagger", "H_total")
+COMMUTATOR_FIELDS = ("S_z", "S_plus", "S_minus", "Sigma_z")
 
 
 @pytest.fixture(scope="module")
@@ -33,6 +38,7 @@ def ops():
 def test_build_operators(benchmark):
     result = benchmark(oracle.build_operators, LATTICE, CAVITY, N_MAX)
     assert result.dimension == 2**8 * (N_MAX + 1)
+    assert not set(DENSE_FIELDS) & set(vars(result))
 
 
 @pytest.mark.parametrize("two_u", [-8, -6, -4])
@@ -49,6 +55,17 @@ def test_three_sector_spectra(benchmark, ops):
         three, setup=lambda: ((dataclasses.replace(ops),), {}), rounds=20
     )
     assert all(np.all(np.isfinite(s)) for s in spectra)
+
+
+def test_commutator_fields(benchmark):
+    lattice = LatticeSpec(n_qubits=6, relative_spacing=0.37, omega_q=13.458)
+
+    def form():
+        ops = oracle.build_operators(lattice, CAVITY, n_max=1)
+        return [getattr(ops, field) for field in COMMUTATOR_FIELDS]
+
+    fields = benchmark(form)
+    assert all(f.shape == (2**6 * 2, 2**6 * 2) for f in fields)
 
 
 def test_check_commutators(benchmark):

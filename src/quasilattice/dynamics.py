@@ -127,7 +127,15 @@ def physical_bath(
     speed: float = 1.0,
 ) -> BathSpec:
     """Bath with dimensional couplings g_k^2 = c k_q^2 mu^2/(2 eps_d k V),
-    scaled by the grid spacing for the continuum measure."""
+    scaled by the grid spacing for the continuum measure.
+
+    Raises ValueError, before any arithmetic, unless mu, epsilon_d,
+    volume and speed are finite and the last three positive."""
+    finite = all(math.isfinite(x) for x in (mu, epsilon_d, volume, speed))
+    if not finite or min(epsilon_d, volume, speed) <= 0:
+        raise ValueError(
+            "mu must be finite, and epsilon_d, volume and speed finite and positive"
+        )
     base = normalized_bath(lattice, bandwidth, n_modes)
     w = base.mode_frequencies
     g = np.sqrt(

@@ -1,11 +1,13 @@
 """Brute-force exact numerics in the full qubit-chain x Fock product
 space.
 
-Operators are built at small N by writing their nonzero entries, found
-from basis-index bits, into zero arrays, with no product-space matrix
-product, and serve as an independent check on the deformed
-collective-spin model: commutation relations, Dicke-state structure,
-excitation conservation, and exact sector spectra.
+Operators are built at small N as their nonzero entries, found from
+basis-index bits, with no product-space matrix product, and serve as an
+independent check on the deformed collective-spin model: commutation
+relations, Dicke-state structure, excitation conservation, and exact
+sector spectra.  Excitation conservation and the sector spectra read
+only the nonzeros of H_total; each dense field is formed on first read,
+for the commutators and as a reference.
 """
 
 from __future__ import annotations
@@ -33,34 +35,102 @@ class TruncationError(ValueError):
 
 @dataclass(frozen=True)
 class ProductSpaceOperators:
-    """Dense operators on the 2^N x (n_max+1) product space.
+    """Operators on the 2^N x (n_max+1) product space, index
+    spin*(n_max+1) + photons, held as their nonzeros.
 
-    S_plus/S_minus carry the site weights cos(j*pi*ell); Sigma_z is the
-    cos^2-weighted inversion entering their commutator.  H_total is the
-    full chain + cavity + coupling Hamiltonian in GHz.
+    The spin terms are those of `_spin_terms`: the diagonals s_z and
+    sigma_z on the 2^N qubit space and the entries (up, down, weight) of
+    the weighted s_plus.  H_total, the full chain + cavity + coupling
+    Hamiltonian in GHz, is held as its nonzero triplets (h_rows, h_cols,
+    h_values).
+
+    The dense fields S_z, S_plus, S_minus, Sigma_z, a, a_dagger and
+    H_total are formed on first read and kept, read-only.  S_plus/S_minus
+    carry the site weights cos(j*pi*ell); Sigma_z is the cos^2-weighted
+    inversion entering their commutator.
     """
 
     lattice: LatticeSpec
     cavity: CavitySpec
     n_max: int
-    S_z: np.ndarray
-    S_plus: np.ndarray
-    S_minus: np.ndarray
-    Sigma_z: np.ndarray
-    a: np.ndarray
-    a_dagger: np.ndarray
-    H_total: np.ndarray
+    s_z: np.ndarray
+    sigma_z: np.ndarray
+    up: np.ndarray
+    down: np.ndarray
+    weight: np.ndarray
+    h_rows: np.ndarray
+    h_cols: np.ndarray
+    h_values: np.ndarray
 
     @property
     def dimension(self) -> int:
-        return self.H_total.shape[0]
+        return self.s_z.size * (self.n_max + 1)
 
-    # Computed once per operator set; dataclasses.replace makes a new set.
+    def _dense(self, rows: np.ndarray, cols: np.ndarray, values: np.ndarray) -> np.ndarray:
+        field = np.zeros((self.dimension, self.dimension))
+        field[rows, cols] = values
+        field.flags.writeable = False
+        return field
+
+    def _diagonal(self, spin_diagonal: np.ndarray) -> np.ndarray:
+        index = np.arange(self.dimension)
+        return self._dense(index, index, np.repeat(spin_diagonal, self.n_max + 1))
+
+    def _spin_raisings(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Product indices (to, from) and values of the entries of S_plus,
+        which raises one site at fixed photon number."""
+        dim_fock = self.n_max + 1
+        photons = np.arange(dim_fock)
+        to = (self.up[:, None] * dim_fock + photons).ravel()
+        frm = (self.down[:, None] * dim_fock + photons).ravel()
+        return to, frm, np.repeat(self.weight, dim_fock)
+
+    def _photon_lowerings(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Product indices (to, from) and values of the entries of a, which
+        lowers the photon number at fixed spin: <s, k-1|a|s, k> = sqrt(k)."""
+        dim_fock = self.n_max + 1
+        to = (np.arange(self.s_z.size)[:, None] * dim_fock + np.arange(self.n_max)).ravel()
+        ladder = np.sqrt(np.arange(dim_fock))
+        return to, to + 1, np.tile(ladder[1:], self.s_z.size)
+
+    # Each computed once per operator set; dataclasses.replace makes a new set.
+    @functools.cached_property
+    def S_z(self) -> np.ndarray:
+        return self._diagonal(self.s_z)
+
+    @functools.cached_property
+    def Sigma_z(self) -> np.ndarray:
+        return self._diagonal(self.sigma_z)
+
+    @functools.cached_property
+    def S_plus(self) -> np.ndarray:
+        return self._dense(*self._spin_raisings())
+
+    @functools.cached_property
+    def S_minus(self) -> np.ndarray:
+        to, frm, values = self._spin_raisings()
+        return self._dense(frm, to, values)
+
+    @functools.cached_property
+    def a(self) -> np.ndarray:
+        return self._dense(*self._photon_lowerings())
+
+    @functools.cached_property
+    def a_dagger(self) -> np.ndarray:
+        to, frm, values = self._photon_lowerings()
+        return self._dense(frm, to, values)
+
+    @functools.cached_property
+    def H_total(self) -> np.ndarray:
+        return self._dense(self.h_rows, self.h_cols, self.h_values)
+
     @functools.cached_property
     def excitation_number(self) -> np.ndarray:
         """Diagonal of S_z + a_dag*a, which is diagonal in the product
         basis (read-only)."""
-        number = np.diag(self.S_z) + np.einsum("ki,ki->i", self.a, self.a)
+        number = np.repeat(self.s_z, self.n_max + 1) + np.tile(
+            np.arange(self.n_max + 1), self.s_z.size
+        )
         number.flags.writeable = False
         return number
 
@@ -117,14 +187,14 @@ def build_operators(
 ) -> ProductSpaceOperators:
     """Collective operators and H_total = omega_q*S_z + omega_c*a_dag*a
     + eta*(S_plus*a + S_minus*a_dag) on the product basis, index
-    spin*(n_max+1) + photons.
+    spin*(n_max+1) + photons, as their nonzeros; no product-space array
+    is written.
 
-    Each field starts from zeros and receives only its nonzero entries,
-    each rounded as in the Kronecker and dense-product construction
-    (omega_q*s_z + omega_c*k on the diagonal of H_total,
-    eta*(w_j*sqrt(k+1)) off it), so the fields equal that
-    construction's.  The coupling is added onto +0.0, as there, so the
-    zeros of H_total stay +0.0 at eta = 0 too."""
+    The nonzeros of H_total are rounded as in the Kronecker and
+    dense-product construction (omega_q*s_z + omega_c*k on the diagonal,
+    eta*(w_j*sqrt(k+1)) off it), so the dense fields equal that
+    construction's.  The coupling is stored added onto +0.0, as the dense
+    sum adds it, so the zeros of H_total stay +0.0 at eta = 0 too."""
     n = lattice.n_qubits
     if n > _MAX_QUBITS or n_max > _MAX_FOCK:
         raise DimensionGuardError(
@@ -136,46 +206,28 @@ def build_operators(
     s_z, sigma_z, up, down, weight = _spin_terms(weights)
 
     dim_fock = n_max + 1
-    dim = 2**n * dim_fock
     photons = np.arange(dim_fock)
     ladder = np.sqrt(photons)  # <k-1|a|k> = sqrt(k)
-    S_z, S_plus, S_minus, Sigma_z, A, A_dag, H = (np.zeros((dim, dim)) for _ in range(7))
-
-    s_z_diag = np.repeat(s_z, dim_fock)
-    np.fill_diagonal(S_z, s_z_diag)
-    np.fill_diagonal(Sigma_z, np.repeat(sigma_z, dim_fock))
-    np.fill_diagonal(
-        H, lattice.omega_q * s_z_diag + cavity.omega_c * np.tile(ladder * ladder, 2**n)
+    diagonal = np.arange(2**n * dim_fock)
+    energies = lattice.omega_q * np.repeat(s_z, dim_fock) + cavity.omega_c * np.tile(
+        ladder * ladder, 2**n
     )
-
-    # a lowers the photon number at fixed spin: <s, k-1|a|s, k> = sqrt(k).
-    fock_to = (np.arange(2**n)[:, None] * dim_fock + photons[None, :-1]).ravel()
-    A[fock_to, fock_to + 1] = np.tile(ladder[1:], 2**n)
-    A_dag[fock_to + 1, fock_to] = A[fock_to, fock_to + 1]
-
-    # S_plus raises one site at fixed photon number.
-    spin_to = (up[:, None] * dim_fock + photons[None, :]).ravel()
-    spin_from = (down[:, None] * dim_fock + photons[None, :]).ravel()
-    S_plus[spin_to, spin_from] = np.repeat(weight, dim_fock)
-    S_minus[spin_from, spin_to] = S_plus[spin_to, spin_from]
-
     # S_plus*a takes (down, k+1) to (up, k) with weight_j*sqrt(k+1).
     to = (up[:, None] * dim_fock + photons[None, :-1]).ravel()
     frm = (down[:, None] * dim_fock + photons[None, 1:]).ravel()
-    coupling = cavity.eta * (weight[:, None] * ladder[None, 1:]).ravel()
-    H[to, frm] += coupling
-    H[frm, to] += coupling
+    coupling = 0.0 + cavity.eta * (weight[:, None] * ladder[None, 1:]).ravel()
     return ProductSpaceOperators(
         lattice=lattice,
         cavity=cavity,
         n_max=n_max,
-        S_z=S_z,
-        S_plus=S_plus,
-        S_minus=S_minus,
-        Sigma_z=Sigma_z,
-        a=A,
-        a_dagger=A_dag,
-        H_total=H,
+        s_z=s_z,
+        sigma_z=sigma_z,
+        up=up,
+        down=down,
+        weight=weight,
+        h_rows=np.concatenate([diagonal, to, frm]),
+        h_cols=np.concatenate([diagonal, frm, to]),
+        h_values=np.concatenate([energies, coupling, coupling]),
     )
 
 
@@ -201,11 +253,10 @@ def verify_commutators(ops: ProductSpaceOperators, tol: float = 1e-12) -> Commut
 def excitation_conservation_residual(ops: ProductSpaceOperators) -> float:
     """Max-abs norm of [H_total, S_z + a_dag*a], entries H_ij*(n_j - n_i).
 
-    Only the nonzero H_ij can give a nonzero entry, so only they are
-    formed, with no dense temporary."""
+    Only the nonzero H_ij can give a nonzero entry, so only the stored
+    triplets are read, with no dense temporary."""
     number = ops.excitation_number
-    rows, cols = np.nonzero(ops.H_total)
-    commutator = ops.H_total[rows, cols] * (number[cols] - number[rows])
+    commutator = ops.h_values * (number[ops.h_cols] - number[ops.h_rows])
     return float(np.max(np.abs(commutator), initial=0.0))
 
 
@@ -230,9 +281,10 @@ def dicke_basis(n_qubits: int) -> dict[int, np.ndarray]:
 
 
 def dicke_diagonal_elements(ops: ProductSpaceOperators) -> np.ndarray:
-    """Diagonal matrix elements <r,m|S_plus|r,m> in the qubit space, read
-    from the photon-vacuum block of S_plus."""
-    s_plus_spin = np.ascontiguousarray(ops.S_plus[:: ops.n_max + 1, :: ops.n_max + 1])
+    """Diagonal matrix elements <r,m|S_plus|r,m> in the qubit space, with
+    the weighted s_plus formed from the spin terms."""
+    s_plus_spin = np.zeros((ops.s_z.size, ops.s_z.size))
+    s_plus_spin[ops.up, ops.down] = ops.weight
     basis = dicke_basis(ops.lattice.n_qubits)
     return np.array([v @ s_plus_spin @ v for _, v in sorted(basis.items())])
 
@@ -250,8 +302,10 @@ def sector_indices(ops: ProductSpaceOperators, two_u: int) -> np.ndarray:
 def exact_sector_spectrum(ops: ProductSpaceOperators, two_u: int) -> np.ndarray:
     """Eigenvalues of H_total restricted to the excitation-u eigenspace.
 
-    Refuses sectors whose basis states reach the Fock cutoff, where the
-    truncated ladder would corrupt the spectrum.
+    The block is scattered from the triplets of H_total whose row and
+    column both lie in the sector, so it equals H_total[np.ix_(idx, idx)]
+    entry for entry.  Refuses sectors whose basis states reach the Fock
+    cutoff, where the truncated ladder would corrupt the spectrum.
     """
     residual = ops.conservation_residual
     if residual > 1e-12:
@@ -267,5 +321,10 @@ def exact_sector_spectrum(ops: ProductSpaceOperators, two_u: int) -> np.ndarray:
         raise TruncationError(
             f"sector 2u={two_u} touches the Fock cutoff n_max={ops.n_max}"
         )
-    block = ops.H_total[np.ix_(idx, idx)]
+    position = np.full(ops.dimension, -1)
+    position[idx] = np.arange(idx.size)
+    rows, cols = position[ops.h_rows], position[ops.h_cols]
+    inside = (rows >= 0) & (cols >= 0)
+    block = np.zeros((idx.size, idx.size))
+    block[rows[inside], cols[inside]] = ops.h_values[inside]
     return np.linalg.eigvalsh(block)

@@ -345,12 +345,17 @@ def transition_matrices(
     """Every sector from the ground sector 2u = -2r up to 2u_max, each
     diagonalized once, and one ``raising_matrix`` per adjacent pair.
 
-    Raises ValueError when 2u_max lies below the ground sector.
+    Raises ValueError when 2u_max lies below the ground sector, and
+    EmptySectorError when it has the wrong parity for 2r.
     """
     two_r = lattice.two_r
     if two_u_max < -two_r:
         raise ValueError(
             f"sector ladder top 2u={two_u_max} lies below the ground sector 2u={-two_r}"
+        )
+    if (two_u_max - two_r) % 2 != 0:
+        raise EmptySectorError(
+            f"sector ladder top 2u={two_u_max} has the wrong parity for 2r={two_r}"
         )
     sectors = tuple(
         diagonalize_sector(lattice, cavity, two_u)

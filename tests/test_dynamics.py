@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -88,6 +89,19 @@ class TestBathSpec:
         with np.errstate(divide="ignore", invalid="ignore"):
             with pytest.raises(ValueError, match="finite"):
                 dynamics.physical_bath(LAT, 0.5, 11, mu=1.0, epsilon_d=epsilon_d, volume=1.0)
+
+    @pytest.mark.parametrize("name, value", [
+        ("epsilon_d", 0.0), ("epsilon_d", -1.0), ("epsilon_d", math.nan),
+        ("volume", 0.0), ("volume", -2.0), ("volume", math.inf),
+        ("speed", 0.0), ("speed", -1.0), ("speed", math.nan),
+        ("mu", math.nan), ("mu", -math.inf),
+    ])
+    def test_physical_bath_checks_inputs_before_arithmetic(self, name, value):
+        inputs = {"mu": 1.0, "epsilon_d": 1.0, "volume": 1.0, "speed": 1.0, name: value}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite and positive"):
+                dynamics.physical_bath(LAT, 0.5, 11, **inputs)
 
     def test_rejects_nonpositive_frequencies(self):
         with pytest.raises(ValueError):

@@ -2,9 +2,10 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from quasilattice.model import CavitySpec, LatticeSpec, coupling_weights
-from quasilattice import oracle, polariton
+from quasilattice import oracle, polariton, radiation
 
 CAV = CavitySpec(omega_c=6.729, eta=0.1)
 FIELDS = ("S_z", "S_plus", "S_minus", "Sigma_z", "a", "a_dagger", "H_total")
@@ -150,9 +151,12 @@ class TestSectorSpectra:
         # all spins down (spin index 7) with 0 and 1 photons: 2u = -3 and -1
         i, j, delta = 7 * 4, 7 * 4 + 1, 1e-6
         assert ops.H_total[i, j] == 0.0
-        H = ops.H_total.copy()
-        H[i, j] = H[j, i] = delta
-        broken = dataclasses.replace(ops, H_total=H)
+        broken = dataclasses.replace(
+            ops,
+            h_rows=np.append(ops.h_rows, [i, j]),
+            h_cols=np.append(ops.h_cols, [j, i]),
+            h_values=np.append(ops.h_values, [delta, delta]),
+        )
         assert oracle.excitation_conservation_residual(broken) == pytest.approx(delta, rel=1e-15)
         # the cached residual belongs to each operator set: every call on
         # the broken set raises, and intact sets, old or new, do not
@@ -194,6 +198,39 @@ class TestSectorSpectra:
         # u = -1/2: (n, m) in {(0,-1/2), (1,-3/2)}
         expected = sorted([-0.5 * 10.0, -1.5 * 10.0 + 7.0])
         assert np.allclose(np.sort(exact)[: len(expected)], expected, atol=1e-12)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(1, 7),
+        n_max=st.integers(1, 4),
+        ell=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        eta=st.one_of(st.just(0.0), st.floats(0.0, 0.5)),
+        omega_q=st.floats(5.0, 20.0),
+    )
+    @example(n=1, n_max=3, ell=2 / 3, eta=0.1, omega_q=13.458)
+    @example(n=5, n_max=3, ell=0.37, eta=0.1, omega_q=9.3)
+    @example(n=4, n_max=3, ell=0.0, eta=0.1, omega_q=13.458)
+    @example(n=4, n_max=3, ell=1.0, eta=0.1, omega_q=13.458)
+    @example(n=3, n_max=3, ell=2 / 3, eta=0.0, omega_q=13.458)
+    @example(n=4, n_max=3, ell=2 / 3, eta=0.1,
+             omega_q=2 * radiation.quasi_period(LatticeSpec(4, 2 / 3, 13.458), CAV))
+    def test_sector_block_from_nonzeros_equals_dense(self, n, n_max, ell, eta, omega_q):
+        lat = LatticeSpec(n_qubits=n, relative_spacing=ell, omega_q=omega_q)
+        ops = oracle.build_operators(lat, CavitySpec(omega_c=6.729, eta=eta), n_max=n_max)
+        # sectors whose every basis state stays below the Fock cutoff
+        for two_u in range(-n, 2 * n_max - n, 2):
+            idx = oracle.sector_indices(ops, two_u)
+            dense = np.linalg.eigvalsh(ops.H_total[np.ix_(idx, idx)])
+            assert oracle.exact_sector_spectrum(ops, two_u).tobytes() == dense.tobytes()
+
+    def test_sector_spectra_form_no_dense_field(self):
+        lat = LatticeSpec(n_qubits=8, relative_spacing=0.0, omega_q=13.458)
+        ops = oracle.build_operators(lat, CAV, n_max=8)
+        for two_u in (-8, -6, -4):
+            oracle.exact_sector_spectrum(ops, two_u)
+        assert not set(FIELDS) & set(vars(ops))
+        held = sum(v.nbytes for v in vars(ops).values() if isinstance(v, np.ndarray))
+        assert held < 1_000_000
 
     def test_truncation_guard(self):
         lat = LatticeSpec(n_qubits=2, relative_spacing=0.3, omega_q=10.0)

@@ -265,3 +265,10 @@ class TestTransitions:
         assert len(polariton.transition_matrices(LAT, CAV, -LAT.two_r).sectors) == 1
         with pytest.raises(ValueError, match="below the ground sector"):
             polariton.transition_matrices(LAT, CAV, -LAT.two_r - 2)
+
+    @pytest.mark.parametrize("n", [1, 4, 5])
+    def test_ladder_top_of_wrong_parity_rejected(self, n):
+        lat = LatticeSpec(n_qubits=n, relative_spacing=2 / 3, omega_q=13.458)
+        for two_u_max in (-lat.two_r + 1, -lat.two_r + 3):
+            with pytest.raises(polariton.EmptySectorError, match="parity"):
+                polariton.transition_matrices(lat, CAV, two_u_max)
