@@ -12,7 +12,10 @@ reuses one operator set, whose conservation guard is computed on the
 first call only; the three-sector kernel gets a fresh set each round,
 so it pays the guard once, as that operation does.  The commutator-field
 kernel builds a set at N=6, n_max=1 and forms the dense fields
-``verify_commutators`` reads, as each draw of ``check_commutators`` does.
+``verify_commutators`` reads at ell != 0, as each random-ell draw of
+``check_commutators`` does; S_z enters those commutators through its
+diagonal, so its dense field is read only at ell = 0.  The
+``verify_commutators`` kernel takes one such set with its fields formed.
 """
 
 import dataclasses
@@ -27,7 +30,8 @@ LATTICE = LatticeSpec(n_qubits=8, relative_spacing=0.0, omega_q=13.458)
 CAVITY = CavitySpec(omega_c=6.729, eta=0.1)
 N_MAX = 8
 DENSE_FIELDS = ("S_z", "S_plus", "S_minus", "Sigma_z", "a", "a_dagger", "H_total")
-COMMUTATOR_FIELDS = ("S_z", "S_plus", "S_minus", "Sigma_z")
+COMMUTATOR_FIELDS = ("S_plus", "S_minus", "Sigma_z")
+COMMUTATOR_LATTICE = LatticeSpec(n_qubits=6, relative_spacing=0.37, omega_q=13.458)
 
 
 @pytest.fixture(scope="module")
@@ -58,14 +62,20 @@ def test_three_sector_spectra(benchmark, ops):
 
 
 def test_commutator_fields(benchmark):
-    lattice = LatticeSpec(n_qubits=6, relative_spacing=0.37, omega_q=13.458)
-
     def form():
-        ops = oracle.build_operators(lattice, CAVITY, n_max=1)
+        ops = oracle.build_operators(COMMUTATOR_LATTICE, CAVITY, n_max=1)
         return [getattr(ops, field) for field in COMMUTATOR_FIELDS]
 
     fields = benchmark(form)
     assert all(f.shape == (2**6 * 2, 2**6 * 2) for f in fields)
+
+
+def test_verify_commutators(benchmark):
+    ops = oracle.build_operators(COMMUTATOR_LATTICE, CAVITY, n_max=1)
+    for field in COMMUTATOR_FIELDS:
+        getattr(ops, field)
+    report = benchmark(oracle.verify_commutators, ops)
+    assert report.passed and report.splus_sminus_sz is None
 
 
 def test_check_commutators(benchmark):

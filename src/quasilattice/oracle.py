@@ -233,14 +233,21 @@ def build_operators(
 
 def verify_commutators(ops: ProductSpaceOperators, tol: float = 1e-12) -> CommutatorReport:
     """Residuals of [S_z, S_pm] = pm S_pm and [S_plus, S_minus] = 2*Sigma_z;
-    at ell = 0 additionally [S_plus, S_minus] = 2*S_z."""
+    at ell = 0 additionally [S_plus, S_minus] = 2*S_z.
 
-    def comm(x, y):
-        return x @ y - y @ x
+    S_z is diagonal, so [S_z, X] is formed as sz_i*X_ij - X_ij*sz_j with
+    no matrix product.  This equals the matmul form bit for bit: each
+    entry of a product with a diagonal matrix is one rounded product
+    plus exact zeros.  (Rounding (sz_i - sz_j)*X_ij instead would give
+    other residuals.)"""
+    sz = np.repeat(ops.s_z, ops.n_max + 1)
 
-    r1 = float(np.max(np.abs(comm(ops.S_z, ops.S_plus) - ops.S_plus)))
-    r2 = float(np.max(np.abs(comm(ops.S_z, ops.S_minus) + ops.S_minus)))
-    pm = comm(ops.S_plus, ops.S_minus)
+    def sz_comm(x):
+        return sz[:, None] * x - x * sz[None, :]
+
+    r1 = float(np.max(np.abs(sz_comm(ops.S_plus) - ops.S_plus)))
+    r2 = float(np.max(np.abs(sz_comm(ops.S_minus) + ops.S_minus)))
+    pm = ops.S_plus @ ops.S_minus - ops.S_minus @ ops.S_plus
     r3 = float(np.max(np.abs(pm - 2.0 * ops.Sigma_z)))
     r4 = None
     if ops.lattice.relative_spacing == 0.0:

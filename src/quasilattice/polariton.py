@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -183,33 +182,53 @@ def _refine_splitting(
     dw: float, eta: float, f: float, basis: SectorBasis, two_r: int, eps: float
 ) -> float:
     """Newton-polish eps onto the nearest root of the sector's own
-    interaction matrix, in exact rational arithmetic.
+    interaction matrix, in exact arithmetic on scaled integers.
 
     The matrix has diagonal n*dw and squared off-diagonals
-    eta^2*n*f*(r-m)*(r+m+1), built from the same floats dw, eta and f
-    that the expansion uses.  Its characteristic polynomial is evaluated
-    exactly as a continuant, so each step rounds only once, to float.
+    b_n^2 = eta^2*n*f*(r-m)*(r+m+1), built from the same floats dw, eta
+    and f that the expansion uses.  Every float is a dyadic rational
+    num/2^k, so with S = 2^s large enough that S*(n*dw - eps) and
+    S^2*b_n^2 are integers, the continuant p_k and its derivative p'_k
+    are carried exactly as the integers P_k = S^(k+1)*p_k and
+    D_k = S^(k+1)*p'_k.  The Newton step eps - p/p' is the single
+    quotient (eps_num*D - P*2^k_eps)/(D*2^k_eps) of two integers, which
+    Python's int/int true division rounds correctly to float.  That is
+    the one rounding a rational evaluation makes too (``float`` of a
+    ``Fraction`` is the same int/int division), so each step gives the
+    same float.  NaN eps raises ValueError and infinite eps
+    OverflowError, from ``float.as_integer_ratio``.
     """
-    x_dw, x_f2 = Fraction(dw), Fraction(eta) ** 2 * Fraction(f)
-    diag = [n * x_dw for n, _ in basis.entries]
-    off2 = [
-        x_f2 * n * Fraction(two_r - two_m, 2) * Fraction(two_r + two_m + 2, 2)
-        for n, two_m in basis.entries[1:]
-    ]
+    dw_num, dw_den = dw.as_integer_ratio()
+    eta_num, eta_den = eta.as_integer_ratio()
+    f_num, f_den = f.as_integer_ratio()
+    k_dw = dw_den.bit_length() - 1
+    # b_n^2 = off_n / 2^k_off, off_n = eta_num^2*f_num*n*(2r-2m)*(2r+2m+2)
+    k_off = 2 * (eta_den.bit_length() - 1) + (f_den.bit_length() - 1) + 2
+    c = eta_num * eta_num * f_num
+    off = [c * n * (two_r - two_m) * (two_r + two_m + 2) for n, two_m in basis.entries[1:]]
     for _ in range(3):
-        x = Fraction(eps)
-        p_prev, p = 1, diag[0] - x
-        dp_prev, dp = 0, -1
-        for d, b2 in zip(diag[1:], off2):
+        x_num, x_den = eps.as_integer_ratio()
+        k_x = x_den.bit_length() - 1
+        s = max(k_dw, k_x, (k_off + 1) // 2)
+        scaled_dw = dw_num << (s - k_dw)
+        scaled_x = x_num << (s - k_x)
+        diag = [n * scaled_dw - scaled_x for n, _ in basis.entries]  # S*(n*dw - eps)
+        shift = 2 * s - k_off
+        p_prev, p = 1, diag[0]
+        dp_prev, dp = 0, -(1 << s)
+        for d, off_n in zip(diag[1:], off):
+            b2 = off_n << shift  # S^2 * b_n^2
             p_prev, p, dp_prev, dp = (
                 p,
-                (d - x) * p - b2 * p_prev,
+                d * p - b2 * p_prev,
                 dp,
-                (d - x) * dp - p - b2 * dp_prev,
+                d * dp - (p << s) - b2 * dp_prev,
             )
         if dp == 0:
             break
-        new = float(x - p / dp)
+        if dp < 0:  # a positive denominator, as a Fraction has: an exact 0 is +0.0
+            p, dp = -p, -dp
+        new = (x_num * dp - (p << k_x)) / (dp << k_x)
         if new == eps:
             break
         eps = new
@@ -233,9 +252,10 @@ def closed_form_coefficients(
     so its smallest entries amplify an error in eps by up to about 1e8
     (Parlett, The Symmetric Eigenvalue Problem, sec. 7), while
     ``stark_splittings`` is only accurate to about machine epsilon times
-    |Omega|.  eps is therefore first refined by exact-arithmetic Newton
-    steps to the nearest root of the sector's own interaction matrix,
-    built from the same dw, eta and f as the expansion.
+    |Omega|.  eps is therefore first refined by Newton steps to the
+    nearest root of the sector's own interaction matrix, built from the
+    same dw, eta and f as the expansion (``_refine_splitting``: each
+    step is exact and rounds once, to float).
     """
     basis = sector_basis(lattice, two_u)
     two_r = lattice.two_r

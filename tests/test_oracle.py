@@ -118,7 +118,35 @@ class TestBuildOperators:
         assert np.count_nonzero(np.abs(image) > 1e-14) == 4
 
 
+def _commutator_reference(ops, tol=1e-12):
+    """The commutator residuals from dense matrix products throughout."""
+
+    def comm(x, y):
+        return x @ y - y @ x
+
+    pm = comm(ops.S_plus, ops.S_minus)
+    return oracle.CommutatorReport(
+        sz_splus=float(np.max(np.abs(comm(ops.S_z, ops.S_plus) - ops.S_plus))),
+        sz_sminus=float(np.max(np.abs(comm(ops.S_z, ops.S_minus) + ops.S_minus))),
+        splus_sminus_sigma=float(np.max(np.abs(pm - 2.0 * ops.Sigma_z))),
+        splus_sminus_sz=(
+            float(np.max(np.abs(pm - 2.0 * ops.S_z)))
+            if ops.lattice.relative_spacing == 0.0 else None
+        ),
+        tolerance=tol,
+    )
+
+
 class TestCommutators:
+    def test_equals_matmul_reference(self):
+        rng = np.random.default_rng(11)
+        for n in range(1, 8):
+            for n_max in (1, 2, 3):
+                for ell in (0.0, float(rng.uniform())):
+                    lat = LatticeSpec(n, ell, 13.458)
+                    ops = oracle.build_operators(lat, CAV, n_max=n_max)
+                    assert oracle.verify_commutators(ops) == _commutator_reference(ops)
+
     def test_homogeneous_su2(self):
         lat = LatticeSpec(n_qubits=4, relative_spacing=0.0, omega_q=13.458)
         ops = oracle.build_operators(lat, CAV, n_max=1)

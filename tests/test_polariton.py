@@ -1,8 +1,10 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from quasilattice.model import CavitySpec, LatticeSpec, deformation_factor
 from quasilattice import polariton
@@ -32,6 +34,36 @@ def _raising_reference(lattice, upper, lower):
             total += c_up[i][b_up] * c_lo[j][b_lo] * amp
         out[b_up, b_lo] = total
     return out
+
+
+def _refine_reference(dw, eta, f, basis, two_r, eps):
+    """The Newton refinement in ``Fraction`` arithmetic: the continuant
+    and its derivative as exact rationals, each step rounded once, by
+    float(), to the nearest float."""
+    x_dw, x_f2 = Fraction(dw), Fraction(eta) ** 2 * Fraction(f)
+    diag = [n * x_dw for n, _ in basis.entries]
+    off2 = [
+        x_f2 * n * Fraction(two_r - two_m, 2) * Fraction(two_r + two_m + 2, 2)
+        for n, two_m in basis.entries[1:]
+    ]
+    for _ in range(3):
+        x = Fraction(eps)
+        p_prev, p = 1, diag[0] - x
+        dp_prev, dp = 0, -1
+        for d, b2 in zip(diag[1:], off2):
+            p_prev, p, dp_prev, dp = (
+                p,
+                (d - x) * p - b2 * p_prev,
+                dp,
+                (d - x) * dp - p - b2 * dp_prev,
+            )
+        if dp == 0:
+            break
+        new = float(x - p / dp)
+        if new == eps:
+            break
+        eps = new
+    return eps
 
 
 def _bits(x):
@@ -161,6 +193,52 @@ class TestClosedForm:
         for shift in (0.0, 5e-15, -5e-15, 1e-13):
             c = polariton.closed_form_coefficients(lat, cav, 6, eps + shift)
             assert np.linalg.norm(c - sec.coefficients[:, 6]) < 1e-7
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(1, 8),
+        ell=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        omega_q=st.floats(5.0, 20.0),
+        detuning=st.one_of(
+            st.floats(-4.9, 10.0), st.sampled_from([0.0, 1e-13, -1e-13, 1e-9, -1e-9])
+        ),
+        eta=st.one_of(st.floats(0.02, 0.5), st.sampled_from([1e-150, 1e-8])),
+        sector=st.integers(0, 8),
+        branch=st.integers(0, 8),
+        start=st.one_of(st.just("branch"), st.sampled_from([0.0, -0.0])),
+        shift=st.sampled_from([0.0, 1e-15, -1e-12, 1e-6]),
+    )
+    @example(n=2, ell=0.0, omega_q=13.458, detuning=-6.729, eta=0.1, sector=0,
+             branch=1, start="branch", shift=0.0)
+    @example(n=3, ell=1.0, omega_q=13.458, detuning=-6.729, eta=1e-150, sector=2,
+             branch=2, start="branch", shift=0.0)
+    @example(n=5, ell=0.37, omega_q=9.3, detuning=1e-13, eta=0.1, sector=4,
+             branch=3, start=-0.0, shift=0.0)
+    @example(n=6, ell=0.8498293760374994, omega_q=18.744859024601045,
+             detuning=8.698632951104582 - 18.744859024601045, eta=0.20917292226798462,
+             sector=5, branch=6, start="branch", shift=0.0)
+    def test_refinement_equals_fraction_reference(
+        self, n, ell, omega_q, detuning, eta, sector, branch, start, shift
+    ):
+        lat = LatticeSpec(n, ell, omega_q)
+        cav = CavitySpec(omega_q + detuning, eta)
+        two_u = -lat.two_r + 2 * (1 + sector % lat.two_r)
+        sec = polariton.diagonalize_sector(lat, cav, two_u)
+        if start == "branch":
+            eps = float(sec.stark_splittings[branch % sec.basis.dimension]) + shift
+        else:
+            eps = start
+        args = (cav.detuning(lat), eta, deformation_factor(lat), sec.basis, lat.two_r, eps)
+        assert _bits(polariton._refine_splitting(*args)) == _bits(_refine_reference(*args))
+
+    @pytest.mark.parametrize("refine", [polariton._refine_splitting, _refine_reference])
+    @pytest.mark.parametrize("eps, error", [
+        (math.nan, ValueError), (math.inf, OverflowError), (-math.inf, OverflowError),
+    ])
+    def test_refinement_rejects_non_finite_splitting(self, refine, eps, error):
+        basis = polariton.sector_basis(LAT, 0)
+        with pytest.raises(error):
+            refine(CAV.detuning(LAT), CAV.eta, deformation_factor(LAT), basis, LAT.two_r, eps)
 
     def test_four_qubit_first_excited_forms(self):
         # normalized c_0 = 2*eta*sqrt(f)/sqrt(eps^2+4*eta^2*f), |c_1| = |eps|/...
