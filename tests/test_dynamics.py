@@ -83,6 +83,13 @@ class TestBathSpec:
         with pytest.raises(ValueError, match="spacing"):
             dynamics.BathSpec(np.array([1.0, 2.0]), np.array([0.1, 0.1]), spacing)
 
+    @pytest.mark.parametrize("epsilon_d", [0.0, -1.0])
+    def test_physical_bath_rejects_non_finite_couplings(self, epsilon_d):
+        # 1/0 and sqrt of a negative would give inf and nan couplings;
+        # the inputs are rejected before any coupling is computed
+        with pytest.raises(ValueError, match="finite"):
+            dynamics.physical_bath(LAT, 0.5, 11, mu=1.0, epsilon_d=epsilon_d, volume=1.0)
+
     @pytest.mark.parametrize("name, value", [
         ("epsilon_d", 0.0), ("epsilon_d", -1.0), ("epsilon_d", math.nan),
         ("volume", 0.0), ("volume", -2.0), ("volume", math.inf),
