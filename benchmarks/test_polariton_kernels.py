@@ -4,11 +4,14 @@ Outside the Tier-1 ``testpaths``; run explicitly with
 
     python -m pytest benchmarks/test_polariton_kernels.py --benchmark-only
 
-The kernels carry no timing asserts.  ``transition_matrices`` at N=32
+The kernels carry no timing asserts.  Each sector is diagonalized as a
+dense block by ``np.linalg.eigh``, whose cost grows as the cube of the
+block dimension (at most N+1).  ``transition_matrices`` at N=32
 covers every sector up to 2u = +32: it is the whole sector walk of the
 N=32 ``spectrum --u-max-offset 32`` operation of the validate-oracle
 benchmark workload.  ``diagonalize_sector`` at N=32, 2u=0 is the
-middle sector of that walk (dimension 17); ``first_excited_transition``
+middle sector of that walk (dimension 17), and at N=4, 2u=0 the middle
+sector of the CLI defaults (dimension 3); ``first_excited_transition``
 at N=16 is the 1 x 2 case that every ``decay_rate`` point pays.
 ``closed_form_coefficients`` runs every branch of the N=6 top sector
 (dimension 7) from the eigensolver's splittings, as
@@ -37,6 +40,12 @@ def test_diagonalize_sector(benchmark):
     lattice = LatticeSpec(n_qubits=32, relative_spacing=0.37, omega_q=13.458)
     sector = benchmark(polariton.diagonalize_sector, lattice, CAVITY, 0)
     assert sector.basis.dimension == 17
+
+
+def test_diagonalize_sector_n4(benchmark):
+    lattice = LatticeSpec(n_qubits=4, relative_spacing=2 / 3, omega_q=13.458)
+    sector = benchmark(polariton.diagonalize_sector, lattice, CAVITY, 0)
+    assert sector.basis.dimension == 3
 
 
 def test_first_excited_transition(benchmark):

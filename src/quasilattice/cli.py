@@ -84,7 +84,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-max", type=float, default=30.0, help="highest omega_k, GHz")
     p.add_argument("--k-points", type=int, default=600, help="grid size")
 
-    p = command("decay-sweep", "normalized decay rate over ell or omega_q (CSV)")
+    p = command(
+        "decay-sweep",
+        "the paper's normalized decay rate 2|s(k_q)|^2 - |s(0)|^2 over ell or "
+        "omega_q (CSV); off quasi-period multiples it can be negative",
+    )
     _add_model(p)
     p.add_argument("--branch", type=int, default=0, help="polariton branch index")
     p.add_argument("--sweep", choices=["ell", "omega-q"], default="ell", help="sweep axis")

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .model import CavitySpec, LatticeSpec, deformation_factor
 
@@ -101,11 +100,11 @@ def sector_basis(lattice: LatticeSpec, two_u: int) -> SectorBasis:
     return SectorBasis(two_u=two_u, entries=entries)
 
 
-def _sector_tridiagonal(
+def _sector_block(
     lattice: LatticeSpec, cavity: CavitySpec, two_u: int
-) -> tuple[SectorBasis, np.ndarray, np.ndarray]:
-    """Basis, diagonal and off-diagonal of one sector's tridiagonal block
-    Hamiltonian (see ``build_sector_hamiltonian``)."""
+) -> tuple[SectorBasis, np.ndarray]:
+    """Basis and dense block Hamiltonian of one sector (see
+    ``build_sector_hamiltonian``)."""
     basis = sector_basis(lattice, two_u)
     two_r = lattice.two_r
     f = deformation_factor(lattice)
@@ -117,7 +116,11 @@ def _sector_tridiagonal(
         rm = (two_r - two_m) / 2.0
         rm1 = (two_r + two_m) / 2.0 + 1.0
         off.append(cavity.eta * math.sqrt(n) * math.sqrt(f * rm * rm1))
-    return basis, diag, np.array(off)
+    h = np.diag(diag)
+    idx = np.arange(len(off))
+    h[idx, idx + 1] = off
+    h[idx + 1, idx] = off
+    return basis, h
 
 
 def build_sector_hamiltonian(
@@ -129,12 +132,7 @@ def build_sector_hamiltonian(
     single off-diagonal couples (n, m) to (n-1, m+1) with strength
     eta*sqrt(n)*sqrt(f*(r-m)*(r+m+1)).
     """
-    _, diag, off = _sector_tridiagonal(lattice, cavity, two_u)
-    h = np.diag(diag)
-    idx = np.arange(len(off))
-    h[idx, idx + 1] = off
-    h[idx + 1, idx] = off
-    return h
+    return _sector_block(lattice, cavity, two_u)[1]
 
 
 def diagonalize_sector(
@@ -142,19 +140,23 @@ def diagonalize_sector(
 ) -> PolaritonSector:
     """Polariton branches of one sector, eigenvalues ascending.
 
-    Coefficient columns carry the gauge c_0 >= 0 (first nonzero entry
-    nonnegative for decoupled cases where c_0 = 0).
+    The dense block of ``build_sector_hamiltonian`` goes to
+    ``np.linalg.eigh`` (LAPACK ``syevd``).  A block has dimension at
+    most N+1, so the O(n^3) dense solve stays small, and numpy alone
+    serves it.  Coefficient columns carry the gauge c_0 >= 0 (first
+    nonzero entry nonnegative for decoupled cases where c_0 = 0).  A
+    LAPACK failure, or a non-finite eigenvalue or coefficient, as from
+    an overflowing omega_c*n, raises RuntimeError.
     """
-    basis, diag, off = _sector_tridiagonal(lattice, cavity, two_u)
-    if basis.dimension == 1:
-        vals, vecs = diag.copy(), np.ones((1, 1))
-    else:
-        try:
-            vals, vecs = eigh_tridiagonal(diag, off)
-        except Exception as exc:  # pragma: no cover - LAPACK failure
-            raise RuntimeError(f"sector 2u={two_u} eigensolver failed: {exc}") from exc
-    if not np.isfinite(vals).all():
-        raise RuntimeError(f"sector 2u={two_u} produced non-finite eigenvalues")
+    basis, h = _sector_block(lattice, cavity, two_u)
+    try:
+        vals, vecs = np.linalg.eigh(h)
+    except np.linalg.LinAlgError as exc:
+        raise RuntimeError(f"sector 2u={two_u} eigensolver failed: {exc}") from exc
+    if not (np.isfinite(vals).all() and np.isfinite(vecs).all()):
+        raise RuntimeError(
+            f"sector 2u={two_u} produced non-finite eigenvalues or coefficients"
+        )
     order = vals.argsort()
     vals = vals[order]
     vecs = vecs.take(order, axis=1)

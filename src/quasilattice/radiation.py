@@ -50,8 +50,12 @@ class PrefactorInputs:
 class DecayResult:
     """Spontaneous-decay rate of the lowest excited polariton.
 
-    gamma_normalized = 2*s_at_kq**2 - s_at_zero**2 (dimensionless);
-    gamma_physical is present only when prefactor inputs were supplied.
+    gamma_normalized = 2*s_at_kq**2 - s_at_zero**2 (dimensionless), the
+    paper's expression.  Since s_at_kq <= s_at_zero, with equality only
+    at ell = 0 or on quasi-period multiples, it is not a rate elsewhere
+    and can be negative (107 of the 201 rows of the default
+    ``decay-sweep``).  gamma_physical is present only when prefactor
+    inputs were supplied.
     """
 
     gamma_normalized: float
@@ -218,8 +222,12 @@ def decay_rate(
     """Spontaneous-decay rate 2|s(k_q)|^2 - |s(0)|^2 of the lowest
     excited polariton into the waveguide.
 
-    Dimensionless by default; with prefactor inputs the physical rate
-    k_q*mu^2/(4*epsilon_d*A) times the normalized value is included.
+    The paper's expression: |s(k_q)| <= |s(0)|, with equality only at
+    ell = 0 (where s(k) is constant) or when omega_q sits on a
+    quasi-period multiple, so elsewhere the value is not a rate and can
+    be negative.  Dimensionless by default; with prefactor inputs the
+    physical rate k_q*mu^2/(4*epsilon_d*A) times the normalized value is
+    included.
     """
     k_q = lattice.k_q
     element = first_excited_transition(lattice, cavity, branch)

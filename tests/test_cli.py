@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import quasilattice
 from quasilattice import cli
 
 
@@ -73,6 +78,18 @@ class TestDecaySweep:
         assert float(rows[0][1]) == 5.0
         assert float(rows[-1][1]) == 25.0
 
+    def test_gamma_normalized_is_not_a_rate(self, tmp_path):
+        # gamma_normalized = 2|s(k_q)|^2 - |s(0)|^2 with |s(k_q)| <= |s(0)|
+        # on every row of the default sweep, so off quasi-period multiples
+        # the value can be negative.
+        out = tmp_path / "decay.csv"
+        assert run(["decay-sweep", "--out", str(out)]) == 0
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 201
+        assert all(float(r["s_kq_abs"]) <= float(r["s_zero_abs"]) for r in rows)
+        assert min(float(r["gamma_normalized"]) for r in rows) < 0.0
+
 
 class TestSpectrum:
     def test_ground_sector_energy(self, tmp_path):
@@ -107,6 +124,13 @@ class TestSpectrum:
         assert not out.exists()
         assert run(["spectrum", "--u-max-offset", "0", "--out", str(out)]) == 0
         assert [sec["two_u"] for sec in json.loads(out.read_text())["sectors"]] == [-4]
+
+    def test_overflowing_sector_is_validation_failure(self, tmp_path, capsys):
+        # omega_c*n overflows to inf in the 2u=0 block
+        out = tmp_path / "spec.json"
+        assert run(["spectrum", "--omega-c", "1e308", "--out", str(out)]) == cli.EXIT_VALIDATION
+        assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestDynamics:
@@ -286,6 +310,21 @@ class TestPlumbing:
         out = tmp_path / "x.csv"
         assert run(["chi-sweep", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_USAGE
         assert not out.exists()
+
+    def test_import_loads_no_scipy(self):
+        # numpy is the only runtime dependency; a fresh interpreter shows
+        # whether any import pulls scipy in
+        src = str(Path(quasilattice.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        code = (
+            "import sys, quasilattice, quasilattice.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert done.stdout.strip() == "[]"
 
     def test_threads_flag_is_gone(self):
         assert run(["chi-sweep", "--k-points", "5", "--threads", "4"]) == cli.EXIT_USAGE

@@ -5,9 +5,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.linalg import eigh_tridiagonal
 
 from quasilattice.model import CavitySpec, LatticeSpec, deformation_factor
-from quasilattice import polariton
+from quasilattice import polariton, radiation
 
 LAT = LatticeSpec(n_qubits=4, relative_spacing=2 / 3, omega_q=13.458)
 CAV = CavitySpec(omega_c=6.729, eta=0.1)
@@ -34,6 +35,25 @@ def _raising_reference(lattice, upper, lower):
             total += c_up[i][b_up] * c_lo[j][b_lo] * amp
         out[b_up, b_lo] = total
     return out
+
+
+def _diagonalize_reference(lattice, cavity, two_u):
+    """Sector branches by scipy's tridiagonal solver on the block's
+    diagonal and off-diagonal (a 1x1 block is its own eigenvalue), then
+    the ascending sort and the gauge fix of ``diagonalize_sector``."""
+    h = polariton.build_sector_hamiltonian(lattice, cavity, two_u)
+    diag = np.diag(h).copy()
+    if len(diag) == 1:
+        vals, vecs = diag, np.ones((1, 1))
+    else:
+        vals, vecs = eigh_tridiagonal(diag, np.diag(h, 1).copy())
+    order = vals.argsort()
+    vals = vals[order]
+    vecs = vecs.take(order, axis=1)
+    for b, col in enumerate(vecs.T.tolist()):
+        if next(c for c in col if abs(c) > 1e-14) < 0:
+            vecs[:, b] *= -1.0
+    return vals, vecs, vals - lattice.omega_q * two_u / 2.0
 
 
 def _refine_reference(dw, eta, f, basis, two_r, eps):
@@ -152,6 +172,56 @@ class TestDiagonalization:
         sec = polariton.diagonalize_sector(LAT, CAV, 0)
         gram = sec.coefficients.T @ sec.coefficients
         assert np.allclose(gram, np.eye(sec.basis.dimension), atol=1e-12)
+
+    @pytest.mark.parametrize("n, two_u, message", [
+        (4, -4, "non-finite eigenvalues"),
+        (3, 1, "non-finite eigenvalues or coefficients"),
+        (4, 0, "eigensolver failed"),
+    ])
+    def test_non_finite_sector_raises(self, n, two_u, message):
+        # omega_q*m + omega_c*n overflows: at N=4, 2u=-4 to an infinite
+        # eigenvalue; at N=3, 2u=1 to a nan diagonal entry, where the
+        # eigenvalues stay finite and the coefficients do not; at N=4,
+        # 2u=0 to a nan entry on which LAPACK does not converge
+        lat = LatticeSpec(n_qubits=n, relative_spacing=0.37, omega_q=1e308)
+        cav = CavitySpec(omega_c=1e308, eta=0.1)
+        with pytest.raises(RuntimeError, match=message):
+            polariton.diagonalize_sector(lat, cav, two_u)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(1, 32),
+        ell=st.one_of(st.sampled_from([0.0, 0.5, 2 / 3, 1.0]), st.floats(0.0, 1.0)),
+        omega_c=st.floats(5.0, 20.0),
+        detuning=st.one_of(
+            st.floats(-4.9, 10.0),
+            st.sampled_from([0.0, 1e-13, -1e-13, 1e-9, 6.729e-12, "period"]),
+        ),
+        eta=st.one_of(st.floats(0.02, 0.5), st.sampled_from([0.0, 1e-150, 1e-8])),
+        sector=st.integers(0, 33),
+    )
+    @example(n=1, ell=0.0, omega_c=6.729, detuning=-3.0, eta=0.1, sector=0)
+    @example(n=1, ell=1.0, omega_c=6.729, detuning=0.0, eta=0.1, sector=1)
+    @example(n=4, ell=2 / 3, omega_c=6.729, detuning="period", eta=0.1, sector=1)
+    @example(n=5, ell=0.37, omega_c=6.729, detuning=1e-13, eta=0.0, sector=3)
+    @example(n=32, ell=1.0, omega_c=6.729, detuning=6.729e-12, eta=0.1, sector=16)
+    def test_eigh_equals_tridiagonal_reference(self, n, ell, omega_c, detuning, eta, sector):
+        # omega_q = omega_c + detuning, or on the first quasi-period multiple
+        # 2*omega_c/ell; sectors run from the ground sector (dimension 1)
+        # to one above the top sector u = r.
+        cav = CavitySpec(omega_c, eta)
+        if detuning == "period":
+            omega_q = radiation.quasi_period(LatticeSpec(n, ell, omega_c), cav)
+            if not math.isfinite(omega_q):
+                omega_q = omega_c
+        else:
+            omega_q = omega_c + detuning
+        lat = LatticeSpec(n, ell, omega_q)
+        two_u = -lat.two_r + 2 * (sector % (lat.two_r + 2))
+        sec = polariton.diagonalize_sector(lat, cav, two_u)
+        ref = _diagonalize_reference(lat, cav, two_u)
+        for field, expected in zip(("eigenvalues", "coefficients", "stark_splittings"), ref):
+            assert np.array_equal(_bits(getattr(sec, field)), _bits(expected)), field
 
 
 class TestClosedForm:
