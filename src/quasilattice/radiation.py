@@ -90,13 +90,15 @@ def _site_sum(
     with theta = pi*ell/omega_c the site phase per unit frequency.
 
     Accepts scalar or array k; complex k is allowed (the sum is entire).
+    Raises ValueError when a phase or the sum overflows.
     """
     j = np.arange(lattice.n_qubits)
     k_arr = np.asarray(k, dtype=complex)
-    phases = np.exp(
-        1j * math.pi * lattice.relative_spacing / cavity.omega_c * np.multiply.outer(k_arr, j)
-    )
-    out = phases @ weights
+    with np.errstate(over="ignore", invalid="ignore"):  # raised below instead
+        phase = 1j * math.pi * lattice.relative_spacing / cavity.omega_c * np.multiply.outer(k_arr, j)
+        out = np.exp(phase) @ weights
+    if not (np.isfinite(phase).all() and np.isfinite(out).all()):
+        raise ValueError("site phase pi*ell*k*j/omega_c, or the sum over sites, overflows")
     if np.ndim(k) == 0:
         return complex(out)
     return out

@@ -1,5 +1,7 @@
 import csv
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,9 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import quasilattice
-from quasilattice import cli
+from quasilattice import cli, dynamics, radiation
+from quasilattice.model import LatticeSpec
 
 
 def run(argv):
@@ -352,9 +356,160 @@ class TestPlumbing:
         assert run(argv + ["--out", str(tmp_path / "x.csv")]) == cli.EXIT_USAGE
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["chi-sweep", "--omega-c", "1e-308"],
+        ["chi-sweep", "--k-max", "1.7e308", "--k-points", "2"],
+        ["decay-sweep", "--omega-c", "1e-308"],
+        ["dynamics", "--omega-c", "1e-308"],
+    ])
+    def test_overflowing_site_phase_is_usage_error(self, tmp_path, capsys, argv):
+        # theta = pi*ell/omega_c, or theta*k*j, overflows: bad arguments,
+        # not nan rows with exit 0
+        out = tmp_path / "x.csv"
+        assert run(argv + ["--out", str(out)]) == cli.EXIT_USAGE
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: site phase") and err.count("\n") == 1
+
     def test_unallocatable_horizon_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "dyn.csv"
         code = run(["dynamics", "--modes", "1", "--t-final", "1e15", "--out", str(out)])
         assert code == cli.EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _fmt(x):
+    return f"{x:.17g}"
+
+
+def _reference_csv(argv):
+    """The bytes of a chi-sweep, decay-sweep or dynamics CSV as csv.writer
+    wrote them, row by row over numpy scalars, recomputed from the library:
+    the reference for the CLI's bulk emitter."""
+    args = cli._parse(cli.build_parser(), argv)
+    lattice, cavity = cli._specs(args)
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    if args.command == "chi-sweep":
+        k_grid = np.linspace(args.k_min, args.k_max, args.k_points)
+        ls = radiation.l_values(lattice)
+        rows_by_l = [radiation.chi(lattice, cavity, l, k_grid) for l in ls]
+        writer.writerow(["l_index", "l_value", "omega_k_ghz", "re_chi", "im_chi", "abs_chi", "arg_chi_rad"])
+        for i, (l, vals) in enumerate(zip(ls, rows_by_l)):
+            for k, z in zip(k_grid, vals):
+                writer.writerow([
+                    i, _fmt(l), _fmt(k), _fmt(z.real), _fmt(z.imag),
+                    _fmt(abs(z)), _fmt(math.atan2(z.imag, z.real)),
+                ])
+    elif args.command == "decay-sweep":
+        prefactor = None
+        if args.mu is not None:
+            prefactor = radiation.PrefactorInputs(mu=args.mu, epsilon_d=args.epsilon_d, area=args.area)
+        if args.sweep == "ell":
+            ells = np.linspace(args.ell_min, args.ell_max, args.points)
+            omegas = np.full(args.points, args.omega_q)
+        else:
+            ells = np.full(args.points, args.ell)
+            omegas = np.linspace(args.omega_q_min, args.omega_q_max, args.points)
+        results = [
+            radiation.decay_rate(
+                LatticeSpec(n_qubits=args.n, relative_spacing=float(ell), omega_q=float(wq)),
+                cavity, prefactor, args.branch,
+            )
+            for ell, wq in zip(ells, omegas)
+        ]
+        header = ["ell", "omega_q_ghz", "s_kq_abs", "s_zero_abs", "gamma_normalized"]
+        if prefactor is not None:
+            header.append("gamma_physical_ghz")
+        writer.writerow(header)
+        for ell, wq, res in zip(ells, omegas, results):
+            row = [_fmt(ell), _fmt(wq), _fmt(res.s_at_kq), _fmt(res.s_at_zero), _fmt(res.gamma_normalized)]
+            if prefactor is not None:
+                row.append(_fmt(res.gamma_physical))
+            writer.writerow(row)
+    else:
+        bath = dynamics.normalized_bath(lattice, args.bandwidth, args.modes)
+        gamma = radiation.decay_rate(lattice, cavity, branch=args.branch).gamma_normalized
+        t_final = args.t_final
+        if t_final <= 0:
+            recurrence = 2.0 * math.pi / bath.spacing if bath.n_modes > 1 else math.inf
+            t_final = min(3.0 / gamma if gamma > 0 else 100.0, 0.8 * recurrence)
+        traj = dynamics.integrate_amplitudes(
+            lattice, cavity, bath, t_final, args.dt,
+            branch=args.branch, sample_stride=args.sample_stride,
+        )
+        stride = traj.sample_stride
+        writer.writerow(["t_ns", "re_alpha", "im_alpha", "alpha_sq", "beta_total_sq", "norm_residual"])
+        rows = zip(traj.times[::stride], traj.alpha[::stride], traj.beta_total_sq, traj.norm_history)
+        for t, a, beta_sq, norm in rows:
+            writer.writerow([
+                _fmt(t), _fmt(a.real), _fmt(a.imag),
+                _fmt(abs(a) ** 2), _fmt(beta_sq), _fmt(abs(1.0 - norm)),
+            ])
+    return buf.getvalue().encode()
+
+
+_SPECIAL = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 1.7976931348623157e308]
+_PREFACTOR = ["--mu", "0.5", "--epsilon-d", "2.0", "--area", "1.0"]
+
+
+class TestCsvBytes:
+    @pytest.mark.parametrize("argv", [
+        ["chi-sweep"],
+        ["chi-sweep", "--n", "1"],
+        ["chi-sweep", "--n", "3", "--ell", "0"],
+        ["chi-sweep", "--n", "5", "--ell", "1", "--eta", "0"],
+        ["chi-sweep", "--n", "2", "--k-points", "2500"],
+        ["decay-sweep"],
+        ["decay-sweep", *_PREFACTOR],
+        ["decay-sweep", "--sweep", "omega-q"],
+        ["decay-sweep", "--sweep", "omega-q", "--n", "3", "--eta", "0", *_PREFACTOR],
+        ["decay-sweep", "--n", "1", "--points", "1100"],
+        ["dynamics"],
+        ["dynamics", "--sample-stride", "1", "--modes", "151"],
+        ["dynamics", "--n", "1", "--ell", "1", "--modes", "51", "--t-final", "40"],
+    ])
+    def test_bytes_match_row_by_row_writer(self, tmp_path, capfdbinary, argv):
+        expected = _reference_csv(argv)
+        out = tmp_path / "x.csv"
+        assert run(argv + ["--out", str(out)]) == 0
+        assert out.read_bytes() == expected
+        capfdbinary.readouterr()
+        assert run(argv) == 0
+        sys.stdout.flush()
+        assert capfdbinary.readouterr().out == expected
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.lists(
+        st.tuples(*[st.floats() | st.sampled_from(_SPECIAL)] * 3), max_size=40,
+    ))
+    @example([tuple(_SPECIAL[i : i + 3]) for i in range(5)])
+    def test_emitter_matches_csv_writer(self, rows):
+        expected = io.StringIO()
+        writer = csv.writer(expected)
+        writer.writerow(["a", "b", "c"])
+        writer.writerows([[_fmt(x) for x in row] for row in rows])
+        got = io.StringIO()
+        columns = [np.array([row[c] for row in rows], dtype=float) for c in range(3)]
+        half = len(rows) // 2  # two blocks, one of them empty when there are no rows
+        cli._write_csv(got, ["a", "b", "c"], [[c[:half] for c in columns], [c[half:] for c in columns]])
+        assert got.getvalue() == expected.getvalue()
+
+    @pytest.mark.parametrize("argv, rows", [
+        (["dynamics", "--sample-stride", "1"], 19329),
+        (["chi-sweep", "--k-points", "5000"], 4 * 5000),
+    ])
+    def test_writes_are_chunked(self, monkeypatch, argv, rows):
+        # The output is never built whole in memory: no write carries
+        # more than one chunk of rows.
+        writes = []
+
+        class Recorder:
+            def write(self, text):
+                writes.append(text.count("\r\n"))
+
+        monkeypatch.setattr(sys, "stdout", Recorder())
+        assert run(argv) == 0
+        assert sum(writes) == 1 + rows
+        assert max(writes) <= cli._CHUNK_ROWS
