@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import math
 import os
@@ -216,20 +217,25 @@ def run_decay_sweep(args: argparse.Namespace) -> int:
         ells = np.full(args.points, args.ell)
         omegas = np.linspace(args.omega_q_min, args.omega_q_max, args.points)
     cavity = CavitySpec(omega_c=args.omega_c, eta=args.eta)
-    results = [
-        radiation.decay_rate(
-            LatticeSpec(n_qubits=args.n, relative_spacing=float(ell), omega_q=float(wq)),
-            cavity, prefactor, args.branch,
-        )
-        for ell, wq in zip(ells, omegas)
-    ]
-
     fields = {"s_kq_abs": "s_at_kq", "s_zero_abs": "s_at_zero", "gamma_normalized": "gamma_normalized"}
     if prefactor is not None:
         fields["gamma_physical_ghz"] = "gamma_physical"
-    columns = [ells, omegas] + [np.array([getattr(r, f) for r in results]) for f in fields.values()]
+
+    def blocks():
+        """decay_rate over the grid, one sweep of at most _CHUNK_ROWS points at a time."""
+        for lo in range(0, args.points, _CHUNK_ROWS):
+            ell_block, omega_block = ells[lo : lo + _CHUNK_ROWS], omegas[lo : lo + _CHUNK_ROWS]
+            sweep = tuple(
+                LatticeSpec(n_qubits=args.n, relative_spacing=ell, omega_q=wq)
+                for ell, wq in zip(ell_block.tolist(), omega_block.tolist())
+            )
+            result = radiation.decay_rate(sweep, cavity, prefactor, args.branch)
+            yield [ell_block, omega_block] + [getattr(result, f) for f in fields.values()]
+
+    rows = blocks()
+    first = next(rows)  # a sweep that fails in its first block writes no output
     with _output(args) as out:
-        _write_csv(out, ["ell", "omega_q_ghz", *fields], [columns])
+        _write_csv(out, ["ell", "omega_q_ghz", *fields], itertools.chain([first], rows))
     return EXIT_OK
 
 

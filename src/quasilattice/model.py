@@ -73,6 +73,22 @@ class CavitySpec:
         return self.omega_c - lattice.omega_q
 
 
+def sweep_points(lattice: LatticeSpec | tuple[LatticeSpec, ...]) -> tuple[LatticeSpec, ...]:
+    """The points of a sweep: a tuple of LatticeSpecs as is, one LatticeSpec
+    as a one-point sweep.  The points share every sector basis, so they
+    must share n_qubits; raises ValueError otherwise or when there are none."""
+    points = (lattice,) if isinstance(lattice, LatticeSpec) else tuple(lattice)
+    if not points or any(p.n_qubits != points[0].n_qubits for p in points):
+        raise ValueError("a sweep needs at least one point, all with the same n_qubits")
+    return points
+
+
+def unstack(stack, lattice: LatticeSpec | tuple[LatticeSpec, ...]):
+    """A per-point stack (leading point axis) as is for a tuple of
+    lattices, and its one point for a single LatticeSpec."""
+    return stack[0] if isinstance(lattice, LatticeSpec) else stack
+
+
 def coupling_weights(lattice: LatticeSpec) -> np.ndarray:
     """Cavity coupling weight of each qubit: entry j is cos(j*pi*ell)."""
     j = np.arange(lattice.n_qubits)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CavitySpec, LatticeSpec, deformation_factor
+from .model import CavitySpec, LatticeSpec, deformation_factor, sweep_points, unstack
 
 
 class EmptySectorError(ValueError):
@@ -101,42 +101,45 @@ def sector_basis(lattice: LatticeSpec, two_u: int) -> SectorBasis:
 
 
 def _sector_block(
-    lattice: LatticeSpec, cavity: CavitySpec, two_u: int
+    lattice: LatticeSpec | tuple[LatticeSpec, ...], cavity: CavitySpec, two_u: int
 ) -> tuple[SectorBasis, np.ndarray]:
-    """Basis and dense block Hamiltonian of one sector (see
-    ``build_sector_hamiltonian``)."""
-    basis = sector_basis(lattice, two_u)
-    two_r = lattice.two_r
-    f = deformation_factor(lattice)
-    diag = np.array(
-        [lattice.omega_q * two_m / 2.0 + cavity.omega_c * n for n, two_m in basis.entries]
-    )
-    off = []
-    for n, two_m in basis.entries[1:]:
-        rm = (two_r - two_m) / 2.0
-        rm1 = (two_r + two_m) / 2.0 + 1.0
-        off.append(cavity.eta * math.sqrt(n) * math.sqrt(f * rm * rm1))
-    h = np.diag(diag)
-    idx = np.arange(len(off))
-    h[idx, idx + 1] = off
-    h[idx + 1, idx] = off
-    return basis, h
+    """Basis and the stack of dense block Hamiltonians of one sector, one
+    per sweep point (see ``build_sector_hamiltonian``)."""
+    points = sweep_points(lattice)
+    two_r = points[0].two_r
+    basis = sector_basis(points[0], two_u)
+    d = basis.dimension
+    # per entry: n, 2m, eta*sqrt(n), r - m and r + m + 1
+    n, two_m, eta_sqrt_n, rm, rm1 = np.array([
+        (n, two_m, cavity.eta * math.sqrt(n), (two_r - two_m) / 2.0, (two_r + two_m) / 2.0 + 1.0)
+        for n, two_m in basis.entries
+    ]).T
+    omega_q = np.array([p.omega_q for p in points])[:, None]
+    f = np.array([deformation_factor(p) for p in points])[:, None]
+    h = np.zeros((len(points), d * d))
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite blocks raise in diagonalize_sector
+        h[:, :: d + 1] = omega_q * two_m / 2.0 + cavity.omega_c * n
+        off = eta_sqrt_n[1:] * np.sqrt(f * rm[1:] * rm1[1:])
+    h[:, 1 :: d + 1] = off  # the superdiagonal and the subdiagonal of each block
+    h[:, d :: d + 1] = off
+    return basis, h.reshape(len(points), d, d)
 
 
 def build_sector_hamiltonian(
-    lattice: LatticeSpec, cavity: CavitySpec, two_u: int
+    lattice: LatticeSpec | tuple[LatticeSpec, ...], cavity: CavitySpec, two_u: int
 ) -> np.ndarray:
-    """Dense real symmetric block Hamiltonian of one excitation sector, GHz.
+    """Dense real symmetric block Hamiltonian of one excitation sector, GHz;
+    for a tuple of lattices, a stack of them with a leading point axis.
 
     Diagonal entries are the bare energies omega_q*m + omega_c*n; the
     single off-diagonal couples (n, m) to (n-1, m+1) with strength
     eta*sqrt(n)*sqrt(f*(r-m)*(r+m+1)).
     """
-    return _sector_block(lattice, cavity, two_u)[1]
+    return unstack(_sector_block(lattice, cavity, two_u)[1], lattice)
 
 
 def diagonalize_sector(
-    lattice: LatticeSpec, cavity: CavitySpec, two_u: int
+    lattice: LatticeSpec | tuple[LatticeSpec, ...], cavity: CavitySpec, two_u: int
 ) -> PolaritonSector:
     """Polariton branches of one sector, eigenvalues ascending.
 
@@ -147,6 +150,10 @@ def diagonalize_sector(
     nonzero entry nonnegative for decoupled cases where c_0 = 0).  A
     LAPACK failure, or a non-finite eigenvalue or coefficient, as from
     an overflowing omega_c*n, raises RuntimeError.
+
+    A tuple of lattices sharing n_qubits is one sweep: eigh solves the
+    stack of their blocks at once, block by block as for each point
+    alone, and the sector's arrays gain a leading point axis.
     """
     basis, h = _sector_block(lattice, cavity, two_u)
     try:
@@ -157,15 +164,21 @@ def diagonalize_sector(
         raise RuntimeError(
             f"sector 2u={two_u} produced non-finite eigenvalues or coefficients"
         )
-    order = vals.argsort()
-    vals = vals[order]
-    vecs = vecs.take(order, axis=1)
-    for b, col in enumerate(vecs.T.tolist()):
-        if next(c for c in col if abs(c) > 1e-14) < 0:
-            vecs[:, b] *= -1.0
-    eps = vals - lattice.omega_q * two_u / 2.0
+    rows = np.arange(len(vals))[:, None]
+    branches = np.arange(basis.dimension)
+    order = vals.argsort(axis=-1)
+    if (order != branches).any():  # eigh's order already ascends, up to ties
+        vals = vals[rows, order]
+        vecs = vecs[rows[:, None], branches[:, None], order[:, None, :]]
+    # the first entry above 1e-14 of each column fixes its sign
+    lead = vecs[rows, (np.abs(vecs) > 1e-14).argmax(axis=1), branches]
+    vecs *= np.copysign(1.0, lead)[:, None, :]
+    eps = vals - np.array([p.omega_q * two_u / 2.0 for p in sweep_points(lattice)])[:, None]
     return PolaritonSector(
-        basis=basis, eigenvalues=vals, coefficients=vecs, stark_splittings=eps
+        basis=basis,
+        eigenvalues=unstack(vals, lattice),
+        coefficients=unstack(vecs, lattice),
+        stark_splittings=unstack(eps, lattice),
     )
 
 
@@ -322,11 +335,12 @@ def closed_form_coefficients(
 
 
 def raising_matrix(
-    lattice: LatticeSpec, upper: PolaritonSector, lower: PolaritonSector
+    lattice: LatticeSpec | tuple[LatticeSpec, ...], upper: PolaritonSector, lower: PolaritonSector
 ) -> np.ndarray:
     """Collective raising elements from every branch of sector u-1 into
     every branch of sector u, as a dim_u x dim_(u-1) matrix indexed
-    (branch_upper, branch_lower).
+    (branch_upper, branch_lower); for a tuple of lattices and the sectors
+    ``diagonalize_sector`` gives for it, a stack with a leading point axis.
 
     The basis states of the two sectors that share a photon number n are
     joined by the ladder amplitude sqrt(f*(r+u-n)*(r-u+n+1)); their
@@ -335,30 +349,35 @@ def raising_matrix(
     """
     if upper.basis.two_u != lower.basis.two_u + 2:
         raise ValueError("raising element requires adjacent sectors u and u-1")
-    f = deformation_factor(lattice)
+    points = sweep_points(lattice)
+    stacked = not isinstance(lattice, LatticeSpec)
+    upper_c = upper.coefficients if stacked else upper.coefficients[None]
+    lower_c = lower.coefficients if stacked else lower.coefficients[None]
+    f = np.array([deformation_factor(p) for p in points])[:, None, None]
     u = upper.basis.two_u / 2.0
-    r = lattice.two_r / 2.0
+    r = points[0].two_r / 2.0
     lower_by_n = {n: j for j, (n, _) in enumerate(lower.basis.entries)}
-    out = np.zeros((upper.basis.dimension, lower.basis.dimension))
+    out = np.zeros((len(points), upper.basis.dimension, lower.basis.dimension))
     for i, (n, _) in enumerate(upper.basis.entries):
         j = lower_by_n.get(n)
         if j is None:
             continue
-        amp = math.sqrt(f * (r + u - n) * (r - u + n + 1))
-        out += np.multiply.outer(upper.coefficients[i], lower.coefficients[j]) * amp
-    return out
+        amp = np.sqrt(f * (r + u - n) * (r - u + n + 1))
+        out += upper_c[:, i, :, None] * lower_c[:, j, None, :] * amp
+    return unstack(out, lattice)
 
 
 def raising_element(
-    lattice: LatticeSpec,
+    lattice: LatticeSpec | tuple[LatticeSpec, ...],
     upper: PolaritonSector,
     lower: PolaritonSector,
     branch_upper: int,
     branch_lower: int,
-) -> float:
+) -> float | np.ndarray:
     """Collective raising element from a branch of sector u-1 into u: one
-    entry of ``raising_matrix``."""
-    return raising_matrix(lattice, upper, lower)[branch_upper, branch_lower]
+    entry of ``raising_matrix``, per point for a tuple of lattices."""
+    # [()] turns the 0-d entry of one lattice into a scalar
+    return raising_matrix(lattice, upper, lower)[..., branch_upper, branch_lower][()]
 
 
 def transition_matrices(
@@ -390,11 +409,12 @@ def transition_matrices(
 
 
 def first_excited_transition(
-    lattice: LatticeSpec, cavity: CavitySpec, branch: int = 0
-) -> float:
+    lattice: LatticeSpec | tuple[LatticeSpec, ...], cavity: CavitySpec, branch: int = 0
+) -> float | np.ndarray:
     """Raising element between the ground sector and the chosen branch of
-    the first excited sector (the default radiating transition)."""
-    two_r = lattice.two_r
+    the first excited sector (the default radiating transition); for a
+    tuple of lattices sharing n_qubits, one element per point."""
+    two_r = sweep_points(lattice)[0].two_r
     upper = diagonalize_sector(lattice, cavity, -two_r + 2)
     lower = diagonalize_sector(lattice, cavity, -two_r)
     if not 0 <= branch < upper.basis.dimension:

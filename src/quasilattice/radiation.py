@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CavitySpec, LatticeSpec, deformation_factor
+from .model import CavitySpec, LatticeSpec, deformation_factor, sweep_points, unstack
 from .polariton import first_excited_transition
 
 
@@ -55,13 +55,14 @@ class DecayResult:
     at ell = 0 or on quasi-period multiples, it is not a rate elsewhere
     and can be negative (107 of the 201 rows of the default
     ``decay-sweep``).  gamma_physical is present only when prefactor
-    inputs were supplied.
+    inputs were supplied.  Each field is an np.float64 for one lattice,
+    and an array with one entry per point for a tuple of them.
     """
 
-    gamma_normalized: float
-    s_at_kq: float
-    s_at_zero: float
-    gamma_physical: float | None = None
+    gamma_normalized: float | np.ndarray
+    s_at_kq: float | np.ndarray
+    s_at_zero: float | np.ndarray
+    gamma_physical: float | np.ndarray | None = None
     prefactor_inputs: PrefactorInputs | None = None
 
 
@@ -84,21 +85,31 @@ def l_values(lattice: LatticeSpec) -> np.ndarray:
 
 
 def _site_sum(
-    lattice: LatticeSpec, cavity: CavitySpec, weights: np.ndarray, k
+    lattice: LatticeSpec | tuple[LatticeSpec, ...], cavity: CavitySpec, weights: np.ndarray, k
 ) -> complex | np.ndarray:
     """sum_j weights[j] * exp(i*theta*k*j) over the sites j = 0..N-1,
     with theta = pi*ell/omega_c the site phase per unit frequency.
 
     Accepts scalar or array k; complex k is allowed (the sum is entire).
-    Raises ValueError when a phase or the sum overflows.
+    For a tuple of lattices, k carries a leading point axis and each
+    point takes its own theta.  A point with one k is summed as one dot
+    product over the sites, and a point with a k-array as one
+    matrix-vector product, as for that point alone.  Raises ValueError
+    when a phase or the sum overflows.
     """
-    j = np.arange(lattice.n_qubits)
+    points = sweep_points(lattice)
+    j = np.arange(points[0].n_qubits)
     k_arr = np.asarray(k, dtype=complex)
+    if isinstance(lattice, LatticeSpec):
+        k_arr = k_arr[None]
+    k_rows = k_arr if k_arr.ndim > 1 else k_arr[:, None]
     with np.errstate(over="ignore", invalid="ignore"):  # raised below instead
-        phase = 1j * math.pi * lattice.relative_spacing / cavity.omega_c * np.multiply.outer(k_arr, j)
+        theta = math.pi * np.array([p.relative_spacing for p in points]) / cavity.omega_c
+        phase = (1j * theta).reshape((-1,) + (1,) * k_rows.ndim) * np.multiply.outer(k_rows, j)
         out = np.exp(phase) @ weights
     if not (np.isfinite(phase).all() and np.isfinite(out).all()):
         raise ValueError("site phase pi*ell*k*j/omega_c, or the sum over sites, overflows")
+    out = unstack(out.reshape(k_arr.shape), lattice)
     if np.ndim(k) == 0:
         return complex(out)
     return out
@@ -182,11 +193,11 @@ def chi_closed_form_error_bound(
 
 
 def s_factor(
-    lattice: LatticeSpec,
+    lattice: LatticeSpec | tuple[LatticeSpec, ...],
     cavity: CavitySpec,
     k,
     branch: int = 0,
-    transition_element: float | None = None,
+    transition_element: float | np.ndarray | None = None,
 ) -> complex | np.ndarray:
     """Collective radiation factor s(k) = (1/N) * sum_l chi_l(k) * [S+].
 
@@ -195,13 +206,19 @@ def s_factor(
     reuse a precomputed value across a k-sweep.  The l-sum is taken
     inside the site sum: sum_l cos(j*pi*l) over l = 0, 1/N, ...,
     (N-1)/N is N at j = 0, 1 at odd j and 0 at even j > 0.
+
+    For a tuple of lattices sharing n_qubits, k and transition_element
+    carry a leading point axis (see ``_site_sum``).
     """
-    n = lattice.n_qubits
+    n = sweep_points(lattice)[0].n_qubits
     if transition_element is None:
         transition_element = first_excited_transition(lattice, cavity, branch)
     weights = (np.arange(n) % 2).astype(float)
     weights[0] = n
-    return transition_element * _site_sum(lattice, cavity, weights, k) / n
+    sums = _site_sum(lattice, cavity, weights, k)
+    if not isinstance(lattice, LatticeSpec):  # each point's element spans its k-axes
+        transition_element = np.reshape(transition_element, (-1,) + (1,) * (sums.ndim - 1))
+    return transition_element * sums / n
 
 
 def quasi_period(lattice: LatticeSpec, cavity: CavitySpec) -> float:
@@ -216,7 +233,7 @@ def quasi_period(lattice: LatticeSpec, cavity: CavitySpec) -> float:
 
 
 def decay_rate(
-    lattice: LatticeSpec,
+    lattice: LatticeSpec | tuple[LatticeSpec, ...],
     cavity: CavitySpec,
     prefactor_inputs: PrefactorInputs | None = None,
     branch: int = 0,
@@ -230,24 +247,44 @@ def decay_rate(
     be negative.  Dimensionless by default; with prefactor inputs the
     physical rate k_q*mu^2/(4*epsilon_d*A) times the normalized value is
     included.
+
+    A tuple of lattices sharing n_qubits is one sweep, evaluated in one
+    pass: both sectors of every point in one stacked eigensolve, and one
+    site sum per k.  Its fields are arrays with one entry per point; one
+    LatticeSpec is the one-point sweep, with np.float64 fields.  Every
+    entry equals, bit for bit, the value of its point evaluated alone
+    with scalar arithmetic: |s| is hypot(re, im) and its square libm's
+    pow, as the scalar abs and ** 2 compute them (np.abs and ** 2 on an
+    array round differently).  When a sweep fails, its points are redone
+    one at a time, so that it raises what its first failing point raises
+    alone: a ValueError for a bad branch or an overflowing site phase, a
+    RuntimeError for a non-finite sector.
     """
-    k_q = lattice.k_q
-    element = first_excited_transition(lattice, cavity, branch)
-    s_kq = abs(s_factor(lattice, cavity, k_q, branch, element))
-    s_0 = abs(s_factor(lattice, cavity, 0.0, branch, element))
-    gamma = 2.0 * s_kq**2 - s_0**2
+    points = sweep_points(lattice)
+    k_q = np.array([p.k_q for p in points])
+    try:
+        element = first_excited_transition(points, cavity, branch)
+        s = [s_factor(points, cavity, k, branch, element) for k in (k_q, np.zeros_like(k_q))]
+    except (ValueError, RuntimeError):
+        if len(points) > 1:
+            for point in points:
+                decay_rate(point, cavity, prefactor_inputs, branch)
+        raise
+    s_kq, s_0 = (np.hypot(z.real, z.imag) for z in s)
+    gamma = 2.0 * np.float_power(s_kq, 2) - np.float_power(s_0, 2)
     physical = None
     if prefactor_inputs is not None:
-        pref = (
-            k_q
-            * prefactor_inputs.mu**2
-            / (4.0 * prefactor_inputs.epsilon_d * prefactor_inputs.area)
-        )
-        physical = pref * gamma
+        with np.errstate(over="ignore"):  # an overflow gives inf silently, as float arithmetic does
+            pref = (
+                k_q
+                * prefactor_inputs.mu**2
+                / (4.0 * prefactor_inputs.epsilon_d * prefactor_inputs.area)
+            )
+            physical = unstack(pref * gamma, lattice)
     return DecayResult(
-        gamma_normalized=gamma,
-        s_at_kq=s_kq,
-        s_at_zero=s_0,
+        gamma_normalized=unstack(gamma, lattice),
+        s_at_kq=unstack(s_kq, lattice),
+        s_at_zero=unstack(s_0, lattice),
         gamma_physical=physical,
         prefactor_inputs=prefactor_inputs,
     )

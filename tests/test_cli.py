@@ -94,6 +94,28 @@ class TestDecaySweep:
         assert all(float(r["s_kq_abs"]) <= float(r["s_zero_abs"]) for r in rows)
         assert min(float(r["gamma_normalized"]) for r in rows) < 0.0
 
+    @pytest.mark.parametrize("argv, code, message", [
+        (["--branch", "2"], cli.EXIT_USAGE, "branch 2 outside"),
+        (["--branch", "-1"], cli.EXIT_USAGE, "branch -1 outside"),
+        (["--omega-q", "1e308"], cli.EXIT_VALIDATION, "non-finite"),
+        (["--sweep", "omega-q", "--omega-q-max", "1e308"], cli.EXIT_VALIDATION, "non-finite"),
+        (["--omega-c", "1e-308"], cli.EXIT_USAGE, "site phase"),
+        (["--ell-min", "0.5", "--ell-max", "0.2"], cli.EXIT_USAGE, "ell sweep range"),
+        (["--ell-max", "nan"], cli.EXIT_USAGE, "ell sweep range"),
+        (["--sweep", "omega-q", "--omega-q-min", "nan"], cli.EXIT_USAGE, "omega_q sweep range"),
+        # points that fail in different ways: the first failing point decides
+        (["--sweep", "omega-q", "--omega-q-max", "1e308", "--omega-c", "1e-300"],
+         cli.EXIT_USAGE, "site phase"),
+        (["--sweep", "omega-q", "--omega-q-max", "1e308", "--branch", "2"],
+         cli.EXIT_USAGE, "branch 2 outside"),
+    ])
+    def test_exit_codes(self, tmp_path, capsys, argv, code, message):
+        out = tmp_path / "decay.csv"
+        assert run(["decay-sweep", *argv, "--out", str(out)]) == code
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
 
 class TestSpectrum:
     def test_ground_sector_energy(self, tmp_path):

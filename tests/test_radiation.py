@@ -5,8 +5,8 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from quasilattice.model import CavitySpec, LatticeSpec
-from quasilattice import radiation, validation
+from quasilattice.model import CavitySpec, LatticeSpec, deformation_factor
+from quasilattice import cli, polariton, radiation, validation
 
 LAT = LatticeSpec(n_qubits=4, relative_spacing=2 / 3, omega_q=13.458)
 CAV = CavitySpec(omega_c=6.729, eta=0.1)
@@ -154,6 +154,160 @@ class TestDecayRate:
             for e in ells
         ]
         assert np.max(np.abs(np.array(gammas) - np.array(gammas)[::-1])) < 1e-10
+
+
+def _decay_rate_reference(lattice, cavity, prefactor_inputs=None, branch=0):
+    """decay_rate evaluated one point at a time with scalar arithmetic, as
+    it was before sweeps were batched: each sector block built entry by
+    entry and solved by eigh alone, the raising element as a sum of
+    outer products, and the site sum as one dot product per scalar k.
+    The bit-for-bit reference for the batched evaluation."""
+
+    def sector(two_u):
+        basis = polariton.sector_basis(lattice, two_u)
+        two_r = lattice.two_r
+        f = deformation_factor(lattice)
+        diag = np.array(
+            [lattice.omega_q * two_m / 2.0 + cavity.omega_c * n for n, two_m in basis.entries]
+        )
+        off = []
+        for n, two_m in basis.entries[1:]:
+            rm = (two_r - two_m) / 2.0
+            rm1 = (two_r + two_m) / 2.0 + 1.0
+            off.append(cavity.eta * math.sqrt(n) * math.sqrt(f * rm * rm1))
+        h = np.diag(diag)
+        idx = np.arange(len(off))
+        h[idx, idx + 1] = off
+        h[idx + 1, idx] = off
+        vals, vecs = np.linalg.eigh(h)
+        vecs = vecs.take(vals.argsort(), axis=1)
+        for b, col in enumerate(vecs.T.tolist()):
+            if next(c for c in col if abs(c) > 1e-14) < 0:
+                vecs[:, b] *= -1.0
+        return basis, vecs
+
+    upper_basis, upper = sector(-lattice.two_r + 2)
+    lower_basis, lower = sector(-lattice.two_r)
+    f = deformation_factor(lattice)
+    u = upper_basis.two_u / 2.0
+    r = lattice.two_r / 2.0
+    lower_by_n = {n: j for j, (n, _) in enumerate(lower_basis.entries)}
+    raising = np.zeros((upper_basis.dimension, lower_basis.dimension))
+    for i, (n, _) in enumerate(upper_basis.entries):
+        j = lower_by_n.get(n)
+        if j is None:
+            continue
+        amp = math.sqrt(f * (r + u - n) * (r - u + n + 1))
+        raising += np.multiply.outer(upper[i], lower[j]) * amp
+    element = raising[branch, 0]
+
+    def s(k):
+        n = lattice.n_qubits
+        j = np.arange(n)
+        k_arr = np.asarray(k, dtype=complex)
+        phase = 1j * math.pi * lattice.relative_spacing / cavity.omega_c * np.multiply.outer(k_arr, j)
+        weights = (np.arange(n) % 2).astype(float)
+        weights[0] = n
+        return element * complex(np.exp(phase) @ weights) / n
+
+    k_q = lattice.k_q
+    s_kq = abs(s(k_q))
+    s_0 = abs(s(0.0))
+    gamma = 2.0 * s_kq**2 - s_0**2
+    physical = None
+    if prefactor_inputs is not None:
+        pref = (
+            k_q
+            * prefactor_inputs.mu**2
+            / (4.0 * prefactor_inputs.epsilon_d * prefactor_inputs.area)
+        )
+        physical = pref * gamma
+    return radiation.DecayResult(
+        gamma_normalized=gamma, s_at_kq=s_kq, s_at_zero=s_0,
+        gamma_physical=physical, prefactor_inputs=prefactor_inputs,
+    )
+
+
+_DECAY_FIELDS = ("s_at_kq", "s_at_zero", "gamma_normalized", "gamma_physical")
+_PREFACTOR = ["--mu", "0.5", "--epsilon-d", "2.0", "--area", "1.0"]
+
+
+def _assert_bitwise(result, references):
+    """Every field of a batched result equals its references' bit for bit."""
+    for name in _DECAY_FIELDS:
+        expected = [getattr(ref, name) for ref in references]
+        if expected[0] is None:
+            assert getattr(result, name) is None
+        else:
+            assert np.asarray(getattr(result, name)).tobytes() == np.array(expected).tobytes(), name
+
+
+@st.composite
+def _sweep_points(draw, n):
+    """One sweep point: ell at 0, 1, 1/2, 2/3 or anywhere in [0, 1], and
+    omega_q anywhere in [0.5, 45], on a quasi-period multiple
+    2*m*omega_c/ell, or at or next to omega_c."""
+    ell = draw(st.sampled_from([0.0, 1.0, 0.5, 2 / 3]) | st.floats(0.0, 1.0))
+    kind = draw(st.sampled_from(["any", "multiple", "omega_c", "near"]))
+    if kind == "multiple" and ell >= 1e-3:  # a finite omega_q
+        omega_q = draw(st.integers(1, 4)) * 2.0 * CAV.omega_c / ell
+    elif kind == "omega_c":
+        omega_q = CAV.omega_c
+    elif kind == "near":
+        omega_q = math.nextafter(CAV.omega_c, draw(st.sampled_from([0.0, math.inf])))
+    else:
+        omega_q = draw(st.floats(0.5, 45.0))
+    return LatticeSpec(n, ell, omega_q)
+
+
+class TestBatchedDecayRate:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data(), n=st.integers(1, 32), branch=st.integers(0, 1),
+           eta=st.sampled_from([0.0, 0.1]) | st.floats(0.001, 2.0),
+           prefactor=st.booleans())
+    def test_matches_reference_bitwise(self, data, n, branch, eta, prefactor):
+        points = tuple(data.draw(st.lists(_sweep_points(n), min_size=1, max_size=12)))
+        cavity = CavitySpec(omega_c=CAV.omega_c, eta=eta)
+        pref = radiation.PrefactorInputs(mu=0.5, epsilon_d=2.0, area=1.5) if prefactor else None
+        references = [_decay_rate_reference(p, cavity, pref, branch) for p in points]
+        _assert_bitwise(radiation.decay_rate(points, cavity, pref, branch), references)
+        single = radiation.decay_rate(points[0], cavity, pref, branch)
+        _assert_bitwise(single, references[:1])
+        assert type(single.gamma_normalized) is np.float64
+        assert type(single.s_at_kq) is np.float64
+
+    @pytest.mark.parametrize("sweep", ["ell", "omega-q"])
+    def test_cli_blocks_match_reference(self, tmp_path, sweep):
+        # more points than one CSV block holds, at N = 64
+        points = cli._CHUNK_ROWS + 77
+        out = tmp_path / "decay.csv"
+        argv = ["decay-sweep", "--n", "64", "--sweep", sweep, "--points", str(points), *_PREFACTOR]
+        assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_OK
+        rows = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert rows.shape == (points, 6)
+        pref = radiation.PrefactorInputs(mu=0.5, epsilon_d=2.0, area=1.0)
+        references = [
+            _decay_rate_reference(LatticeSpec(64, float(ell), float(wq)), CAV, pref)
+            for ell, wq in rows[:, :2]
+        ]
+        for column, name in zip(rows[:, 2:].T, _DECAY_FIELDS):
+            assert column.tobytes() == np.array([getattr(r, name) for r in references]).tobytes(), name
+
+    def test_mixed_qubit_counts_rejected(self):
+        with pytest.raises(ValueError):
+            radiation.decay_rate((LAT, LatticeSpec(5, 0.5, 13.458)), CAV)
+        with pytest.raises(ValueError):
+            radiation.decay_rate((), CAV)
+
+    def test_error_of_first_failing_point(self):
+        # point 1 overflows its site phase, point 2 its sector: the sweep
+        # raises what point 1 raises alone, as a point-by-point sweep does
+        cavity = CavitySpec(omega_c=1e-307, eta=0.1)
+        points = (LatticeSpec(4, 0.0, 13.458), LatticeSpec(4, 0.5, 13.458), LatticeSpec(4, 0.5, 1e308))
+        with pytest.raises(ValueError, match="site phase"):
+            radiation.decay_rate(points, cavity)
+        with pytest.raises(RuntimeError, match="non-finite"):
+            radiation.decay_rate(points[::-1], cavity)
 
 
 # Mutants of the numeric side of the principal-value check; the closed
