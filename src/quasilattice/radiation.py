@@ -33,6 +33,7 @@ class PrefactorInputs:
     mu: transition dipole moment; epsilon_d: dielectric constant of the
     waveguide medium; area: resonator cross-section A.  Units are the
     caller's responsibility; the prefactor is k_q*mu^2/(4*epsilon_d*A).
+    A mu whose square overflows is refused with the rest.
     """
 
     mu: float
@@ -41,9 +42,13 @@ class PrefactorInputs:
 
     def __post_init__(self) -> None:
         if not (
-            0 < self.epsilon_d < math.inf and 0 < self.area < math.inf and math.isfinite(self.mu)
+            0 < self.epsilon_d < math.inf
+            and 0 < self.area < math.inf
+            and math.isfinite(self.mu * self.mu)
         ):
-            raise ValueError("epsilon_d and area must be positive, and all three finite")
+            raise ValueError(
+                "epsilon_d and area must be positive, all three finite, and mu^2 finite"
+            )
 
 
 @dataclass(frozen=True)

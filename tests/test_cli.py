@@ -210,6 +210,14 @@ class TestDynamics:
         ])
         assert code == cli.EXIT_USAGE
 
+    def test_step_size_violation_is_usage_error(self, tmp_path, capsys):
+        # dynamics.StepSizeError is a ValueError, caught as bad arguments
+        out = tmp_path / "dyn.csv"
+        assert run(["dynamics", "--dt", "1", "--out", str(out)]) == cli.EXIT_USAGE
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: dt*max|omega_q-omega_k|") and err.count("\n") == 1
+
 
 class TestValidate:
     def test_exit_zero_and_report(self, tmp_path):
@@ -392,6 +400,17 @@ class TestPlumbing:
         assert not out.exists()
         err = capsys.readouterr().err
         assert err.startswith("error: site phase") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("mu", ["1e200", "-1e155"])
+    def test_overflowing_dipole_square_is_usage_error(self, tmp_path, capsys, mu):
+        # mu**2 overflows: bad arguments, not an OverflowError traceback
+        out = tmp_path / "x.csv"
+        argv = ["decay-sweep", "--points", "5", f"--mu={mu}", "--epsilon-d", "1", "--area", "1"]
+        assert run(argv + ["--out", str(out)]) == cli.EXIT_USAGE
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "mu^2" in err
 
     def test_unallocatable_horizon_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "dyn.csv"

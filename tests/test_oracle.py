@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -7,13 +5,16 @@ from hypothesis import example, given, settings, strategies as st
 from quasilattice.model import CavitySpec, LatticeSpec, coupling_weights
 from quasilattice import oracle, polariton, radiation
 
-CAV = CavitySpec(omega_c=6.729, eta=0.1)
-FIELDS = ("S_z", "S_plus", "S_minus", "Sigma_z", "a", "a_dagger", "H_total")
+OMEGA_C = 6.729
+CAV = CavitySpec(omega_c=OMEGA_C, eta=0.1)
+SPIN_TERMS = {"s_z", "sigma_z", "up", "down", "weight"}
 
 
 def _kron_reference(lattice, cavity, n_max):
-    """Independent dense construction of the product-space operators:
-    per-site Kronecker chains and dense matrix products."""
+    """Independent dense construction of the operators: per-site
+    Kronecker chains on the qubit space ("s_z", "s_plus", "s_minus",
+    "sigma_z") and, from them, dense matrix products on the product
+    space ("S_z", "a", "a_dagger", "H_total")."""
 
     def site_operator(op, site, n_qubits):
         mat = np.array([[1.0]])
@@ -28,17 +29,19 @@ def _kron_reference(lattice, cavity, n_max):
     dim_spin = 2**n
     s_z = np.zeros((dim_spin, dim_spin))
     s_plus = np.zeros((dim_spin, dim_spin))
+    s_minus = np.zeros((dim_spin, dim_spin))
     sigma_z = np.zeros((dim_spin, dim_spin))
     for j in range(n):
         s_z += site_operator(sigma_z_1, j, n)
         s_plus += weights[j] * site_operator(sigma_plus_1, j, n)
+        s_minus += weights[j] * site_operator(sigma_plus_1.T, j, n)
         sigma_z += weights[j] ** 2 * site_operator(sigma_z_1, j, n)
     a = np.diag(np.sqrt(np.arange(1, n_max + 1)), 1)
     eye_f = np.eye(n_max + 1)
     eye_s = np.eye(dim_spin)
     S_z = np.kron(s_z, eye_f)
     S_plus = np.kron(s_plus, eye_f)
-    S_minus = np.kron(s_plus.conj().T, eye_f)
+    S_minus = np.kron(s_minus, eye_f)
     A = np.kron(eye_s, a)
     A_dag = np.kron(eye_s, a.conj().T)
     H = (
@@ -46,16 +49,29 @@ def _kron_reference(lattice, cavity, n_max):
         + cavity.omega_c * (A_dag @ A)
         + cavity.eta * (S_plus @ A + S_minus @ A_dag)
     )
-    return {"S_z": S_z, "S_plus": S_plus, "S_minus": S_minus,
-            "Sigma_z": np.kron(sigma_z, eye_f), "a": A, "a_dagger": A_dag, "H_total": H}
+    return {"s_z": s_z, "s_plus": s_plus, "s_minus": s_minus, "sigma_z": sigma_z,
+            "S_z": S_z, "a": A, "a_dagger": A_dag, "H_total": H}
+
+
+def _reference_sector(ref, two_u):
+    """Product indices of the excitation-u eigenspace of the reference's
+    S_z + a_dag*a, and their photon numbers."""
+    photons = np.rint(np.diag(ref["a_dagger"] @ ref["a"]))  # sqrt(k)*sqrt(k) rounds
+    idx = np.nonzero(2.0 * np.diag(ref["S_z"]) + 2.0 * photons == two_u)[0]
+    return idx, photons[idx]
+
+
+def _blocks_below_cutoff(n, n_max):
+    """The 2u whose every basis state stays below the Fock cutoff."""
+    return range(-n, 2 * n_max - n, 2)
 
 
 class TestBuildOperators:
     def test_single_qubit_inversion(self):
         lat = LatticeSpec(n_qubits=1, relative_spacing=0.0, omega_q=10.0)
         ops = oracle.build_operators(lat, CAV, n_max=2)
-        spin_part = ops.S_z[:: (2 + 1), :: (2 + 1)]  # photon-vacuum block
-        assert np.allclose(np.diag(spin_part), [0.5, -0.5])
+        assert ops.s_z.tolist() == [0.5, -0.5]
+        assert np.array_equal(ops.s_z, np.diag(_kron_reference(lat, CAV, 2)["s_z"]))
 
     def test_dimension_guard(self):
         lat = LatticeSpec(n_qubits=9, relative_spacing=0.3, omega_q=10.0)
@@ -66,14 +82,19 @@ class TestBuildOperators:
             oracle.build_operators(lat8, CAV, n_max=13)
 
     def test_lowering_is_adjoint(self):
+        # the commutators take s_minus as the transpose of the raising
+        # operator; it equals the chains of the site lowering operators
         lat = LatticeSpec(n_qubits=3, relative_spacing=0.4, omega_q=10.0)
         ops = oracle.build_operators(lat, CAV, n_max=3)
-        assert np.array_equal(ops.S_minus, ops.S_plus.conj().T)
+        ref = _kron_reference(lat, CAV, 3)
+        assert np.array_equal(oracle._spin_raising(ops).T, ref["s_minus"])
 
     def test_hamiltonian_hermitian(self):
         lat = LatticeSpec(n_qubits=4, relative_spacing=2 / 3, omega_q=13.458)
         ops = oracle.build_operators(lat, CAV, n_max=4)
-        assert np.max(np.abs(ops.H_total - ops.H_total.conj().T)) < 1e-13
+        for two_u in _blocks_below_cutoff(4, 4):
+            block = oracle._sector_block(ops, two_u)
+            assert np.array_equal(block, block.T)
 
     @pytest.mark.parametrize("ell", [0.0, 0.3, 2 / 3, 1.0])
     def test_matches_kron_reference(self, ell):
@@ -83,56 +104,63 @@ class TestBuildOperators:
             lat = LatticeSpec(n_qubits=n, relative_spacing=ell, omega_q=13.458)
             ops = oracle.build_operators(lat, CAV, n_max=n_max)
             ref = _kron_reference(lat, CAV, n_max)
-            for field in FIELDS:
-                assert np.array_equal(getattr(ops, field), ref[field]), (n, n_max, field)
-            # signed zeros too: the coupling is added onto +0.0
-            assert np.array_equal(np.signbit(ops.H_total), np.signbit(ref["H_total"]))
-            number = np.diag(ref["S_z"] + ref["a_dagger"] @ ref["a"])
-            for two_u in range(-n, n + 2 * n_max + 1, 2):
-                dense = np.nonzero(np.abs(2.0 * number - two_u) < 1e-9)[0]
-                assert np.array_equal(oracle.sector_indices(ops, two_u), dense)
+            # the spin terms are the Kronecker chains
+            assert np.array_equal(ops.s_z, np.diag(ref["s_z"])), (n, n_max)
+            assert np.array_equal(ops.sigma_z, np.diag(ref["sigma_z"])), (n, n_max)
+            assert np.array_equal(oracle._spin_raising(ops), ref["s_plus"]), (n, n_max)
+            assert ops.dimension == ref["H_total"].shape[0]
+            for two_u in _blocks_below_cutoff(n, n_max):
+                idx, _ = _reference_sector(ref, two_u)
+                dense = ref["H_total"][np.ix_(idx, idx)]
+                block = oracle._sector_block(ops, two_u)
+                assert np.array_equal(block, dense), (n, n_max, two_u)
+                # signed zeros too: the coupling is added onto +0.0
+                assert np.array_equal(np.signbit(block), np.signbit(dense)), (n, n_max, two_u)
 
     def test_decoupled_signed_zeros(self):
         # at eta = 0 each coupling entry eta*w_j*sqrt(k+1) is -0.0 where
         # w_j < 0; added onto +0.0 it stays +0.0, as in the dense sum
-        cav0 = CavitySpec(omega_c=6.729, eta=0.0)
+        cav0 = CavitySpec(omega_c=OMEGA_C, eta=0.0)
         for n, ell in ((3, 2 / 3), (8, 0.37)):
             lat = LatticeSpec(n_qubits=n, relative_spacing=ell, omega_q=13.458)
             ops = oracle.build_operators(lat, cav0, n_max=2)
             ref = _kron_reference(lat, cav0, 2)
-            assert np.array_equal(np.signbit(ops.H_total), np.signbit(ref["H_total"]))
-            assert not np.any(np.signbit(ops.H_total[ops.H_total == 0.0]))
+            for two_u in _blocks_below_cutoff(n, 2):
+                idx, _ = _reference_sector(ref, two_u)
+                block = oracle._sector_block(ops, two_u)
+                dense = ref["H_total"][np.ix_(idx, idx)]
+                assert np.array_equal(np.signbit(block), np.signbit(dense))
+                assert not np.any(np.signbit(block[block == 0.0]))
 
     def test_site_weights_enter_raising_operator(self):
         lat = LatticeSpec(n_qubits=4, relative_spacing=2 / 3, omega_q=13.458)
         ops = oracle.build_operators(lat, CAV, n_max=1)
-        # acting on the all-down spin state in the photon vacuum must
-        # produce one single-flip state per site, weighted cos(j*pi*ell)
-        s_plus_spin = ops.S_plus[::2, ::2]
+        # acting on the all-down spin state must produce one single-flip
+        # state per site, weighted cos(j*pi*ell)
         all_down = np.zeros(16)
         all_down[15] = 1.0
-        image = s_plus_spin @ all_down
+        image = oracle._spin_raising(ops) @ all_down
         for j, weight in enumerate([1.0, -0.5, -0.5, 1.0]):
             flipped = 15 - 2 ** (3 - j)
             assert image[flipped] == pytest.approx(weight, abs=1e-12)
         assert np.count_nonzero(np.abs(image) > 1e-14) == 4
 
 
-def _commutator_reference(ops, tol=1e-12):
-    """The commutator residuals from dense matrix products throughout."""
+def _commutator_reference(ref, ell, tol=1e-12):
+    """The commutator residuals from dense matrix products throughout,
+    on the reference's qubit-space operators (on the product space when
+    given its S_plus, S_minus, Sigma_z and S_z)."""
 
     def comm(x, y):
         return x @ y - y @ x
 
-    pm = comm(ops.S_plus, ops.S_minus)
+    s_z, s_plus, s_minus, sigma_z = (ref[key] for key in ("s_z", "s_plus", "s_minus", "sigma_z"))
+    pm = comm(s_plus, s_minus)
     return oracle.CommutatorReport(
-        sz_splus=float(np.max(np.abs(comm(ops.S_z, ops.S_plus) - ops.S_plus))),
-        sz_sminus=float(np.max(np.abs(comm(ops.S_z, ops.S_minus) + ops.S_minus))),
-        splus_sminus_sigma=float(np.max(np.abs(pm - 2.0 * ops.Sigma_z))),
-        splus_sminus_sz=(
-            float(np.max(np.abs(pm - 2.0 * ops.S_z)))
-            if ops.lattice.relative_spacing == 0.0 else None
-        ),
+        sz_splus=float(np.max(np.abs(comm(s_z, s_plus) - s_plus))),
+        sz_sminus=float(np.max(np.abs(comm(s_z, s_minus) + s_minus))),
+        splus_sminus_sigma=float(np.max(np.abs(pm - 2.0 * sigma_z))),
+        splus_sminus_sz=float(np.max(np.abs(pm - 2.0 * s_z))) if ell == 0.0 else None,
         tolerance=tol,
     )
 
@@ -145,7 +173,24 @@ class TestCommutators:
                 for ell in (0.0, float(rng.uniform())):
                     lat = LatticeSpec(n, ell, 13.458)
                     ops = oracle.build_operators(lat, CAV, n_max=n_max)
-                    assert oracle.verify_commutators(ops) == _commutator_reference(ops)
+                    ref = _kron_reference(lat, CAV, n_max)
+                    assert oracle.verify_commutators(ops) == _commutator_reference(ref, ell)
+
+    def test_product_space_residuals_on_validate_draws(self):
+        # S_pm = s_pm (x) 1, so the identities hold on the product space
+        # exactly when they hold on the qubit space; on the draws of
+        # `validation.check_commutators` (N <= 6, n_max = 1) the product-
+        # space matmul residuals are also the same floats
+        rng = np.random.default_rng(12)
+        eye_f = np.eye(2)
+        for n in range(1, 7):
+            for ell in (0.0, float(rng.uniform())):
+                lat = LatticeSpec(n, ell, 13.458)
+                ref = _kron_reference(lat, CAV, 1)
+                product = {key: np.kron(ref[key], eye_f)
+                           for key in ("s_z", "s_plus", "s_minus", "sigma_z")}
+                ops = oracle.build_operators(lat, CAV, n_max=1)
+                assert oracle.verify_commutators(ops) == _commutator_reference(product, ell)
 
     def test_homogeneous_su2(self):
         lat = LatticeSpec(n_qubits=4, relative_spacing=0.0, omega_q=13.458)
@@ -166,47 +211,30 @@ class TestCommutators:
                 assert rep.splus_sminus_sigma < 1e-12
 
 
+@st.composite
+def _spacing_and_frequency(draw):
+    """ell with its edges 0 and 1, and omega_q free, equal to omega_c, or
+    on a quasi-period multiple 2*m*omega_c/ell (for ell >= 0.1 only: at
+    ell = 0 there is none, and a subnormal ell would make it infinite)."""
+    ell = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+    frequencies = [st.floats(5.0, 20.0), st.just(OMEGA_C)]
+    if ell >= 0.1:
+        period = radiation.quasi_period(LatticeSpec(1, ell, OMEGA_C), CAV)
+        frequencies.append(st.integers(1, 3).map(lambda m: m * period))
+    return ell, draw(st.one_of(*frequencies))
+
+
 class TestSectorSpectra:
     def test_excitation_conserved(self):
+        # the reference H_total has no entry between sectors, so the
+        # sector blocks hold all of it
         for ell in (0.0, 0.3, 2 / 3):
             lat = LatticeSpec(n_qubits=4, relative_spacing=ell, omega_q=13.458)
-            ops = oracle.build_operators(lat, CAV, n_max=4)
-            assert oracle.excitation_conservation_residual(ops) < 1e-12
-
-    def test_conservation_guard_fires(self):
-        lat = LatticeSpec(n_qubits=3, relative_spacing=0.3, omega_q=13.458)
-        ops = oracle.build_operators(lat, CAV, n_max=3)
-        # all spins down (spin index 7) with 0 and 1 photons: 2u = -3 and -1
-        i, j, delta = 7 * 4, 7 * 4 + 1, 1e-6
-        assert ops.H_total[i, j] == 0.0
-        broken = dataclasses.replace(
-            ops,
-            h_rows=np.append(ops.h_rows, [i, j]),
-            h_cols=np.append(ops.h_cols, [j, i]),
-            h_values=np.append(ops.h_values, [delta, delta]),
-        )
-        assert oracle.excitation_conservation_residual(broken) == pytest.approx(delta, rel=1e-15)
-        # the cached residual belongs to each operator set: every call on
-        # the broken set raises, and intact sets, old or new, do not
-        for _ in range(2):
-            with pytest.raises(RuntimeError):
-                oracle.exact_sector_spectrum(broken, -3)
-        fresh = oracle.build_operators(lat, CAV, n_max=3)
-        for intact in (fresh, ops):
-            assert oracle.exact_sector_spectrum(intact, -3).shape == (1,)
-
-    def test_conservation_guard_runs_once_per_operator_set(self, monkeypatch):
-        lat = LatticeSpec(n_qubits=3, relative_spacing=0.3, omega_q=13.458)
-        ops = oracle.build_operators(lat, CAV, n_max=3)
-        calls = []
-        residual = oracle.excitation_conservation_residual
-        monkeypatch.setattr(
-            oracle, "excitation_conservation_residual",
-            lambda o: calls.append(o) or residual(o),
-        )
-        for two_u in (-3, -1, 1):
-            oracle.exact_sector_spectrum(ops, two_u)
-        assert len(calls) == 1 and calls[0] is ops
+            ref = _kron_reference(lat, CAV, 4)
+            number = np.diag(ref["S_z"]) + np.rint(np.diag(ref["a_dagger"] @ ref["a"]))
+            between = number[:, None] != number[None, :]
+            assert np.count_nonzero(ref["H_total"]) > 0
+            assert not np.any(ref["H_total"][between])
 
     def test_homogeneous_limit_matches_model(self):
         for n in (2, 4, 6):
@@ -227,38 +255,45 @@ class TestSectorSpectra:
         expected = sorted([-0.5 * 10.0, -1.5 * 10.0 + 7.0])
         assert np.allclose(np.sort(exact)[: len(expected)], expected, atol=1e-12)
 
-    @settings(max_examples=40, deadline=None, derandomize=True)
+    @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
         n=st.integers(1, 7),
         n_max=st.integers(1, 4),
-        ell=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        spacing=_spacing_and_frequency(),
         eta=st.one_of(st.just(0.0), st.floats(0.0, 0.5)),
-        omega_q=st.floats(5.0, 20.0),
     )
-    @example(n=1, n_max=3, ell=2 / 3, eta=0.1, omega_q=13.458)
-    @example(n=5, n_max=3, ell=0.37, eta=0.1, omega_q=9.3)
-    @example(n=4, n_max=3, ell=0.0, eta=0.1, omega_q=13.458)
-    @example(n=4, n_max=3, ell=1.0, eta=0.1, omega_q=13.458)
-    @example(n=3, n_max=3, ell=2 / 3, eta=0.0, omega_q=13.458)
-    @example(n=4, n_max=3, ell=2 / 3, eta=0.1,
-             omega_q=2 * radiation.quasi_period(LatticeSpec(4, 2 / 3, 13.458), CAV))
-    def test_sector_block_from_nonzeros_equals_dense(self, n, n_max, ell, eta, omega_q):
+    @example(n=1, n_max=3, spacing=(2 / 3, 13.458), eta=0.1)
+    @example(n=5, n_max=3, spacing=(0.37, 9.3), eta=0.1)
+    @example(n=4, n_max=3, spacing=(0.0, 13.458), eta=0.1)
+    @example(n=4, n_max=3, spacing=(1.0, 13.458), eta=0.1)
+    @example(n=3, n_max=3, spacing=(2 / 3, 13.458), eta=0.0)
+    @example(n=3, n_max=3, spacing=(0.4, OMEGA_C), eta=0.1)
+    @example(n=4, n_max=3, spacing=(2 / 3, 2 * 2 * OMEGA_C / (2 / 3)), eta=0.1)
+    @example(n=5, n_max=2, spacing=(1.0, 2 * OMEGA_C), eta=0.0)
+    def test_sector_block_from_nonzeros_equals_dense(self, n, n_max, spacing, eta):
+        ell, omega_q = spacing
         lat = LatticeSpec(n_qubits=n, relative_spacing=ell, omega_q=omega_q)
-        ops = oracle.build_operators(lat, CavitySpec(omega_c=6.729, eta=eta), n_max=n_max)
-        # sectors whose every basis state stays below the Fock cutoff
-        for two_u in range(-n, 2 * n_max - n, 2):
-            idx = oracle.sector_indices(ops, two_u)
-            dense = np.linalg.eigvalsh(ops.H_total[np.ix_(idx, idx)])
-            assert oracle.exact_sector_spectrum(ops, two_u).tobytes() == dense.tobytes()
+        cav = CavitySpec(omega_c=OMEGA_C, eta=eta)
+        ops = oracle.build_operators(lat, cav, n_max=n_max)
+        ref = _kron_reference(lat, cav, n_max)
+        for two_u in _blocks_below_cutoff(n, n_max):
+            idx, _ = _reference_sector(ref, two_u)
+            dense = ref["H_total"][np.ix_(idx, idx)]
+            block = oracle._sector_block(ops, two_u)
+            assert block.tobytes() == dense.tobytes()
+            spectrum = oracle.exact_sector_spectrum(ops, two_u)
+            assert spectrum.tobytes() == np.linalg.eigvalsh(dense).tobytes()
 
     def test_sector_spectra_form_no_dense_field(self):
         lat = LatticeSpec(n_qubits=8, relative_spacing=0.0, omega_q=13.458)
         ops = oracle.build_operators(lat, CAV, n_max=8)
         for two_u in (-8, -6, -4):
             oracle.exact_sector_spectrum(ops, two_u)
-        assert not set(FIELDS) & set(vars(ops))
-        held = sum(v.nbytes for v in vars(ops).values() if isinstance(v, np.ndarray))
-        assert held < 1_000_000
+        arrays = {k for k, v in vars(ops).items() if isinstance(v, np.ndarray)}
+        assert arrays == SPIN_TERMS
+        # two 2^N diagonals and the N*2^(N-1) entries of s_plus
+        held = sum(getattr(ops, k).nbytes for k in arrays)
+        assert held == 8 * (2 * 2**8 + 3 * 8 * 2**7)
 
     def test_truncation_guard(self):
         lat = LatticeSpec(n_qubits=2, relative_spacing=0.3, omega_q=10.0)
@@ -271,6 +306,91 @@ class TestSectorSpectra:
         ops = oracle.build_operators(lat, CAV, n_max=2)
         with pytest.raises(ValueError):
             oracle.exact_sector_spectrum(ops, -4)
+
+    def test_refusal_class_grid(self):
+        # the class each (N, n_max, 2u) raises is read off the dense
+        # reference's sector: ValueError when it is empty in the product
+        # space (of either parity, below the ground sector or wholly above
+        # the cutoff), TruncationError when one of its states has n_max
+        # photons, and nothing otherwise
+        for n in range(1, 6):
+            lat = LatticeSpec(n_qubits=n, relative_spacing=0.3, omega_q=10.0)
+            for n_max in range(1, 5):
+                ops = oracle.build_operators(lat, CAV, n_max=n_max)
+                ref = _kron_reference(lat, CAV, n_max)
+                for two_u in range(-n - 3, n + 2 * n_max + 4):
+                    idx, photons = _reference_sector(ref, two_u)
+                    expected = None
+                    if idx.size == 0:
+                        expected = ValueError
+                    elif np.any(photons >= n_max):
+                        expected = oracle.TruncationError
+                    try:
+                        oracle.exact_sector_spectrum(ops, two_u)
+                        raised = None
+                    except ValueError as exc:
+                        raised = type(exc)
+                    assert raised is expected, (n, n_max, two_u)
+
+
+class TestModelExactness:
+    """The deformed model is exact in its two lowest sectors.
+
+    In u = -r and u = -r+1 the photon couples only to the bright state
+    sum_j w_j|j>, of norm^2 sum_j w_j^2 = N*f, and the model's ladder
+    element sqrt(f*2r) is exactly that.  So in exact arithmetic the
+    oracle's (N+1)-dimensional block of u = -r+1 has the model's two
+    polariton levels plus N-1 dark levels omega_q*(1-r), and u = -r is
+    the one level -r*omega_q.
+
+    The two computed spectra then differ by rounding only, bounded by
+    tol = (N+3)*eps*max(1, max|Omega|), with u = eps/2 and ||H||_2 =
+    max|Omega|:
+    - entries: each is a product of at most three rounded factors, and
+      f is the mean of N rounded squares, so each block lies within
+      about (N+3)*u*||H|| of its exact value in norm, and by Weyl so do
+      its eigenvalues;
+    - eigensolver: the backward-stable LAPACK solver gives |dLambda| <=
+      p(n)*u*||H||_2 with p(n) a modestly growing function of the
+      dimension n (LAPACK Users' Guide, error bounds for the symmetric
+      eigenproblem), taken as n: N+1 for the oracle, 2 for the model.
+    That sums to (2N+6)*u = (N+3)*eps.  Over 800 seeded draws (N = 1..8,
+    random ell and omega_q) the deviation stays below 1.2*N*eps*max|Omega|.
+
+    From u = -r+2 the model is approximate: at N=4, ell=0.4 its deviation
+    is 6.2e-4 GHz, reported by `validate` as the soft check
+    `deformed-model-deviation`, not asserted here.
+    """
+
+    @staticmethod
+    def _deviation(lat, ops, model_lattice=None):
+        worst, tol = 0.0, 0.0
+        n = lat.n_qubits
+        for two_u in (-n, -n + 2):
+            exact = oracle.exact_sector_spectrum(ops, two_u)
+            model = polariton.diagonalize_sector(model_lattice or lat, CAV, two_u).eigenvalues
+            dark = np.full(exact.size - model.size, lat.omega_q * (1.0 - 0.5 * n))
+            expected = np.sort(np.concatenate([model, dark]))
+            worst = max(worst, float(np.max(np.abs(exact - expected))))
+            scale = max(1.0, float(np.max(np.abs(exact))))
+            tol = max(tol, (n + 3) * np.finfo(float).eps * scale)
+        return worst, tol
+
+    def test_lowest_two_sectors_match_within_rounding(self):
+        rng = np.random.default_rng(2024)
+        for n in range(1, 9):
+            for _ in range(100):
+                lat = LatticeSpec(n, float(rng.uniform()), float(rng.uniform(5.0, 20.0)))
+                ops = oracle.build_operators(lat, CAV, n_max=2)
+                worst, tol = self._deviation(lat, ops)
+                assert worst <= tol, (n, lat.relative_spacing, worst / tol)
+
+    def test_wrong_deformation_factor_exceeds_bound(self):
+        # f = 1 (the model at ell = 0) against the oracle at ell = 0.4
+        lat = LatticeSpec(4, 0.4, 13.458)
+        ops = oracle.build_operators(lat, CAV, n_max=2)
+        worst, tol = self._deviation(lat, ops, LatticeSpec(4, 0.0, 13.458))
+        assert worst > 1e9 * tol
 
 
 class TestDickeStates:
