@@ -9,9 +9,10 @@ N=4 and N=8, the sizes of the ``pv_check`` operations of the
 radiation-sweep benchmark workload; ``decay_rate`` runs at the CLI
 defaults, one point, and over the 201-point sweeps of the three
 ``decay_sweep`` operations of that workload (ell at N=4 and N=16, omega_q
-at N=4), each as one batched call.  ``chi`` runs for every l on the
-600-point default grid of ``chi-sweep`` at N=16, the larger ``chi_sweep``
-operation of that workload.
+at N=4), each as one batched call.  ``chi`` runs for every l at once on
+the 600-point default grid of ``chi-sweep`` at N=16, the larger
+``chi_sweep`` operation of that workload.  ``check_chi_identity`` is the
+chi cross-check of each ``validate`` (N = 2..8 on a 2000-point grid).
 """
 
 import math
@@ -19,7 +20,7 @@ import math
 import numpy as np
 import pytest
 
-from quasilattice import radiation
+from quasilattice import radiation, validation
 from quasilattice.model import CavitySpec, LatticeSpec
 
 CAVITY = CavitySpec(omega_c=6.729, eta=0.1)
@@ -52,9 +53,10 @@ def test_decay_sweep(benchmark, n, axis):
 def test_chi_sweep_grid(benchmark):
     lattice = LatticeSpec(n_qubits=16, relative_spacing=2.0 / 3.0, omega_q=13.458)
     k_grid = np.linspace(0.05, 30.0, 600)
+    rows = benchmark(radiation.chi, lattice, CAVITY, radiation.l_values(lattice), k_grid)
+    assert rows.shape == (16, 600) and np.all(np.isfinite(rows))
 
-    def every_l():
-        return [radiation.chi(lattice, CAVITY, l, k_grid) for l in radiation.l_values(lattice)]
 
-    rows = benchmark(every_l)
-    assert len(rows) == 16 and all(np.all(np.isfinite(row)) for row in rows)
+def test_check_chi_identity(benchmark):
+    checks = benchmark(lambda: validation.check_chi_identity(np.random.default_rng(0)))
+    assert checks[0].passed

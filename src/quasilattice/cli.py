@@ -50,6 +50,38 @@ def _write_csv(out, header: list[str], blocks, row=lambda *v: v) -> None:
             out.write("".join([template % row(*v) for v in zip(*chunk)]))
 
 
+def _json_pieces(value, sort_keys: bool, indent: str = "\n"):
+    """The text of json.dumps(value, indent=2, sort_keys=sort_keys), in pieces: a flat list of
+    finite floats is joined with float.__repr__, and every other leaf goes to json.dumps."""
+    inner = indent + "  "
+    if isinstance(value, dict) and value:
+        sep = "{" + inner
+        for key, item in sorted(value.items()) if sort_keys else value.items():
+            yield sep + json.dumps(key) + ": "
+            yield from _json_pieces(item, sort_keys, inner)
+            sep = "," + inner
+        yield indent + "}"
+    elif isinstance(value, (list, tuple)) and value:
+        if all(isinstance(v, float) for v in value) and math.isfinite(sum(value)):
+            yield "[" + inner + ("," + inner).join(map(float.__repr__, value)) + indent + "]"
+            return
+        sep = "[" + inner
+        for item in value:
+            yield sep
+            yield from _json_pieces(item, sort_keys, inner)
+            sep = "," + inner
+        yield indent + "]"
+    else:
+        yield json.dumps(value)
+
+
+def _write_json(out, doc, sort_keys: bool = False) -> None:
+    """Write doc as json.dump(doc, out, indent=2, sort_keys=sort_keys) does, piece by piece, and
+    a newline."""
+    out.writelines(_json_pieces(doc, sort_keys))
+    out.write("\n")
+
+
 class _HelpFormatter(argparse.HelpFormatter):
     """Appends an option's default, if it has one, to its help text."""
 
@@ -185,7 +217,7 @@ def run_chi_sweep(args: argparse.Namespace) -> int:
         raise ValueError("need 0 < --k-min < --k-max < inf")
     k_grid = np.linspace(args.k_min, args.k_max, args.k_points)
     ls = radiation.l_values(lattice)
-    rows_by_l = [radiation.chi(lattice, cavity, l, k_grid) for l in ls]
+    rows_by_l = radiation.chi(lattice, cavity, ls, k_grid)
 
     header = ["l_index", "l_value", "omega_k_ghz", "re_chi", "im_chi", "abs_chi", "arg_chi_rad"]
     with _output(args) as out:
@@ -270,8 +302,7 @@ def run_spectrum(args: argparse.Namespace) -> int:
         "sectors": sectors,
     }
     with _output(args) as out:
-        json.dump(doc, out, indent=2)
-        out.write("\n")
+        _write_json(out, doc)
     return EXIT_OK
 
 
@@ -311,11 +342,9 @@ def run_dynamics(args: argparse.Namespace) -> int:
     summary["gamma_analytic"] = gamma
     if args.out:
         with open(args.out + ".summary.json", "w") as sfh:
-            json.dump(summary, sfh, indent=2)
-            sfh.write("\n")
+            _write_json(sfh, summary)
     else:
-        json.dump(summary, sys.stderr, indent=2)
-        sys.stderr.write("\n")
+        _write_json(sys.stderr, summary)
     return EXIT_OK
 
 
@@ -324,8 +353,7 @@ def run_validate(args: argparse.Namespace) -> int:
     doc = report.to_dict()
     doc["seed"] = args.seed
     with _output(args) as out:
-        json.dump(doc, out, indent=2, sort_keys=True)
-        out.write("\n")
+        _write_json(out, doc, sort_keys=True)
     return EXIT_OK if report.passed else EXIT_VALIDATION
 
 

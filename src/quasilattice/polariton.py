@@ -100,11 +100,20 @@ def sector_basis(lattice: LatticeSpec, two_u: int) -> SectorBasis:
     return SectorBasis(two_u=two_u, entries=entries)
 
 
+def _deformation_factors(lattice: LatticeSpec | tuple[LatticeSpec, ...]) -> np.ndarray:
+    """The deformation factor f of each sweep point."""
+    return np.array([deformation_factor(p) for p in sweep_points(lattice)])
+
+
 def _sector_block(
-    lattice: LatticeSpec | tuple[LatticeSpec, ...], cavity: CavitySpec, two_u: int
+    lattice: LatticeSpec | tuple[LatticeSpec, ...],
+    cavity: CavitySpec,
+    two_u: int,
+    f: np.ndarray | None = None,
 ) -> tuple[SectorBasis, np.ndarray]:
     """Basis and the stack of dense block Hamiltonians of one sector, one
-    per sweep point (see ``build_sector_hamiltonian``)."""
+    per sweep point (see ``build_sector_hamiltonian``); f is
+    ``_deformation_factors`` of the points, computed here if not given."""
     points = sweep_points(lattice)
     two_r = points[0].two_r
     basis = sector_basis(points[0], two_u)
@@ -115,7 +124,7 @@ def _sector_block(
         for n, two_m in basis.entries
     ]).T
     omega_q = np.array([p.omega_q for p in points])[:, None]
-    f = np.array([deformation_factor(p) for p in points])[:, None]
+    f = (_deformation_factors(points) if f is None else f)[:, None]
     h = np.zeros((len(points), d * d))
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite blocks raise in diagonalize_sector
         h[:, :: d + 1] = omega_q * two_m / 2.0 + cavity.omega_c * n
@@ -139,7 +148,11 @@ def build_sector_hamiltonian(
 
 
 def diagonalize_sector(
-    lattice: LatticeSpec | tuple[LatticeSpec, ...], cavity: CavitySpec, two_u: int
+    lattice: LatticeSpec | tuple[LatticeSpec, ...],
+    cavity: CavitySpec,
+    two_u: int,
+    *,
+    f: np.ndarray | None = None,
 ) -> PolaritonSector:
     """Polariton branches of one sector, eigenvalues ascending.
 
@@ -153,9 +166,11 @@ def diagonalize_sector(
 
     A tuple of lattices sharing n_qubits is one sweep: eigh solves the
     stack of their blocks at once, block by block as for each point
-    alone, and the sector's arrays gain a leading point axis.
+    alone, and the sector's arrays gain a leading point axis.  A caller
+    that already holds the deformation factor of each point passes it as
+    f, one entry per point.
     """
-    basis, h = _sector_block(lattice, cavity, two_u)
+    basis, h = _sector_block(lattice, cavity, two_u, f)
     try:
         vals, vecs = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
@@ -335,7 +350,11 @@ def closed_form_coefficients(
 
 
 def raising_matrix(
-    lattice: LatticeSpec | tuple[LatticeSpec, ...], upper: PolaritonSector, lower: PolaritonSector
+    lattice: LatticeSpec | tuple[LatticeSpec, ...],
+    upper: PolaritonSector,
+    lower: PolaritonSector,
+    *,
+    f: np.ndarray | None = None,
 ) -> np.ndarray:
     """Collective raising elements from every branch of sector u-1 into
     every branch of sector u, as a dim_u x dim_(u-1) matrix indexed
@@ -345,7 +364,8 @@ def raising_matrix(
     The basis states of the two sectors that share a photon number n are
     joined by the ladder amplitude sqrt(f*(r+u-n)*(r-u+n+1)); their
     coefficient outer products are accumulated in ascending n, so every
-    entry is rounded as a per-element sum over n would be.
+    entry is rounded as a per-element sum over n would be.  f is the
+    deformation factor of each point, computed here if not given.
     """
     if upper.basis.two_u != lower.basis.two_u + 2:
         raise ValueError("raising element requires adjacent sectors u and u-1")
@@ -353,7 +373,7 @@ def raising_matrix(
     stacked = not isinstance(lattice, LatticeSpec)
     upper_c = upper.coefficients if stacked else upper.coefficients[None]
     lower_c = lower.coefficients if stacked else lower.coefficients[None]
-    f = np.array([deformation_factor(p) for p in points])[:, None, None]
+    f = (_deformation_factors(points) if f is None else f)[:, None, None]
     u = upper.basis.two_u / 2.0
     r = points[0].two_r / 2.0
     lower_by_n = {n: j for j, (n, _) in enumerate(lower.basis.entries)}
@@ -373,11 +393,13 @@ def raising_element(
     lower: PolaritonSector,
     branch_upper: int,
     branch_lower: int,
+    *,
+    f: np.ndarray | None = None,
 ) -> float | np.ndarray:
     """Collective raising element from a branch of sector u-1 into u: one
     entry of ``raising_matrix``, per point for a tuple of lattices."""
     # [()] turns the 0-d entry of one lattice into a scalar
-    return raising_matrix(lattice, upper, lower)[..., branch_upper, branch_lower][()]
+    return raising_matrix(lattice, upper, lower, f=f)[..., branch_upper, branch_lower][()]
 
 
 def transition_matrices(
@@ -386,8 +408,10 @@ def transition_matrices(
     """Every sector from the ground sector 2u = -2r up to 2u_max, each
     diagonalized once, and one ``raising_matrix`` per adjacent pair.
 
-    Raises ValueError when 2u_max lies below the ground sector, and
-    EmptySectorError when it has the wrong parity for 2r.
+    Raises ValueError when 2u_max lies below the ground sector or when a
+    bare energy omega_q*m + omega_c*n of the ladder overflows (checked
+    before any sector is diagonalized), and EmptySectorError when 2u_max
+    has the wrong parity for 2r.
     """
     two_r = lattice.two_r
     if two_u_max < -two_r:
@@ -398,12 +422,18 @@ def transition_matrices(
         raise EmptySectorError(
             f"sector ladder top 2u={two_u_max} has the wrong parity for 2r={two_r}"
         )
-    sectors = tuple(
-        diagonalize_sector(lattice, cavity, two_u)
-        for two_u in range(-two_r, two_u_max + 1, 2)
-    )
+    ladder = range(-two_r, two_u_max + 1, 2)
+    bare = [
+        lattice.omega_q * two_m / 2.0 + cavity.omega_c * n
+        for two_u in ladder
+        for n, two_m in sector_basis(lattice, two_u).entries
+    ]
+    if not all(map(math.isfinite, bare)):
+        raise ValueError("a bare sector energy omega_q*m + omega_c*n overflows")
+    f = _deformation_factors(lattice)
+    sectors = tuple(diagonalize_sector(lattice, cavity, two_u, f=f) for two_u in ladder)
     raising = tuple(
-        raising_matrix(lattice, upper, lower) for lower, upper in zip(sectors, sectors[1:])
+        raising_matrix(lattice, upper, lower, f=f) for lower, upper in zip(sectors, sectors[1:])
     )
     return TransitionMatrices(sectors=sectors, raising=raising)
 
@@ -413,13 +443,15 @@ def first_excited_transition(
 ) -> float | np.ndarray:
     """Raising element between the ground sector and the chosen branch of
     the first excited sector (the default radiating transition); for a
-    tuple of lattices sharing n_qubits, one element per point."""
+    tuple of lattices sharing n_qubits, one element per point.  The
+    deformation factor of each point is computed once and shared."""
     two_r = sweep_points(lattice)[0].two_r
-    upper = diagonalize_sector(lattice, cavity, -two_r + 2)
-    lower = diagonalize_sector(lattice, cavity, -two_r)
+    f = _deformation_factors(lattice)
+    upper = diagonalize_sector(lattice, cavity, -two_r + 2, f=f)
+    lower = diagonalize_sector(lattice, cavity, -two_r, f=f)
     if not 0 <= branch < upper.basis.dimension:
         raise ValueError(
             f"branch {branch} outside first excited sector of dimension "
             f"{upper.basis.dimension}"
         )
-    return raising_element(lattice, upper, lower, branch, 0)
+    return raising_element(lattice, upper, lower, branch, 0, f=f)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CavitySpec, LatticeSpec, deformation_factor, sweep_points, unstack
+from .model import CavitySpec, LatticeSpec, sweep_points, unstack
 from .polariton import first_excited_transition
 
 
@@ -92,14 +92,15 @@ def l_values(lattice: LatticeSpec) -> np.ndarray:
 def _site_sum(
     lattice: LatticeSpec | tuple[LatticeSpec, ...], cavity: CavitySpec, weights: np.ndarray, k
 ) -> complex | np.ndarray:
-    """sum_j weights[j] * exp(i*theta*k*j) over the sites j = 0..N-1,
+    """sum_j weights[..., j] * exp(i*theta*k*j) over the sites j = 0..N-1,
     with theta = pi*ell/omega_c the site phase per unit frequency.
 
     Accepts scalar or array k; complex k is allowed (the sum is entire).
     For a tuple of lattices, k carries a leading point axis and each
-    point takes its own theta.  A point with one k is summed as one dot
-    product over the sites, and a point with a k-array as one
-    matrix-vector product, as for that point alone.  Raises ValueError
+    point takes its own theta.  The exponentials are computed once; each
+    weight vector of a stack of them is summed as one matrix-vector
+    product on them (a point with one k as one dot product over the
+    sites), and the stack's axes lead the result.  Raises ValueError
     when a phase or the sum overflows.
     """
     points = sweep_points(lattice)
@@ -111,67 +112,81 @@ def _site_sum(
     with np.errstate(over="ignore", invalid="ignore"):  # raised below instead
         theta = math.pi * np.array([p.relative_spacing for p in points]) / cavity.omega_c
         phase = (1j * theta).reshape((-1,) + (1,) * k_rows.ndim) * np.multiply.outer(k_rows, j)
-        out = np.exp(phase) @ weights
+        exps = np.exp(phase)
+        out = np.stack([exps @ w for w in np.reshape(weights, (-1, j.size))], axis=1)
     if not (np.isfinite(phase).all() and np.isfinite(out).all()):
         raise ValueError("site phase pi*ell*k*j/omega_c, or the sum over sites, overflows")
-    out = unstack(out.reshape(k_arr.shape), lattice)
-    if np.ndim(k) == 0:
+    out = unstack(out.reshape(k_arr.shape[:1] + np.shape(weights)[:-1] + k_arr.shape[1:]), lattice)
+    if np.ndim(out) == 0:
         return complex(out)
     return out
 
 
+def _l_rows(l, rows: list) -> complex | np.ndarray:
+    """One row per entry of l as one array, l's axes leading; the one row of a scalar l as is."""
+    return rows[0] if np.ndim(l) == 0 else np.array(rows).reshape(np.shape(l) + np.shape(rows[0]))
+
+
 def chi(
-    lattice: LatticeSpec, cavity: CavitySpec, l: float, k
+    lattice: LatticeSpec, cavity: CavitySpec, l, k
 ) -> complex | np.ndarray:
     """Coupling coefficient of collective mode l to a photon of
     frequency k (GHz), as the direct finite sum over qubit sites.
 
     Accepts scalar or array k; complex k is allowed (the sum is entire).
+    An array of l adds its axes in front: the site exponentials, which
+    do not depend on l, are computed once, and each l is one
+    matrix-vector product on them, bit for bit its scalar call.
     """
     j = np.arange(lattice.n_qubits)
-    return _site_sum(lattice, cavity, np.cos(j * math.pi * l), k)
+    return _site_sum(lattice, cavity, np.cos(np.multiply.outer(l, j * math.pi)), k)
 
 
 def chi_closed_form(
-    lattice: LatticeSpec, cavity: CavitySpec, l: float, k
+    lattice: LatticeSpec, cavity: CavitySpec, l, k
 ) -> complex | np.ndarray:
     """Geometric-sum closed form of the coupling coefficient.
 
     Cross-check only; raises SingularDenominatorError when the
-    denominator magnitude drops below 1e-9 anywhere on the input.
+    denominator magnitude drops below 1e-9 anywhere on the input.  An
+    array of l adds its axes in front, as for ``chi``; the phase
+    factors e^{i*phi}, e^{i*N*phi} and e^{i*(N+1)*phi} are computed once.
     """
     n = lattice.n_qubits
     k_arr = np.asarray(k, dtype=complex)
     phase = math.pi * lattice.relative_spacing / cavity.omega_c * k_arr
     e1 = np.exp(1j * phase)
-    num = (
-        1.0
-        + np.exp(1j * (n + 1) * phase) * math.cos(l * (n - 1) * math.pi)
-        - np.exp(1j * n * phase) * math.cos(n * l * math.pi)
-        - e1 * math.cos(l * math.pi)
-    )
-    den = 1.0 + e1 * e1 - 2.0 * e1 * math.cos(l * math.pi)
-    if np.any(np.abs(den) <= 1e-9):
-        raise SingularDenominatorError(
-            f"closed-form denominator below 1e-9 for l={l}"
+    e_n = np.exp(1j * n * phase)
+    e_n1 = np.exp(1j * (n + 1) * phase)
+    rows = []
+    for l_i in np.ravel(l).tolist():
+        num = (
+            1.0
+            + e_n1 * math.cos(l_i * (n - 1) * math.pi)
+            - e_n * math.cos(n * l_i * math.pi)
+            - e1 * math.cos(l_i * math.pi)
         )
-    out = num / den
-    if np.ndim(k) == 0:
-        return complex(out)
-    return out
+        den = 1.0 + e1 * e1 - 2.0 * e1 * math.cos(l_i * math.pi)
+        if np.any(np.abs(den) <= 1e-9):
+            raise SingularDenominatorError(
+                f"closed-form denominator below 1e-9 for l={l_i}"
+            )
+        out = num / den
+        rows.append(complex(out) if np.ndim(k) == 0 else out)
+    return _l_rows(l, rows)
 
 
 CHI_CLOSED_FORM_C = 16.0
 
 
 def chi_closed_form_error_bound(
-    lattice: LatticeSpec, cavity: CavitySpec, l: float, k
+    lattice: LatticeSpec, cavity: CavitySpec, l, k
 ) -> np.ndarray:
     """Per-point bound on |chi - chi_closed_form| in float64 arithmetic
     at real frequencies k:
     C*eps*(N+1)*max(1, theta)/|den|, with theta = pi*ell*k/omega_c the
     site phase, den the closed form's denominator, eps machine epsilon
-    and C = CHI_CLOSED_FORM_C.
+    and C = CHI_CLOSED_FORM_C.  An array of l adds its axes in front.
 
     First-order analysis: theta is off by about eps*theta, so the phase
     factors exp(i*j*theta), j = 1, N, N+1, are off by up to about
@@ -187,14 +202,16 @@ def chi_closed_form_error_bound(
     k_arr = np.asarray(k, dtype=float)
     theta = math.pi * lattice.relative_spacing / cavity.omega_c * k_arr
     e1 = np.exp(1j * theta)
-    den = 1.0 + e1 * e1 - 2.0 * e1 * math.cos(l * math.pi)
-    return (
+    scale = (
         CHI_CLOSED_FORM_C
         * np.finfo(float).eps
         * (lattice.n_qubits + 1)
         * np.maximum(1.0, np.abs(theta))
-        / np.abs(den)
     )
+    return _l_rows(l, [
+        scale / np.abs(1.0 + e1 * e1 - 2.0 * e1 * math.cos(l_i * math.pi))
+        for l_i in np.ravel(l).tolist()
+    ])
 
 
 def s_factor(
@@ -251,7 +268,8 @@ def decay_rate(
     quasi-period multiple, so elsewhere the value is not a rate and can
     be negative.  Dimensionless by default; with prefactor inputs the
     physical rate k_q*mu^2/(4*epsilon_d*A) times the normalized value is
-    included.
+    included, and a prefactor or physical rate that overflows at any
+    point raises ValueError.
 
     A tuple of lattices sharing n_qubits is one sweep, evaluated in one
     pass: both sectors of every point in one stacked eigensolve, and one
@@ -279,13 +297,18 @@ def decay_rate(
     gamma = 2.0 * np.float_power(s_kq, 2) - np.float_power(s_0, 2)
     physical = None
     if prefactor_inputs is not None:
-        with np.errstate(over="ignore"):  # an overflow gives inf silently, as float arithmetic does
-            pref = (
-                k_q
-                * prefactor_inputs.mu**2
-                / (4.0 * prefactor_inputs.epsilon_d * prefactor_inputs.area)
-            )
-            physical = unstack(pref * gamma, lattice)
+        try:
+            with np.errstate(over="raise"):
+                pref = (
+                    k_q
+                    * prefactor_inputs.mu**2
+                    / (4.0 * prefactor_inputs.epsilon_d * prefactor_inputs.area)
+                )
+                physical = unstack(pref * gamma, lattice)
+        except FloatingPointError as exc:
+            raise ValueError(
+                "prefactor k_q*mu^2/(4*epsilon_d*area), or the physical rate, overflows"
+            ) from exc
     return DecayResult(
         gamma_normalized=unstack(gamma, lattice),
         s_at_kq=unstack(s_kq, lattice),

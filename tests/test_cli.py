@@ -152,10 +152,22 @@ class TestSpectrum:
         assert [sec["two_u"] for sec in json.loads(out.read_text())["sectors"]] == [-4]
 
     def test_overflowing_sector_is_validation_failure(self, tmp_path, capsys):
-        # omega_c*n overflows to inf in the 2u=0 block
+        # every bare energy is finite (at most 8.5e307), but the 2u=1 block's
+        # eigenvalues 8.5e307 +- 1.7e308 overflow in the eigensolve itself
         out = tmp_path / "spec.json"
-        assert run(["spectrum", "--omega-c", "1e308", "--out", str(out)]) == cli.EXIT_VALIDATION
+        argv = ["--n", "1", "--omega-q", "1.7e308", "--omega-c", "1.7e308", "--eta", "1.7e308",
+                "--u-max-offset", "1"]
+        assert run(["spectrum", *argv, "--out", str(out)]) == cli.EXIT_VALIDATION
         assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--omega-c", "--omega-q"])
+    def test_overflowing_bare_energy_is_usage_error(self, tmp_path, capsys, flag):
+        # omega_c*n (2u = 4) or omega_q*m (2u = -4) overflows before any eigensolve
+        out = tmp_path / "spec.json"
+        assert run(["spectrum", flag, "1e308", "--out", str(out)]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "bare sector energy" in err
         assert not out.exists()
 
 
@@ -412,6 +424,16 @@ class TestPlumbing:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "mu^2" in err
 
+    @pytest.mark.parametrize("epsilon_d, area", [("1e-300", "1"), ("1", "1e-300")])
+    def test_overflowing_prefactor_is_usage_error(self, tmp_path, capsys, epsilon_d, area):
+        # k_q*mu^2/(4*epsilon_d*A) overflows: bad arguments, not inf rows with exit 0
+        out = tmp_path / "x.csv"
+        argv = ["decay-sweep", "--mu", "1e150", "--epsilon-d", epsilon_d, "--area", area]
+        assert run(argv + ["--out", str(out)]) == cli.EXIT_USAGE
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: prefactor") and err.count("\n") == 1
+
     def test_unallocatable_horizon_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "dyn.csv"
         code = run(["dynamics", "--modes", "1", "--t-final", "1e15", "--out", str(out)])
@@ -554,3 +576,76 @@ class TestCsvBytes:
         assert run(argv) == 0
         assert sum(writes) == 1 + rows
         assert max(writes) <= cli._CHUNK_ROWS
+
+
+_JSON_EDGES = [
+    math.nan, math.inf, -math.inf, -0.0, 5e-324, [], {}, None, True, False, "\u00e9\u2603",
+    [math.nan, 1.0], [-math.inf, 0.5], [-0.0, 5e-324, 1.7976931348623157e308], [1e308, 1e308],
+    [1.0, 2, 3.5], [True, 1.0], [[], {}, [[]]], (1.0, 2.0), [np.float64(0.1), 0.2],
+    {"b": {"\u00fc": [1.0, None]}, "a": [{"z": 1, "y": []}], "c": np.float64(-2.5)},
+]
+
+
+class TestJsonBytes:
+    """The streaming emitter writes what json.dump(doc, out, indent=2[, sort_keys=True]) writes."""
+
+    def _capture(self, monkeypatch):
+        docs = []
+        write = cli._write_json
+
+        def spy(out, doc, sort_keys=False):
+            docs.append((doc, sort_keys))
+            write(out, doc, sort_keys)
+
+        monkeypatch.setattr(cli, "_write_json", spy)
+        return docs
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_spectrum_matches_json_dump(self, tmp_path, monkeypatch, n):
+        docs = self._capture(monkeypatch)
+        out = tmp_path / "spec.json"
+        argv = ["spectrum", "--n", str(n), "--u-max-offset", str(n), "--ell", "0.37", "--out", str(out)]
+        assert run(argv) == 0
+        [(doc, sort_keys)] = docs
+        assert out.read_text() == json.dumps(doc, indent=2, sort_keys=sort_keys) + "\n"
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_validate_matches_json_dump(self, tmp_path, monkeypatch, seed):
+        docs = self._capture(monkeypatch)
+        out = tmp_path / "report.json"
+        assert run(["validate", "--seed", str(seed), "--out", str(out)]) == 0
+        [(doc, sort_keys)] = docs
+        assert sort_keys and out.read_text() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+    def test_dynamics_summary_matches_json_dump(self, tmp_path, monkeypatch):
+        docs = self._capture(monkeypatch)
+        out = tmp_path / "dyn.csv"
+        assert run(["dynamics", "--modes", "51", "--out", str(out)]) == 0
+        [(doc, _)] = docs
+        assert type(doc["gamma_analytic"]) is np.float64
+        text = Path(str(out) + ".summary.json").read_text()
+        assert text == json.dumps(doc, indent=2) + "\n"
+
+    @pytest.mark.parametrize("sort_keys", [False, True])
+    @pytest.mark.parametrize("doc", _JSON_EDGES)
+    def test_edge_values(self, doc, sort_keys):
+        got = io.StringIO()
+        cli._write_json(got, doc, sort_keys)
+        assert got.getvalue() == json.dumps(doc, indent=2, sort_keys=sort_keys) + "\n"
+
+    def test_written_in_pieces(self, monkeypatch):
+        # The document is never built whole in memory: its largest piece is
+        # one flat list of floats.
+        pieces = []
+
+        class Recorder:
+            def write(self, text):
+                pieces.append(text)
+
+            def writelines(self, lines):
+                for text in lines:
+                    self.write(text)
+
+        monkeypatch.setattr(sys, "stdout", Recorder())
+        assert run(["spectrum", "--n", "16", "--u-max-offset", "16"]) == 0
+        assert max(map(len, pieces)) < sum(map(len, pieces)) / 100

@@ -65,6 +65,87 @@ class TestChi:
         assert closed == pytest.approx(direct, abs=1e-10)
 
 
+def _outcome(fn, *args):
+    """fn's value as its bytes and shape, or the type and message of what it raises."""
+    try:
+        value = np.asarray(fn(*args))
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return value.tobytes(), value.shape
+
+
+def _former_chi_identity(rng):
+    """check_chi_identity's residual as it was computed before every l
+    shared one call: l by l, on that l's healthy points only."""
+    worst = 0.0
+    for n in range(2, 9):
+        lat = LatticeSpec(n_qubits=n, relative_spacing=float(rng.uniform(0.05, 0.95)), omega_q=13.458)
+        cav = CavitySpec(omega_c=6.729, eta=0.1)
+        k = np.linspace(0.02, 40.0, 2000)
+        for l in radiation.l_values(lat):
+            phase = math.pi * lat.relative_spacing / cav.omega_c * k
+            den = 1.0 + np.exp(2j * phase) - 2.0 * np.exp(1j * phase) * math.cos(l * math.pi)
+            good = np.abs(den) > 1e-3
+            if not np.any(good):
+                continue
+            a = radiation.chi(lat, cav, l, k[good])
+            b = radiation.chi_closed_form(lat, cav, l, k[good])
+            bound = radiation.chi_closed_form_error_bound(lat, cav, l, k[good])
+            worst = max(worst, float(np.max(np.abs(a - b) / bound)))
+    return worst
+
+
+class TestArrayL:
+    """An array of l gives, bit for bit, the scalar call of each l along a leading axis."""
+
+    K_REAL = np.linspace(0.05, 30.0, 97)
+
+    @pytest.mark.filterwarnings("ignore:divide by zero")  # the bound on a pole, as l by l
+    @pytest.mark.parametrize("n", [1, 3, 4, 16])
+    @pytest.mark.parametrize("ell", [0.0, 0.37, 2 / 3, 1.0])
+    @pytest.mark.parametrize("k", [K_REAL, K_REAL + 0.4j * np.cos(K_REAL), 7.5, 2.0 - 0.3j, 0.0])
+    def test_matches_scalar_calls(self, n, ell, k):
+        lat = LatticeSpec(n, ell, 13.458)
+        ls = radiation.l_values(lat)
+        functions = [radiation.chi, radiation.chi_closed_form]
+        if np.isrealobj(k):
+            functions.append(radiation.chi_closed_form_error_bound)
+        for fn in functions:
+            per_l = [_outcome(fn, lat, CAV, l, k) for l in ls]
+            raised = [o for o in per_l if isinstance(o[0], type)]
+            if raised:  # the closed form refuses a pole: the first l on one decides
+                assert _outcome(fn, lat, CAV, ls, k) == raised[0]
+                continue
+            stacked = np.asarray(fn(lat, CAV, ls, k))
+            assert stacked.shape == (n,) + np.shape(k)
+            assert stacked.tobytes() == b"".join(o[0] for o in per_l)
+
+    def test_scalar_l_types_unchanged(self):
+        assert type(radiation.chi(LAT, CAV, 0.25, 7.5)) is complex
+        assert type(radiation.chi_closed_form(LAT, CAV, 0.25, 7.5)) is complex
+        assert type(radiation.chi_closed_form_error_bound(LAT, CAV, 0.25, 7.5)) is np.float64
+        assert radiation.chi(LAT, CAV, [0.25, 0.5], 7.5).shape == (2,)
+        assert radiation.chi(LAT, CAV, np.zeros((2, 3)), self.K_REAL).shape == (2, 3, 97)
+
+    @pytest.mark.parametrize("whole_grid", [True, False])
+    def test_check_chi_identity_matches_former_loop(self, monkeypatch, whole_grid):
+        # rng seeds 20, 25, 26 and 33 put a grid point on some l's pole, where
+        # the whole-grid closed form refuses and the check goes l by l; without
+        # whole_grid every lattice is refused there, so that path runs alone
+        if not whole_grid:
+            closed_form = radiation.chi_closed_form
+
+            def refuse_l_arrays(lat, cav, l, k):
+                if np.ndim(l):
+                    raise radiation.SingularDenominatorError("refused")
+                return closed_form(lat, cav, l, k)
+
+            monkeypatch.setattr(radiation, "chi_closed_form", refuse_l_arrays)
+        for seed in [*range(8), 20, 25, 26, 33]:
+            new = validation.check_chi_identity(np.random.default_rng(seed))[0].residual
+            assert repr(new) == repr(_former_chi_identity(np.random.default_rng(seed))), seed
+
+
 class TestQuasiPeriod:
     def test_reference_value(self):
         assert radiation.quasi_period(LAT, CAV) == pytest.approx(20.187, abs=1e-12)
@@ -138,6 +219,15 @@ class TestDecayRate:
         res = radiation.decay_rate(LAT, CAV, pref)
         expected = LAT.k_q * 0.5**2 / (4 * 2.0 * 1.5) * res.gamma_normalized
         assert res.gamma_physical == pytest.approx(expected)
+
+    @pytest.mark.parametrize("epsilon_d, area", [(1e-300, 1.0), (1.0, 1e-300)])
+    def test_overflowing_prefactor_raises(self, epsilon_d, area):
+        pref = radiation.PrefactorInputs(mu=1e150, epsilon_d=epsilon_d, area=area)
+        with pytest.raises(ValueError, match="prefactor"):
+            radiation.decay_rate(LAT, CAV, pref)
+        sweep = (LAT, LatticeSpec(4, 0.5, 13.458))
+        with pytest.raises(ValueError, match="prefactor"):
+            radiation.decay_rate(sweep, CAV, pref)
 
     def test_prefactor_validation(self):
         with pytest.raises(ValueError):
@@ -292,6 +382,17 @@ class TestBatchedDecayRate:
         ]
         for column, name in zip(rows[:, 2:].T, _DECAY_FIELDS):
             assert column.tobytes() == np.array([getattr(r, name) for r in references]).tobytes(), name
+
+    def test_deformation_factor_once_per_point(self, monkeypatch):
+        calls = []
+        real = polariton.deformation_factor
+        monkeypatch.setattr(polariton, "deformation_factor", lambda p: calls.append(p) or real(p))
+        sweep = tuple(LatticeSpec(4, ell, 13.458) for ell in np.linspace(0.0, 1.0, 21).tolist())
+        radiation.decay_rate(sweep, CAV)
+        assert calls == list(sweep)
+        calls.clear()
+        polariton.transition_matrices(LAT, CAV, 4)
+        assert calls == [LAT]
 
     def test_mixed_qubit_counts_rejected(self):
         with pytest.raises(ValueError):
