@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import itertools
 import json
 import math
@@ -160,6 +161,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="seed for randomized validation draws")
 
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser ``main`` reuses: parse_args leaves a parser as it
+    found it, and building one costs more than any parse."""
+    return build_parser()
 
 
 def _config_argv(path: str) -> list[str]:
@@ -369,7 +377,7 @@ _RUNNERS = {
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _parse(build_parser(), argv)
+        args = _parse(_parser(), argv)
         return _RUNNERS[args.command](args)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK

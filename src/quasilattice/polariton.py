@@ -113,7 +113,9 @@ def _sector_block(
 ) -> tuple[SectorBasis, np.ndarray]:
     """Basis and the stack of dense block Hamiltonians of one sector, one
     per sweep point (see ``build_sector_hamiltonian``); f is
-    ``_deformation_factors`` of the points, computed here if not given."""
+    ``_deformation_factors`` of the points, computed here if not given.
+    A bare energy omega_q*m + omega_c*n that overflows at any point
+    raises ValueError."""
     points = sweep_points(lattice)
     two_r = points[0].two_r
     basis = sector_basis(points[0], two_u)
@@ -126,9 +128,11 @@ def _sector_block(
     omega_q = np.array([p.omega_q for p in points])[:, None]
     f = (_deformation_factors(points) if f is None else f)[:, None]
     h = np.zeros((len(points), d * d))
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite blocks raise in diagonalize_sector
+    with np.errstate(over="ignore", invalid="ignore"):  # raised below or in diagonalize_sector
         h[:, :: d + 1] = omega_q * two_m / 2.0 + cavity.omega_c * n
         off = eta_sqrt_n[1:] * np.sqrt(f * rm[1:] * rm1[1:])
+    if not np.isfinite(h[:, :: d + 1]).all():
+        raise ValueError("a bare sector energy omega_q*m + omega_c*n overflows")
     h[:, 1 :: d + 1] = off  # the superdiagonal and the subdiagonal of each block
     h[:, d :: d + 1] = off
     return basis, h.reshape(len(points), d, d)
@@ -161,8 +165,9 @@ def diagonalize_sector(
     most N+1, so the O(n^3) dense solve stays small, and numpy alone
     serves it.  Coefficient columns carry the gauge c_0 >= 0 (first
     nonzero entry nonnegative for decoupled cases where c_0 = 0).  A
-    LAPACK failure, or a non-finite eigenvalue or coefficient, as from
-    an overflowing omega_c*n, raises RuntimeError.
+    bare energy omega_q*m + omega_c*n that overflows raises ValueError
+    before any eigensolve; a LAPACK failure, or a non-finite eigenvalue
+    or coefficient, as from an overflowing coupling, raises RuntimeError.
 
     A tuple of lattices sharing n_qubits is one sweep: eigh solves the
     stack of their blocks at once, block by block as for each point
@@ -409,9 +414,8 @@ def transition_matrices(
     diagonalized once, and one ``raising_matrix`` per adjacent pair.
 
     Raises ValueError when 2u_max lies below the ground sector or when a
-    bare energy omega_q*m + omega_c*n of the ladder overflows (checked
-    before any sector is diagonalized), and EmptySectorError when 2u_max
-    has the wrong parity for 2r.
+    bare energy omega_q*m + omega_c*n of the ladder overflows, and
+    EmptySectorError when 2u_max has the wrong parity for 2r.
     """
     two_r = lattice.two_r
     if two_u_max < -two_r:
@@ -423,13 +427,6 @@ def transition_matrices(
             f"sector ladder top 2u={two_u_max} has the wrong parity for 2r={two_r}"
         )
     ladder = range(-two_r, two_u_max + 1, 2)
-    bare = [
-        lattice.omega_q * two_m / 2.0 + cavity.omega_c * n
-        for two_u in ladder
-        for n, two_m in sector_basis(lattice, two_u).entries
-    ]
-    if not all(map(math.isfinite, bare)):
-        raise ValueError("a bare sector energy omega_q*m + omega_c*n overflows")
     f = _deformation_factors(lattice)
     sectors = tuple(diagonalize_sector(lattice, cavity, two_u, f=f) for two_u in ladder)
     raising = tuple(

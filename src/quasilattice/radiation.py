@@ -268,8 +268,8 @@ def decay_rate(
     quasi-period multiple, so elsewhere the value is not a rate and can
     be negative.  Dimensionless by default; with prefactor inputs the
     physical rate k_q*mu^2/(4*epsilon_d*A) times the normalized value is
-    included, and a prefactor or physical rate that overflows at any
-    point raises ValueError.
+    included, and a prefactor, its denominator or the physical rate that
+    overflows at any point raises ValueError.
 
     A tuple of lattices sharing n_qubits is one sweep, evaluated in one
     pass: both sectors of every point in one stacked eigensolve, and one
@@ -280,8 +280,9 @@ def decay_rate(
     pow, as the scalar abs and ** 2 compute them (np.abs and ** 2 on an
     array round differently).  When a sweep fails, its points are redone
     one at a time, so that it raises what its first failing point raises
-    alone: a ValueError for a bad branch or an overflowing site phase, a
-    RuntimeError for a non-finite sector.
+    alone: a ValueError for a bad branch, an overflowing site phase or an
+    overflowing bare sector energy, a RuntimeError for any other
+    non-finite sector.
     """
     points = sweep_points(lattice)
     k_q = np.array([p.k_q for p in points])
@@ -302,12 +303,13 @@ def decay_rate(
                 pref = (
                     k_q
                     * prefactor_inputs.mu**2
-                    / (4.0 * prefactor_inputs.epsilon_d * prefactor_inputs.area)
+                    / (np.float64(4.0) * prefactor_inputs.epsilon_d * prefactor_inputs.area)
                 )
                 physical = unstack(pref * gamma, lattice)
         except FloatingPointError as exc:
             raise ValueError(
-                "prefactor k_q*mu^2/(4*epsilon_d*area), or the physical rate, overflows"
+                "prefactor k_q*mu^2/(4*epsilon_d*area), its denominator, "
+                "or the physical rate, overflows"
             ) from exc
     return DecayResult(
         gamma_normalized=unstack(gamma, lattice),

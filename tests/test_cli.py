@@ -97,8 +97,8 @@ class TestDecaySweep:
     @pytest.mark.parametrize("argv, code, message", [
         (["--branch", "2"], cli.EXIT_USAGE, "branch 2 outside"),
         (["--branch", "-1"], cli.EXIT_USAGE, "branch -1 outside"),
-        (["--omega-q", "1e308"], cli.EXIT_VALIDATION, "non-finite"),
-        (["--sweep", "omega-q", "--omega-q-max", "1e308"], cli.EXIT_VALIDATION, "non-finite"),
+        (["--omega-q", "1e308"], cli.EXIT_USAGE, "bare sector energy"),
+        (["--sweep", "omega-q", "--omega-q-max", "1e308"], cli.EXIT_USAGE, "bare sector energy"),
         (["--omega-c", "1e-308"], cli.EXIT_USAGE, "site phase"),
         (["--ell-min", "0.5", "--ell-max", "0.2"], cli.EXIT_USAGE, "ell sweep range"),
         (["--ell-max", "nan"], cli.EXIT_USAGE, "ell sweep range"),
@@ -246,6 +246,22 @@ class TestPlumbing:
     def test_bad_arguments_exit_code(self):
         assert run(["chi-sweep", "--k-points", "1"]) == cli.EXIT_USAGE
         assert run(["no-such-command"]) == cli.EXIT_USAGE
+
+    def test_main_builds_one_parser(self, monkeypatch, tmp_path):
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        cli._parser.cache_clear()
+        try:
+            assert run(["validate", "--n", "8"]) == cli.EXIT_USAGE
+            out = tmp_path / "a.csv"
+            assert run(["chi-sweep", "--k-points", "5", "--n", "2", "--out", str(out)]) == 0
+            # a reused parser keeps no value of an earlier command line
+            args = cli._parse(cli._parser(), ["chi-sweep"])
+        finally:
+            cli._parser.cache_clear()
+        assert len(built) == 1
+        assert (args.k_points, args.n, args.out) == (600, 4, None)
 
     def test_missing_output_directory(self, tmp_path):
         out = tmp_path / "nope" / "x.csv"
@@ -424,9 +440,13 @@ class TestPlumbing:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "mu^2" in err
 
-    @pytest.mark.parametrize("epsilon_d, area", [("1e-300", "1"), ("1", "1e-300")])
+    @pytest.mark.parametrize(
+        "epsilon_d, area", [("1e-300", "1"), ("1", "1e-300"), ("1e200", "1e200")]
+    )
     def test_overflowing_prefactor_is_usage_error(self, tmp_path, capsys, epsilon_d, area):
-        # k_q*mu^2/(4*epsilon_d*A) overflows: bad arguments, not inf rows with exit 0
+        # k_q*mu^2/(4*epsilon_d*A) overflows: bad arguments, not inf rows
+        # with exit 0; or its denominator does, though the prefactor (about
+        # 3.4e-100) would not: bad arguments, not rows of 0 and -0
         out = tmp_path / "x.csv"
         argv = ["decay-sweep", "--mu", "1e150", "--epsilon-d", epsilon_d, "--area", area]
         assert run(argv + ["--out", str(out)]) == cli.EXIT_USAGE

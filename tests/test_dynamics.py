@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -83,26 +82,6 @@ class TestBathSpec:
         with pytest.raises(ValueError, match="spacing"):
             dynamics.BathSpec(np.array([1.0, 2.0]), np.array([0.1, 0.1]), spacing)
 
-    @pytest.mark.parametrize("epsilon_d", [0.0, -1.0])
-    def test_physical_bath_rejects_non_finite_couplings(self, epsilon_d):
-        # 1/0 and sqrt of a negative would give inf and nan couplings;
-        # the inputs are rejected before any coupling is computed
-        with pytest.raises(ValueError, match="finite"):
-            dynamics.physical_bath(LAT, 0.5, 11, mu=1.0, epsilon_d=epsilon_d, volume=1.0)
-
-    @pytest.mark.parametrize("name, value", [
-        ("epsilon_d", 0.0), ("epsilon_d", -1.0), ("epsilon_d", math.nan),
-        ("volume", 0.0), ("volume", -2.0), ("volume", math.inf),
-        ("speed", 0.0), ("speed", -1.0), ("speed", math.nan),
-        ("mu", math.nan), ("mu", -math.inf),
-    ])
-    def test_physical_bath_checks_inputs_before_arithmetic(self, name, value):
-        inputs = {"mu": 1.0, "epsilon_d": 1.0, "volume": 1.0, "speed": 1.0, name: value}
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="finite and positive"):
-                dynamics.physical_bath(LAT, 0.5, 11, **inputs)
-
     def test_rejects_nonpositive_frequencies(self):
         with pytest.raises(ValueError):
             dynamics.normalized_bath(LAT, bandwidth=100.0, n_modes=11)
@@ -111,11 +90,6 @@ class TestBathSpec:
     def test_rejects_non_finite_bandwidth(self, bandwidth):
         with pytest.raises(ValueError):
             dynamics.normalized_bath(LAT, bandwidth=bandwidth, n_modes=11)
-
-    def test_physical_couplings_scale(self):
-        a = dynamics.physical_bath(LAT, 0.5, 11, mu=1.0, epsilon_d=1.0, volume=1.0)
-        b = dynamics.physical_bath(LAT, 0.5, 11, mu=2.0, epsilon_d=1.0, volume=1.0)
-        assert np.allclose(b.couplings, 2.0 * a.couplings)
 
 
 class TestIntegration:
@@ -227,6 +201,104 @@ class TestIntegration:
         assert traj.alpha[0] == 1.0
         assert traj.beta_total_sq[0] == 0.0
         assert traj.norm_history[0] == 1.0
+
+
+def _arrowhead_eigensystem(lattice, cavity, bath):
+    """lam and V of the rotating-frame arrowhead H, built as
+    ``integrate_amplitudes`` builds it."""
+    s_k = np.atleast_1d(radiation.s_factor(lattice, cavity, bath.mode_frequencies))
+    h = np.diag(np.concatenate(([0.0], lattice.omega_q - bath.mode_frequencies)))
+    h[0, 1:] = h[1:, 0] = bath.couplings * np.abs(s_k)
+    return np.linalg.eigh(h)
+
+
+def _whole_time_alpha(lam, vecs, times):
+    """alpha by the q*B + r block product that ``integrate_amplitudes``
+    has always used."""
+    n_steps = times.size - 1
+    block = math.isqrt(n_steps) + 1
+    e_q = np.exp(-1j * np.multiply.outer(times[::block], lam)) * vecs[0] ** 2
+    e_r = np.exp(-1j * np.multiply.outer(times[:block], lam))
+    alpha = (e_q @ e_r.T).ravel()[: n_steps + 1]
+    alpha[0] = 1.0
+    return alpha
+
+
+def _whole_time_bath(lam, vecs, sampled, chunk=256):
+    """sum_k |beta_k|^2 with the phase of every sample from one cos and
+    one sin of lam*t, and one product each for the real and imaginary
+    parts: the bath evaluation before the block phases."""
+    v0, bath_vecs = vecs[0], vecs[1:].T
+    beta_sq = np.empty(sampled.size)
+    for lo in range(0, sampled.size, chunk):
+        phase = np.multiply.outer(sampled[lo : lo + chunk], lam)
+        re = (np.cos(phase) * v0) @ bath_vecs
+        im = (np.sin(phase) * v0) @ bath_vecs
+        beta_sq[lo : lo + chunk] = np.sum(re * re + im * im, axis=1)
+    beta_sq[0] = 0.0
+    return beta_sq
+
+
+def _bath_tolerance(lam, t_final):
+    """Bound on the gap between two evaluations of sum_k |beta_k|^2 whose
+    phases e_j = exp(-i lam_j t) are rounded differently.
+
+    The block route forms t_lo*lam_j and t_r*lam_j, where t_lo + t_r is
+    within 2*eps*t_final of the sampled t, and the whole-time route forms
+    t*lam_j: the arguments differ by at most 4*eps*|lam_j|*t_final.  Two
+    complex exponentials, their product and the weight V_0j add at most
+    8*eps, so the weights w_j = V_0j e_j of the two routes differ by
+    delta_phase*|V_0j| with delta_phase = eps*(4*max|lam|*t_final + 8),
+    and in the 2-norm by delta_phase, as |V_0| = 1.  The bath amplitudes
+    b = V_bath w move by no more, the rows of V being orthonormal.  Each
+    route's products round every b_k by gamma_{M+1}*sum_j |V_kj||w_j|,
+    which is at most gamma_{M+1}*sqrt(M) in the 2-norm over k, for the
+    real and the imaginary part alike: 4*gamma_{M+1}*sqrt(M) for both
+    routes.  With delta the sum of the two, and |b| <= 1,
+    |sum|b|^2 - sum|b'|^2| <= (|b| + |b'|)*|b - b'| <= (2 + delta)*delta,
+    plus 3*gamma_{M+1} for squaring and summing M terms in each route.
+    """
+    eps = np.finfo(float).eps
+    m = lam.size
+    gamma = m * eps / (1.0 - m * eps)
+    delta = eps * (4.0 * np.max(np.abs(lam)) * t_final + 8.0) + 4.0 * gamma * math.sqrt(m - 1)
+    return (2.0 + delta) * delta + 3.0 * gamma
+
+
+BATH_CASES = {
+    # bath, cavity, t_final, dt, sample_stride
+    "defaults": (dynamics.normalized_bath(LAT, 0.5, 601), CAV, None, 0.2, 10),
+    # 601 samples: two full chunks and a partial one
+    "stride-1-partial-chunk": (dynamics.normalized_bath(LAT, 0.4, 51), CAV, 120.0, 0.2, 1),
+    # 512 samples: exactly two chunks
+    "whole-chunks": (dynamics.normalized_bath(LAT, 0.4, 51), CAV, 102.2, 0.2, 1),
+    # 351 samples at stride 10
+    "stride-10": (dynamics.normalized_bath(LAT, 0.4, 51), CAV, 700.0, 0.2, 10),
+    # 101 samples, fewer than one chunk
+    "short": (dynamics.normalized_bath(LAT, 0.4, 51), CAV, 20.0, 0.2, 1),
+    "one-mode": (dynamics.BathSpec(np.array([LAT.omega_q]), np.array([0.05]), 1.0),
+                 CAV, 300.0, 0.5, 1),
+    "eta-0": (dynamics.normalized_bath(LAT, 0.4, 51), CavitySpec(6.729, 0.0), 120.0, 0.2, 1),
+}
+
+
+class TestBathEvaluation:
+    """The block phases against one exponential of the whole time."""
+
+    @pytest.mark.parametrize("case", sorted(BATH_CASES))
+    def test_matches_whole_time_phases(self, case):
+        bath, cavity, t_final, dt, stride = BATH_CASES[case]
+        if t_final is None:  # the horizon ``dynamics`` picks at its defaults
+            gamma = radiation.decay_rate(LAT, cavity).gamma_normalized
+            t_final = min(3.0 / gamma, 0.8 * 2.0 * math.pi / bath.spacing)
+        traj = dynamics.integrate_amplitudes(LAT, cavity, bath, t_final, dt, sample_stride=stride)
+        lam, vecs = _arrowhead_eigensystem(LAT, cavity, bath)
+        assert np.array_equal(traj.alpha, _whole_time_alpha(lam, vecs, traj.times))
+        sampled = traj.times[::stride]
+        assert traj.beta_total_sq.size == sampled.size
+        reference = _whole_time_bath(lam, vecs, sampled)
+        gap = np.max(np.abs(traj.beta_total_sq - reference))
+        assert gap <= _bath_tolerance(lam, traj.times[-1])
 
 
 class TestFitDecay:

@@ -174,19 +174,30 @@ class TestDiagonalization:
         assert np.allclose(gram, np.eye(sec.basis.dimension), atol=1e-12)
 
     @pytest.mark.parametrize("n, two_u, message", [
-        (4, -4, "non-finite eigenvalues"),
         (3, 1, "non-finite eigenvalues or coefficients"),
         (4, 0, "eigensolver failed"),
     ])
     def test_non_finite_sector_raises(self, n, two_u, message):
-        # omega_q*m + omega_c*n overflows: at N=4, 2u=-4 to an infinite
-        # eigenvalue; at N=3, 2u=1 to a nan diagonal entry, where the
-        # eigenvalues stay finite and the coefficients do not; at N=4,
-        # 2u=0 to a nan entry on which LAPACK does not converge
-        lat = LatticeSpec(n_qubits=n, relative_spacing=0.37, omega_q=1e308)
-        cav = CavitySpec(omega_c=1e308, eta=0.1)
+        # finite bare energies, but eta*sqrt(n)*sqrt(f*(r-m)*(r+m+1))
+        # overflows: at N=3, 2u=1 the eigenvalues stay finite and the
+        # coefficients do not; at N=4, 2u=0 LAPACK does not converge
+        lat = LatticeSpec(n_qubits=n, relative_spacing=0.37, omega_q=13.458)
+        cav = CavitySpec(omega_c=6.729, eta=1e308)
         with pytest.raises(RuntimeError, match=message):
             polariton.diagonalize_sector(lat, cav, two_u)
+
+    @pytest.mark.parametrize("n, two_u", [(4, -4), (3, 1), (4, 0)])
+    def test_overflowing_bare_energy_raises(self, n, two_u):
+        # omega_q*m + omega_c*n overflows: at N=4, 2u=-4 to -inf, at N=3,
+        # 2u=1 and N=4, 2u=0 to inf - inf; refused before any eigensolve,
+        # in _sector_block, which every caller goes through
+        lat = LatticeSpec(n_qubits=n, relative_spacing=0.37, omega_q=1e308)
+        cav = CavitySpec(omega_c=1e308, eta=0.1)
+        for call in (polariton.diagonalize_sector, polariton.build_sector_hamiltonian):
+            with pytest.raises(ValueError, match="bare sector energy"):
+                call(lat, cav, two_u)
+        with pytest.raises(ValueError, match="bare sector energy"):
+            polariton.first_excited_transition(lat, cav)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(

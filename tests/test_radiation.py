@@ -401,13 +401,14 @@ class TestBatchedDecayRate:
             radiation.decay_rate((), CAV)
 
     def test_error_of_first_failing_point(self):
-        # point 1 overflows its site phase, point 2 its sector: the sweep
-        # raises what point 1 raises alone, as a point-by-point sweep does
+        # point 1 overflows its site phase, point 2 its bare sector
+        # energy: the sweep raises what point 1 raises alone, as a
+        # point-by-point sweep does
         cavity = CavitySpec(omega_c=1e-307, eta=0.1)
         points = (LatticeSpec(4, 0.0, 13.458), LatticeSpec(4, 0.5, 13.458), LatticeSpec(4, 0.5, 1e308))
         with pytest.raises(ValueError, match="site phase"):
             radiation.decay_rate(points, cavity)
-        with pytest.raises(RuntimeError, match="non-finite"):
+        with pytest.raises(ValueError, match="bare sector energy"):
             radiation.decay_rate(points[::-1], cavity)
 
 
