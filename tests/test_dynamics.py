@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -82,6 +83,26 @@ class TestBathSpec:
         with pytest.raises(ValueError, match="spacing"):
             dynamics.BathSpec(np.array([1.0, 2.0]), np.array([0.1, 0.1]), spacing)
 
+    @pytest.mark.parametrize("epsilon_d", [0.0, -1.0])
+    def test_physical_bath_rejects_non_finite_couplings(self, epsilon_d):
+        # 1/0 and sqrt of a negative would give inf and nan couplings;
+        # the inputs are rejected before any coupling is computed
+        with pytest.raises(ValueError, match="finite"):
+            dynamics.physical_bath(LAT, 0.5, 11, mu=1.0, epsilon_d=epsilon_d, volume=1.0)
+
+    @pytest.mark.parametrize("name, value", [
+        ("epsilon_d", 0.0), ("epsilon_d", -1.0), ("epsilon_d", math.nan),
+        ("volume", 0.0), ("volume", -2.0), ("volume", math.inf),
+        ("speed", 0.0), ("speed", -1.0), ("speed", math.nan),
+        ("mu", math.nan), ("mu", -math.inf),
+    ])
+    def test_physical_bath_checks_inputs_before_arithmetic(self, name, value):
+        inputs = {"mu": 1.0, "epsilon_d": 1.0, "volume": 1.0, "speed": 1.0, name: value}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite and positive"):
+                dynamics.physical_bath(LAT, 0.5, 11, **inputs)
+
     def test_rejects_nonpositive_frequencies(self):
         with pytest.raises(ValueError):
             dynamics.normalized_bath(LAT, bandwidth=100.0, n_modes=11)
@@ -90,6 +111,11 @@ class TestBathSpec:
     def test_rejects_non_finite_bandwidth(self, bandwidth):
         with pytest.raises(ValueError):
             dynamics.normalized_bath(LAT, bandwidth=bandwidth, n_modes=11)
+
+    def test_physical_couplings_scale(self):
+        a = dynamics.physical_bath(LAT, 0.5, 11, mu=1.0, epsilon_d=1.0, volume=1.0)
+        b = dynamics.physical_bath(LAT, 0.5, 11, mu=2.0, epsilon_d=1.0, volume=1.0)
+        assert np.allclose(b.couplings, 2.0 * a.couplings)
 
 
 class TestIntegration:
