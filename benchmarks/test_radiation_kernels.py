@@ -9,9 +9,9 @@ N=4 and N=8, the sizes of the ``pv_check`` operations of the
 radiation-sweep benchmark workload; ``decay_rate`` runs at the CLI
 defaults, one point, and over the 201-point sweeps of the three
 ``decay_sweep`` operations of that workload (ell at N=4 and N=16, omega_q
-at N=4), each as one batched call.  ``chi`` runs for every l at once on
-the 600-point default grid of ``chi-sweep`` at N=16, the larger
-``chi_sweep`` operation of that workload.  ``check_chi_identity`` is the
+at N=4), each as one batched call on one sweep ``LatticeSpec``.  ``chi``
+runs for every l at once on the 600-point default grid of ``chi-sweep``
+at N=16, the larger ``chi_sweep`` operation of that workload.  ``check_chi_identity`` is the
 chi cross-check of each ``validate`` (N = 2..8 on a 2000-point grid).
 """
 
@@ -42,10 +42,10 @@ def test_decay_rate(benchmark):
 @pytest.mark.parametrize("n, axis", [(4, "ell"), (16, "ell"), (4, "omega-q")])
 def test_decay_sweep(benchmark, n, axis):
     if axis == "ell":
-        grid = zip(np.linspace(0.0, 1.0, 201).tolist(), [13.458] * 201)
+        ells, omegas = np.linspace(0.0, 1.0, 201), np.full(201, 13.458)
     else:
-        grid = zip([2.0 / 3.0] * 201, np.linspace(1.0, 40.5, 201).tolist())
-    sweep = tuple(LatticeSpec(n_qubits=n, relative_spacing=ell, omega_q=wq) for ell, wq in grid)
+        ells, omegas = np.full(201, 2.0 / 3.0), np.linspace(1.0, 40.5, 201)
+    sweep = LatticeSpec(n_qubits=n, relative_spacing=ells, omega_q=omegas)
     result = benchmark(radiation.decay_rate, sweep, CAVITY)
     assert np.all(np.isfinite(result.gamma_normalized))
 

@@ -265,10 +265,7 @@ def run_decay_sweep(args: argparse.Namespace) -> int:
         """decay_rate over the grid, one sweep of at most _CHUNK_ROWS points at a time."""
         for lo in range(0, args.points, _CHUNK_ROWS):
             ell_block, omega_block = ells[lo : lo + _CHUNK_ROWS], omegas[lo : lo + _CHUNK_ROWS]
-            sweep = tuple(
-                LatticeSpec(n_qubits=args.n, relative_spacing=ell, omega_q=wq)
-                for ell, wq in zip(ell_block.tolist(), omega_block.tolist())
-            )
+            sweep = LatticeSpec(n_qubits=args.n, relative_spacing=ell_block, omega_q=omega_block)
             result = radiation.decay_rate(sweep, cavity, prefactor, args.branch)
             yield [ell_block, omega_block] + [getattr(result, f) for f in fields.values()]
 

@@ -100,7 +100,10 @@ def normalized_bath(
     normalized coupling profile g_k^2 = spacing * k_q / (2 pi omega_k).
 
     With this measure the golden-rule rate for |alpha|^2 equals
-    |s(k_q)|^2, matching the normalized analytic decay rate.
+    |s(k_q)|^2, matching the normalized analytic decay rate.  A grid
+    whose n_modes frequencies are not distinct in float64 (a bandwidth
+    below the resolution of omega_q) raises ValueError before any
+    coupling is formed.
     """
     if not 0 < bandwidth < math.inf or n_modes < 1:
         raise ValueError("bandwidth must be positive and finite, and n_modes >= 1")
@@ -110,6 +113,11 @@ def normalized_bath(
         spacing = bandwidth
     else:
         freqs = np.linspace(w_q - bandwidth / 2.0, w_q + bandwidth / 2.0, n_modes)
+        if not (np.diff(freqs) > 0).all():
+            raise ValueError(
+                f"a bandwidth of {bandwidth:g} GHz around omega_q = {w_q:g} GHz does not "
+                f"resolve into {n_modes} distinct float64 mode frequencies"
+            )
         spacing = freqs[1] - freqs[0]
     if freqs[0] <= 0:
         raise ValueError("bath extends to nonpositive frequencies; shrink bandwidth")

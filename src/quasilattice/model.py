@@ -27,21 +27,35 @@ class LatticeSpec:
     relative_spacing: qubit spacing over half the cavity wavelength,
         dimensionless, in [0, 1].
     omega_q: uniform qubit level spacing, GHz.
+
+    A sweep over ell or omega_q is one LatticeSpec whose relative_spacing
+    and omega_q are sequences of one length, one entry per point; they
+    are stored as tuples of floats, so a sweep is hashable.  Every point
+    shares n_qubits, hence every sector basis.
     """
 
     n_qubits: int
-    relative_spacing: float
-    omega_q: float
+    relative_spacing: float | tuple[float, ...]
+    omega_q: float | tuple[float, ...]
 
     def __post_init__(self) -> None:
         if self.n_qubits < 1:
             raise ValueError(f"n_qubits must be >= 1, got {self.n_qubits}")
-        if not 0.0 <= self.relative_spacing <= 1.0:
-            raise ValueError(
-                f"relative_spacing must lie in [0, 1], got {self.relative_spacing}"
-            )
-        if not 0.0 < self.omega_q < math.inf:
-            raise ValueError(f"omega_q must be positive and finite, got {self.omega_q}")
+        ells, omegas = self.relative_spacing, self.omega_q
+        if hasattr(ells, "__len__") or hasattr(omegas, "__len__"):
+            ells, omegas = np.asarray(ells, dtype=float), np.asarray(omegas, dtype=float)
+            if not (ells.ndim == 1 and ells.shape == omegas.shape and ells.size):
+                raise ValueError("a sweep needs relative_spacing and omega_q of one nonzero length")
+            ells, omegas = tuple(ells.tolist()), tuple(omegas.tolist())
+            object.__setattr__(self, "relative_spacing", ells)
+            object.__setattr__(self, "omega_q", omegas)
+        else:
+            ells, omegas = (ells,), (omegas,)
+        for ell, omega_q in zip(ells, omegas):  # comparisons refuse NaN too
+            if not 0.0 <= ell <= 1.0:
+                raise ValueError(f"relative_spacing must lie in [0, 1], got {ell}")
+            if not 0.0 < omega_q < math.inf:
+                raise ValueError(f"omega_q must be positive and finite, got {omega_q}")
 
     @property
     def two_r(self) -> int:
@@ -49,7 +63,7 @@ class LatticeSpec:
         return self.n_qubits
 
     @property
-    def k_q(self) -> float:
+    def k_q(self) -> float | tuple[float, ...]:
         """Qubit transition momentum in natural units (equals omega_q)."""
         return self.omega_q
 
@@ -73,41 +87,33 @@ class CavitySpec:
         return self.omega_c - lattice.omega_q
 
 
-def sweep_points(lattice: LatticeSpec | tuple[LatticeSpec, ...]) -> tuple[LatticeSpec, ...]:
-    """The points of a sweep: a tuple of LatticeSpecs as is, one LatticeSpec
-    as a one-point sweep.  The points share every sector basis, so they
-    must share n_qubits; raises ValueError otherwise or when there are none."""
-    points = (lattice,) if isinstance(lattice, LatticeSpec) else tuple(lattice)
-    if not points or any(p.n_qubits != points[0].n_qubits for p in points):
-        raise ValueError("a sweep needs at least one point, all with the same n_qubits")
-    return points
-
-
-def unstack(stack, lattice: LatticeSpec | tuple[LatticeSpec, ...]):
-    """A per-point stack (leading point axis) as is for a tuple of
-    lattices, and its one point for a single LatticeSpec."""
-    return stack[0] if isinstance(lattice, LatticeSpec) else stack
-
-
 def coupling_weights(lattice: LatticeSpec) -> np.ndarray:
-    """Cavity coupling weight of each qubit: entry j is cos(j*pi*ell)."""
+    """Cavity coupling weight of each qubit: entry j is cos(j*pi*ell); for
+    a sweep, one row per point."""
     j = np.arange(lattice.n_qubits)
-    return np.cos(j * math.pi * lattice.relative_spacing)
+    return np.cos(np.multiply.outer(lattice.relative_spacing, j * math.pi))
 
 
-def deformation_factor(lattice: LatticeSpec) -> float:
-    """Departure of the collective spin algebra from SU(2), in (0, 1].
-
-    Equals the mean squared coupling weight,
-    1/2 + (1/4N) * [1 + sin((2N-1)*pi*ell) / sin(pi*ell)],
-    with the ratio replaced by its analytic limit at ell in {0, 1}
-    where sin(pi*ell) vanishes.
-    """
-    n = lattice.n_qubits
-    x = math.pi * lattice.relative_spacing
+def _mean_squared_weight(n: int, ell: float) -> float:
+    x = math.pi * ell
     s = math.sin(x)
     if abs(s) < _SIN_LIMIT:
         ratio = (2 * n - 1) * math.cos((2 * n - 1) * x) / math.cos(x)
     else:
         ratio = math.sin((2 * n - 1) * x) / s
     return 0.5 + (1.0 + ratio) / (4.0 * n)
+
+
+def deformation_factor(lattice: LatticeSpec) -> float | np.ndarray:
+    """Departure of the collective spin algebra from SU(2), in (0, 1].
+
+    Equals the mean squared coupling weight,
+    1/2 + (1/4N) * [1 + sin((2N-1)*pi*ell) / sin(pi*ell)],
+    with the ratio replaced by its analytic limit at ell in {0, 1}
+    where sin(pi*ell) vanishes.  A sweep gives an array with one entry
+    per point, each as its point alone gives it.
+    """
+    n, ell = lattice.n_qubits, lattice.relative_spacing
+    if isinstance(ell, tuple):
+        return np.array([_mean_squared_weight(n, x) for x in ell])
+    return _mean_squared_weight(n, ell)

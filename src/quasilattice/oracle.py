@@ -3,16 +3,14 @@ space.
 
 The spin terms are read off the qubit basis-index bits at small N, with
 no product-space matrix, and serve as an independent check on the
-deformed collective-spin model: commutation relations and Dicke-state
-structure in the 2^N qubit space, where S_pm = s_pm x 1 act, and exact
-sector spectra.  Each excitation sector is built directly as its own
-block, so no H_total outside it is ever formed.
+deformed collective-spin model: commutation relations in the 2^N qubit
+space, where S_pm = s_pm x 1 act, and exact sector spectra.  Each
+excitation sector is built directly as its own block, so no H_total
+outside it is ever formed.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,8 +79,8 @@ def _spin_terms(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Diagonals of s_z and of the cos^2-weighted sigma_z on the 2^N qubit
     space, and the entries (up, down, weight) of the weighted s_plus, read
-    off the basis index: bit N-1-j is 0 when site j is up, the order of
-    `dicke_basis`."""
+    off the basis index: bit N-1-j is 0 when site j is up, so site 0 is
+    the most significant bit."""
     n = len(weights)
     index = np.arange(2**n)
     s_z = np.zeros(2**n)
@@ -155,33 +153,6 @@ def verify_commutators(ops: ProductSpaceOperators, tol: float = 1e-12) -> Commut
     return CommutatorReport(
         sz_splus=r1, sz_sminus=r2, splus_sminus_sigma=r3, splus_sminus_sz=r4, tolerance=tol
     )
-
-
-def dicke_basis(n_qubits: int) -> dict[int, np.ndarray]:
-    """Fully symmetric spin states keyed by twice the projection 2m.
-
-    Each vector lives in the 2^N qubit space with equal amplitude
-    1/sqrt(C(N, n_up)) on every configuration of n_up excited sites,
-    i.e. the normalized permutation sum.
-    """
-    states: dict[int, np.ndarray] = {}
-    for n_up in range(n_qubits + 1):
-        vec = np.zeros(2**n_qubits)
-        amp = 1.0 / math.sqrt(math.comb(n_qubits, n_up))
-        for sites in itertools.combinations(range(n_qubits), n_up):
-            idx = 0
-            for j in range(n_qubits):
-                idx = 2 * idx + (0 if j in sites else 1)
-            vec[idx] = amp
-        states[2 * n_up - n_qubits] = vec
-    return states
-
-
-def dicke_diagonal_elements(ops: ProductSpaceOperators) -> np.ndarray:
-    """Diagonal matrix elements <r,m|S_plus|r,m> in the qubit space."""
-    s_plus = _spin_raising(ops)
-    basis = dicke_basis(ops.lattice.n_qubits)
-    return np.array([v @ s_plus @ v for _, v in sorted(basis.items())])
 
 
 def _sector_block(ops: ProductSpaceOperators, two_u: int) -> np.ndarray:

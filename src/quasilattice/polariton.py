@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CavitySpec, LatticeSpec, deformation_factor, sweep_points, unstack
+from .model import CavitySpec, LatticeSpec, deformation_factor
 
 
 class EmptySectorError(ValueError):
@@ -100,64 +100,46 @@ def sector_basis(lattice: LatticeSpec, two_u: int) -> SectorBasis:
     return SectorBasis(two_u=two_u, entries=entries)
 
 
-def _deformation_factors(lattice: LatticeSpec | tuple[LatticeSpec, ...]) -> np.ndarray:
-    """The deformation factor f of each sweep point."""
-    return np.array([deformation_factor(p) for p in sweep_points(lattice)])
-
-
 def _sector_block(
-    lattice: LatticeSpec | tuple[LatticeSpec, ...],
-    cavity: CavitySpec,
-    two_u: int,
-    f: np.ndarray | None = None,
+    lattice: LatticeSpec, cavity: CavitySpec, two_u: int
 ) -> tuple[SectorBasis, np.ndarray]:
-    """Basis and the stack of dense block Hamiltonians of one sector, one
-    per sweep point (see ``build_sector_hamiltonian``); f is
-    ``_deformation_factors`` of the points, computed here if not given.
+    """Basis and dense block Hamiltonian of one sector (see
+    ``build_sector_hamiltonian``), with a leading point axis for a sweep.
     A bare energy omega_q*m + omega_c*n that overflows at any point
     raises ValueError."""
-    points = sweep_points(lattice)
-    two_r = points[0].two_r
-    basis = sector_basis(points[0], two_u)
+    two_r = lattice.two_r
+    basis = sector_basis(lattice, two_u)
     d = basis.dimension
     # per entry: n, 2m, eta*sqrt(n), r - m and r + m + 1
     n, two_m, eta_sqrt_n, rm, rm1 = np.array([
         (n, two_m, cavity.eta * math.sqrt(n), (two_r - two_m) / 2.0, (two_r + two_m) / 2.0 + 1.0)
         for n, two_m in basis.entries
     ]).T
-    omega_q = np.array([p.omega_q for p in points])[:, None]
-    f = (_deformation_factors(points) if f is None else f)[:, None]
-    h = np.zeros((len(points), d * d))
+    omega_q = np.asarray(lattice.omega_q)[..., None]
+    f = np.asarray(deformation_factor(lattice))[..., None]
+    h = np.zeros(omega_q.shape[:-1] + (d * d,))
     with np.errstate(over="ignore", invalid="ignore"):  # raised below or in diagonalize_sector
-        h[:, :: d + 1] = omega_q * two_m / 2.0 + cavity.omega_c * n
+        h[..., :: d + 1] = omega_q * two_m / 2.0 + cavity.omega_c * n
         off = eta_sqrt_n[1:] * np.sqrt(f * rm[1:] * rm1[1:])
-    if not np.isfinite(h[:, :: d + 1]).all():
+    if not np.isfinite(h[..., :: d + 1]).all():
         raise ValueError("a bare sector energy omega_q*m + omega_c*n overflows")
-    h[:, 1 :: d + 1] = off  # the superdiagonal and the subdiagonal of each block
-    h[:, d :: d + 1] = off
-    return basis, h.reshape(len(points), d, d)
+    h[..., 1 :: d + 1] = off  # the superdiagonal and the subdiagonal of each block
+    h[..., d :: d + 1] = off
+    return basis, h.reshape(h.shape[:-1] + (d, d))
 
 
-def build_sector_hamiltonian(
-    lattice: LatticeSpec | tuple[LatticeSpec, ...], cavity: CavitySpec, two_u: int
-) -> np.ndarray:
+def build_sector_hamiltonian(lattice: LatticeSpec, cavity: CavitySpec, two_u: int) -> np.ndarray:
     """Dense real symmetric block Hamiltonian of one excitation sector, GHz;
-    for a tuple of lattices, a stack of them with a leading point axis.
+    for a sweep, a stack of them with a leading point axis.
 
     Diagonal entries are the bare energies omega_q*m + omega_c*n; the
     single off-diagonal couples (n, m) to (n-1, m+1) with strength
     eta*sqrt(n)*sqrt(f*(r-m)*(r+m+1)).
     """
-    return unstack(_sector_block(lattice, cavity, two_u)[1], lattice)
+    return _sector_block(lattice, cavity, two_u)[1]
 
 
-def diagonalize_sector(
-    lattice: LatticeSpec | tuple[LatticeSpec, ...],
-    cavity: CavitySpec,
-    two_u: int,
-    *,
-    f: np.ndarray | None = None,
-) -> PolaritonSector:
+def diagonalize_sector(lattice: LatticeSpec, cavity: CavitySpec, two_u: int) -> PolaritonSector:
     """Polariton branches of one sector, eigenvalues ascending.
 
     The dense block of ``build_sector_hamiltonian`` goes to
@@ -169,13 +151,11 @@ def diagonalize_sector(
     before any eigensolve; a LAPACK failure, or a non-finite eigenvalue
     or coefficient, as from an overflowing coupling, raises RuntimeError.
 
-    A tuple of lattices sharing n_qubits is one sweep: eigh solves the
-    stack of their blocks at once, block by block as for each point
-    alone, and the sector's arrays gain a leading point axis.  A caller
-    that already holds the deformation factor of each point passes it as
-    f, one entry per point.
+    For a sweep, eigh solves the stack of its blocks at once, block by
+    block as for each point alone, and the sector's arrays gain a leading
+    point axis.
     """
-    basis, h = _sector_block(lattice, cavity, two_u, f)
+    basis, h = _sector_block(lattice, cavity, two_u)
     try:
         vals, vecs = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
@@ -184,21 +164,16 @@ def diagonalize_sector(
         raise RuntimeError(
             f"sector 2u={two_u} produced non-finite eigenvalues or coefficients"
         )
-    rows = np.arange(len(vals))[:, None]
-    branches = np.arange(basis.dimension)
     order = vals.argsort(axis=-1)
-    if (order != branches).any():  # eigh's order already ascends, up to ties
-        vals = vals[rows, order]
-        vecs = vecs[rows[:, None], branches[:, None], order[:, None, :]]
+    if (order != np.arange(basis.dimension)).any():  # eigh's order already ascends, up to ties
+        vals = np.take_along_axis(vals, order, axis=-1)
+        vecs = np.take_along_axis(vecs, order[..., None, :], axis=-1)
     # the first entry above 1e-14 of each column fixes its sign
-    lead = vecs[rows, (np.abs(vecs) > 1e-14).argmax(axis=1), branches]
-    vecs *= np.copysign(1.0, lead)[:, None, :]
-    eps = vals - np.array([p.omega_q * two_u / 2.0 for p in sweep_points(lattice)])[:, None]
+    first = (np.abs(vecs) > 1e-14).argmax(axis=-2)[..., None, :]
+    vecs *= np.copysign(1.0, np.take_along_axis(vecs, first, axis=-2))
+    eps = vals - np.asarray(lattice.omega_q)[..., None] * two_u / 2.0
     return PolaritonSector(
-        basis=basis,
-        eigenvalues=unstack(vals, lattice),
-        coefficients=unstack(vecs, lattice),
-        stark_splittings=unstack(eps, lattice),
+        basis=basis, eigenvalues=vals, coefficients=vecs, stark_splittings=eps
     )
 
 
@@ -355,56 +330,45 @@ def closed_form_coefficients(
 
 
 def raising_matrix(
-    lattice: LatticeSpec | tuple[LatticeSpec, ...],
-    upper: PolaritonSector,
-    lower: PolaritonSector,
-    *,
-    f: np.ndarray | None = None,
+    lattice: LatticeSpec, upper: PolaritonSector, lower: PolaritonSector
 ) -> np.ndarray:
     """Collective raising elements from every branch of sector u-1 into
     every branch of sector u, as a dim_u x dim_(u-1) matrix indexed
-    (branch_upper, branch_lower); for a tuple of lattices and the sectors
+    (branch_upper, branch_lower); for a sweep and the sectors
     ``diagonalize_sector`` gives for it, a stack with a leading point axis.
 
     The basis states of the two sectors that share a photon number n are
     joined by the ladder amplitude sqrt(f*(r+u-n)*(r-u+n+1)); their
     coefficient outer products are accumulated in ascending n, so every
-    entry is rounded as a per-element sum over n would be.  f is the
-    deformation factor of each point, computed here if not given.
+    entry is rounded as a per-element sum over n would be.
     """
     if upper.basis.two_u != lower.basis.two_u + 2:
         raise ValueError("raising element requires adjacent sectors u and u-1")
-    points = sweep_points(lattice)
-    stacked = not isinstance(lattice, LatticeSpec)
-    upper_c = upper.coefficients if stacked else upper.coefficients[None]
-    lower_c = lower.coefficients if stacked else lower.coefficients[None]
-    f = (_deformation_factors(points) if f is None else f)[:, None, None]
+    f = np.asarray(deformation_factor(lattice))[..., None, None]
     u = upper.basis.two_u / 2.0
-    r = points[0].two_r / 2.0
+    r = lattice.two_r / 2.0
     lower_by_n = {n: j for j, (n, _) in enumerate(lower.basis.entries)}
-    out = np.zeros((len(points), upper.basis.dimension, lower.basis.dimension))
+    out = np.zeros(f.shape[:-2] + (upper.basis.dimension, lower.basis.dimension))
     for i, (n, _) in enumerate(upper.basis.entries):
         j = lower_by_n.get(n)
         if j is None:
             continue
         amp = np.sqrt(f * (r + u - n) * (r - u + n + 1))
-        out += upper_c[:, i, :, None] * lower_c[:, j, None, :] * amp
-    return unstack(out, lattice)
+        out += upper.coefficients[..., i, :, None] * lower.coefficients[..., j, None, :] * amp
+    return out
 
 
 def raising_element(
-    lattice: LatticeSpec | tuple[LatticeSpec, ...],
+    lattice: LatticeSpec,
     upper: PolaritonSector,
     lower: PolaritonSector,
     branch_upper: int,
     branch_lower: int,
-    *,
-    f: np.ndarray | None = None,
 ) -> float | np.ndarray:
     """Collective raising element from a branch of sector u-1 into u: one
-    entry of ``raising_matrix``, per point for a tuple of lattices."""
+    entry of ``raising_matrix``, per point for a sweep."""
     # [()] turns the 0-d entry of one lattice into a scalar
-    return raising_matrix(lattice, upper, lower, f=f)[..., branch_upper, branch_lower][()]
+    return raising_matrix(lattice, upper, lower)[..., branch_upper, branch_lower][()]
 
 
 def transition_matrices(
@@ -427,28 +391,25 @@ def transition_matrices(
             f"sector ladder top 2u={two_u_max} has the wrong parity for 2r={two_r}"
         )
     ladder = range(-two_r, two_u_max + 1, 2)
-    f = _deformation_factors(lattice)
-    sectors = tuple(diagonalize_sector(lattice, cavity, two_u, f=f) for two_u in ladder)
+    sectors = tuple(diagonalize_sector(lattice, cavity, two_u) for two_u in ladder)
     raising = tuple(
-        raising_matrix(lattice, upper, lower, f=f) for lower, upper in zip(sectors, sectors[1:])
+        raising_matrix(lattice, upper, lower) for lower, upper in zip(sectors, sectors[1:])
     )
     return TransitionMatrices(sectors=sectors, raising=raising)
 
 
 def first_excited_transition(
-    lattice: LatticeSpec | tuple[LatticeSpec, ...], cavity: CavitySpec, branch: int = 0
+    lattice: LatticeSpec, cavity: CavitySpec, branch: int = 0
 ) -> float | np.ndarray:
     """Raising element between the ground sector and the chosen branch of
     the first excited sector (the default radiating transition); for a
-    tuple of lattices sharing n_qubits, one element per point.  The
-    deformation factor of each point is computed once and shared."""
-    two_r = sweep_points(lattice)[0].two_r
-    f = _deformation_factors(lattice)
-    upper = diagonalize_sector(lattice, cavity, -two_r + 2, f=f)
-    lower = diagonalize_sector(lattice, cavity, -two_r, f=f)
+    sweep, one element per point."""
+    two_r = lattice.two_r
+    upper = diagonalize_sector(lattice, cavity, -two_r + 2)
+    lower = diagonalize_sector(lattice, cavity, -two_r)
     if not 0 <= branch < upper.basis.dimension:
         raise ValueError(
             f"branch {branch} outside first excited sector of dimension "
             f"{upper.basis.dimension}"
         )
-    return raising_element(lattice, upper, lower, branch, 0, f=f)
+    return raising_element(lattice, upper, lower, branch, 0)

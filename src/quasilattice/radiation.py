@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CavitySpec, LatticeSpec, sweep_points, unstack
+from .model import CavitySpec, LatticeSpec
 from .polariton import first_excited_transition
 
 
@@ -61,14 +61,13 @@ class DecayResult:
     and can be negative (107 of the 201 rows of the default
     ``decay-sweep``).  gamma_physical is present only when prefactor
     inputs were supplied.  Each field is an np.float64 for one lattice,
-    and an array with one entry per point for a tuple of them.
+    and an array with one entry per point for a sweep.
     """
 
     gamma_normalized: float | np.ndarray
     s_at_kq: float | np.ndarray
     s_at_zero: float | np.ndarray
     gamma_physical: float | np.ndarray | None = None
-    prefactor_inputs: PrefactorInputs | None = None
 
 
 @dataclass(frozen=True)
@@ -90,33 +89,31 @@ def l_values(lattice: LatticeSpec) -> np.ndarray:
 
 
 def _site_sum(
-    lattice: LatticeSpec | tuple[LatticeSpec, ...], cavity: CavitySpec, weights: np.ndarray, k
+    lattice: LatticeSpec, cavity: CavitySpec, weights: np.ndarray, k
 ) -> complex | np.ndarray:
     """sum_j weights[..., j] * exp(i*theta*k*j) over the sites j = 0..N-1,
     with theta = pi*ell/omega_c the site phase per unit frequency.
 
     Accepts scalar or array k; complex k is allowed (the sum is entire).
-    For a tuple of lattices, k carries a leading point axis and each
-    point takes its own theta.  The exponentials are computed once; each
-    weight vector of a stack of them is summed as one matrix-vector
-    product on them (a point with one k as one dot product over the
-    sites), and the stack's axes lead the result.  Raises ValueError
-    when a phase or the sum overflows.
+    For a sweep, k carries a leading point axis and each point takes its
+    own theta.  The exponentials are computed once; each weight vector of
+    a stack of them is summed as one matrix-vector product on them (a
+    point with one k as one dot product over the sites), and the point
+    axis, then the stack's axes lead the result.  Raises ValueError when
+    a phase or the sum overflows.
     """
-    points = sweep_points(lattice)
-    j = np.arange(points[0].n_qubits)
+    j = np.arange(lattice.n_qubits)
     k_arr = np.asarray(k, dtype=complex)
-    if isinstance(lattice, LatticeSpec):
-        k_arr = k_arr[None]
-    k_rows = k_arr if k_arr.ndim > 1 else k_arr[:, None]
     with np.errstate(over="ignore", invalid="ignore"):  # raised below instead
-        theta = math.pi * np.array([p.relative_spacing for p in points]) / cavity.omega_c
-        phase = (1j * theta).reshape((-1,) + (1,) * k_rows.ndim) * np.multiply.outer(k_rows, j)
+        theta = math.pi * np.asarray(lattice.relative_spacing) / cavity.omega_c
+        k_rows = k_arr if k_arr.ndim > theta.ndim else k_arr[..., None]
+        phase = np.reshape(1j * theta, theta.shape + (1,) * (k_rows.ndim - theta.ndim + 1))
+        phase = phase * np.multiply.outer(k_rows, j)
         exps = np.exp(phase)
-        out = np.stack([exps @ w for w in np.reshape(weights, (-1, j.size))], axis=1)
+        out = np.stack([exps @ w for w in np.reshape(weights, (-1, j.size))], axis=theta.ndim)
     if not (np.isfinite(phase).all() and np.isfinite(out).all()):
         raise ValueError("site phase pi*ell*k*j/omega_c, or the sum over sites, overflows")
-    out = unstack(out.reshape(k_arr.shape[:1] + np.shape(weights)[:-1] + k_arr.shape[1:]), lattice)
+    out = out.reshape(theta.shape + np.shape(weights)[:-1] + k_arr.shape[theta.ndim :])
     if np.ndim(out) == 0:
         return complex(out)
     return out
@@ -215,7 +212,7 @@ def chi_closed_form_error_bound(
 
 
 def s_factor(
-    lattice: LatticeSpec | tuple[LatticeSpec, ...],
+    lattice: LatticeSpec,
     cavity: CavitySpec,
     k,
     branch: int = 0,
@@ -229,16 +226,16 @@ def s_factor(
     inside the site sum: sum_l cos(j*pi*l) over l = 0, 1/N, ...,
     (N-1)/N is N at j = 0, 1 at odd j and 0 at even j > 0.
 
-    For a tuple of lattices sharing n_qubits, k and transition_element
-    carry a leading point axis (see ``_site_sum``).
+    For a sweep, k and transition_element carry a leading point axis
+    (see ``_site_sum``).
     """
-    n = sweep_points(lattice)[0].n_qubits
+    n = lattice.n_qubits
     if transition_element is None:
         transition_element = first_excited_transition(lattice, cavity, branch)
     weights = (np.arange(n) % 2).astype(float)
     weights[0] = n
     sums = _site_sum(lattice, cavity, weights, k)
-    if not isinstance(lattice, LatticeSpec):  # each point's element spans its k-axes
+    if np.ndim(transition_element):  # each point's element spans its k-axes
         transition_element = np.reshape(transition_element, (-1,) + (1,) * (sums.ndim - 1))
     return transition_element * sums / n
 
@@ -255,7 +252,7 @@ def quasi_period(lattice: LatticeSpec, cavity: CavitySpec) -> float:
 
 
 def decay_rate(
-    lattice: LatticeSpec | tuple[LatticeSpec, ...],
+    lattice: LatticeSpec,
     cavity: CavitySpec,
     prefactor_inputs: PrefactorInputs | None = None,
     branch: int = 0,
@@ -271,10 +268,9 @@ def decay_rate(
     included, and a prefactor, its denominator or the physical rate that
     overflows at any point raises ValueError.
 
-    A tuple of lattices sharing n_qubits is one sweep, evaluated in one
-    pass: both sectors of every point in one stacked eigensolve, and one
-    site sum per k.  Its fields are arrays with one entry per point; one
-    LatticeSpec is the one-point sweep, with np.float64 fields.  Every
+    A sweep is evaluated in one pass: both sectors of every point in one
+    stacked eigensolve, and one site sum per k.  Its fields are arrays
+    with one entry per point; one lattice gives np.float64 fields.  Every
     entry equals, bit for bit, the value of its point evaluated alone
     with scalar arithmetic: |s| is hypot(re, im) and its square libm's
     pow, as the scalar abs and ** 2 compute them (np.abs and ** 2 on an
@@ -284,15 +280,14 @@ def decay_rate(
     overflowing bare sector energy, a RuntimeError for any other
     non-finite sector.
     """
-    points = sweep_points(lattice)
-    k_q = np.array([p.k_q for p in points])
+    k_q = np.asarray(lattice.k_q)
     try:
-        element = first_excited_transition(points, cavity, branch)
-        s = [s_factor(points, cavity, k, branch, element) for k in (k_q, np.zeros_like(k_q))]
+        element = first_excited_transition(lattice, cavity, branch)
+        s = [s_factor(lattice, cavity, k, branch, element) for k in (k_q, np.zeros_like(k_q))]
     except (ValueError, RuntimeError):
-        if len(points) > 1:
-            for point in points:
-                decay_rate(point, cavity, prefactor_inputs, branch)
+        if k_q.ndim:  # a sweep: raise what its first failing point raises alone
+            for point in zip(lattice.relative_spacing, lattice.omega_q):
+                decay_rate(LatticeSpec(lattice.n_qubits, *point), cavity, prefactor_inputs, branch)
         raise
     s_kq, s_0 = (np.hypot(z.real, z.imag) for z in s)
     gamma = 2.0 * np.float_power(s_kq, 2) - np.float_power(s_0, 2)
@@ -305,18 +300,14 @@ def decay_rate(
                     * prefactor_inputs.mu**2
                     / (np.float64(4.0) * prefactor_inputs.epsilon_d * prefactor_inputs.area)
                 )
-                physical = unstack(pref * gamma, lattice)
+                physical = pref * gamma
         except FloatingPointError as exc:
             raise ValueError(
                 "prefactor k_q*mu^2/(4*epsilon_d*area), its denominator, "
                 "or the physical rate, overflows"
             ) from exc
     return DecayResult(
-        gamma_normalized=unstack(gamma, lattice),
-        s_at_kq=unstack(s_kq, lattice),
-        s_at_zero=unstack(s_0, lattice),
-        gamma_physical=physical,
-        prefactor_inputs=prefactor_inputs,
+        gamma_normalized=gamma, s_at_kq=s_kq, s_at_zero=s_0, gamma_physical=physical
     )
 
 

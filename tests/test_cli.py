@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -229,6 +230,18 @@ class TestDynamics:
         assert not out.exists()
         err = capsys.readouterr().err
         assert err.startswith("error: dt*max|omega_q-omega_k|") and err.count("\n") == 1
+
+    def test_unresolved_bath_grid_is_one_usage_error(self, tmp_path, capsys):
+        # at omega_q = 1e308 the 601 modes collapse onto one float: one typed
+        # error, before 2*pi*omega_k overflows, and no warning
+        out = tmp_path / "dyn.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["dynamics", "--omega-q", "1e308", "--out", str(out)]) == cli.EXIT_USAGE
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: a bandwidth of 0.5 GHz") and err.count("\n") == 1
+        assert "distinct float64 mode frequencies" in err
 
 
 class TestValidate:

@@ -112,6 +112,18 @@ class TestBathSpec:
         with pytest.raises(ValueError):
             dynamics.normalized_bath(LAT, bandwidth=bandwidth, n_modes=11)
 
+    @pytest.mark.parametrize("omega_q, bandwidth, n_modes", [
+        (1e308, 0.5, 601),  # the grid collapses to one float; 2*pi*omega_k overflows
+        (1e17, 0.5, 601),  # float64 spacing 16 GHz: a handful of distinct modes
+        (13.458, 1e-14, 11),  # a bandwidth far below the resolution of omega_q
+    ])
+    def test_unresolved_grid_raises_before_arithmetic(self, omega_q, bandwidth, n_modes):
+        lat = LatticeSpec(n_qubits=4, relative_spacing=2 / 3, omega_q=omega_q)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="distinct float64 mode frequencies"):
+                dynamics.normalized_bath(lat, bandwidth, n_modes)
+
     def test_physical_couplings_scale(self):
         a = dynamics.physical_bath(LAT, 0.5, 11, mu=1.0, epsilon_d=1.0, volume=1.0)
         b = dynamics.physical_bath(LAT, 0.5, 11, mu=2.0, epsilon_d=1.0, volume=1.0)

@@ -86,3 +86,61 @@ def test_doubled_spin_and_resonant_momentum():
     lat = LatticeSpec(n_qubits=5, relative_spacing=0.3, omega_q=9.0)
     assert lat.two_r == 5
     assert lat.k_q == pytest.approx(9.0)
+
+
+class TestSweepSpec:
+    """A sweep is one LatticeSpec with one ell and one omega_q per point."""
+
+    @pytest.mark.parametrize("ells, omegas", [
+        ((0.1, 0.2), (10.0,)),  # lengths differ
+        ((0.1,), (10.0, 11.0)),
+        ((), ()),  # no point
+        (0.5, (10.0, 11.0)),  # one field a scalar, the other a sequence
+        ((0.1, 0.2), 10.0),
+        (((0.1, 0.2),), ((10.0, 11.0),)),  # not one axis of points
+    ])
+    def test_refuses_bad_shapes(self, ells, omegas):
+        with pytest.raises(ValueError, match="one nonzero length"):
+            LatticeSpec(4, ells, omegas)
+
+    @pytest.mark.parametrize("ells, omegas, field", [
+        ((0.1, -0.1, 0.2), (10.0, 10.0, 10.0), "relative_spacing"),
+        ((0.1, 0.2, 1.5), (10.0, 10.0, 10.0), "relative_spacing"),
+        ((0.1, math.nan, 0.2), (10.0, 10.0, 10.0), "relative_spacing"),
+        ((0.1, 0.2, 0.3), (10.0, 0.0, 10.0), "omega_q"),
+        ((0.1, 0.2, 0.3), (10.0, 10.0, -1.0), "omega_q"),
+        ((0.1, 0.2, 0.3), (10.0, math.inf, 10.0), "omega_q"),
+        ((0.1, 0.2, 0.3), (math.nan, 10.0, 10.0), "omega_q"),
+    ])
+    def test_refuses_any_bad_point(self, ells, omegas, field):
+        with pytest.raises(ValueError, match=field):
+            LatticeSpec(4, ells, omegas)
+        with pytest.raises(ValueError, match=field):
+            LatticeSpec(4, np.array(ells), np.array(omegas))
+
+    def test_stored_as_tuples_equal_and_hashable(self):
+        ells, omegas = np.linspace(0.0, 1.0, 5), np.full(5, 13.458)
+        sweep = LatticeSpec(4, ells, omegas)
+        assert sweep.relative_spacing == tuple(ells.tolist())
+        assert sweep.omega_q == (13.458,) * 5
+        assert all(type(v) is float for v in sweep.relative_spacing + sweep.omega_q)
+        same = LatticeSpec(4, list(ells), tuple(omegas))
+        assert same == sweep and hash(same) == hash(sweep)
+        assert len({sweep, same, LatticeSpec(4, ells[::-1], omegas)}) == 2
+        assert sweep.k_q == sweep.omega_q and sweep.two_r == 4
+
+    def test_deformation_factor_per_point(self):
+        # each entry bit for bit the point's own factor, ell in {0, 1} included
+        ells = (0.0, 1e-10 / math.pi, 0.3, 0.5, 2 / 3, 1.0)
+        for n in (1, 2, 5, 16):
+            f = deformation_factor(LatticeSpec(n, ells, (10.0,) * len(ells)))
+            alone = [deformation_factor(LatticeSpec(n, ell, 10.0)) for ell in ells]
+            assert f.tobytes() == np.array(alone).tobytes()
+        assert type(deformation_factor(LatticeSpec(4, 0.3, 10.0))) is float
+
+    def test_coupling_weights_per_point(self):
+        # one row per point, even when there are as many points as qubits
+        ells = (0.0, 0.3, 2 / 3, 1.0)
+        rows = coupling_weights(LatticeSpec(4, ells, (10.0,) * 4))
+        alone = [coupling_weights(LatticeSpec(4, ell, 10.0)) for ell in ells]
+        assert rows.shape == (4, 4) and rows.tobytes() == np.array(alone).tobytes()

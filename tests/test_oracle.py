@@ -391,19 +391,3 @@ class TestModelExactness:
         ops = oracle.build_operators(lat, CAV, n_max=2)
         worst, tol = self._deviation(lat, ops, LatticeSpec(4, 0.0, 13.458))
         assert worst > 1e9 * tol
-
-
-class TestDickeStates:
-    def test_orthonormal(self):
-        for n in (2, 4, 5):
-            basis = oracle.dicke_basis(n)
-            vecs = np.array([basis[k] for k in sorted(basis)])
-            gram = vecs @ vecs.T
-            assert np.max(np.abs(gram - np.eye(n + 1))) < 1e-13
-
-    def test_diagonal_elements_vanish(self):
-        for ell in (0.0, 0.3, 2 / 3):
-            lat = LatticeSpec(n_qubits=4, relative_spacing=ell, omega_q=13.458)
-            ops = oracle.build_operators(lat, CAV, n_max=1)
-            diag = oracle.dicke_diagonal_elements(ops)
-            assert np.max(np.abs(diag)) < 1e-13

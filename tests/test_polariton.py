@@ -173,6 +173,40 @@ class TestDiagonalization:
         gram = sec.coefficients.T @ sec.coefficients
         assert np.allclose(gram, np.eye(sec.basis.dimension), atol=1e-12)
 
+    @pytest.mark.parametrize("n", [1, 3, 4])
+    @pytest.mark.parametrize("eta", [0.0, 0.1])
+    def test_sweep_stacks_its_points(self, n, eta):
+        # blocks, sectors, raising matrices and the first excited element
+        # of a sweep are those of its points alone, stacked, bit for bit;
+        # omega_q = omega_c at eta = 0 makes every sector degenerate
+        ells, omegas = (0.0, 0.37, 2 / 3, 1.0), (13.458, 6.729, 20.187, 9.3)
+        cav = CavitySpec(omega_c=6.729, eta=eta)
+        sweep = LatticeSpec(n, ells, omegas)
+        points = [LatticeSpec(n, *p) for p in zip(ells, omegas)]
+
+        def stacked(values):
+            return np.array(values).tobytes()
+
+        sectors = {}
+        for two_u in range(-n, n + 3, 2):
+            h = polariton.build_sector_hamiltonian(sweep, cav, two_u)
+            blocks = [polariton.build_sector_hamiltonian(p, cav, two_u) for p in points]
+            assert h.tobytes() == stacked(blocks)
+            sec = sectors[two_u] = polariton.diagonalize_sector(sweep, cav, two_u)
+            alone = [polariton.diagonalize_sector(p, cav, two_u) for p in points]
+            for field in ("eigenvalues", "coefficients", "stark_splittings"):
+                assert getattr(sec, field).tobytes() == stacked([getattr(a, field) for a in alone])
+            if two_u > -n:
+                lower = sectors[two_u - 2]
+                raising = polariton.raising_matrix(sweep, sec, lower)
+                assert raising.tobytes() == stacked([
+                    polariton.raising_matrix(p, a, polariton.diagonalize_sector(p, cav, two_u - 2))
+                    for p, a in zip(points, alone)
+                ])
+        element = polariton.first_excited_transition(sweep, cav)
+        alone = [polariton.first_excited_transition(p, cav) for p in points]
+        assert element.tobytes() == stacked(alone)
+
     @pytest.mark.parametrize("n, two_u, message", [
         (3, 1, "non-finite eigenvalues or coefficients"),
         (4, 0, "eigensolver failed"),

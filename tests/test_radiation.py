@@ -225,7 +225,7 @@ class TestDecayRate:
         pref = radiation.PrefactorInputs(mu=1e150, epsilon_d=epsilon_d, area=area)
         with pytest.raises(ValueError, match="prefactor"):
             radiation.decay_rate(LAT, CAV, pref)
-        sweep = (LAT, LatticeSpec(4, 0.5, 13.458))
+        sweep = LatticeSpec(4, (2 / 3, 0.5), (13.458, 13.458))
         with pytest.raises(ValueError, match="prefactor"):
             radiation.decay_rate(sweep, CAV, pref)
 
@@ -313,8 +313,7 @@ def _decay_rate_reference(lattice, cavity, prefactor_inputs=None, branch=0):
         )
         physical = pref * gamma
     return radiation.DecayResult(
-        gamma_normalized=gamma, s_at_kq=s_kq, s_at_zero=s_0,
-        gamma_physical=physical, prefactor_inputs=prefactor_inputs,
+        gamma_normalized=gamma, s_at_kq=s_kq, s_at_zero=s_0, gamma_physical=physical
     )
 
 
@@ -333,10 +332,10 @@ def _assert_bitwise(result, references):
 
 
 @st.composite
-def _sweep_points(draw, n):
-    """One sweep point: ell at 0, 1, 1/2, 2/3 or anywhere in [0, 1], and
-    omega_q anywhere in [0.5, 45], on a quasi-period multiple
-    2*m*omega_c/ell, or at or next to omega_c."""
+def _sweep_point(draw):
+    """One sweep point (ell, omega_q): ell at 0, 1, 1/2, 2/3 or anywhere
+    in [0, 1], and omega_q anywhere in [0.5, 45], on a quasi-period
+    multiple 2*m*omega_c/ell, or at or next to omega_c."""
     ell = draw(st.sampled_from([0.0, 1.0, 0.5, 2 / 3]) | st.floats(0.0, 1.0))
     kind = draw(st.sampled_from(["any", "multiple", "omega_c", "near"]))
     if kind == "multiple" and ell >= 1e-3:  # a finite omega_q
@@ -347,7 +346,7 @@ def _sweep_points(draw, n):
         omega_q = math.nextafter(CAV.omega_c, draw(st.sampled_from([0.0, math.inf])))
     else:
         omega_q = draw(st.floats(0.5, 45.0))
-    return LatticeSpec(n, ell, omega_q)
+    return ell, omega_q
 
 
 class TestBatchedDecayRate:
@@ -356,11 +355,13 @@ class TestBatchedDecayRate:
            eta=st.sampled_from([0.0, 0.1]) | st.floats(0.001, 2.0),
            prefactor=st.booleans())
     def test_matches_reference_bitwise(self, data, n, branch, eta, prefactor):
-        points = tuple(data.draw(st.lists(_sweep_points(n), min_size=1, max_size=12)))
+        pairs = data.draw(st.lists(_sweep_point(), min_size=1, max_size=12))
+        points = [LatticeSpec(n, *p) for p in pairs]
+        sweep = LatticeSpec(n, *zip(*pairs))
         cavity = CavitySpec(omega_c=CAV.omega_c, eta=eta)
         pref = radiation.PrefactorInputs(mu=0.5, epsilon_d=2.0, area=1.5) if prefactor else None
         references = [_decay_rate_reference(p, cavity, pref, branch) for p in points]
-        _assert_bitwise(radiation.decay_rate(points, cavity, pref, branch), references)
+        _assert_bitwise(radiation.decay_rate(sweep, cavity, pref, branch), references)
         single = radiation.decay_rate(points[0], cavity, pref, branch)
         _assert_bitwise(single, references[:1])
         assert type(single.gamma_normalized) is np.float64
@@ -384,32 +385,36 @@ class TestBatchedDecayRate:
             assert column.tobytes() == np.array([getattr(r, name) for r in references]).tobytes(), name
 
     def test_deformation_factor_once_per_point(self, monkeypatch):
+        # every call receives the whole sweep: one per sector and one for
+        # the raising element, each giving one factor per point
         calls = []
         real = polariton.deformation_factor
         monkeypatch.setattr(polariton, "deformation_factor", lambda p: calls.append(p) or real(p))
-        sweep = tuple(LatticeSpec(4, ell, 13.458) for ell in np.linspace(0.0, 1.0, 21).tolist())
+        sweep = LatticeSpec(4, np.linspace(0.0, 1.0, 21), np.full(21, 13.458))
         radiation.decay_rate(sweep, CAV)
-        assert calls == list(sweep)
+        assert calls == [sweep] * 3
         calls.clear()
         polariton.transition_matrices(LAT, CAV, 4)
-        assert calls == [LAT]
+        assert calls == [LAT] * 9  # five sectors and four raising matrices
 
     def test_mixed_qubit_counts_rejected(self):
-        with pytest.raises(ValueError):
-            radiation.decay_rate((LAT, LatticeSpec(5, 0.5, 13.458)), CAV)
-        with pytest.raises(ValueError):
-            radiation.decay_rate((), CAV)
+        # a sweep holds one n_qubits, so its points cannot mix counts; a
+        # point count that differs between the fields, or none, is refused
+        with pytest.raises(ValueError, match="one nonzero length"):
+            radiation.decay_rate(LatticeSpec(4, (2 / 3, 0.5), (13.458,)), CAV)
+        with pytest.raises(ValueError, match="one nonzero length"):
+            radiation.decay_rate(LatticeSpec(4, (), ()), CAV)
 
     def test_error_of_first_failing_point(self):
         # point 1 overflows its site phase, point 2 its bare sector
         # energy: the sweep raises what point 1 raises alone, as a
         # point-by-point sweep does
         cavity = CavitySpec(omega_c=1e-307, eta=0.1)
-        points = (LatticeSpec(4, 0.0, 13.458), LatticeSpec(4, 0.5, 13.458), LatticeSpec(4, 0.5, 1e308))
+        ells, omegas = (0.0, 0.5, 0.5), (13.458, 13.458, 1e308)
         with pytest.raises(ValueError, match="site phase"):
-            radiation.decay_rate(points, cavity)
+            radiation.decay_rate(LatticeSpec(4, ells, omegas), cavity)
         with pytest.raises(ValueError, match="bare sector energy"):
-            radiation.decay_rate(points[::-1], cavity)
+            radiation.decay_rate(LatticeSpec(4, ells[::-1], omegas[::-1]), cavity)
 
 
 # Mutants of the numeric side of the principal-value check; the closed
