@@ -121,7 +121,8 @@ def normalized_bath(
         spacing = freqs[1] - freqs[0]
     if freqs[0] <= 0:
         raise ValueError("bath extends to nonpositive frequencies; shrink bandwidth")
-    g = np.sqrt(spacing * lattice.k_q / (2.0 * math.pi * freqs))
+    with np.errstate(over="ignore", invalid="ignore"):  # BathSpec or the sector block refuses
+        g = np.sqrt(spacing * lattice.k_q / (2.0 * math.pi * freqs))
     return BathSpec(mode_frequencies=freqs, couplings=g, spacing=spacing)
 
 

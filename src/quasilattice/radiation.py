@@ -119,11 +119,6 @@ def _site_sum(
     return out
 
 
-def _l_rows(l, rows: list) -> complex | np.ndarray:
-    """One row per entry of l as one array, l's axes leading; the one row of a scalar l as is."""
-    return rows[0] if np.ndim(l) == 0 else np.array(rows).reshape(np.shape(l) + np.shape(rows[0]))
-
-
 def chi(
     lattice: LatticeSpec, cavity: CavitySpec, l, k
 ) -> complex | np.ndarray:
@@ -139,41 +134,50 @@ def chi(
     return _site_sum(lattice, cavity, np.cos(np.multiply.outer(l, j * math.pi)), k)
 
 
+CHI_CLOSED_FORM_C = 16.0
+
+
+def _closed_form_terms(
+    lattice: LatticeSpec, cavity: CavitySpec, l, k: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(num, den, scale) of the geometric-sum closed form chi_l(k) = num/den.
+
+    num and den carry l's axes in front of k's; the phase factors
+    e^{i*phi}, e^{i*N*phi} and e^{i*(N+1)*phi} are computed once for every
+    l, and each cos(m*l*pi) by math.cos.  scale is the l-independent
+    C*eps*(N+1)*max(1, |phi|) of ``chi_closed_form_error_bound``.
+    """
+    n = lattice.n_qubits
+    phase = math.pi * lattice.relative_spacing / cavity.omega_c * k
+    e1, e_n, e_n1 = (np.exp(1j * m * phase) for m in (1, n, n + 1))
+    shape = np.shape(l) + (1,) * phase.ndim
+    cos_1, cos_n1, cos_n = (
+        np.reshape([math.cos(x) for x in (np.ravel(l) * m * math.pi).tolist()], shape)
+        for m in (1, n - 1, n)
+    )
+    num = 1.0 + e_n1 * cos_n1 - e_n * cos_n - e1 * cos_1
+    den = 1.0 + e1 * e1 - 2.0 * e1 * cos_1
+    scale = CHI_CLOSED_FORM_C * np.finfo(float).eps * (n + 1) * np.maximum(1.0, np.abs(phase))
+    return num, den, scale
+
+
 def chi_closed_form(
     lattice: LatticeSpec, cavity: CavitySpec, l, k
 ) -> complex | np.ndarray:
     """Geometric-sum closed form of the coupling coefficient.
 
-    Cross-check only; raises SingularDenominatorError when the
-    denominator magnitude drops below 1e-9 anywhere on the input.  An
-    array of l adds its axes in front, as for ``chi``; the phase
-    factors e^{i*phi}, e^{i*N*phi} and e^{i*(N+1)*phi} are computed once.
+    Cross-check only; raises SingularDenominatorError, naming the first
+    l on a pole, when the denominator magnitude drops below 1e-9
+    anywhere on the input.  An array of l adds its axes in front, as for
+    ``chi``; the phase factors are computed once (``_closed_form_terms``).
     """
-    n = lattice.n_qubits
-    k_arr = np.asarray(k, dtype=complex)
-    phase = math.pi * lattice.relative_spacing / cavity.omega_c * k_arr
-    e1 = np.exp(1j * phase)
-    e_n = np.exp(1j * n * phase)
-    e_n1 = np.exp(1j * (n + 1) * phase)
-    rows = []
-    for l_i in np.ravel(l).tolist():
-        num = (
-            1.0
-            + e_n1 * math.cos(l_i * (n - 1) * math.pi)
-            - e_n * math.cos(n * l_i * math.pi)
-            - e1 * math.cos(l_i * math.pi)
-        )
-        den = 1.0 + e1 * e1 - 2.0 * e1 * math.cos(l_i * math.pi)
-        if np.any(np.abs(den) <= 1e-9):
-            raise SingularDenominatorError(
-                f"closed-form denominator below 1e-9 for l={l_i}"
-            )
-        out = num / den
-        rows.append(complex(out) if np.ndim(k) == 0 else out)
-    return _l_rows(l, rows)
-
-
-CHI_CLOSED_FORM_C = 16.0
+    num, den, _ = _closed_form_terms(lattice, cavity, l, np.asarray(k, dtype=complex))
+    on_pole = np.argwhere(np.abs(den) <= 1e-9)
+    if len(on_pole):
+        l_i = np.asarray(l)[tuple(on_pole[0, : np.ndim(l)])].item()
+        raise SingularDenominatorError(f"closed-form denominator below 1e-9 for l={l_i}")
+    out = num / den
+    return complex(out) if out.ndim == 0 else out
 
 
 def chi_closed_form_error_bound(
@@ -196,19 +200,14 @@ def chi_closed_form_error_bound(
     measured ratio was 5.3, hence C = 16.  A wrong l or a sign error
     differs by O(1) and exceeds the bound by orders of magnitude.
     """
-    k_arr = np.asarray(k, dtype=float)
-    theta = math.pi * lattice.relative_spacing / cavity.omega_c * k_arr
-    e1 = np.exp(1j * theta)
-    scale = (
-        CHI_CLOSED_FORM_C
-        * np.finfo(float).eps
-        * (lattice.n_qubits + 1)
-        * np.maximum(1.0, np.abs(theta))
-    )
-    return _l_rows(l, [
-        scale / np.abs(1.0 + e1 * e1 - 2.0 * e1 * math.cos(l_i * math.pi))
-        for l_i in np.ravel(l).tolist()
-    ])
+    _, den, scale = _closed_form_terms(lattice, cavity, l, np.asarray(k, dtype=float))
+    return scale / np.abs(den)
+
+
+def _l_summed_weights(n: int) -> np.ndarray:
+    """Site weights w_j = sum_l cos(j*pi*l) over l = 0, 1/N, ..., (N-1)/N,
+    exactly: N at j = 0, 1 at odd j and 0 at even j > 0."""
+    return np.array([n] + [j % 2 for j in range(1, n)], dtype=float)
 
 
 def s_factor(
@@ -223,8 +222,7 @@ def s_factor(
     The ground-to-first-excited raising element [S+] of the chosen
     branch is applied uniformly across l; pass transition_element to
     reuse a precomputed value across a k-sweep.  The l-sum is taken
-    inside the site sum: sum_l cos(j*pi*l) over l = 0, 1/N, ...,
-    (N-1)/N is N at j = 0, 1 at odd j and 0 at even j > 0.
+    inside the site sum, on the exact weights of ``_l_summed_weights``.
 
     For a sweep, k and transition_element carry a leading point axis
     (see ``_site_sum``).
@@ -232,9 +230,7 @@ def s_factor(
     n = lattice.n_qubits
     if transition_element is None:
         transition_element = first_excited_transition(lattice, cavity, branch)
-    weights = (np.arange(n) % 2).astype(float)
-    weights[0] = n
-    sums = _site_sum(lattice, cavity, weights, k)
+    sums = _site_sum(lattice, cavity, _l_summed_weights(n), k)
     if np.ndim(transition_element):  # each point's element spans its k-axes
         transition_element = np.reshape(transition_element, (-1,) + (1,) * (sums.ndim - 1))
     return transition_element * sums / n
@@ -358,7 +354,7 @@ def pv_integral_check(
     k_q = lattice.k_q
     n = lattice.n_qubits
     element = first_excited_transition(lattice, cavity, branch)
-    w = np.cos(np.multiply.outer(np.arange(n), math.pi * l_values(lattice))).sum(axis=1)
+    w = _l_summed_weights(n)
     c = (element / n) ** 2 * np.correlate(w, w, "full")
     theta = math.pi * lattice.relative_spacing / cavity.omega_c
     analytic = -math.pi / k_q * float(c @ np.sin(np.abs(np.arange(1 - n, n)) * theta * k_q))

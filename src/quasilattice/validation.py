@@ -11,7 +11,6 @@ accuracy bound is claimed for that regime.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -183,11 +182,15 @@ def check_closed_form(rng: np.random.Generator, draws: int = 50) -> list[CheckRe
     ]
 
 
-def _chi_ratio(lat: LatticeSpec, cav: CavitySpec, l, k: np.ndarray) -> np.ndarray:
-    """|direct - closed form| of chi over its float64 error bound, at each l and k."""
-    a = radiation.chi(lat, cav, l, k)
-    b = radiation.chi_closed_form(lat, cav, l, k)
-    return np.abs(a - b) / radiation.chi_closed_form_error_bound(lat, cav, l, k)
+def _chi_identity_residual(lat: LatticeSpec, cav: CavitySpec, k: np.ndarray) -> float:
+    """Worst |direct - closed| / bound of chi over every l and every point of k
+    where |den| > 1e-3; a function, so that each lattice's arrays go on return."""
+    ls = radiation.l_values(lat)
+    direct = radiation.chi(lat, cav, ls, k)  # before the closed form's arrays: less peak memory
+    num, den, scale = radiation._closed_form_terms(lat, cav, ls, k)
+    with np.errstate(all="ignore"):  # a point on a pole is masked out below
+        ratio = np.abs(direct - num / den) / (scale / np.abs(den))
+    return float(np.max(ratio[np.abs(den) > 1e-3]))
 
 
 def check_chi_identity(rng: np.random.Generator) -> list[CheckResult]:
@@ -197,32 +200,15 @@ def check_chi_identity(rng: np.random.Generator) -> list[CheckResult]:
     float64 error bound of ``radiation.chi_closed_form_error_bound``,
     C*eps*(N+1)*max(1, theta)/|den| with C = 16; the check passes below
     1.  A flat tolerance cannot serve here, because the closed form's
-    forward error grows as 1/|den| towards the skip threshold.
-
-    Every l of a lattice goes through one call of each function on the
-    whole grid, and each l's points with |den| > 1e-3 are picked
-    afterwards.  When a grid point lies within 1e-9 of some l's pole,
-    where the closed form refuses, that lattice is compared l by l on
-    each l's own points instead; both give the same residual.
+    forward error grows as 1/|den| towards the skip threshold.  Each
+    lattice evaluates both forms once for every l on the whole grid.
     """
-    worst = 0.0
     cav = CavitySpec(omega_c=6.729, eta=0.1)
     k = np.linspace(0.02, 40.0, 2000)
-    for n in range(2, 9):
-        lat = LatticeSpec(
-            n_qubits=n, relative_spacing=float(rng.uniform(0.05, 0.95)), omega_q=13.458
-        )
-        ls = radiation.l_values(lat)
-        # compare only where the closed-form denominator is healthy
-        phase = math.pi * lat.relative_spacing / cav.omega_c * k
-        cos_l = np.array([math.cos(l * math.pi) for l in ls])[:, None]
-        den = 1.0 + np.exp(2j * phase) - 2.0 * np.exp(1j * phase) * cos_l
-        good = np.abs(den) > 1e-3
-        try:  # every l at once, on the whole grid
-            ratios = [_chi_ratio(lat, cav, ls, k)[good]]
-        except radiation.SingularDenominatorError:  # a grid point on some l's pole: l by l
-            ratios = [_chi_ratio(lat, cav, l, k[g]) for l, g in zip(ls, good)]
-        worst = max([worst] + [float(np.max(r)) for r in ratios if r.size])
+    worst = max(
+        _chi_identity_residual(LatticeSpec(n, float(rng.uniform(0.05, 0.95)), 13.458), cav, k)
+        for n in range(2, 9)
+    )
     return [
         CheckResult(
             name="chi-direct-vs-closed-form",
@@ -266,23 +252,31 @@ def check_pv(
     ]
 
 
+def _worst_sector_deviation(lat: LatticeSpec, cav: CavitySpec, n_max: int, sectors) -> float:
+    """Worst distance of a model sector eigenvalue from the nearest
+    product-space eigenvalue of its sector, over the given sectors 2u."""
+    ops = oracle.build_operators(lat, cav, n_max=n_max)
+    worst = 0.0
+    for two_u in sectors:
+        exact = oracle.exact_sector_spectrum(ops, two_u)
+        for ev in polariton.diagonalize_sector(lat, cav, two_u).eigenvalues:
+            worst = max(worst, float(np.min(np.abs(exact - ev))))
+    return worst
+
+
 def check_exact_limit() -> list[CheckResult]:
     """Homogeneous-lattice (ell=0) model spectra vs brute-force
     diagonalization, plus soft deformed-case deviation reports."""
     cav = CavitySpec(omega_c=6.729, eta=0.1)
-    out = []
     worst = 0.0
     for n in (2, 4, 6):
         lat = LatticeSpec(n_qubits=n, relative_spacing=0.0, omega_q=13.458)
-        two_r = lat.two_r
-        n_max = ((-two_r + 4) + two_r) // 2 + 2
-        ops = oracle.build_operators(lat, cav, n_max=n_max)
-        for two_u in (-two_r, -two_r + 2, -two_r + 4):
-            exact = oracle.exact_sector_spectrum(ops, two_u)
-            model = polariton.diagonalize_sector(lat, cav, two_u).eigenvalues
-            for ev in model:
-                worst = max(worst, float(np.min(np.abs(exact - ev))))
-    out.append(
+        sectors = range(-lat.two_r, -lat.two_r + 5, 2)
+        worst = max(worst, _worst_sector_deviation(lat, cav, 4, sectors))
+    # Deformed lattice: the model is approximate; report the deviation.
+    lat = LatticeSpec(n_qubits=4, relative_spacing=2.0 / 3.0, omega_q=13.458)
+    worst_soft = _worst_sector_deviation(lat, cav, 8, (-4, -2, 0))
+    return [
         CheckResult(
             name="homogeneous-limit-spectra",
             kind="hard",
@@ -290,18 +284,7 @@ def check_exact_limit() -> list[CheckResult]:
             residual=worst,
             tolerance=1e-10,
             detail="model sector eigenvalues vs product-space diagonalization, ell=0",
-        )
-    )
-    # Deformed lattice: the model is approximate; report the deviation.
-    lat = LatticeSpec(n_qubits=4, relative_spacing=2.0 / 3.0, omega_q=13.458)
-    ops = oracle.build_operators(lat, cav, n_max=8)
-    worst_soft = 0.0
-    for two_u in (-4, -2, 0):
-        exact = oracle.exact_sector_spectrum(ops, two_u)
-        model = polariton.diagonalize_sector(lat, cav, two_u).eigenvalues
-        for ev in model:
-            worst_soft = max(worst_soft, float(np.min(np.abs(exact - ev))))
-    out.append(
+        ),
         CheckResult(
             name="deformed-model-deviation",
             kind="soft",
@@ -309,9 +292,8 @@ def check_exact_limit() -> list[CheckResult]:
             residual=worst_soft,
             tolerance=None,
             detail="model vs exact eigenvalues at N=4, ell=2/3 (reported, not asserted)",
-        )
-    )
-    return out
+        ),
+    ]
 
 
 def run_all(seed: int = 0) -> ValidationReport:

@@ -243,6 +243,22 @@ class TestDynamics:
         assert err.startswith("error: a bandwidth of 0.5 GHz") and err.count("\n") == 1
         assert "distinct float64 mode frequencies" in err
 
+    @pytest.mark.parametrize("extra, message", [
+        (["--modes", "1"], "error: a bare sector energy"),  # 2*pi*omega_k overflows
+        (["--bandwidth", "1e306"], "error: mode frequencies and couplings must be finite"),
+    ], ids=["one-mode", "wide-band"])
+    def test_overflowing_bath_couplings_are_one_usage_error(self, tmp_path, capsys, extra, message):
+        # the grid resolves, but the couplings' arithmetic overflows: the
+        # input is still refused with one error line, and numpy warns nothing
+        out = tmp_path / "dyn.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            argv = ["dynamics", "--omega-q", "1e308", *extra, "--out", str(out)]
+            assert run(argv) == cli.EXIT_USAGE
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1
+
 
 class TestValidate:
     def test_exit_zero_and_report(self, tmp_path):

@@ -74,24 +74,38 @@ def _outcome(fn, *args):
     return value.tobytes(), value.shape
 
 
+def _former_healthy(lat, cav, l, k):
+    """Where the former check compared l's chi: |den| > 1e-3, with den
+    rounded as it was then."""
+    theta = math.pi * lat.relative_spacing / cav.omega_c * k
+    cos_l = math.cos(l * math.pi)
+    return np.abs(1.0 + np.exp(2j * theta) - 2.0 * np.exp(1j * theta) * cos_l) > 1e-3
+
+
 def _former_chi_identity(rng):
     """check_chi_identity's residual as it was computed before every l
-    shared one call: l by l, on that l's healthy points only."""
+    shared one evaluation: l by l, on that l's healthy points only, with
+    the closed form and its error bound written out as they were then."""
     worst = 0.0
+    cav = CavitySpec(omega_c=6.729, eta=0.1)
+    k = np.linspace(0.02, 40.0, 2000)
     for n in range(2, 9):
         lat = LatticeSpec(n_qubits=n, relative_spacing=float(rng.uniform(0.05, 0.95)), omega_q=13.458)
-        cav = CavitySpec(omega_c=6.729, eta=0.1)
-        k = np.linspace(0.02, 40.0, 2000)
+        theta = math.pi * lat.relative_spacing / cav.omega_c * k
+        e1, e_n, e_n1 = (np.exp(1j * m * theta) for m in (1, n, n + 1))
+        eps = np.finfo(float).eps
+        scale = radiation.CHI_CLOSED_FORM_C * eps * (n + 1) * np.maximum(1.0, np.abs(theta))
         for l in radiation.l_values(lat):
-            phase = math.pi * lat.relative_spacing / cav.omega_c * k
-            den = 1.0 + np.exp(2j * phase) - 2.0 * np.exp(1j * phase) * math.cos(l * math.pi)
-            good = np.abs(den) > 1e-3
+            good = _former_healthy(lat, cav, l, k)
             if not np.any(good):
                 continue
+            cos_l = math.cos(l * math.pi)
+            num = 1.0 + e_n1 * math.cos(l * (n - 1) * math.pi) - e_n * math.cos(n * l * math.pi)
+            num = num - e1 * cos_l
+            den = (1.0 + e1 * e1 - 2.0 * e1 * cos_l)[good]
             a = radiation.chi(lat, cav, l, k[good])
-            b = radiation.chi_closed_form(lat, cav, l, k[good])
-            bound = radiation.chi_closed_form_error_bound(lat, cav, l, k[good])
-            worst = max(worst, float(np.max(np.abs(a - b) / bound)))
+            bound = scale[good] / np.abs(den)
+            worst = max(worst, float(np.max(np.abs(a - num[good] / den) / bound)))
     return worst
 
 
@@ -127,23 +141,29 @@ class TestArrayL:
         assert radiation.chi(LAT, CAV, [0.25, 0.5], 7.5).shape == (2,)
         assert radiation.chi(LAT, CAV, np.zeros((2, 3)), self.K_REAL).shape == (2, 3, 97)
 
-    @pytest.mark.parametrize("whole_grid", [True, False])
-    def test_check_chi_identity_matches_former_loop(self, monkeypatch, whole_grid):
-        # rng seeds 20, 25, 26 and 33 put a grid point on some l's pole, where
-        # the whole-grid closed form refuses and the check goes l by l; without
-        # whole_grid every lattice is refused there, so that path runs alone
-        if not whole_grid:
-            closed_form = radiation.chi_closed_form
+    @pytest.mark.parametrize("public_closed_form", [True, False])
+    def test_check_chi_identity_matches_former_loop(self, monkeypatch, public_closed_form):
+        # rng seeds 20, 25, 26 and 33 put a grid point within 1e-9 of some l's
+        # pole, where chi_closed_form refuses.  The check evaluates the closed
+        # form's terms itself: without public_closed_form both public functions
+        # refuse every call, and chi is off by 1e6 wherever the former check
+        # skipped a point, so a check that compares any such point fails
+        seeds = [*range(8), 20, 25, 26, 33] if public_closed_form else [20, 25, 26, 33]
+        former = [repr(_former_chi_identity(np.random.default_rng(seed))) for seed in seeds]
+        if not public_closed_form:
+            def refuse(*args):
+                raise AssertionError("check_chi_identity called a public closed-form function")
 
-            def refuse_l_arrays(lat, cav, l, k):
-                if np.ndim(l):
-                    raise radiation.SingularDenominatorError("refused")
-                return closed_form(lat, cav, l, k)
+            def chi_off_where_skipped(lat, cav, l, k, chi=radiation.chi):
+                healthy = np.array([_former_healthy(lat, cav, l_i, k) for l_i in l])
+                return np.where(healthy, chi(lat, cav, l, k), 1e6)
 
-            monkeypatch.setattr(radiation, "chi_closed_form", refuse_l_arrays)
-        for seed in [*range(8), 20, 25, 26, 33]:
-            new = validation.check_chi_identity(np.random.default_rng(seed))[0].residual
-            assert repr(new) == repr(_former_chi_identity(np.random.default_rng(seed))), seed
+            monkeypatch.setattr(radiation, "chi_closed_form", refuse)
+            monkeypatch.setattr(radiation, "chi_closed_form_error_bound", refuse)
+            monkeypatch.setattr(radiation, "chi", chi_off_where_skipped)
+        new = [repr(validation.check_chi_identity(np.random.default_rng(seed))[0].residual)
+               for seed in seeds]
+        assert new == former
 
 
 class TestQuasiPeriod:
