@@ -7,10 +7,14 @@ Outside the Tier-1 ``testpaths``; run explicitly with
 The kernels carry no timing asserts.  The N=8, n_max=8 build (product
 dimension 2304) and its lowest sectors match the ``exact_spectrum``
 operation of the validate-oracle benchmark workload; the build holds
-only the spin terms, and each sector call builds its own block.  The
-``verify_commutators`` kernel takes one set at N=6, n_max=1, the size of
-each draw of ``check_commutators``; the commutators are taken in the
-2^N qubit space.
+only the spin terms, and each sector call builds its own block; the
+N-only part of them (s_z and the entries of s_plus) is cached per N.
+``check_commutators`` makes two builds and two ``verify_commutators``
+calls per N = 2..6: one sweep of its 20 random ell and one lattice at
+ell = 0.  The ``verify_commutators`` kernels take one lattice and a
+20-point sweep at N=6, n_max=1, the largest of each; the commutators
+are taken in the 2^N qubit space, one sweep point at a time in one
+reused s_plus buffer.
 """
 
 import numpy as np
@@ -22,7 +26,10 @@ from quasilattice.model import CavitySpec, LatticeSpec
 LATTICE = LatticeSpec(n_qubits=8, relative_spacing=0.0, omega_q=13.458)
 CAVITY = CavitySpec(omega_c=6.729, eta=0.1)
 N_MAX = 8
-COMMUTATOR_LATTICE = LatticeSpec(n_qubits=6, relative_spacing=0.37, omega_q=13.458)
+COMMUTATOR_LATTICES = {
+    "one": LatticeSpec(n_qubits=6, relative_spacing=0.37, omega_q=13.458),
+    "sweep20": LatticeSpec(6, np.linspace(0.02, 0.98, 20), np.full(20, 13.458)),
+}
 
 
 @pytest.fixture(scope="module")
@@ -48,8 +55,9 @@ def test_three_sector_spectra(benchmark, ops):
     assert all(np.all(np.isfinite(s)) for s in spectra)
 
 
-def test_verify_commutators(benchmark):
-    ops = oracle.build_operators(COMMUTATOR_LATTICE, CAVITY, n_max=1)
+@pytest.mark.parametrize("lattice", COMMUTATOR_LATTICES.values(), ids=COMMUTATOR_LATTICES)
+def test_verify_commutators(benchmark, lattice):
+    ops = oracle.build_operators(lattice, CAVITY, n_max=1)
     report = benchmark(oracle.verify_commutators, ops)
     assert report.passed and report.splus_sminus_sz is None
 

@@ -16,14 +16,18 @@ at N=16 is the 1 x 2 case that every ``decay_rate`` point pays.
 ``closed_form_coefficients`` runs every branch of the N=6 top sector
 (dimension 7) from the eigensolver's splittings, as
 ``validation.check_closed_form`` draws them, each with its Newton
-refinement of eps.
+refinement of eps; the per-index factors of the multi-sum are formed
+once per call and its index sets once per process.
+``validation.check_closed_form`` itself, at rng seed 0, is the whole
+check that ``validate`` runs: 50 random sectors at N = 2..6, each
+diagonalized and expanded branch by branch.
 """
 
 import math
 
 import numpy as np
 
-from quasilattice import polariton
+from quasilattice import polariton, validation
 from quasilattice.model import CavitySpec, LatticeSpec
 
 CAVITY = CavitySpec(omega_c=6.729, eta=0.1)
@@ -66,3 +70,8 @@ def test_closed_form_coefficients(benchmark):
 
     columns = benchmark(every_branch)
     assert np.linalg.norm(np.column_stack(columns) - sector.coefficients) < 1e-7
+
+
+def test_check_closed_form(benchmark):
+    results = benchmark(lambda: validation.check_closed_form(np.random.default_rng(0)))
+    assert all(r.passed for r in results)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CavitySpec, LatticeSpec
+from .model import CavitySpec, LatticeSpec, refuse_sweep
 from .radiation import s_factor
 
 # Sampled rows per block of the state evaluation: bounds its scratch
@@ -105,6 +105,7 @@ def normalized_bath(
     below the resolution of omega_q) raises ValueError before any
     coupling is formed.
     """
+    refuse_sweep(lattice, "normalized_bath")
     if not 0 < bandwidth < math.inf or n_modes < 1:
         raise ValueError("bandwidth must be positive and finite, and n_modes >= 1")
     w_q = lattice.omega_q

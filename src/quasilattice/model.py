@@ -87,6 +87,12 @@ class CavitySpec:
         return self.omega_c - lattice.omega_q
 
 
+def refuse_sweep(lattice: LatticeSpec, caller: str) -> None:
+    """Raise ValueError, naming caller, when lattice is a sweep."""
+    if isinstance(lattice.relative_spacing, tuple):
+        raise ValueError(f"{caller} takes one lattice, not a sweep")
+
+
 def coupling_weights(lattice: LatticeSpec) -> np.ndarray:
     """Cavity coupling weight of each qubit: entry j is cos(j*pi*ell); for
     a sweep, one row per point."""

@@ -11,11 +11,12 @@ outside it is ever formed.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CavitySpec, LatticeSpec, coupling_weights
+from .model import CavitySpec, LatticeSpec, coupling_weights, refuse_sweep
 
 _MAX_QUBITS = 8
 _MAX_FOCK = 12
@@ -34,7 +35,7 @@ class ProductSpaceOperators:
     """The chain + cavity problem on the 2^N x (n_max+1) product space,
     index spin*(n_max+1) + photons, held as its spin terms.
 
-    The spin terms are those of `_spin_terms`: the diagonals s_z and
+    The spin terms are those of `build_operators`: the diagonals s_z and
     sigma_z on the 2^N qubit space and the entries (up, down, weight) of
     the weighted s_plus, which carries the site weights cos(j*pi*ell);
     sigma_z is the cos^2-weighted inversion entering its commutator.
@@ -74,28 +75,27 @@ class CommutatorReport:
         return all(c < self.tolerance for c in checks)
 
 
-def _spin_terms(
-    weights: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Diagonals of s_z and of the cos^2-weighted sigma_z on the 2^N qubit
-    space, and the entries (up, down, weight) of the weighted s_plus, read
-    off the basis index: bit N-1-j is 0 when site j is up, so site 0 is
-    the most significant bit."""
-    n = len(weights)
+@functools.cache
+def _site_pattern(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The part of the spin terms that depends on N only, read-only: the
+    diagonal of s_z, the inversions site_z[j] = +-1/2 of each site, and
+    the entries (up, down) of s_plus, site by site, read off the basis
+    index: bit N-1-j is 0 when site j is up, so site 0 is the most
+    significant bit."""
     index = np.arange(2**n)
-    s_z = np.zeros(2**n)
-    sigma_z = np.zeros(2**n)
-    up, down, weight = [], [], []
+    site_z = np.empty((n, 2**n))
+    up, down = [], []
     for j in range(n):
         bit = 1 << (n - 1 - j)
         is_down = (index & bit) != 0
-        site_z = np.where(is_down, -0.5, 0.5)
-        s_z += site_z
-        sigma_z += weights[j] ** 2 * site_z
+        site_z[j] = np.where(is_down, -0.5, 0.5)
         down.append(index[is_down])
         up.append(down[-1] - bit)
-        weight.append(np.full(down[-1].size, weights[j]))
-    return s_z, sigma_z, np.concatenate(up), np.concatenate(down), np.concatenate(weight)
+    # every partial sum of halves is exact, so any order gives these s_z
+    pattern = (site_z.sum(axis=0), site_z, np.concatenate(up), np.concatenate(down))
+    for array in pattern:
+        array.flags.writeable = False
+    return pattern
 
 
 def build_operators(
@@ -103,7 +103,9 @@ def build_operators(
 ) -> ProductSpaceOperators:
     """The spin terms of the chain, for sectors and commutators on the
     product space truncated at n_max photons; no product-space array is
-    written."""
+    written.  s_z, up and down depend on N only (`_site_pattern`); sigma_z
+    and weight get one row per point of a sweep.  Each w_j^2 is libm's
+    pow, as the scalar w_j**2 of one lattice rounds."""
     n = lattice.n_qubits
     if n > _MAX_QUBITS or n_max > _MAX_FOCK:
         raise DimensionGuardError(
@@ -111,23 +113,23 @@ def build_operators(
         )
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    s_z, sigma_z, up, down, weight = _spin_terms(coupling_weights(lattice))
+    weights = coupling_weights(lattice)
+    s_z, site_z, up, down = _site_pattern(n)
+    squares = np.float_power(weights, 2)
+    sigma_z = np.zeros(weights.shape[:-1] + (2**n,))
+    for j in range(n):
+        sigma_z += squares[..., j, None] * site_z[j]
     return ProductSpaceOperators(
-        lattice=lattice, cavity=cavity, n_max=n_max,
-        s_z=s_z, sigma_z=sigma_z, up=up, down=down, weight=weight,
+        lattice=lattice, cavity=cavity, n_max=n_max, s_z=s_z, sigma_z=sigma_z,
+        up=up, down=down, weight=np.repeat(weights, 2 ** (n - 1), axis=-1),
     )
-
-
-def _spin_raising(ops: ProductSpaceOperators) -> np.ndarray:
-    """The weighted s_plus as a dense 2^N-square qubit-space matrix."""
-    s_plus = np.zeros((ops.s_z.size, ops.s_z.size))
-    s_plus[ops.up, ops.down] = ops.weight
-    return s_plus
 
 
 def verify_commutators(ops: ProductSpaceOperators, tol: float = 1e-12) -> CommutatorReport:
     """Residuals of [S_z, S_pm] = pm S_pm and [S_plus, S_minus] = 2*Sigma_z;
-    at ell = 0 additionally [S_plus, S_minus] = 2*S_z.
+    at ell = 0 additionally [S_plus, S_minus] = 2*S_z.  For a sweep each
+    residual is the worst over its points, the last over its points at
+    ell = 0 only (None when it has none).
 
     Every operator here acts as x (x) 1 on the photons, so each identity
     holds on the product space exactly when it holds on the 2^N qubit
@@ -135,21 +137,22 @@ def verify_commutators(ops: ProductSpaceOperators, tol: float = 1e-12) -> Commut
     [s_z, x] is formed as sz_i*x_ij - x_ij*sz_j with no matrix product.
     This equals the matmul form bit for bit: each entry of a product with
     a diagonal matrix is one rounded product plus exact zeros.  (Rounding
-    (sz_i - sz_j)*x_ij instead would give other residuals.)"""
-    s_plus = _spin_raising(ops)
-    s_minus = s_plus.T
-    sz = ops.s_z
-
-    def sz_comm(x):
-        return sz[:, None] * x - x * sz[None, :]
-
-    r1 = float(np.max(np.abs(sz_comm(s_plus) - s_plus)))
-    r2 = float(np.max(np.abs(sz_comm(s_minus) + s_minus)))
-    pm = s_plus @ s_minus - s_minus @ s_plus
-    r3 = float(np.max(np.abs(pm - np.diag(2.0 * ops.sigma_z))))
-    r4 = None
-    if ops.lattice.relative_spacing == 0.0:
-        r4 = float(np.max(np.abs(pm - np.diag(2.0 * sz))))
+    (sz_i - sz_j)*x_ij instead would give other residuals.)  Off the
+    entries of x that residual is an exact +-0, so it is read on them
+    only.  [S_plus, S_minus] is formed point by point in one 2^N-square
+    s_plus buffer, whose entries each point writes anew."""
+    sz, up, down, w = ops.s_z, ops.up, ops.down, ops.weight
+    r1 = float(np.max(np.abs(sz[up] * w - w * sz[down] - w), initial=0.0))
+    r2 = float(np.max(np.abs(sz[down] * w - w * sz[up] + w), initial=0.0))
+    r3, r4 = 0.0, None
+    s_plus = np.zeros((sz.size, sz.size))
+    ells = np.ravel(ops.lattice.relative_spacing)
+    for ell, sigma_z, weight in zip(ells, np.atleast_2d(ops.sigma_z), np.atleast_2d(w)):
+        s_plus[up, down] = weight
+        pm = s_plus @ s_plus.T - s_plus.T @ s_plus
+        r3 = max(r3, float(np.max(np.abs(pm - np.diag(2.0 * sigma_z)))))
+        if ell == 0.0:
+            r4 = max(r4 or 0.0, float(np.max(np.abs(pm - np.diag(2.0 * sz)))))
     return CommutatorReport(
         sz_splus=r1, sz_sminus=r2, splus_sminus_sigma=r3, splus_sminus_sz=r4, tolerance=tol
     )
@@ -190,5 +193,6 @@ def _sector_block(ops: ProductSpaceOperators, two_u: int) -> np.ndarray:
 
 def exact_sector_spectrum(ops: ProductSpaceOperators, two_u: int) -> np.ndarray:
     """Eigenvalues of H_total restricted to the excitation-u eigenspace,
-    from the block of `_sector_block`."""
+    from the block of `_sector_block`; one lattice only."""
+    refuse_sweep(ops.lattice, "exact_sector_spectrum")
     return np.linalg.eigvalsh(_sector_block(ops, two_u))

@@ -10,12 +10,13 @@ half-integers for odd N, so they are carried as doubled integers.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CavitySpec, LatticeSpec, deformation_factor
+from .model import CavitySpec, LatticeSpec, deformation_factor, refuse_sweep
 
 
 class EmptySectorError(ValueError):
@@ -177,15 +178,17 @@ def diagonalize_sector(lattice: LatticeSpec, cavity: CavitySpec, two_u: int) -> 
     )
 
 
-def _descending_index_sets(n_top: int, q: int, low: int = 0):
+@functools.cache
+def _descending_index_sets(n_top: int, q: int, low: int = 0) -> tuple[tuple[int, ...], ...]:
     """Index tuples j_1 > ... > j_q in {low..n_top} with pairwise gaps >= 2,
     ordered as their reversals are by itertools.combinations."""
     if q == 0:
-        yield ()
-        return
-    for j in range(low, n_top - 2 * q + 3):
-        for rest in _descending_index_sets(n_top, q - 1, j + 2):
-            yield rest + (j,)
+        return ((),)
+    return tuple(
+        rest + (j,)
+        for j in range(low, n_top - 2 * q + 3)
+        for rest in _descending_index_sets(n_top, q - 1, j + 2)
+    )
 
 
 def _refine_splitting(
@@ -267,6 +270,7 @@ def closed_form_coefficients(
     same dw, eta and f as the expansion (``_refine_splitting``: each
     step is exact and rounds once, to float).
     """
+    refuse_sweep(lattice, "closed_form_coefficients")
     basis = sector_basis(lattice, two_u)
     two_r = lattice.two_r
     if two_u > two_r:
@@ -290,38 +294,34 @@ def closed_form_coefficients(
         return col
 
     eps = _refine_splitting(dw, eta, f, basis, two_r, eps)
-    coeffs = np.empty(basis.dimension)
-    n0 = basis.entries[0][0]
-    for row, (n_abs, _) in enumerate(basis.entries):
-        n = n_abs - n0  # steps above the sector's lowest photon number
-        for j in range(1, n + 1):
-            if abs(eps - j * dw) < 1e-12 * max(1.0, abs(eps)):
-                raise DegenerateDetuningError(
-                    f"eps - {j}*detuning vanishes for sector 2u={two_u}"
-                )
-        prefactor = 1.0
-        for j in range(n):
-            prefactor *= (eps - j * dw) / eta
-        falling = math.prod(r + u - i for i in range(n))
-        rising = math.prod(r - u + 1.0 + i for i in range(n))
-        prefactor /= math.sqrt(math.factorial(n) * falling * rising)
+    d = basis.dimension
+    for j in range(1, d):
+        if abs(eps - j * dw) < 1e-12 * max(1.0, abs(eps)):
+            raise DegenerateDetuningError(f"eps - {j}*detuning vanishes for sector 2u={two_u}")
+    factors = [  # the factor of index jk in a term of the multi-sum
+        -(eta**2) * (jk + 1) * (r + u - jk) / (eps - jk * dw)
+        * (r - u + jk + 1) / (eps - (jk + 1) * dw)
+        for jk in range(d - 2)
+    ]
+    coeffs = np.empty(d)
+    # row n is n photons above the sector's lowest; the products of rows
+    # 0..n-1 carry on, in the order a restart from 1.0 would round them
+    prefactor, falling, rising = 1.0, 1.0, 1.0
+    for n in range(d):
+        if n:
+            prefactor *= (eps - (n - 1) * dw) / eta
+            falling *= r + u - (n - 1)
+            rising *= r - u + 1.0 + (n - 1)
         total = 0.0
         for q in range(n // 2 + 1):
             part = 0.0
             for desc in _descending_index_sets(n - 2, q):
                 term = 1.0
                 for jk in desc:
-                    term *= (
-                        -(eta**2)
-                        * (jk + 1)
-                        * (r + u - jk)
-                        / (eps - jk * dw)
-                        * (r - u + jk + 1)
-                        / (eps - (jk + 1) * dw)
-                    )
+                    term *= factors[jk]
                 part += term
             total += f ** (q - n / 2.0) * part
-        coeffs[row] = prefactor * total
+        coeffs[n] = prefactor / math.sqrt(math.factorial(n) * falling * rising) * total
     coeffs /= np.linalg.norm(coeffs)
     lead = coeffs[np.nonzero(np.abs(coeffs) > 1e-14)[0][0]]
     if lead < 0:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CavitySpec, LatticeSpec
+from .model import CavitySpec, LatticeSpec, refuse_sweep
 from .polariton import first_excited_transition
 
 
@@ -171,6 +171,7 @@ def chi_closed_form(
     anywhere on the input.  An array of l adds its axes in front, as for
     ``chi``; the phase factors are computed once (``_closed_form_terms``).
     """
+    refuse_sweep(lattice, "chi_closed_form")
     num, den, _ = _closed_form_terms(lattice, cavity, l, np.asarray(k, dtype=complex))
     on_pole = np.argwhere(np.abs(den) <= 1e-9)
     if len(on_pole):
@@ -200,6 +201,9 @@ def chi_closed_form_error_bound(
     measured ratio was 5.3, hence C = 16.  A wrong l or a sign error
     differs by O(1) and exceeds the bound by orders of magnitude.
     """
+    refuse_sweep(lattice, "chi_closed_form_error_bound")
+    if np.iscomplexobj(k):
+        raise ValueError("chi_closed_form_error_bound takes real k only")
     _, den, scale = _closed_form_terms(lattice, cavity, l, np.asarray(k, dtype=float))
     return scale / np.abs(den)
 
@@ -242,6 +246,7 @@ def quasi_period(lattice: LatticeSpec, cavity: CavitySpec) -> float:
     The ell = 0 limit has no periodicity; it is reported as an infinite
     period.
     """
+    refuse_sweep(lattice, "quasi_period")
     if lattice.relative_spacing == 0.0:
         return math.inf
     return 2.0 * cavity.omega_c / lattice.relative_spacing
@@ -351,6 +356,7 @@ def pv_integral_check(
     ratio (N = 1..32, nine ell, seven omega_q in [5, 21]) was 0.0027.
     self_consistency is |Delta_M - Delta_2M| / scale.
     """
+    refuse_sweep(lattice, "pv_integral_check")
     k_q = lattice.k_q
     n = lattice.n_qubits
     element = first_excited_transition(lattice, cavity, branch)

@@ -3,12 +3,31 @@ import math
 import numpy as np
 import pytest
 
+from quasilattice import dynamics, oracle, polariton, radiation
 from quasilattice.model import (
     CavitySpec,
     LatticeSpec,
     coupling_weights,
     deformation_factor,
 )
+
+SWEEP = LatticeSpec(4, (0.1, 0.2, 0.3, 0.4), (10.0, 11.0, 12.0, 13.0))
+CAVITY = CavitySpec(omega_c=6.729, eta=0.1)
+ONE_LATTICE_ONLY = {
+    "quasi_period": lambda: radiation.quasi_period(SWEEP, CAVITY),
+    "chi_closed_form": lambda: radiation.chi_closed_form(SWEEP, CAVITY, 0.25, 2.0),
+    "chi_closed_form_error_bound": lambda: radiation.chi_closed_form_error_bound(
+        SWEEP, CAVITY, 0.25, np.array([2.0, 3.0])
+    ),
+    "pv_integral_check": lambda: radiation.pv_integral_check(SWEEP, CAVITY),
+    "closed_form_coefficients": lambda: polariton.closed_form_coefficients(
+        SWEEP, CAVITY, -2, 0.1
+    ),
+    "normalized_bath": lambda: dynamics.normalized_bath(SWEEP, 0.5, 11),
+    "exact_sector_spectrum": lambda: oracle.exact_sector_spectrum(
+        oracle.build_operators(SWEEP, CAVITY, n_max=2), -4
+    ),
+}
 
 
 def test_homogeneous_limit_is_one():
@@ -137,6 +156,14 @@ class TestSweepSpec:
             alone = [deformation_factor(LatticeSpec(n, ell, 10.0)) for ell in ells]
             assert f.tobytes() == np.array(alone).tobytes()
         assert type(deformation_factor(LatticeSpec(4, 0.3, 10.0))) is float
+
+    @pytest.mark.parametrize("name", ONE_LATTICE_ONLY)
+    def test_one_lattice_functions_refuse_a_sweep(self, name):
+        # one plain ValueError naming the function, not a TypeError from
+        # tuple arithmetic or a numpy broadcast error
+        with pytest.raises(ValueError, match=f"^{name} takes one lattice, not a sweep$") as info:
+            ONE_LATTICE_ONLY[name]()
+        assert type(info.value) is ValueError
 
     def test_coupling_weights_per_point(self):
         # one row per point, even when there are as many points as qubits

@@ -53,6 +53,13 @@ def _kron_reference(lattice, cavity, n_max):
             "S_z": S_z, "a": A, "a_dagger": A_dag, "H_total": H}
 
 
+def _spin_raising(ops):
+    """The weighted s_plus of one lattice as a dense 2^N-square matrix."""
+    s_plus = np.zeros((ops.s_z.size, ops.s_z.size))
+    s_plus[ops.up, ops.down] = ops.weight
+    return s_plus
+
+
 def _reference_sector(ref, two_u):
     """Product indices of the excitation-u eigenspace of the reference's
     S_z + a_dag*a, and their photon numbers."""
@@ -87,7 +94,7 @@ class TestBuildOperators:
         lat = LatticeSpec(n_qubits=3, relative_spacing=0.4, omega_q=10.0)
         ops = oracle.build_operators(lat, CAV, n_max=3)
         ref = _kron_reference(lat, CAV, 3)
-        assert np.array_equal(oracle._spin_raising(ops).T, ref["s_minus"])
+        assert np.array_equal(_spin_raising(ops).T, ref["s_minus"])
 
     def test_hamiltonian_hermitian(self):
         lat = LatticeSpec(n_qubits=4, relative_spacing=2 / 3, omega_q=13.458)
@@ -107,7 +114,7 @@ class TestBuildOperators:
             # the spin terms are the Kronecker chains
             assert np.array_equal(ops.s_z, np.diag(ref["s_z"])), (n, n_max)
             assert np.array_equal(ops.sigma_z, np.diag(ref["sigma_z"])), (n, n_max)
-            assert np.array_equal(oracle._spin_raising(ops), ref["s_plus"]), (n, n_max)
+            assert np.array_equal(_spin_raising(ops), ref["s_plus"]), (n, n_max)
             assert ops.dimension == ref["H_total"].shape[0]
             for two_u in _blocks_below_cutoff(n, n_max):
                 idx, _ = _reference_sector(ref, two_u)
@@ -139,7 +146,7 @@ class TestBuildOperators:
         # state per site, weighted cos(j*pi*ell)
         all_down = np.zeros(16)
         all_down[15] = 1.0
-        image = oracle._spin_raising(ops) @ all_down
+        image = _spin_raising(ops) @ all_down
         for j, weight in enumerate([1.0, -0.5, -0.5, 1.0]):
             flipped = 15 - 2 ** (3 - j)
             assert image[flipped] == pytest.approx(weight, abs=1e-12)
@@ -191,6 +198,40 @@ class TestCommutators:
                            for key in ("s_z", "s_plus", "s_minus", "sigma_z")}
                 ops = oracle.build_operators(lat, CAV, n_max=1)
                 assert oracle.verify_commutators(ops) == _commutator_reference(product, ell)
+
+    def test_sweep_report_is_max_over_point_reports(self):
+        # bit for bit: each residual of a sweep is the max over its points'
+        # own reports, the ell = 0 one over the points at ell = 0 only; the
+        # rows of sigma_z and weight are those of the points alone
+        rng = np.random.default_rng(19)
+        for n in range(1, 9):
+            draws = [float(x) for x in rng.uniform(size=4)]
+            for ells in ([0.0, 1.0, *draws], [*draws, 1.0], [draws[0], 0.0, 0.0]):
+                sweep = oracle.build_operators(LatticeSpec(n, ells, [13.458] * len(ells)), CAV, 1)
+                alone = [oracle.build_operators(LatticeSpec(n, x, 13.458), CAV, 1) for x in ells]
+                for i, ops in enumerate(alone):
+                    assert sweep.sigma_z[i].tobytes() == ops.sigma_z.tobytes()
+                    assert sweep.weight[i].tobytes() == ops.weight.tobytes()
+                reports = [oracle.verify_commutators(ops) for ops in alone]
+                at_zero = [r.splus_sminus_sz for r in reports if r.splus_sminus_sz is not None]
+                expected = oracle.CommutatorReport(
+                    sz_splus=max(r.sz_splus for r in reports),
+                    sz_sminus=max(r.sz_sminus for r in reports),
+                    splus_sminus_sigma=max(r.splus_sminus_sigma for r in reports),
+                    splus_sminus_sz=max(at_zero) if at_zero else None,
+                    tolerance=1e-12,
+                )
+                assert repr(oracle.verify_commutators(sweep)) == repr(expected), (n, ells)
+
+    def test_site_pattern_is_cached_read_only(self):
+        # every build at one N shares the cached N-only arrays, so a write
+        # to one of them must fail rather than corrupt later builds
+        ops = oracle.build_operators(LatticeSpec(3, 0.4, 13.458), CAV, n_max=1)
+        pattern = oracle._site_pattern(3)
+        assert ops.s_z is pattern[0] and ops.up is pattern[2] and ops.down is pattern[3]
+        for array in pattern:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
 
     def test_homogeneous_su2(self):
         lat = LatticeSpec(n_qubits=4, relative_spacing=0.0, omega_q=13.458)

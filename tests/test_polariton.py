@@ -269,6 +269,90 @@ class TestDiagonalization:
             assert np.array_equal(_bits(getattr(sec, field)), _bits(expected)), field
 
 
+def _index_sets_reference(n_top, q, low=0):
+    """The former generator of descending index sets."""
+    if q == 0:
+        yield ()
+        return
+    for j in range(low, n_top - 2 * q + 3):
+        for rest in _index_sets_reference(n_top, q - 1, j + 2):
+            yield rest + (j,)
+
+
+def _closed_form_reference(lattice, cavity, two_u, eps):
+    """The former row-by-row expansion, verbatim: every row restarts its
+    products from 1.0, checks its own denominators and forms each index
+    factor anew."""
+    basis = polariton.sector_basis(lattice, two_u)
+    two_r = lattice.two_r
+    if two_u > two_r:
+        raise ValueError(
+            "closed-form expansion only covers sectors with u <= r; use "
+            "diagonalize_sector for higher sectors"
+        )
+    r = two_r / 2.0
+    u = two_u / 2.0
+    f = deformation_factor(lattice)
+    dw = cavity.detuning(lattice)
+    eta = cavity.eta
+
+    if basis.dimension == 1:
+        return np.ones(1)
+    if eta == 0.0:
+        # Decoupled limit: the branch is a bare basis state picked by eps.
+        diag = np.array([dw * n for n, _ in basis.entries])
+        col = np.zeros(basis.dimension)
+        col[int(np.argmin(np.abs(diag - eps)))] = 1.0
+        return col
+
+    eps = polariton._refine_splitting(dw, eta, f, basis, two_r, eps)
+    coeffs = np.empty(basis.dimension)
+    n0 = basis.entries[0][0]
+    for row, (n_abs, _) in enumerate(basis.entries):
+        n = n_abs - n0  # steps above the sector's lowest photon number
+        for j in range(1, n + 1):
+            if abs(eps - j * dw) < 1e-12 * max(1.0, abs(eps)):
+                raise polariton.DegenerateDetuningError(
+                    f"eps - {j}*detuning vanishes for sector 2u={two_u}"
+                )
+        prefactor = 1.0
+        for j in range(n):
+            prefactor *= (eps - j * dw) / eta
+        falling = math.prod(r + u - i for i in range(n))
+        rising = math.prod(r - u + 1.0 + i for i in range(n))
+        prefactor /= math.sqrt(math.factorial(n) * falling * rising)
+        total = 0.0
+        for q in range(n // 2 + 1):
+            part = 0.0
+            for desc in _index_sets_reference(n - 2, q):
+                term = 1.0
+                for jk in desc:
+                    term *= (
+                        -(eta**2)
+                        * (jk + 1)
+                        * (r + u - jk)
+                        / (eps - jk * dw)
+                        * (r - u + jk + 1)
+                        / (eps - (jk + 1) * dw)
+                    )
+                part += term
+            total += f ** (q - n / 2.0) * part
+        coeffs[row] = prefactor * total
+    coeffs /= np.linalg.norm(coeffs)
+    lead = coeffs[np.nonzero(np.abs(coeffs) > 1e-14)[0][0]]
+    if lead < 0:
+        coeffs = -coeffs
+    return coeffs
+
+
+def _outcome(expansion, *args):
+    """The repr of an expansion's coefficients, or of its refusal."""
+    try:
+        return repr(expansion(*args).tolist())
+    except polariton.DegenerateDetuningError as exc:
+        return f"DegenerateDetuningError({exc})"
+
+
 class TestClosedForm:
     def test_index_sets_match_filtered_combinations(self):
         for n_top in range(-2, 15):
@@ -278,6 +362,27 @@ class TestClosedForm:
                     if all(b - a >= 2 for a, b in zip(c, c[1:]))
                 ]
                 assert list(polariton._descending_index_sets(n_top, q)) == filtered
+
+    def test_equals_row_by_row_reference(self):
+        # repr-equal to the former expansion for every branch of every
+        # sector u <= r; zero detuning and a tiny eta put eps on a
+        # denominator eps - j*dw, so the refusals, j included, match too
+        rng = np.random.default_rng(19)
+        refused = set()
+        for draw in range(48):
+            n = int(rng.integers(2, 9))
+            lat = LatticeSpec(n, float(rng.uniform(0.05, 0.95)), float(rng.uniform(5.0, 20.0)))
+            omega_c = [lat.omega_q, float(rng.uniform(5.0, 20.0))][draw % 3 > 0]
+            cav = CavitySpec(omega_c, [1e-8, float(rng.uniform(0.02, 0.5))][draw % 3 != 1])
+            for two_u in range(-n, n + 1, 2):
+                sec = polariton.diagonalize_sector(lat, cav, two_u)
+                for eps in sec.stark_splittings.tolist():
+                    args = (lat, cav, two_u, eps)
+                    got = _outcome(polariton.closed_form_coefficients, *args)
+                    assert got == _outcome(_closed_form_reference, *args), (n, two_u, eps)
+                    if got.startswith("Degenerate"):
+                        refused.add(got.split(" - ")[1].split("*")[0])
+        assert {"1", "2", "3"} <= refused
 
     def test_matches_eigensolver_across_sectors(self):
         rng = np.random.default_rng(3)

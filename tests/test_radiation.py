@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -52,6 +53,15 @@ class TestChi:
                     assert np.max(np.abs(a - flipped) / bound) > 1e3
                     wrong = radiation.chi_closed_form(lat, CAV, 1.0 / n, k[good])
                     assert np.max(np.abs(a - wrong) / bound) > 1e3
+
+    @pytest.mark.parametrize("k", [2.0 - 0.3j, np.array([2.0 - 0.3j, 3.0 + 1j])])
+    def test_error_bound_refuses_complex_k(self, k):
+        # the bound holds at real k only: no cast to the real parts, no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="real k") as info:
+                radiation.chi_closed_form_error_bound(LAT, CAV, 0.25, k)
+        assert type(info.value) is ValueError
 
     def test_closed_form_rejects_singular_denominator(self):
         # l = 0 at k = 0 gives denominator 1 + 1 - 2 = 0
