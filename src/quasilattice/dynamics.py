@@ -264,13 +264,12 @@ def integrate_amplitudes(
 def fit_decay(
     traj: AmplitudeTrajectory,
     window: tuple[float, float] | None = None,
-    monotone_tol: float = 1e-9,
 ) -> float:
     """Exponential decay rate from a least-squares fit of ln|alpha(t)|^2.
 
     window is a (t_start, t_end) pair in ns; by default the first 10% of
     the trajectory is excluded as transient.  Revivals inside the window
-    (any rise of |alpha| beyond monotone_tol) abort the fit.
+    (any rise of |alpha| beyond 1e-9) abort the fit.
     """
     t = traj.times
     if window is None:
@@ -283,7 +282,7 @@ def fit_decay(
     if np.any(a2 <= 0):
         raise ValueError("amplitude vanished inside the fit window")
     rises = np.diff(np.abs(traj.alpha[mask]))
-    if np.any(rises > monotone_tol):
+    if np.any(rises > 1e-9):
         raise NonMonotoneWindowError(
             f"|alpha| rises by up to {np.max(rises):.3g} inside the fit window"
         )

@@ -59,20 +59,13 @@ class ProductSpaceOperators:
 
 @dataclass(frozen=True)
 class CommutatorReport:
-    """Max-abs residuals of the collective-spin commutation identities."""
+    """Max-abs residuals of the collective-spin commutation identities;
+    `validation.check_commutators` judges them."""
 
     sz_splus: float
     sz_sminus: float
     splus_sminus_sigma: float
     splus_sminus_sz: float | None
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        checks = [self.sz_splus, self.sz_sminus, self.splus_sminus_sigma]
-        if self.splus_sminus_sz is not None:
-            checks.append(self.splus_sminus_sz)
-        return all(c < self.tolerance for c in checks)
 
 
 @functools.cache
@@ -125,7 +118,7 @@ def build_operators(
     )
 
 
-def verify_commutators(ops: ProductSpaceOperators, tol: float = 1e-12) -> CommutatorReport:
+def verify_commutators(ops: ProductSpaceOperators) -> CommutatorReport:
     """Residuals of [S_z, S_pm] = pm S_pm and [S_plus, S_minus] = 2*Sigma_z;
     at ell = 0 additionally [S_plus, S_minus] = 2*S_z.  For a sweep each
     residual is the worst over its points, the last over its points at
@@ -153,9 +146,7 @@ def verify_commutators(ops: ProductSpaceOperators, tol: float = 1e-12) -> Commut
         r3 = max(r3, float(np.max(np.abs(pm - np.diag(2.0 * sigma_z)))))
         if ell == 0.0:
             r4 = max(r4 or 0.0, float(np.max(np.abs(pm - np.diag(2.0 * sz)))))
-    return CommutatorReport(
-        sz_splus=r1, sz_sminus=r2, splus_sminus_sigma=r3, splus_sminus_sz=r4, tolerance=tol
-    )
+    return CommutatorReport(sz_splus=r1, sz_sminus=r2, splus_sminus_sigma=r3, splus_sminus_sz=r4)
 
 
 def _sector_block(ops: ProductSpaceOperators, two_u: int) -> np.ndarray:

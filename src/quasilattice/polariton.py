@@ -106,8 +106,8 @@ def _sector_block(
 ) -> tuple[SectorBasis, np.ndarray]:
     """Basis and dense block Hamiltonian of one sector (see
     ``build_sector_hamiltonian``), with a leading point axis for a sweep.
-    A bare energy omega_q*m + omega_c*n that overflows at any point
-    raises ValueError."""
+    A bare energy omega_q*m + omega_c*n, or a coupling, that overflows at
+    any point raises ValueError."""
     two_r = lattice.two_r
     basis = sector_basis(lattice, two_u)
     d = basis.dimension
@@ -119,11 +119,13 @@ def _sector_block(
     omega_q = np.asarray(lattice.omega_q)[..., None]
     f = np.asarray(deformation_factor(lattice))[..., None]
     h = np.zeros(omega_q.shape[:-1] + (d * d,))
-    with np.errstate(over="ignore", invalid="ignore"):  # raised below or in diagonalize_sector
+    with np.errstate(over="ignore", invalid="ignore"):  # raised below
         h[..., :: d + 1] = omega_q * two_m / 2.0 + cavity.omega_c * n
         off = eta_sqrt_n[1:] * np.sqrt(f * rm[1:] * rm1[1:])
     if not np.isfinite(h[..., :: d + 1]).all():
         raise ValueError("a bare sector energy omega_q*m + omega_c*n overflows")
+    if not np.isfinite(off).all():
+        raise ValueError("a sector coupling eta*sqrt(n)*sqrt(f*(r-m)*(r+m+1)) overflows")
     h[..., 1 :: d + 1] = off  # the superdiagonal and the subdiagonal of each block
     h[..., d :: d + 1] = off
     return basis, h.reshape(h.shape[:-1] + (d, d))
@@ -148,9 +150,10 @@ def diagonalize_sector(lattice: LatticeSpec, cavity: CavitySpec, two_u: int) -> 
     most N+1, so the O(n^3) dense solve stays small, and numpy alone
     serves it.  Coefficient columns carry the gauge c_0 >= 0 (first
     nonzero entry nonnegative for decoupled cases where c_0 = 0).  A
-    bare energy omega_q*m + omega_c*n that overflows raises ValueError
-    before any eigensolve; a LAPACK failure, or a non-finite eigenvalue
-    or coefficient, as from an overflowing coupling, raises RuntimeError.
+    bare energy omega_q*m + omega_c*n or a coupling that overflows raises
+    ValueError before any eigensolve, and a splitting Omega - u*omega_q
+    that overflows after it; a LAPACK failure, or a non-finite eigenvalue
+    or coefficient, raises RuntimeError.
 
     For a sweep, eigh solves the stack of its blocks at once, block by
     block as for each point alone, and the sector's arrays gain a leading
@@ -165,14 +168,13 @@ def diagonalize_sector(lattice: LatticeSpec, cavity: CavitySpec, two_u: int) -> 
         raise RuntimeError(
             f"sector 2u={two_u} produced non-finite eigenvalues or coefficients"
         )
-    order = vals.argsort(axis=-1)
-    if (order != np.arange(basis.dimension)).any():  # eigh's order already ascends, up to ties
-        vals = np.take_along_axis(vals, order, axis=-1)
-        vecs = np.take_along_axis(vecs, order[..., None, :], axis=-1)
     # the first entry above 1e-14 of each column fixes its sign
     first = (np.abs(vecs) > 1e-14).argmax(axis=-2)[..., None, :]
     vecs *= np.copysign(1.0, np.take_along_axis(vecs, first, axis=-2))
-    eps = vals - np.asarray(lattice.omega_q)[..., None] * two_u / 2.0
+    with np.errstate(over="ignore"):  # u*omega_q can overflow when u > r; raised below
+        eps = vals - np.asarray(lattice.omega_q)[..., None] * two_u / 2.0
+    if not np.isfinite(eps).all():
+        raise ValueError(f"sector 2u={two_u} splitting Omega - u*omega_q overflows")
     return PolaritonSector(
         basis=basis, eigenvalues=vals, coefficients=vecs, stark_splittings=eps
     )
@@ -377,20 +379,12 @@ def transition_matrices(
     """Every sector from the ground sector 2u = -2r up to 2u_max, each
     diagonalized once, and one ``raising_matrix`` per adjacent pair.
 
-    Raises ValueError when 2u_max lies below the ground sector or when a
-    bare energy omega_q*m + omega_c*n of the ladder overflows, and
-    EmptySectorError when 2u_max has the wrong parity for 2r.
+    Raises EmptySectorError (``sector_basis``) when 2u_max lies below the
+    ground sector or has the wrong parity for 2r, and ValueError as
+    ``diagonalize_sector`` does for any sector of the ladder.
     """
-    two_r = lattice.two_r
-    if two_u_max < -two_r:
-        raise ValueError(
-            f"sector ladder top 2u={two_u_max} lies below the ground sector 2u={-two_r}"
-        )
-    if (two_u_max - two_r) % 2 != 0:
-        raise EmptySectorError(
-            f"sector ladder top 2u={two_u_max} has the wrong parity for 2r={two_r}"
-        )
-    ladder = range(-two_r, two_u_max + 1, 2)
+    sector_basis(lattice, two_u_max)
+    ladder = range(-lattice.two_r, two_u_max + 1, 2)
     sectors = tuple(diagonalize_sector(lattice, cavity, two_u) for two_u in ladder)
     raising = tuple(
         raising_matrix(lattice, upper, lower) for lower, upper in zip(sectors, sectors[1:])

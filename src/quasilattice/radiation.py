@@ -333,11 +333,9 @@ def _cot_integral(
     return math.pi / m * ((g[:, : m // 2] - g[:, m // 2 :]) @ cot)
 
 
-def pv_integral_check(
-    lattice: LatticeSpec, cavity: CavitySpec, branch: int = 0
-) -> PVCheckResult:
-    """The level shift Delta = PV int |s(k)|^2 / (k (k - k_q)) dk by two
-    exact routes.
+def pv_integral_check(lattice: LatticeSpec, cavity: CavitySpec) -> PVCheckResult:
+    """The level shift Delta = PV int |s(k)|^2 / (k (k - k_q)) dk of the
+    lowest branch (the transition element of branch 0) by two exact routes.
 
     Analytic: |s(k)|^2 = sum_d c_d cos(d*theta*k), theta = pi*ell/omega_c,
     c_d = (T/N)^2 * sum_j w_j w_{j+|d|} with w_j = sum_l cos(j*pi*l) and T
@@ -359,7 +357,7 @@ def pv_integral_check(
     refuse_sweep(lattice, "pv_integral_check")
     k_q = lattice.k_q
     n = lattice.n_qubits
-    element = first_excited_transition(lattice, cavity, branch)
+    element = first_excited_transition(lattice, cavity)
     w = _l_summed_weights(n)
     c = (element / n) ** 2 * np.correlate(w, w, "full")
     theta = math.pi * lattice.relative_spacing / cavity.omega_c

@@ -214,15 +214,19 @@ def test_criterion_7_wigner_weisskopf(capsys):
 
 def test_criterion_8_determinism(capsys, tmp_path):
     ok = True
-    for argv_tail in (
+    for i, argv_tail in enumerate((
         ["validate", "--seed", "7"],
         ["chi-sweep", "--k-points", "40"],
         ["decay-sweep", "--points", "21"],
-    ):
-        a, b = tmp_path / "a.out", tmp_path / "b.out"
-        assert cli.main(argv_tail + ["--out", str(a)]) == 0
-        assert cli.main(argv_tail + ["--out", str(b)]) == 0
-        ok = ok and a.read_bytes() == b.read_bytes()
-        a.unlink()
-        b.unlink()
+        ["spectrum", "--n", "8", "--u-max-offset", "8"],
+        ["dynamics", "--modes", "51"],
+    )):
+        runs = []
+        for run in ("a", "b"):
+            out = tmp_path / f"{i}{run}"
+            out.mkdir()
+            assert cli.main(argv_tail + ["--out", str(out / "x.out")]) == 0
+            runs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        files = 2 if argv_tail[0] == "dynamics" else 1  # the dynamics summary is a second file
+        ok = ok and runs[0] == runs[1] and len(runs[0]) == files
     report(capsys, "8 byte-identical repeated runs", ok)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import quasilattice
-from quasilattice import cli, dynamics, radiation
+from quasilattice import cli, dynamics, radiation, validation
 from quasilattice.model import LatticeSpec
 
 
@@ -109,6 +109,7 @@ class TestDecaySweep:
          cli.EXIT_USAGE, "site phase"),
         (["--sweep", "omega-q", "--omega-q-max", "1e308", "--branch", "2"],
          cli.EXIT_USAGE, "branch 2 outside"),
+        (["--eta", "1e308", "--points", "3"], cli.EXIT_USAGE, "sector coupling"),
     ])
     def test_exit_codes(self, tmp_path, capsys, argv, code, message):
         out = tmp_path / "decay.csv"
@@ -145,10 +146,12 @@ class TestSpectrum:
         assert "raising_elements_from_lower" not in doc["sectors"][0]
         assert len(doc["sectors"][1]["raising_elements_from_lower"]) == 2
 
-    def test_negative_u_max_offset_is_usage_error(self, tmp_path):
+    def test_negative_u_max_offset_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "spec.json"
         assert run(["spectrum", "--u-max-offset", "-1", "--out", str(out)]) == cli.EXIT_USAGE
         assert not out.exists()
+        err = capsys.readouterr().err
+        assert err == "error: sector 2u=-6 lies below the ground sector 2u=-4\n"
         assert run(["spectrum", "--u-max-offset", "0", "--out", str(out)]) == 0
         assert [sec["two_u"] for sec in json.loads(out.read_text())["sectors"]] == [-4]
 
@@ -169,6 +172,19 @@ class TestSpectrum:
         assert run(["spectrum", flag, "1e308", "--out", str(out)]) == cli.EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "bare sector energy" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--eta", "1e308"], "sector coupling"),
+        # u*omega_q overflows at 2u = 3, above u = r, with every eigenvalue finite
+        (["--n", "1", "--omega-q", "1.7e308", "--omega-c", "13.458", "--u-max-offset", "2"],
+         "2u=3 splitting Omega - u*omega_q overflows"),
+    ])
+    def test_overflow_past_the_bare_energies_is_usage_error(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "spec.json"
+        assert run(["spectrum", *argv, "--out", str(out)]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
         assert not out.exists()
 
 
@@ -269,6 +285,21 @@ class TestValidate:
         names = {c["name"] for c in doc["checks"]}
         assert "deformation-factor-identity" in names
         assert "homogeneous-limit-spectra" in names
+
+    @pytest.mark.parametrize("residual, tolerance, passed", [
+        (0.5, 1.0, True), (1.0, 1.0, False), (2.0, 1.0, False), (math.nan, 1.0, False),
+        (2.0, None, True), (math.nan, None, True),
+    ])
+    def test_check_verdict(self, residual, tolerance, passed):
+        # hard (a tolerance): passes iff residual < tolerance, so NaN fails;
+        # soft (none): reported only, always passes
+        check = validation.CheckResult("c", residual, tolerance, "d")
+        assert check.passed is passed
+        assert check.kind == ("soft" if tolerance is None else "hard")
+        doc = check.to_dict()
+        assert list(doc) == ["name", "kind", "passed", "residual", "tolerance", "detail"]
+        assert doc["passed"] is passed and doc["kind"] == check.kind
+        assert validation.ValidationReport([check]).passed is passed
 
 
 class TestPlumbing:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from quasilattice.model import CavitySpec, LatticeSpec, coupling_weights
-from quasilattice import oracle, polariton, radiation
+from quasilattice import oracle, polariton, radiation, validation
 
 OMEGA_C = 6.729
 CAV = CavitySpec(omega_c=OMEGA_C, eta=0.1)
@@ -153,7 +153,7 @@ class TestBuildOperators:
         assert np.count_nonzero(np.abs(image) > 1e-14) == 4
 
 
-def _commutator_reference(ref, ell, tol=1e-12):
+def _commutator_reference(ref, ell):
     """The commutator residuals from dense matrix products throughout,
     on the reference's qubit-space operators (on the product space when
     given its S_plus, S_minus, Sigma_z and S_z)."""
@@ -168,8 +168,23 @@ def _commutator_reference(ref, ell, tol=1e-12):
         sz_sminus=float(np.max(np.abs(comm(s_z, s_minus) + s_minus))),
         splus_sminus_sigma=float(np.max(np.abs(pm - 2.0 * sigma_z))),
         splus_sminus_sz=float(np.max(np.abs(pm - 2.0 * s_z))) if ell == 0.0 else None,
-        tolerance=tol,
     )
+
+
+def _two_builds_per_n(rng, draws=20):
+    """The residuals (worst, worst_tc) of `validation.check_commutators` as
+    it was with one sweep of the random ell and one ell = 0 lattice per N."""
+    cav = CavitySpec(omega_c=6.729, eta=0.1)
+    worst = 0.0
+    worst_tc = 0.0
+    for n in range(2, 7):
+        ells = rng.uniform(0.0, 1.0, size=draws)
+        for lat in (LatticeSpec(n, ells, np.full(draws, 13.458)), LatticeSpec(n, 0.0, 13.458)):
+            rep = oracle.verify_commutators(oracle.build_operators(lat, cav, n_max=1))
+            worst = max(rep.sz_splus, rep.sz_sminus, rep.splus_sminus_sigma, worst)
+            if rep.splus_sminus_sz is not None:
+                worst_tc = max(worst_tc, rep.splus_sminus_sz)
+    return worst, worst_tc
 
 
 class TestCommutators:
@@ -219,9 +234,28 @@ class TestCommutators:
                     sz_sminus=max(r.sz_sminus for r in reports),
                     splus_sminus_sigma=max(r.splus_sminus_sigma for r in reports),
                     splus_sminus_sz=max(at_zero) if at_zero else None,
-                    tolerance=1e-12,
                 )
                 assert repr(oracle.verify_commutators(sweep)) == repr(expected), (n, ells)
+
+    def test_check_commutators_is_one_sweep_per_n(self, monkeypatch):
+        # ell = 0 joins each N's sweep of random ell: one build per N, with
+        # the residuals and rng draws of two builds per N
+        for seed in range(60):
+            old_rng, new_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            expected = _two_builds_per_n(old_rng)
+            got = validation.check_commutators(new_rng)
+            assert repr(tuple(c.residual for c in got)) == repr(expected), seed
+            assert new_rng.bit_generator.state == old_rng.bit_generator.state
+        builds = []
+        build = oracle.build_operators
+
+        def counted(lattice, *args, **kwargs):
+            builds.append(lattice.n_qubits)
+            return build(lattice, *args, **kwargs)
+
+        monkeypatch.setattr(oracle, "build_operators", counted)
+        validation.check_commutators(np.random.default_rng(0))
+        assert builds == [2, 3, 4, 5, 6]
 
     def test_site_pattern_is_cached_read_only(self):
         # every build at one N shares the cached N-only arrays, so a write
@@ -237,7 +271,7 @@ class TestCommutators:
         lat = LatticeSpec(n_qubits=4, relative_spacing=0.0, omega_q=13.458)
         ops = oracle.build_operators(lat, CAV, n_max=1)
         rep = oracle.verify_commutators(ops)
-        assert rep.passed
+        assert max(rep.sz_splus, rep.sz_sminus, rep.splus_sminus_sigma) < 1e-12
         assert rep.splus_sminus_sz is not None and rep.splus_sminus_sz < 1e-12
 
     def test_deformed_identities(self):

@@ -207,18 +207,41 @@ class TestDiagonalization:
         alone = [polariton.first_excited_transition(p, cav) for p in points]
         assert element.tobytes() == stacked(alone)
 
-    @pytest.mark.parametrize("n, two_u, message", [
-        (3, 1, "non-finite eigenvalues or coefficients"),
-        (4, 0, "eigensolver failed"),
-    ])
-    def test_non_finite_sector_raises(self, n, two_u, message):
+    @pytest.mark.parametrize("n, two_u", [(3, 1), (4, 0)])
+    def test_overflowing_coupling_raises(self, n, two_u):
         # finite bare energies, but eta*sqrt(n)*sqrt(f*(r-m)*(r+m+1))
-        # overflows: at N=3, 2u=1 the eigenvalues stay finite and the
-        # coefficients do not; at N=4, 2u=0 LAPACK does not converge
+        # overflows: refused before any eigensolve, in _sector_block
         lat = LatticeSpec(n_qubits=n, relative_spacing=0.37, omega_q=13.458)
         cav = CavitySpec(omega_c=6.729, eta=1e308)
-        with pytest.raises(RuntimeError, match=message):
-            polariton.diagonalize_sector(lat, cav, two_u)
+        for call in (polariton.diagonalize_sector, polariton.build_sector_hamiltonian):
+            with pytest.raises(ValueError, match="sector coupling"):
+                call(lat, cav, two_u)
+
+    def test_non_finite_eigensolve_raises(self):
+        # a finite block, diagonal (6.729, 1.7e308) and coupling 6e307,
+        # whose larger eigenvalue overflows in the eigensolve itself
+        lat = LatticeSpec(n_qubits=1, relative_spacing=0.37, omega_q=13.458)
+        cav = CavitySpec(omega_c=1.7e308, eta=6e307)
+        assert np.isfinite(polariton.build_sector_hamiltonian(lat, cav, 1)).all()
+        with pytest.raises(RuntimeError, match="non-finite eigenvalues or coefficients"):
+            polariton.diagonalize_sector(lat, cav, 1)
+
+    def test_eigensolver_failure_raises(self, monkeypatch):
+        def fail(h):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(RuntimeError, match="eigensolver failed: Eigenvalues did not"):
+            polariton.diagonalize_sector(LAT, CAV, -LAT.two_r + 2)
+
+    def test_overflowing_splitting_raises(self):
+        # every bare energy and eigenvalue is finite, but u*omega_q is not
+        # at 2u = 3 > 2r, a sector only a ladder above u = r reaches
+        lat = LatticeSpec(n_qubits=1, relative_spacing=2 / 3, omega_q=1.7e308)
+        cav = CavitySpec(omega_c=13.458, eta=0.1)
+        assert np.isfinite(polariton.diagonalize_sector(lat, cav, 1).stark_splittings).all()
+        with pytest.raises(ValueError, match="2u=3 splitting Omega - u.omega_q overflows"):
+            polariton.diagonalize_sector(lat, cav, 3)
 
     @pytest.mark.parametrize("n, two_u", [(4, -4), (3, 1), (4, 0)])
     def test_overflowing_bare_energy_raises(self, n, two_u):
