@@ -1,23 +1,36 @@
-"""pytest-benchmark kernel for the dynamics layer.
+"""pytest-benchmark kernels for the dynamics layer.
 
 Outside the Tier-1 ``testpaths``; run explicitly with
 
     python -m pytest benchmarks/test_dynamics_kernels.py --benchmark-only
 
-The kernel carries no timing asserts.  ``integrate_amplitudes`` runs at
+The kernels carry no timing asserts.  ``integrate_amplitudes`` runs at
 the ``dynamics`` defaults: N=4, ell=2/3, omega_q=3*6.729 GHz, a 601-mode
 bath of bandwidth 0.5 GHz, dt=0.2 ns, every 10th step sampled, and the
 horizon the command picks, min(3/gamma, 0.8 * recurrence time).  This is
 the propagation of the bath-decay benchmark workload.  One more call,
 untimed and under ``tracemalloc``, records the peak of the arrays it
 allocates as ``extra_info["tracemalloc_peak_mb"]``.
+
+The arrowhead eigensolver of ``integrate_amplitudes`` is timed against
+``np.linalg.eigh`` of the dense arrowhead it replaces, on the default
+bath at 151, 601 and 2401 modes.  ``dynamics --modes 2401`` runs in a
+fresh interpreter, as a user runs it, started by a second small one
+that records its wall time and its own ``ru_maxrss`` in
+``extra_info["wall_s"]`` and ``extra_info["ru_maxrss_mb"]``.
 """
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
+import pytest
 
+import quasilattice
 from quasilattice import dynamics, radiation
 from quasilattice.model import CavitySpec, LatticeSpec
 
@@ -40,3 +53,58 @@ def test_integrate_amplitudes(benchmark):
         benchmark.extra_info["tracemalloc_peak_mb"] = tracemalloc.get_traced_memory()[1] / 1e6
     finally:
         tracemalloc.stop()
+
+
+def _arrowhead(n_modes):
+    """Diagonal and border of the default bath's arrowhead, as
+    ``integrate_amplitudes`` forms them."""
+    bath = dynamics.normalized_bath(LATTICE, 0.5, n_modes)
+    s_k = radiation.s_factor(LATTICE, CAVITY, bath.mode_frequencies)
+    return (LATTICE.omega_q - bath.mode_frequencies)[::-1], (bath.couplings * np.abs(s_k))[::-1]
+
+
+@pytest.mark.parametrize("n_modes", [151, 601, 2401])
+@pytest.mark.parametrize("solver", ["secular", "eigh"])
+def test_arrowhead_eigensolver(benchmark, solver, n_modes):
+    d, z = _arrowhead(n_modes)
+    if solver == "secular":
+        run, args = dynamics._arrowhead_eigh, (d, z)
+    else:
+        h = np.diag(np.concatenate(([0.0], d)))
+        h[0, 1:] = h[1:, 0] = z
+        run, args = np.linalg.eigh, (h,)
+    rounds = 3 if n_modes > 1000 else 15
+    lam, _ = benchmark.pedantic(run, args=args, rounds=rounds, warmup_rounds=1)
+    assert lam.size == n_modes + 1
+
+
+# Runs one command and prints its wall time and its own ru_maxrss (kB).
+# A child's ru_maxrss starts from the RSS of the process it was forked
+# from, so the command is started from this small interpreter, not from
+# the test process, which holds hundreds of MB after the eigh kernels.
+_MEASURE = """
+import os, subprocess, sys, time
+t = time.perf_counter()
+child = subprocess.Popen(sys.argv[1:])
+_, status, usage = os.wait4(child.pid, 0)
+assert os.waitstatus_to_exitcode(status) == 0
+print(time.perf_counter() - t, usage.ru_maxrss)
+"""
+
+
+def test_dynamics_2401_modes_subprocess(benchmark, tmp_path):
+    src = str(Path(quasilattice.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    argv = [sys.executable, "-c", _MEASURE, sys.executable, "-m", "quasilattice.cli",
+            "dynamics", "--modes", "2401", "--out", str(tmp_path / "dyn.csv")]
+    runs = []
+
+    def run():
+        done = subprocess.run(argv, env=dict(os.environ, PYTHONPATH=path),
+                              capture_output=True, text=True, check=True)
+        wall, peak_kb = done.stdout.split()
+        runs.append((float(wall), int(peak_kb) / 1024))
+
+    benchmark.pedantic(run, rounds=3, warmup_rounds=0)
+    benchmark.extra_info["wall_s"] = [wall for wall, _ in runs]
+    benchmark.extra_info["ru_maxrss_mb"] = [peak for _, peak in runs]

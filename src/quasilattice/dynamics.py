@@ -5,9 +5,11 @@ The coupled amplitude equations are solved exactly, by one
 eigendecomposition of a real symmetric arrowhead matrix in the rotating
 frame of the bath modes (see ``integrate_amplitudes``), so the
 exponential (Markov) decay law is an output to be checked against the
-analytic rate, not an assumption of the scheme.  Times are in ns,
-frequencies in GHz, with 2*pi absorbed into the angular-frequency
-convention.
+analytic rate, not an assumption of the scheme.  The eigendecomposition
+is the arrowhead's own: the roots of its secular equation and Loewner's
+eigenvectors, O(M^2) elementwise work with no BLAS or LAPACK call (see
+``_secular_eigh``).  Times are in ns, frequencies in GHz, with 2*pi
+absorbed into the angular-frequency convention.
 """
 
 from __future__ import annotations
@@ -20,9 +22,27 @@ import numpy as np
 from .model import CavitySpec, LatticeSpec, refuse_sweep
 from .radiation import s_factor
 
-# Sampled rows per block of the state evaluation: bounds its scratch
-# arrays to a few MB at any horizon.
-_CHUNK_ROWS = 256
+# Sampled rows per block of the state evaluation.  Its four scratch
+# arrays, about 1.2 MB each at 601 modes, are the largest set a call
+# holds at once, so they set the peak memory of ``dynamics`` at any
+# horizon.
+_CHUNK_ROWS = 128
+
+# Elements per scratch array of the arrowhead eigensolver, about 0.5 MB:
+# it works on blocks of roots of this many (root, mode) pairs.
+_SOLVER_BLOCK = 1 << 16
+
+# A secular root stops when |G| <= _SECULAR_TOL * eps * (its terms' sum
+# of magnitudes), the size of the rounding error of its evaluation (see
+# ``_refine_roots`` for the other stops).
+_SECULAR_TOL = 8.0
+
+# Rational steps each root may take; every step either lands inside its
+# bracket or halves it, so the cap stands far above the handful of steps
+# a root takes and only bounds the loop.
+_SECULAR_STEPS = 100
+
+_EPS = np.finfo(float).eps
 
 
 class StepSizeError(ValueError):
@@ -154,6 +174,207 @@ def physical_bath(
     return BathSpec(mode_frequencies=w, couplings=g, spacing=base.spacing)
 
 
+def _secular_terms(d, z2, o, s, tau):
+    """For roots lam = d_o + s*tau, with origin poles o and frame signs
+    s = +-1: the separations s*(d_i - lam), formed as s*(d_i - d_o) - tau
+    so that each keeps a few ulp of relative accuracy, and the terms
+    z_i^2 over them."""
+    sep = np.subtract(d, d[o, None])
+    sep *= s[:, None]
+    sep -= tau[:, None]
+    return sep, z2 / sep
+
+
+def _model_step(g, near, beyond, tau, far):
+    """The step eta from tau to the root tau + eta in (0, far) of the model
+    c0 + w0/(-tau - eta) + w1/(far - tau - eta), with w0 = tau^2*near,
+    w1 = (far - tau)^2*beyond and c0 fitted so that it takes G = g and
+    G' = near + beyond at tau: the root of c*eta^2 - a*eta + b.  It is
+    solved in the form of LAPACK's dlaed4, which keeps a small step
+    accurate relative to g; where that step would not point against g,
+    it is Newton's, -g/G'."""
+    d1, d2 = -tau, far - tau
+    newton = -g / (near + beyond)
+    a = (d1 + d2) * g - d1 * d2 * (near + beyond)
+    b = d1 * d2 * g
+    c = g - d1 * near - d2 * beyond
+    disc = np.sqrt(np.abs(a * a - 4.0 * b * c))
+    eta = np.divide(2.0 * b, a + disc, out=newton.copy(), where=a > 0)
+    np.divide(a - disc, 2.0 * c, out=eta, where=(a <= 0) & (c != 0))
+    return np.where(g * eta < 0, eta, newton)
+
+
+def _refine_roots(d, z2, o, s, far, hi, tau):
+    """Move each offset tau (updated in place) onto the root of
+    G(tau) = s*lam + sum_i z_i^2/(s*(d_i - lam)), lam = d_o + s*tau, inside
+    its bracket (0, hi].
+
+    G increases with tau.  Each step fits c - a/tau + b/(far - tau) to G
+    and G' at tau, the slopes of the poles at or beyond the origin lumped
+    into a and the others', with that of s*lam, into b (the "middle way"
+    of R.-C. Li, LAPACK Working Note 89), and moves to the model's root
+    (``_model_step``), or bisects when that root leaves the bracket.  A
+    root stops when |G| is within the rounding of its evaluation, or of
+    tau itself (tau*G'*eps, as in LAPACK's dlaed4), or when its next step
+    is within two ulp of it or its bracket two floats wide; only the
+    roots still moving are evaluated again.
+    """
+    act = np.arange(tau.size)
+    lo, hi = np.zeros(tau.size), hi.copy()
+    for _ in range(_SECULAR_STEPS):
+        oa, ta, fa = o[act], tau[act], far[act]
+        at = np.arange(act.size)
+        sep, t = _secular_terms(d, z2, oa, s[act], ta)
+        t[at, oa] = 0.0  # the origin pole's term, -z_o^2/tau, is kept apart
+        signed = s[act] * d[oa] + ta  # s*lam
+        pole = z2[oa] / ta
+        g = signed + np.sum(t, axis=1) - pole
+        # the terms' slopes z_i^2/sep_i^2, over all poles and, signed like
+        # sep, net of those beyond the origin (sep < 0)
+        slopes = np.divide(t, sep, out=sep)
+        total = np.sum(slopes, axis=1)
+        behind = 0.5 * (total - np.sum(np.copysign(slopes, t, out=slopes), axis=1))
+        scale = np.abs(signed) + np.sum(np.abs(t, out=t), axis=1) + pole
+        grain = ta * (1.0 + total) + pole  # tau*G', G's step over one ulp of tau
+        done = np.abs(g) <= _EPS * (_SECULAR_TOL * scale + 2.0 * grain)
+        lo[act] = np.where(g < 0, ta, lo[act])
+        hi[act] = np.where(g > 0, ta, hi[act])
+        eta = _model_step(g, pole / ta + behind, 1.0 + total - behind, ta, fa)
+        done |= np.abs(eta) <= 2.0 * _EPS * ta
+        new = ta + eta
+        inside = (new > lo[act]) & (new < hi[act])
+        new = np.where(inside, new, 0.5 * (lo[act] + hi[act]))
+        done |= new == ta  # a bracket two floats wide
+        tau[act] = np.where(done, ta, new)
+        act = act[~done]
+        if not act.size:
+            return
+    raise RuntimeError("a secular root of the bath arrowhead did not converge")
+
+
+def _secular_eigh(d, z):
+    """Eigenpairs of H = [[0, z^T], [z, diag(d)]] for a strictly
+    increasing d and z with no zero entry: lam ascending, and the
+    eigenvectors as the rows of one (M+1)-square array, row j holding
+    (V_0j, V_1j, ..., V_Mj).
+
+    Root j is the one root of g(lam) = lam + sum_i z_i^2/(d_i - lam) in
+    (d_(j-1), d_j), with d_(-1) = -inf and d_M = +inf.  It is sought as
+    the offset tau = s*(lam - d_o) > 0 from its origin pole o, the end of
+    its interval it lies nearer to, in a frame flipped by s = -1 when that
+    pole lies above it, so that every lam - d_i keeps full relative
+    accuracy.  An inner root's side, and a start from the two-pole model,
+    come from g at the interval's midpoint; the outer roots lie within
+    max(0, -s*d_o) + |z| of their pole, and their brackets reach twice
+    |z| past that.  The eigenvectors follow from the z of Loewner's
+    formula, z_i^2 = (d_i - lam_0)(lam_M - d_i) prod_{j=1}^{M-1}
+    (lam_j - d_i)/(d_k - d_i), each factor paired with the pole
+    k = j - 1 (i >= j) or j (i < j) beside its root, so that it lies in
+    (0, 1] and no partial product over- or underflows.  That z makes
+    the eigenvectors V_0j = 1/sqrt(1 + sum_i z_i^2/(lam_j - d_i)^2) and
+    V_ij = z_i*V_0j/(lam_j - d_i) orthogonal to a few ulp times M
+    (Gu & Eisenstat, SIAM J. Matrix Anal. Appl. 16, 172 (1995); Stor,
+    Slapnicar & Barlow, Linear Algebra Appl. 464, 62 (2015)).  Scratch
+    arrays hold _SOLVER_BLOCK elements, one block of roots at a time.
+    """
+    m = d.size
+    z2 = z * z
+    rows = max(1, _SOLVER_BLOCK // m)
+    o = np.empty(m + 1, dtype=np.intp)
+    s, far, hi, tau = np.empty((4, m + 1))
+    o[[0, m]], s[[0, m]] = (0, m - 1), (-1.0, 1.0)
+    hi[[0, m]] = np.maximum(0.0, -s[[0, m]] * d[[0, m - 1]]) + 2.0 * math.sqrt(np.sum(z2))
+    far[[0, m]] = 2.0 * hi[[0, m]]  # a model pole beyond the bracket
+    tau[[0, m]] = 0.5 * hi[[0, m]]
+    for lo_r in range(1, m, rows):
+        j = np.arange(lo_r, min(lo_r + rows, m))
+        gap = d[j] - d[j - 1]
+        half = 0.5 * gap
+        _, t = _secular_terms(d, z2, j - 1, np.ones(j.size), half)
+        mid_g = d[j - 1] + half + np.sum(t, axis=1)
+        right = mid_g <= 0  # the root lies in the upper half
+        o[j], s[j], far[j], hi[j] = j - 1 + right, np.where(right, -1.0, 1.0), gap, gap
+        # the model of the two poles alone, with the rest held at its midpoint value
+        near, beyond = z2[o[j]] / half**2, z2[2 * j - 1 - o[j]] / half**2
+        step = _model_step(s[j] * mid_g, near, beyond, half, gap)
+        tau[j] = np.where(np.abs(step) < half, half + step, half)
+    for lo_r in range(0, m + 1, rows):
+        blk = slice(lo_r, lo_r + rows)
+        _refine_roots(d, z2, o[blk], s[blk], far[blk], hi[blk], tau[blk])
+
+    vecs = np.empty((m + 1, m + 1))
+    prod = np.ones(m)
+    cols = np.arange(m)
+    for lo_r in range(0, m + 1, rows):
+        blk = slice(lo_r, lo_r + rows)
+        sep = vecs[blk, 1:]  # lam_j - d_i
+        np.subtract(d, d[o[blk], None], out=sep)
+        sep *= s[blk, None]
+        sep -= tau[blk, None]
+        sep *= -s[blk, None]
+        j = np.arange(max(lo_r, 1), min(lo_r + rows, m))  # the inner roots
+        if j.size:
+            paired = np.where(cols >= j[:, None], d[j - 1, None], d[j, None])
+            paired -= d
+            prod *= np.prod(np.divide(vecs[j[0] : j[-1] + 1, 1:], paired, out=paired), axis=0)
+    z_hat = np.copysign(np.sqrt(-vecs[0, 1:] * vecs[m, 1:] * prod), z)
+    for lo_r in range(0, m + 1, rows):
+        ratio = np.divide(z_hat, vecs[lo_r : lo_r + rows, 1:], out=vecs[lo_r : lo_r + rows, 1:])
+        v0 = 1.0 / np.sqrt(1.0 + np.sum(ratio * ratio, axis=1))
+        ratio *= v0[:, None]
+        vecs[lo_r : lo_r + rows, 0] = v0
+    return d[o] + s * tau, vecs
+
+
+def _arrowhead_eigh(d, z):
+    """Eigenvalues, ascending, and orthonormal eigenvectors, as columns,
+    of the real symmetric arrowhead H = [[0, z^T], [z, diag(d)]] with d
+    nondecreasing: what np.linalg.eigh(H) gives, up to the sign of each
+    column, in O(M^2) elementwise operations and with no BLAS or LAPACK
+    call, so that no bit of it depends on the BLAS thread count.
+
+    A mode with |z_k| <= 8*eps*(max|d| + |z|), at most 16*eps*||H||_2,
+    decouples: it gives the pair (d_k, e_k), exact for H with that z_k
+    set to zero.  Modes that share one float d_k become one mode with
+    their joint coupling |z_G| and |G| - 1 pairs (d_k, v), with v the
+    rows after the first of the Householder reflector that maps e_1 onto
+    the line of z_G, which are orthogonal to z_G.  The rest go to ``_secular_eigh``.
+    """
+    if np.any(d[1:] < d[:-1]):
+        raise ValueError("the arrowhead's diagonal must be nondecreasing")
+    live = np.abs(z) > 8.0 * _EPS * (np.max(np.abs(d)) + math.sqrt(np.sum(z * z)))
+    d_live, z_live = d[live], z[live]
+    head = np.ones(d_live.size, dtype=bool)  # the first mode of each pole
+    head[1:] = d_live[1:] != d_live[:-1]
+    if head.all() and d_live.size == d.size:
+        lam, vecs = _secular_eigh(d, z)
+        return lam, vecs.T
+
+    n = d.size
+    pole = np.cumsum(head) - 1  # the pole of each live mode
+    rho = np.hypot.reduceat(z_live, np.flatnonzero(head)) if z_live.size else z_live
+    lam_r, vecs_r = _secular_eigh(d_live[head], rho) if rho.size else (np.zeros(1), np.ones((1, 1)))
+    lam, vecs = np.empty(n + 1), np.zeros((n + 1, n + 1))
+    k = lam_r.size
+    lam[:k], vecs[:k, 0] = lam_r, vecs_r[:, 0]
+    live_cols = 1 + np.flatnonzero(live)
+    vecs[:k, live_cols] = vecs_r[:, 1 + pole] * (z_live / rho[pole])
+    dead = np.flatnonzero(~live)
+    lam[k : k + dead.size] = d[dead]
+    vecs[k + np.arange(dead.size), 1 + dead] = 1.0
+    k += dead.size
+    for p in np.flatnonzero(np.bincount(pole) > 1):
+        u = z_live[pole == p] / rho[p]
+        v = u.copy()
+        v[0] += math.copysign(1.0, u[0])
+        reflector = np.eye(u.size) - 2.0 / np.sum(v * v) * np.multiply.outer(v, v)
+        lam[k : k + u.size - 1] = d_live[head][p]
+        vecs[k : k + u.size - 1, live_cols[pole == p]] = reflector[1:]
+        k += u.size - 1
+    order = np.argsort(lam, kind="stable")
+    return lam[order], vecs[order].T
+
+
 def integrate_amplitudes(
     lattice: LatticeSpec,
     cavity: CavitySpec,
@@ -178,6 +399,11 @@ def integrate_amplitudes(
 
         alpha(t) = sum_j V_0j^2 exp(-i lam_j t),
         psi(t) = V (exp(-i lam t) * V_0.).
+
+    lam and V come from ``_arrowhead_eigh``, with the modes by descending
+    frequency so that the Delta_k ascend; H itself is never formed.  Its
+    bits do not depend on the BLAS thread count; the two products below,
+    alpha's block product and the bath population's, go through BLAS.
 
     alpha is evaluated at every step with the split n = q*B + r,
     B ~ sqrt(steps), as one (q, j) x (j, r) product of block
@@ -219,12 +445,10 @@ def integrate_amplitudes(
     n_steps = int(math.ceil(t_final / dt - 1e-12))
     times = np.arange(n_steps + 1) * dt
 
-    h = np.diag(np.concatenate(([0.0], detunings)))
-    h[0, 1:] = h[1:, 0] = bath.couplings * np.abs(s_k)
-    if not np.all(np.isfinite(h)):
+    couplings = bath.couplings * np.abs(s_k)
+    if not (np.isfinite(detunings).all() and np.isfinite(couplings).all()):
         raise RuntimeError("non-finite amplitude equations")
-    lam, vecs = np.linalg.eigh(h)
-    del h
+    lam, vecs = _arrowhead_eigh(detunings[::-1], couplings[::-1])
     v0 = vecs[0]
 
     block = math.isqrt(n_steps) + 1

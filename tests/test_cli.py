@@ -187,6 +187,16 @@ class TestSpectrum:
         assert err.startswith("error: ") and message in err and err.count("\n") == 1
         assert not out.exists()
 
+    def test_splitting_within_the_float_range_is_written(self, tmp_path, capsys):
+        # u*omega_q = 1.2e308 at 2u = 3 is finite, though 2u*omega_q is not
+        out = tmp_path / "spec.json"
+        argv = ["--n", "1", "--omega-q", "8e307", "--omega-c", "13.458", "--u-max-offset", "2"]
+        assert run(["spectrum", *argv, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        sectors = json.loads(out.read_text())["sectors"]
+        assert [sec["two_u"] for sec in sectors] == [-1, 1, 3]
+        assert all(math.isfinite(x) for sec in sectors for x in sec["stark_splitting_ghz"])
+
 
 class TestDynamics:
     def test_schema_and_summary(self, tmp_path):

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -241,13 +245,17 @@ class TestIntegration:
         assert traj.norm_history[0] == 1.0
 
 
-def _arrowhead_eigensystem(lattice, cavity, bath):
-    """lam and V of the rotating-frame arrowhead H, built as
-    ``integrate_amplitudes`` builds it."""
+def _arrowhead(lattice, cavity, bath):
+    """Diagonal d and border z of the rotating-frame arrowhead H, the
+    modes by descending frequency, as ``integrate_amplitudes`` forms them."""
     s_k = np.atleast_1d(radiation.s_factor(lattice, cavity, bath.mode_frequencies))
-    h = np.diag(np.concatenate(([0.0], lattice.omega_q - bath.mode_frequencies)))
-    h[0, 1:] = h[1:, 0] = bath.couplings * np.abs(s_k)
-    return np.linalg.eigh(h)
+    return (lattice.omega_q - bath.mode_frequencies)[::-1], (bath.couplings * np.abs(s_k))[::-1]
+
+
+def _arrowhead_eigensystem(lattice, cavity, bath):
+    """lam and V of the rotating-frame arrowhead H, from the eigensolver
+    ``integrate_amplitudes`` calls."""
+    return dynamics._arrowhead_eigh(*_arrowhead(lattice, cavity, bath))
 
 
 def _whole_time_alpha(lam, vecs, times):
@@ -306,9 +314,9 @@ def _bath_tolerance(lam, t_final):
 BATH_CASES = {
     # bath, cavity, t_final, dt, sample_stride
     "defaults": (dynamics.normalized_bath(LAT, 0.5, 601), CAV, None, 0.2, 10),
-    # 601 samples: two full chunks and a partial one
+    # 601 samples: four full chunks of 128 and a partial one
     "stride-1-partial-chunk": (dynamics.normalized_bath(LAT, 0.4, 51), CAV, 120.0, 0.2, 1),
-    # 512 samples: exactly two chunks
+    # 512 samples: exactly four chunks
     "whole-chunks": (dynamics.normalized_bath(LAT, 0.4, 51), CAV, 102.2, 0.2, 1),
     # 351 samples at stride 10
     "stride-10": (dynamics.normalized_bath(LAT, 0.4, 51), CAV, 700.0, 0.2, 10),
@@ -337,6 +345,111 @@ class TestBathEvaluation:
         reference = _whole_time_bath(lam, vecs, sampled)
         gap = np.max(np.abs(traj.beta_total_sq - reference))
         assert gap <= _bath_tolerance(lam, traj.times[-1])
+
+
+def _solver_case(case, m):
+    """d and z of an M-mode arrowhead: the bath of ``normalized_bath``
+    with omega_q on a quasi-period multiple (LAT) or off it, at eta = 0
+    (z = 0 everywhere), or with every third coupling zero."""
+    lat = LAT if case != "off-quasi-period" else LatticeSpec(4, 0.37, 13.458)
+    cavity = CAV if case != "eta-0" else CavitySpec(6.729, 0.0)
+    bath = dynamics.normalized_bath(lat, 0.5, m)
+    if case == "part-zero":
+        couplings = bath.couplings.copy()
+        couplings[::3] = 0.0
+        bath = dynamics.BathSpec(bath.mode_frequencies, couplings, bath.spacing)
+    return _arrowhead(lat, cavity, bath)
+
+
+class TestArrowheadEigensolver:
+    """The secular-equation solver against LAPACK's dense eigh.
+
+    Both are backward stable.  eigh's pairs are exact for H + E with
+    ||E||_2 <= p(M)*eps*||H||_2, p a modest function of M (LAPACK Users'
+    Guide, sec. 4.7).  The secular solver's are exact, to a few ulp per
+    vector entry, for the arrowhead whose border is Loewner's z_hat: a
+    product of 2M - 1 paired factors, each rounded about four times, so
+    |z_hat - z| <= 2*M*eps*|z| to first order; the couplings these cases
+    deflate are exact zeros, which leave H as it is.  By Weyl's theorem
+    two such spectra lie within 4*M*eps*||H||_2 of each other.  The
+    computed eigenvectors of Loewner's arrowhead are orthogonal to a few
+    ulp times M (Gu & Eisenstat 1995), and their residual against H is
+    |z_hat - z| at most: 4*M*eps and 4*M*eps*||H||_2 hold both with room
+    for the constants.
+    """
+
+    @pytest.mark.parametrize("m", [1, 2, 51, 151, 601])
+    @pytest.mark.parametrize("case", ["on-quasi-period", "off-quasi-period", "eta-0", "part-zero"])
+    def test_matches_dense_eigh(self, case, m):
+        d, z = _solver_case(case, m)
+        h = np.diag(np.concatenate(([0.0], d)))
+        h[0, 1:] = h[1:, 0] = z
+        lam, vecs = dynamics._arrowhead_eigh(d, z)
+        reference = np.linalg.eigvalsh(h)
+        h_norm = np.max(np.abs(reference))
+        eps = np.finfo(float).eps
+        assert vecs.shape == (m + 1, m + 1) and np.all(np.diff(lam) >= 0)
+        assert np.max(np.abs(lam - reference)) <= 4 * m * eps * h_norm
+        assert np.max(np.abs(vecs.T @ vecs - np.eye(m + 1))) <= 4 * m * eps
+        assert np.max(np.abs(h @ vecs - vecs * lam)) <= 4 * m * eps * h_norm
+
+    def test_zero_couplings_decouple_exactly(self):
+        d, z = _solver_case("eta-0", 51)
+        lam, vecs = dynamics._arrowhead_eigh(d, z)
+        assert np.array_equal(lam, np.sort(np.concatenate(([0.0], d))))
+        assert np.array_equal(np.abs(vecs), np.eye(52)[:, np.argsort(np.concatenate(([0.0], d)))])
+
+    def test_coinciding_poles_deflate(self):
+        # 4 - (1 + 2^-52) rounds to 3.0: two distinct modes, one float pole
+        d = np.array([-1.0, 3.0, 3.0, 3.0, 5.0])
+        assert 4.0 - (1.0 + 2.0**-52) == 3.0
+        z = np.array([0.3, 0.2, 0.5, 0.1, 0.4])
+        h = np.diag(np.concatenate(([0.0], d)))
+        h[0, 1:] = h[1:, 0] = z
+        lam, vecs = dynamics._arrowhead_eigh(d, z)
+        eps = np.finfo(float).eps
+        assert np.count_nonzero(lam == 3.0) == 2  # |G| - 1 pairs sit on the pole
+        assert np.max(np.abs(lam - np.linalg.eigvalsh(h))) <= 4 * 5 * eps * 5.5
+        assert np.max(np.abs(vecs.T @ vecs - np.eye(6))) <= 4 * 5 * eps
+        assert np.max(np.abs(h @ vecs - vecs * lam)) <= 4 * 5 * eps * 5.5
+
+    def test_rejects_unsorted_diagonal(self):
+        with pytest.raises(ValueError, match="nondecreasing"):
+            dynamics._arrowhead_eigh(np.array([1.0, 0.5]), np.array([0.1, 0.1]))
+
+    def test_makes_no_dense_linear_algebra_call(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense linear algebra call")
+
+        cases = [_solver_case(case, 151) for case in ("on-quasi-period", "part-zero")]
+        cases.append((np.array([-1.0, 3.0, 3.0, 5.0]), np.array([0.3, 0.2, 0.5, 0.4])))
+        for name in ("eigh", "eigvalsh", "norm", "solve", "qr", "svd"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        for name in ("dot", "vdot", "inner", "matmul", "einsum", "tensordot"):
+            monkeypatch.setattr(np, name, refuse)
+        for d, z in cases:
+            dynamics._arrowhead_eigh(d, z)
+
+    def test_bits_do_not_depend_on_blas_threads(self):
+        # eigh of the same 602-square arrowhead differs in its last bits
+        # between one and two OpenBLAS threads; the secular solver makes no
+        # BLAS call, so each thread count gives the same bytes
+        src = str(Path(dynamics.__file__).resolve().parents[1])
+        code = (
+            "import hashlib, numpy as np, test_dynamics as t; "
+            "from quasilattice import dynamics; "
+            "lam, vecs = dynamics._arrowhead_eigh(*t._solver_case('on-quasi-period', 601)); "
+            "print(hashlib.sha256(lam.tobytes() + vecs.tobytes()).hexdigest())"
+        )
+        digests = set()
+        for threads in ("1", "2"):
+            path = os.pathsep.join(filter(None, [src, str(Path(__file__).parent),
+                                                 os.environ.get("PYTHONPATH")]))
+            env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads)
+            done = subprocess.run([sys.executable, "-c", code], env=env,
+                                  capture_output=True, text=True, check=True)
+            digests.add(done.stdout)
+        assert len(digests) == 1
 
 
 class TestFitDecay:

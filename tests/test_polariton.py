@@ -243,6 +243,47 @@ class TestDiagonalization:
         with pytest.raises(ValueError, match="2u=3 splitting Omega - u.omega_q overflows"):
             polariton.diagonalize_sector(lat, cav, 3)
 
+    def test_splitting_past_half_the_float_range_is_finite(self):
+        # 2u*omega_q = 2.4e308 overflows, u*omega_q = 1.2e308 does not
+        lat = LatticeSpec(n_qubits=1, relative_spacing=2 / 3, omega_q=8e307)
+        cav = CavitySpec(omega_c=13.458, eta=0.1)
+        sec = polariton.diagonalize_sector(lat, cav, 3)
+        block = polariton.build_sector_hamiltonian(lat, cav, 3)
+        assert np.array_equal(sec.stark_splittings, np.linalg.eigvalsh(block) - 1.5 * 8e307)
+        assert np.isfinite(sec.stark_splittings).all()
+
+    def test_half_integer_products_round_as_before(self):
+        # omega_q*(2u/2) and (omega_q*2u)/2 round alike wherever the second
+        # is finite: halving is exact away from the subnormals, and a
+        # subnormal half comes from an exact product, |2u| >= 3 with a
+        # normal omega_q keeping |u*omega_q| normal; pinned from the
+        # smallest subnormal to the top of the range
+        rng = np.random.default_rng(2024)
+        omega_q = np.ldexp(1.0 + rng.random(40000), rng.integers(-1074, 1024, 40000))
+        omega_q = np.concatenate((omega_q, [5e-324, 1e-323, 2.2250738585072014e-308, 8e307]))
+        for two_u in range(-65, 66):
+            with np.errstate(over="ignore"):
+                before, now = omega_q * two_u / 2.0, omega_q * (two_u / 2.0)
+            finite = np.isfinite(before)
+            assert np.array_equal(now[finite], before[finite])
+            assert np.isfinite(now[omega_q < 1e300]).all()
+
+    def test_shared_deformation_factor_changes_no_bit(self):
+        # first_excited_transition and transition_matrices pass one f to
+        # every sector and raising matrix; each output is that of the
+        # calls that compute their own (TestBatchedDecayRate counts them)
+        sweep = LatticeSpec(4, (0.0, 0.37, 2 / 3, 1.0), (13.458, 6.729, 20.187, 9.3))
+        ladder = [polariton.diagonalize_sector(sweep, CAV, two_u) for two_u in (-4, -2, 0)]
+        raising = [polariton.raising_matrix(sweep, up, lo) for lo, up in zip(ladder, ladder[1:])]
+        element = polariton.raising_element(sweep, ladder[1], ladder[0], 0, 0)
+        assert polariton.first_excited_transition(sweep, CAV).tobytes() == element.tobytes()
+        walk = polariton.transition_matrices(sweep, CAV, 0)
+        for field in ("eigenvalues", "coefficients", "stark_splittings"):
+            assert [getattr(a, field).tobytes() for a in walk.sectors] == [
+                getattr(a, field).tobytes() for a in ladder
+            ]
+        assert [r.tobytes() for r in walk.raising] == [r.tobytes() for r in raising]
+
     @pytest.mark.parametrize("n, two_u", [(4, -4), (3, 1), (4, 0)])
     def test_overflowing_bare_energy_raises(self, n, two_u):
         # omega_q*m + omega_c*n overflows: at N=4, 2u=-4 to -inf, at N=3,

@@ -415,17 +415,17 @@ class TestBatchedDecayRate:
             assert column.tobytes() == np.array([getattr(r, name) for r in references]).tobytes(), name
 
     def test_deformation_factor_once_per_point(self, monkeypatch):
-        # every call receives the whole sweep: one per sector and one for
-        # the raising element, each giving one factor per point
+        # one call receives the whole sweep, giving one factor per point,
+        # and both sectors and the raising element share it
         calls = []
         real = polariton.deformation_factor
         monkeypatch.setattr(polariton, "deformation_factor", lambda p: calls.append(p) or real(p))
         sweep = LatticeSpec(4, np.linspace(0.0, 1.0, 21), np.full(21, 13.458))
         radiation.decay_rate(sweep, CAV)
-        assert calls == [sweep] * 3
+        assert calls == [sweep]
         calls.clear()
         polariton.transition_matrices(LAT, CAV, 4)
-        assert calls == [LAT] * 9  # five sectors and four raising matrices
+        assert calls == [LAT]  # shared by five sectors and four raising matrices
 
     def test_mixed_qubit_counts_rejected(self):
         # a sweep holds one n_qubits, so its points cannot mix counts; a
