@@ -12,9 +12,12 @@ the propagation of the bath-decay benchmark workload.  One more call,
 untimed and under ``tracemalloc``, records the peak of the arrays it
 allocates as ``extra_info["tracemalloc_peak_mb"]``.
 
-The arrowhead eigensolver of ``integrate_amplitudes`` is timed against
-``np.linalg.eigh`` of the dense arrowhead it replaces, on the default
-bath at 151, 601 and 2401 modes.  ``dynamics --modes 2401`` runs in a
+The arrowhead eigensolver of ``integrate_amplitudes``, ``_bright_eigh``,
+is timed against ``np.linalg.eigh`` of the dense arrowhead it replaces,
+on the default bath at 151, 601 and 2401 modes, and alone on a partly
+dark bath, every third coupling zero, at 601 and 2401 modes, where an
+untimed call under ``tracemalloc`` records its peak as
+``extra_info["tracemalloc_peak_mb"]``.  ``dynamics --modes 2401`` runs in a
 fresh interpreter, as a user runs it, started by a second small one
 that records its wall time and its own ``ru_maxrss`` in
 ``extra_info["wall_s"]`` and ``extra_info["ru_maxrss_mb"]``.
@@ -55,12 +58,16 @@ def test_integrate_amplitudes(benchmark):
         tracemalloc.stop()
 
 
-def _arrowhead(n_modes):
+def _arrowhead(n_modes, dark=False):
     """Diagonal and border of the default bath's arrowhead, as
-    ``integrate_amplitudes`` forms them."""
+    ``integrate_amplitudes`` forms them; with every third coupling zero
+    if dark."""
     bath = dynamics.normalized_bath(LATTICE, 0.5, n_modes)
     s_k = radiation.s_factor(LATTICE, CAVITY, bath.mode_frequencies)
-    return (LATTICE.omega_q - bath.mode_frequencies)[::-1], (bath.couplings * np.abs(s_k))[::-1]
+    z = bath.couplings * np.abs(s_k)
+    if dark:
+        z[::3] = 0.0
+    return (LATTICE.omega_q - bath.mode_frequencies)[::-1], z[::-1]
 
 
 @pytest.mark.parametrize("n_modes", [151, 601, 2401])
@@ -68,7 +75,7 @@ def _arrowhead(n_modes):
 def test_arrowhead_eigensolver(benchmark, solver, n_modes):
     d, z = _arrowhead(n_modes)
     if solver == "secular":
-        run, args = dynamics._arrowhead_eigh, (d, z)
+        run, args = dynamics._bright_eigh, (d, z)
     else:
         h = np.diag(np.concatenate(([0.0], d)))
         h[0, 1:] = h[1:, 0] = z
@@ -76,6 +83,20 @@ def test_arrowhead_eigensolver(benchmark, solver, n_modes):
     rounds = 3 if n_modes > 1000 else 15
     lam, _ = benchmark.pedantic(run, args=args, rounds=rounds, warmup_rounds=1)
     assert lam.size == n_modes + 1
+
+
+@pytest.mark.parametrize("n_modes", [601, 2401])
+def test_partly_dark_arrowhead(benchmark, n_modes):
+    d, z = _arrowhead(n_modes, dark=True)
+    rounds = 3 if n_modes > 1000 else 15
+    lam, _ = benchmark.pedantic(dynamics._bright_eigh, args=(d, z), rounds=rounds, warmup_rounds=1)
+    assert lam.size == n_modes + 1 - np.count_nonzero(z == 0)
+    tracemalloc.start()
+    try:
+        dynamics._bright_eigh(d, z)
+        benchmark.extra_info["tracemalloc_peak_mb"] = tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
 
 
 # Runs one command and prints its wall time and its own ru_maxrss (kB).

@@ -6,10 +6,11 @@ eigendecomposition of a real symmetric arrowhead matrix in the rotating
 frame of the bath modes (see ``integrate_amplitudes``), so the
 exponential (Markov) decay law is an output to be checked against the
 analytic rate, not an assumption of the scheme.  The eigendecomposition
-is the arrowhead's own: the roots of its secular equation and Loewner's
-eigenvectors, O(M^2) elementwise work with no BLAS or LAPACK call (see
-``_secular_eigh``).  Times are in ns, frequencies in GHz, with 2*pi
-absorbed into the angular-frequency convention.
+is that of the arrowhead's bright modes: the roots of its secular
+equation and Loewner's eigenvectors, O(M^2) elementwise work with no
+BLAS or LAPACK call (see ``_bright_eigh``).  Times are in ns,
+frequencies in GHz, with 2*pi absorbed into the angular-frequency
+convention.
 """
 
 from __future__ import annotations
@@ -326,53 +327,28 @@ def _secular_eigh(d, z):
     return d[o] + s * tau, vecs
 
 
-def _arrowhead_eigh(d, z):
+def _bright_eigh(d, z):
     """Eigenvalues, ascending, and orthonormal eigenvectors, as columns,
-    of the real symmetric arrowhead H = [[0, z^T], [z, diag(d)]] with d
-    nondecreasing: what np.linalg.eigh(H) gives, up to the sign of each
-    column, in O(M^2) elementwise operations and with no BLAS or LAPACK
-    call, so that no bit of it depends on the BLAS thread count.
+    of the bright part of the arrowhead H = [[0, z^T], [z, diag(d)]], d
+    nondecreasing, by ``_secular_eigh``: no bit depends on BLAS threads.
 
-    A mode with |z_k| <= 8*eps*(max|d| + |z|), at most 16*eps*||H||_2,
-    decouples: it gives the pair (d_k, e_k), exact for H with that z_k
-    set to zero.  Modes that share one float d_k become one mode with
-    their joint coupling |z_G| and |G| - 1 pairs (d_k, v), with v the
-    rows after the first of the Householder reflector that maps e_1 onto
-    the line of z_G, which are orthogonal to z_G.  The rest go to ``_secular_eigh``.
+    A mode with |z_k| <= 8*eps*(max|d| + |z|), at most 16*eps*||H||_2, is
+    dark and dropped: exact for H with that z_k set to zero.  Modes that
+    share one float d_k become one mode with coupling |z_G|, and the
+    |G| - 1 combinations orthogonal to z_G are dark.  A dark eigenvector
+    has V_0j = 0 and so no weight in psi(t) (``integrate_amplitudes``);
+    a merged mode's amplitude has the norm of its group's.  With no
+    bright mode H reduces to [[0]].
     """
     if np.any(d[1:] < d[:-1]):
         raise ValueError("the arrowhead's diagonal must be nondecreasing")
     live = np.abs(z) > 8.0 * _EPS * (np.max(np.abs(d)) + math.sqrt(np.sum(z * z)))
-    d_live, z_live = d[live], z[live]
-    head = np.ones(d_live.size, dtype=bool)  # the first mode of each pole
-    head[1:] = d_live[1:] != d_live[:-1]
-    if head.all() and d_live.size == d.size:
-        lam, vecs = _secular_eigh(d, z)
-        return lam, vecs.T
-
-    n = d.size
-    pole = np.cumsum(head) - 1  # the pole of each live mode
-    rho = np.hypot.reduceat(z_live, np.flatnonzero(head)) if z_live.size else z_live
-    lam_r, vecs_r = _secular_eigh(d_live[head], rho) if rho.size else (np.zeros(1), np.ones((1, 1)))
-    lam, vecs = np.empty(n + 1), np.zeros((n + 1, n + 1))
-    k = lam_r.size
-    lam[:k], vecs[:k, 0] = lam_r, vecs_r[:, 0]
-    live_cols = 1 + np.flatnonzero(live)
-    vecs[:k, live_cols] = vecs_r[:, 1 + pole] * (z_live / rho[pole])
-    dead = np.flatnonzero(~live)
-    lam[k : k + dead.size] = d[dead]
-    vecs[k + np.arange(dead.size), 1 + dead] = 1.0
-    k += dead.size
-    for p in np.flatnonzero(np.bincount(pole) > 1):
-        u = z_live[pole == p] / rho[p]
-        v = u.copy()
-        v[0] += math.copysign(1.0, u[0])
-        reflector = np.eye(u.size) - 2.0 / np.sum(v * v) * np.multiply.outer(v, v)
-        lam[k : k + u.size - 1] = d_live[head][p]
-        vecs[k : k + u.size - 1, live_cols[pole == p]] = reflector[1:]
-        k += u.size - 1
-    order = np.argsort(lam, kind="stable")
-    return lam[order], vecs[order].T
+    d, z = d[live], z[live]
+    if not z.size:
+        return np.zeros(1), np.ones((1, 1))
+    starts = np.flatnonzero(np.r_[True, d[1:] != d[:-1]])  # the first mode of each pole
+    lam, vecs = _secular_eigh(d[starts], np.hypot.reduceat(z, starts))
+    return lam, vecs.T
 
 
 def integrate_amplitudes(
@@ -400,7 +376,8 @@ def integrate_amplitudes(
         alpha(t) = sum_j V_0j^2 exp(-i lam_j t),
         psi(t) = V (exp(-i lam t) * V_0.).
 
-    lam and V come from ``_arrowhead_eigh``, with the modes by descending
+    lam and V are those of H's bright part (``_bright_eigh``; dark modes
+    add nothing to alpha or sum_k |beta_k|^2), with the modes by descending
     frequency so that the Delta_k ascend; H itself is never formed.  Its
     bits do not depend on the BLAS thread count; the two products below,
     alpha's block product and the bath population's, go through BLAS.
@@ -448,7 +425,7 @@ def integrate_amplitudes(
     couplings = bath.couplings * np.abs(s_k)
     if not (np.isfinite(detunings).all() and np.isfinite(couplings).all()):
         raise RuntimeError("non-finite amplitude equations")
-    lam, vecs = _arrowhead_eigh(detunings[::-1], couplings[::-1])
+    lam, vecs = _bright_eigh(detunings[::-1], couplings[::-1])
     v0 = vecs[0]
 
     block = math.isqrt(n_steps) + 1

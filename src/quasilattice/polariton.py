@@ -121,7 +121,7 @@ def _sector_block(
     f = np.asarray(f)[..., None]
     h = np.zeros(omega_q.shape[:-1] + (d * d,))
     with np.errstate(over="ignore", invalid="ignore"):  # raised below
-        h[..., :: d + 1] = omega_q * two_m / 2.0 + cavity.omega_c * n
+        h[..., :: d + 1] = omega_q * (two_m / 2.0) + cavity.omega_c * n
         off = eta_sqrt_n[1:] * np.sqrt(f * rm[1:] * rm1[1:])
     if not np.isfinite(h[..., :: d + 1]).all():
         raise ValueError("a bare sector energy omega_q*m + omega_c*n overflows")

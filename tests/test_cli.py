@@ -99,7 +99,9 @@ class TestDecaySweep:
         (["--branch", "2"], cli.EXIT_USAGE, "branch 2 outside"),
         (["--branch", "-1"], cli.EXIT_USAGE, "branch -1 outside"),
         (["--omega-q", "1e308"], cli.EXIT_USAGE, "bare sector energy"),
-        (["--sweep", "omega-q", "--omega-q-max", "1e308"], cli.EXIT_USAGE, "bare sector energy"),
+        # 2*omega_q overflows at the first point, N=4's ground energy -2*omega_q
+        (["--sweep", "omega-q", "--omega-q-min", "0.95e308", "--omega-q-max", "1e308"],
+         cli.EXIT_USAGE, "bare sector energy"),
         (["--omega-c", "1e-308"], cli.EXIT_USAGE, "site phase"),
         (["--ell-min", "0.5", "--ell-max", "0.2"], cli.EXIT_USAGE, "ell sweep range"),
         (["--ell-max", "nan"], cli.EXIT_USAGE, "ell sweep range"),

@@ -244,6 +244,20 @@ class TestIntegration:
         assert traj.beta_total_sq[0] == 0.0
         assert traj.norm_history[0] == 1.0
 
+    def test_dark_modes_change_no_bit(self):
+        # a mode with zero coupling is dropped before the eigensolver, so
+        # the run is the run on the bath without it, bit for bit
+        bath = dynamics.normalized_bath(LAT, bandwidth=0.4, n_modes=51)
+        couplings = bath.couplings.copy()
+        couplings[::3] = 0.0
+        dark = dynamics.BathSpec(bath.mode_frequencies, couplings, bath.spacing)
+        keep = couplings > 0
+        bright = dynamics.BathSpec(bath.mode_frequencies[keep], couplings[keep], bath.spacing)
+        a = dynamics.integrate_amplitudes(LAT, CAV, dark, 120.0, 0.2)
+        b = dynamics.integrate_amplitudes(LAT, CAV, bright, 120.0, 0.2)
+        assert a.alpha.tobytes() == b.alpha.tobytes()
+        assert a.beta_total_sq.tobytes() == b.beta_total_sq.tobytes()
+
 
 def _arrowhead(lattice, cavity, bath):
     """Diagonal d and border z of the rotating-frame arrowhead H, the
@@ -255,7 +269,7 @@ def _arrowhead(lattice, cavity, bath):
 def _arrowhead_eigensystem(lattice, cavity, bath):
     """lam and V of the rotating-frame arrowhead H, from the eigensolver
     ``integrate_amplitudes`` calls."""
-    return dynamics._arrowhead_eigh(*_arrowhead(lattice, cavity, bath))
+    return dynamics._bright_eigh(*_arrowhead(lattice, cavity, bath))
 
 
 def _whole_time_alpha(lam, vecs, times):
@@ -361,6 +375,22 @@ def _solver_case(case, m):
     return _arrowhead(lat, cavity, bath)
 
 
+def _bright_embedding(d, z, vecs):
+    """The bright eigenvectors of ``_bright_eigh`` in the full space of H,
+    a merged mode's entry spread over its group as z_k/|z_G|, and the
+    poles the solver dropped: each zero-coupling d_k, and each merged pole
+    |G| - 1 times.  The dark couplings of these cases are exact zeros."""
+    live = np.flatnonzero(z)
+    head = np.ones(live.size, dtype=bool)
+    head[1:] = d[live][1:] != d[live][:-1]
+    pole = np.cumsum(head) - 1
+    rho = np.sqrt(np.bincount(pole, weights=z[live] ** 2))
+    full = np.zeros((d.size + 1, vecs.shape[1]))
+    full[0] = vecs[0]
+    full[1 + live] = vecs[1 + pole] * (z[live] / rho[pole])[:, None]
+    return full, np.concatenate((d[z == 0], d[live][~head]))
+
+
 class TestArrowheadEigensolver:
     """The secular-equation solver against LAPACK's dense eigh.
 
@@ -375,7 +405,9 @@ class TestArrowheadEigensolver:
     computed eigenvectors of Loewner's arrowhead are orthogonal to a few
     ulp times M (Gu & Eisenstat 1995), and their residual against H is
     |z_hat - z| at most: 4*M*eps and 4*M*eps*||H||_2 hold both with room
-    for the constants.
+    for the constants.  The solver returns the bright pairs only; the
+    poles it drops complete the spectrum, and the bright vectors, spread
+    back over each merged group, are eigenvectors of H itself.
     """
 
     @pytest.mark.parametrize("m", [1, 2, 51, 151, 601])
@@ -384,20 +416,22 @@ class TestArrowheadEigensolver:
         d, z = _solver_case(case, m)
         h = np.diag(np.concatenate(([0.0], d)))
         h[0, 1:] = h[1:, 0] = z
-        lam, vecs = dynamics._arrowhead_eigh(d, z)
+        lam, vecs = dynamics._bright_eigh(d, z)
+        full, dropped = _bright_embedding(d, z, vecs)
         reference = np.linalg.eigvalsh(h)
         h_norm = np.max(np.abs(reference))
         eps = np.finfo(float).eps
-        assert vecs.shape == (m + 1, m + 1) and np.all(np.diff(lam) >= 0)
-        assert np.max(np.abs(lam - reference)) <= 4 * m * eps * h_norm
-        assert np.max(np.abs(vecs.T @ vecs - np.eye(m + 1))) <= 4 * m * eps
-        assert np.max(np.abs(h @ vecs - vecs * lam)) <= 4 * m * eps * h_norm
+        assert vecs.shape == (lam.size, lam.size) and np.all(np.diff(lam) >= 0)
+        assert lam.size + dropped.size == m + 1
+        spectrum = np.sort(np.concatenate((lam, dropped)))
+        assert np.max(np.abs(spectrum - reference)) <= 4 * m * eps * h_norm
+        assert np.max(np.abs(full.T @ full - np.eye(lam.size))) <= 4 * m * eps
+        assert np.max(np.abs(h @ full - full * lam)) <= 4 * m * eps * h_norm
 
     def test_zero_couplings_decouple_exactly(self):
         d, z = _solver_case("eta-0", 51)
-        lam, vecs = dynamics._arrowhead_eigh(d, z)
-        assert np.array_equal(lam, np.sort(np.concatenate(([0.0], d))))
-        assert np.array_equal(np.abs(vecs), np.eye(52)[:, np.argsort(np.concatenate(([0.0], d)))])
+        lam, vecs = dynamics._bright_eigh(d, z)
+        assert lam.tolist() == [0.0] and vecs.tolist() == [[1.0]]
 
     def test_coinciding_poles_deflate(self):
         # 4 - (1 + 2^-52) rounds to 3.0: two distinct modes, one float pole
@@ -406,16 +440,18 @@ class TestArrowheadEigensolver:
         z = np.array([0.3, 0.2, 0.5, 0.1, 0.4])
         h = np.diag(np.concatenate(([0.0], d)))
         h[0, 1:] = h[1:, 0] = z
-        lam, vecs = dynamics._arrowhead_eigh(d, z)
+        lam, vecs = dynamics._bright_eigh(d, z)
+        full, dropped = _bright_embedding(d, z, vecs)
         eps = np.finfo(float).eps
-        assert np.count_nonzero(lam == 3.0) == 2  # |G| - 1 pairs sit on the pole
-        assert np.max(np.abs(lam - np.linalg.eigvalsh(h))) <= 4 * 5 * eps * 5.5
-        assert np.max(np.abs(vecs.T @ vecs - np.eye(6))) <= 4 * 5 * eps
-        assert np.max(np.abs(h @ vecs - vecs * lam)) <= 4 * 5 * eps * 5.5
+        assert lam.size == 4 and dropped.tolist() == [3.0, 3.0]  # |G| - 1 dark pairs
+        spectrum = np.sort(np.concatenate((lam, dropped)))
+        assert np.max(np.abs(spectrum - np.linalg.eigvalsh(h))) <= 4 * 5 * eps * 5.5
+        assert np.max(np.abs(full.T @ full - np.eye(4))) <= 4 * 5 * eps
+        assert np.max(np.abs(h @ full - full * lam)) <= 4 * 5 * eps * 5.5
 
     def test_rejects_unsorted_diagonal(self):
         with pytest.raises(ValueError, match="nondecreasing"):
-            dynamics._arrowhead_eigh(np.array([1.0, 0.5]), np.array([0.1, 0.1]))
+            dynamics._bright_eigh(np.array([1.0, 0.5]), np.array([0.1, 0.1]))
 
     def test_makes_no_dense_linear_algebra_call(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -428,7 +464,7 @@ class TestArrowheadEigensolver:
         for name in ("dot", "vdot", "inner", "matmul", "einsum", "tensordot"):
             monkeypatch.setattr(np, name, refuse)
         for d, z in cases:
-            dynamics._arrowhead_eigh(d, z)
+            dynamics._bright_eigh(d, z)
 
     def test_bits_do_not_depend_on_blas_threads(self):
         # eigh of the same 602-square arrowhead differs in its last bits
@@ -438,7 +474,7 @@ class TestArrowheadEigensolver:
         code = (
             "import hashlib, numpy as np, test_dynamics as t; "
             "from quasilattice import dynamics; "
-            "lam, vecs = dynamics._arrowhead_eigh(*t._solver_case('on-quasi-period', 601)); "
+            "lam, vecs = dynamics._bright_eigh(*t._solver_case('on-quasi-period', 601)); "
             "print(hashlib.sha256(lam.tobytes() + vecs.tobytes()).hexdigest())"
         )
         digests = set()

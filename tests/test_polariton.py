@@ -287,13 +287,18 @@ class TestDiagonalization:
     @pytest.mark.parametrize("n, two_u", [(4, -4), (3, 1), (4, 0)])
     def test_overflowing_bare_energy_raises(self, n, two_u):
         # omega_q*m + omega_c*n overflows: at N=4, 2u=-4 to -inf, at N=3,
-        # 2u=1 and N=4, 2u=0 to inf - inf; refused before any eigensolve,
-        # in _sector_block, which every caller goes through
+        # 2u=1 to inf and N=4, 2u=0 to -inf + inf; refused before any
+        # eigensolve, in _sector_block, which every caller goes through
         lat = LatticeSpec(n_qubits=n, relative_spacing=0.37, omega_q=1e308)
         cav = CavitySpec(omega_c=1e308, eta=0.1)
         for call in (polariton.diagonalize_sector, polariton.build_sector_hamiltonian):
             with pytest.raises(ValueError, match="bare sector energy"):
                 call(lat, cav, two_u)
+        if n == 3:
+            # the two lowest sectors stay finite: omega_q*m is formed as
+            # omega_q*(2m/2), so 2u=-3 is -1.5e308, not (-3e308)/2
+            assert np.isfinite(polariton.first_excited_transition(lat, cav)).all()
+            return
         with pytest.raises(ValueError, match="bare sector energy"):
             polariton.first_excited_transition(lat, cav)
 
