@@ -23,7 +23,6 @@ that records its wall time and its own ``ru_maxrss`` in
 ``extra_info["wall_s"]`` and ``extra_info["ru_maxrss_mb"]``.
 """
 
-import math
 import os
 import subprocess
 import sys
@@ -44,7 +43,7 @@ CAVITY = CavitySpec(omega_c=6.729, eta=0.1)
 def test_integrate_amplitudes(benchmark):
     bath = dynamics.normalized_bath(LATTICE, 0.5, 601)
     gamma = radiation.decay_rate(LATTICE, CAVITY).gamma_normalized
-    t_final = min(3.0 / gamma, 0.8 * 2.0 * math.pi / bath.spacing)
+    t_final = min(3.0 / gamma, 0.8 * bath.recurrence_time)
     traj = benchmark(
         dynamics.integrate_amplitudes, LATTICE, CAVITY, bath, t_final, 0.2, sample_stride=10
     )

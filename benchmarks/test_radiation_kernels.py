@@ -9,10 +9,13 @@ N=4 and N=8, the sizes of the ``pv_check`` operations of the
 radiation-sweep benchmark workload; ``decay_rate`` runs at the CLI
 defaults, one point, and over the 201-point sweeps of the three
 ``decay_sweep`` operations of that workload (ell at N=4 and N=16, omega_q
-at N=4), each as one batched call on one sweep ``LatticeSpec``.  ``chi``
-runs for every l at once on the 600-point default grid of ``chi-sweep``
-at N=16, the larger ``chi_sweep`` operation of that workload.  ``check_chi_identity`` is the
-chi cross-check of each ``validate`` (N = 2..8 on a 2000-point grid).
+at N=4), each as one batched call on one sweep ``LatticeSpec``.  Both
+build their ``LatticeSpec`` inside the timed call, as the CLI builds one
+per point or block, so no round reads a deformation factor that an
+earlier round formed.  ``chi`` runs for every l at once on the 600-point
+default grid of ``chi-sweep`` at N=16, the larger ``chi_sweep`` operation
+of that workload.  ``check_chi_identity`` is the chi cross-check of each
+``validate`` (N = 2..8 on a 2000-point grid).
 """
 
 import math
@@ -34,8 +37,8 @@ def test_pv_integral_check(benchmark, n):
 
 
 def test_decay_rate(benchmark):
-    lattice = LatticeSpec(n_qubits=4, relative_spacing=2.0 / 3.0, omega_q=13.458)
-    result = benchmark(radiation.decay_rate, lattice, CAVITY)
+    result = benchmark(lambda: radiation.decay_rate(
+        LatticeSpec(n_qubits=4, relative_spacing=2.0 / 3.0, omega_q=13.458), CAVITY))
     assert math.isfinite(result.gamma_normalized)
 
 
@@ -45,8 +48,8 @@ def test_decay_sweep(benchmark, n, axis):
         ells, omegas = np.linspace(0.0, 1.0, 201), np.full(201, 13.458)
     else:
         ells, omegas = np.full(201, 2.0 / 3.0), np.linspace(1.0, 40.5, 201)
-    sweep = LatticeSpec(n_qubits=n, relative_spacing=ells, omega_q=omegas)
-    result = benchmark(radiation.decay_rate, sweep, CAVITY)
+    result = benchmark(lambda: radiation.decay_rate(
+        LatticeSpec(n_qubits=n, relative_spacing=ells, omega_q=omegas), CAVITY))
     assert np.all(np.isfinite(result.gamma_normalized))
 
 

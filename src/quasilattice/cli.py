@@ -288,12 +288,9 @@ def run_spectrum(args: argparse.Namespace) -> int:
             "u": sec.basis.two_u / 2.0,
             "dimension": sec.basis.dimension,
             "basis": [{"n": n, "two_m": tm} for n, tm in sec.basis.entries],
-            "omega_ghz": [float(v) for v in sec.eigenvalues],
-            "stark_splitting_ghz": [float(v) for v in sec.stark_splittings],
-            "coefficients": [
-                [float(c) for c in sec.coefficients[:, b]]
-                for b in range(sec.basis.dimension)
-            ],
+            "omega_ghz": sec.eigenvalues.tolist(),
+            "stark_splitting_ghz": sec.stark_splittings.tolist(),
+            "coefficients": sec.coefficients.T.tolist(),
         }
         if i > 0:
             entry["raising_elements_from_lower"] = walk.raising[i - 1].tolist()
@@ -317,9 +314,8 @@ def run_dynamics(args: argparse.Namespace) -> int:
     gamma = radiation.decay_rate(lattice, cavity, branch=args.branch).gamma_normalized
     t_final = args.t_final
     if t_final <= 0:
-        recurrence = 2.0 * math.pi / bath.spacing if bath.n_modes > 1 else math.inf
         horizon = 3.0 / gamma if gamma > 0 else 100.0
-        t_final = min(horizon, 0.8 * recurrence)
+        t_final = min(horizon, 0.8 * bath.recurrence_time)
     traj = dynamics.integrate_amplitudes(
         lattice, cavity, bath, t_final, args.dt,
         branch=args.branch, sample_stride=args.sample_stride,

@@ -98,6 +98,11 @@ class BathSpec:
     def n_modes(self) -> int:
         return self.mode_frequencies.size
 
+    @property
+    def recurrence_time(self) -> float:
+        """2*pi/spacing, ns, when the discrete modes rephase; infinite for one."""
+        return 2.0 * math.pi / self.spacing if self.n_modes > 1 else math.inf
+
 
 @dataclass(frozen=True)
 class AmplitudeTrajectory:
@@ -411,12 +416,10 @@ def integrate_amplitudes(
         raise StepSizeError(
             f"dt*max|omega_q-omega_k| = {dt * max_det:.3g} must stay below 0.1"
         )
-    if bath.n_modes > 1:
-        recurrence = 2.0 * math.pi / bath.spacing
-        if t_final >= recurrence:
-            raise RecurrenceError(
-                f"t_final {t_final:g} ns exceeds bath recurrence {recurrence:.3g} ns"
-            )
+    if t_final >= bath.recurrence_time:
+        raise RecurrenceError(
+            f"t_final {t_final:g} ns exceeds bath recurrence {bath.recurrence_time:.3g} ns"
+        )
 
     s_k = np.atleast_1d(s_factor(lattice, cavity, bath.mode_frequencies, branch))
     n_steps = int(math.ceil(t_final / dt - 1e-12))
@@ -462,21 +465,15 @@ def integrate_amplitudes(
     )
 
 
-def fit_decay(
-    traj: AmplitudeTrajectory,
-    window: tuple[float, float] | None = None,
-) -> float:
+def fit_decay(traj: AmplitudeTrajectory) -> float:
     """Exponential decay rate from a least-squares fit of ln|alpha(t)|^2.
 
-    window is a (t_start, t_end) pair in ns; by default the first 10% of
-    the trajectory is excluded as transient.  Revivals inside the window
-    (any rise of |alpha| beyond 1e-9) abort the fit.
+    The fit window is the trajectory without its first 10%, which is
+    excluded as transient.  Revivals inside the window (any rise of
+    |alpha| beyond 1e-9) abort the fit.
     """
     t = traj.times
-    if window is None:
-        window = (t[0] + 0.1 * (t[-1] - t[0]), t[-1])
-    lo, hi = window
-    mask = (t >= lo) & (t <= hi)
+    mask = t >= t[0] + 0.1 * (t[-1] - t[0])
     if np.count_nonzero(mask) < 3:
         raise ValueError("fit window contains fewer than 3 samples")
     a2 = np.abs(traj.alpha[mask]) ** 2

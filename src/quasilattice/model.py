@@ -9,6 +9,7 @@ corresponding frequencies.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -67,6 +68,16 @@ class LatticeSpec:
         """Qubit transition momentum in natural units (equals omega_q)."""
         return self.omega_q
 
+    @functools.cached_property
+    def deformation_factor(self) -> float | np.ndarray:
+        """``deformation_factor``, formed on first read and kept."""
+        n, ell = self.n_qubits, self.relative_spacing
+        if not isinstance(ell, tuple):
+            return _mean_squared_weight(n, ell)
+        f = np.array([_mean_squared_weight(n, x) for x in ell])
+        f.flags.writeable = False
+        return f
+
 
 @dataclass(frozen=True)
 class CavitySpec:
@@ -116,10 +127,8 @@ def deformation_factor(lattice: LatticeSpec) -> float | np.ndarray:
     Equals the mean squared coupling weight,
     1/2 + (1/4N) * [1 + sin((2N-1)*pi*ell) / sin(pi*ell)],
     with the ratio replaced by its analytic limit at ell in {0, 1}
-    where sin(pi*ell) vanishes.  A sweep gives an array with one entry
-    per point, each as its point alone gives it.
+    where sin(pi*ell) vanishes.  A sweep gives a read-only array with one
+    entry per point, each as its point alone gives it.  The lattice forms
+    it on the first call and keeps it for every caller to share.
     """
-    n, ell = lattice.n_qubits, lattice.relative_spacing
-    if isinstance(ell, tuple):
-        return np.array([_mean_squared_weight(n, x) for x in ell])
-    return _mean_squared_weight(n, ell)
+    return lattice.deformation_factor

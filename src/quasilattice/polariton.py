@@ -6,6 +6,8 @@ tridiagonal blocks.  Each block is diagonalized for the polariton
 branches; the closed-form coefficient expansion is kept as a cross-check
 of the eigensolver.  Excitation numbers and spin projections can be
 half-integers for odd N, so they are carried as doubled integers.
+Every block and raising element reads the deformation factor f from
+the lattice (``deformation_factor``), which forms it once.
 """
 
 from __future__ import annotations
@@ -102,13 +104,12 @@ def sector_basis(lattice: LatticeSpec, two_u: int) -> SectorBasis:
 
 
 def _sector_block(
-    lattice: LatticeSpec, cavity: CavitySpec, two_u: int, f: float | np.ndarray
+    lattice: LatticeSpec, cavity: CavitySpec, two_u: int
 ) -> tuple[SectorBasis, np.ndarray]:
     """Basis and dense block Hamiltonian of one sector (see
-    ``build_sector_hamiltonian``), with a leading point axis for a sweep;
-    f is the lattice's ``deformation_factor``.  A bare energy
-    omega_q*m + omega_c*n, or a coupling, that overflows at any point
-    raises ValueError."""
+    ``build_sector_hamiltonian``), with a leading point axis for a sweep.
+    A bare energy omega_q*m + omega_c*n, or a coupling, that overflows at
+    any point raises ValueError."""
     two_r = lattice.two_r
     basis = sector_basis(lattice, two_u)
     d = basis.dimension
@@ -118,7 +119,7 @@ def _sector_block(
         for n, two_m in basis.entries
     ]).T
     omega_q = np.asarray(lattice.omega_q)[..., None]
-    f = np.asarray(f)[..., None]
+    f = np.asarray(deformation_factor(lattice))[..., None]
     h = np.zeros(omega_q.shape[:-1] + (d * d,))
     with np.errstate(over="ignore", invalid="ignore"):  # raised below
         h[..., :: d + 1] = omega_q * (two_m / 2.0) + cavity.omega_c * n
@@ -140,12 +141,10 @@ def build_sector_hamiltonian(lattice: LatticeSpec, cavity: CavitySpec, two_u: in
     single off-diagonal couples (n, m) to (n-1, m+1) with strength
     eta*sqrt(n)*sqrt(f*(r-m)*(r+m+1)).
     """
-    return _sector_block(lattice, cavity, two_u, deformation_factor(lattice))[1]
+    return _sector_block(lattice, cavity, two_u)[1]
 
 
-def diagonalize_sector(
-    lattice: LatticeSpec, cavity: CavitySpec, two_u: int, *, f: float | np.ndarray | None = None
-) -> PolaritonSector:
+def diagonalize_sector(lattice: LatticeSpec, cavity: CavitySpec, two_u: int) -> PolaritonSector:
     """Polariton branches of one sector, eigenvalues ascending.
 
     The dense block of ``build_sector_hamiltonian`` goes to
@@ -160,11 +159,9 @@ def diagonalize_sector(
 
     For a sweep, eigh solves the stack of its blocks at once, block by
     block as for each point alone, and the sector's arrays gain a leading
-    point axis.  A caller that holds the lattice's ``deformation_factor``
-    passes it as f.
+    point axis.
     """
-    f = deformation_factor(lattice) if f is None else f
-    basis, h = _sector_block(lattice, cavity, two_u, f)
+    basis, h = _sector_block(lattice, cavity, two_u)
     try:
         vals, vecs = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
@@ -337,11 +334,7 @@ def closed_form_coefficients(
 
 
 def raising_matrix(
-    lattice: LatticeSpec,
-    upper: PolaritonSector,
-    lower: PolaritonSector,
-    *,
-    f: float | np.ndarray | None = None,
+    lattice: LatticeSpec, upper: PolaritonSector, lower: PolaritonSector
 ) -> np.ndarray:
     """Collective raising elements from every branch of sector u-1 into
     every branch of sector u, as a dim_u x dim_(u-1) matrix indexed
@@ -351,12 +344,11 @@ def raising_matrix(
     The basis states of the two sectors that share a photon number n are
     joined by the ladder amplitude sqrt(f*(r+u-n)*(r-u+n+1)); their
     coefficient outer products are accumulated in ascending n, so every
-    entry is rounded as a per-element sum over n would be.  f, if given,
-    is the lattice's ``deformation_factor``.
+    entry is rounded as a per-element sum over n would be.
     """
     if upper.basis.two_u != lower.basis.two_u + 2:
         raise ValueError("raising element requires adjacent sectors u and u-1")
-    f = np.asarray(deformation_factor(lattice) if f is None else f)[..., None, None]
+    f = np.asarray(deformation_factor(lattice))[..., None, None]
     u = upper.basis.two_u / 2.0
     r = lattice.two_r / 2.0
     lower_by_n = {n: j for j, (n, _) in enumerate(lower.basis.entries)}
@@ -376,21 +368,18 @@ def raising_element(
     lower: PolaritonSector,
     branch_upper: int,
     branch_lower: int,
-    *,
-    f: float | np.ndarray | None = None,
 ) -> float | np.ndarray:
     """Collective raising element from a branch of sector u-1 into u: one
     entry of ``raising_matrix``, per point for a sweep."""
     # [()] turns the 0-d entry of one lattice into a scalar
-    return raising_matrix(lattice, upper, lower, f=f)[..., branch_upper, branch_lower][()]
+    return raising_matrix(lattice, upper, lower)[..., branch_upper, branch_lower][()]
 
 
 def transition_matrices(
     lattice: LatticeSpec, cavity: CavitySpec, two_u_max: int
 ) -> TransitionMatrices:
     """Every sector from the ground sector 2u = -2r up to 2u_max, each
-    diagonalized once, and one ``raising_matrix`` per adjacent pair, all
-    from one ``deformation_factor`` of the lattice.
+    diagonalized once, and one ``raising_matrix`` per adjacent pair.
 
     Raises EmptySectorError (``sector_basis``) when 2u_max lies below the
     ground sector or has the wrong parity for 2r, and ValueError as
@@ -398,10 +387,9 @@ def transition_matrices(
     """
     sector_basis(lattice, two_u_max)
     ladder = range(-lattice.two_r, two_u_max + 1, 2)
-    f = deformation_factor(lattice)
-    sectors = tuple(diagonalize_sector(lattice, cavity, two_u, f=f) for two_u in ladder)
+    sectors = tuple(diagonalize_sector(lattice, cavity, two_u) for two_u in ladder)
     raising = tuple(
-        raising_matrix(lattice, upper, lower, f=f) for lower, upper in zip(sectors, sectors[1:])
+        raising_matrix(lattice, upper, lower) for lower, upper in zip(sectors, sectors[1:])
     )
     return TransitionMatrices(sectors=sectors, raising=raising)
 
@@ -411,15 +399,13 @@ def first_excited_transition(
 ) -> float | np.ndarray:
     """Raising element between the ground sector and the chosen branch of
     the first excited sector (the default radiating transition); for a
-    sweep, one element per point.  Both sectors and the element share one
-    ``deformation_factor`` of the lattice."""
+    sweep, one element per point."""
     two_r = lattice.two_r
-    f = deformation_factor(lattice)
-    upper = diagonalize_sector(lattice, cavity, -two_r + 2, f=f)
-    lower = diagonalize_sector(lattice, cavity, -two_r, f=f)
+    upper = diagonalize_sector(lattice, cavity, -two_r + 2)
+    lower = diagonalize_sector(lattice, cavity, -two_r)
     if not 0 <= branch < upper.basis.dimension:
         raise ValueError(
             f"branch {branch} outside first excited sector of dimension "
             f"{upper.basis.dimension}"
         )
-    return raising_element(lattice, upper, lower, branch, 0, f=f)
+    return raising_element(lattice, upper, lower, branch, 0)

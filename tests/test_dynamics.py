@@ -489,8 +489,8 @@ class TestArrowheadEigensolver:
 
 
 class TestFitDecay:
-    def _synthetic(self, rate: float) -> dynamics.AmplitudeTrajectory:
-        t = np.linspace(0.0, 100.0, 501)
+    def _synthetic(self, rate: float, samples: int = 501) -> dynamics.AmplitudeTrajectory:
+        t = np.linspace(0.0, 100.0, samples)
         alpha = np.exp(-0.5 * rate * t).astype(complex)
         return dynamics.AmplitudeTrajectory(
             times=t, alpha=alpha, beta_total_sq=1.0 - np.abs(alpha) ** 2,
@@ -507,12 +507,13 @@ class TestFitDecay:
         bath = dynamics.BathSpec(np.array([LAT.omega_q]), np.array([g]), 1.0)
         traj = dynamics.integrate_amplitudes(LAT, CAV, bath, 3000.0, 0.5)
         with pytest.raises(dynamics.NonMonotoneWindowError):
-            dynamics.fit_decay(traj, window=(0.0, 3000.0))
+            dynamics.fit_decay(traj)
 
     def test_window_too_small(self):
-        traj = self._synthetic(0.05)
-        with pytest.raises(ValueError):
-            dynamics.fit_decay(traj, window=(0.0, 0.1))
+        # three samples: the window without the first 10% holds two
+        traj = self._synthetic(0.05, samples=3)
+        with pytest.raises(ValueError, match="fewer than 3"):
+            dynamics.fit_decay(traj)
 
     def test_markov_regime_matches_analytic(self):
         gamma = radiation.decay_rate(LAT, CAV).gamma_normalized

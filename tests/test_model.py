@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from quasilattice import dynamics, oracle, polariton, radiation
+from quasilattice import dynamics, model, oracle, polariton, radiation
 from quasilattice.model import (
     CavitySpec,
     LatticeSpec,
@@ -171,3 +171,52 @@ class TestSweepSpec:
         rows = coupling_weights(LatticeSpec(4, ells, (10.0,) * 4))
         alone = [coupling_weights(LatticeSpec(4, ell, 10.0)) for ell in ells]
         assert rows.shape == (4, 4) and rows.tobytes() == np.array(alone).tobytes()
+
+
+# ell in {0, 1}, ell on the analytic-limit branch, and two generic points
+EDGE_ELLS = (0.0, 1e-10 / math.pi, 0.3, 2 / 3, 1.0)
+
+
+class TestOwnedDeformationFactor:
+    """A LatticeSpec forms its deformation factor once and keeps it."""
+
+    @pytest.fixture
+    def evaluations(self, monkeypatch):
+        calls = []
+        real = model._mean_squared_weight
+        monkeypatch.setattr(model, "_mean_squared_weight", lambda n, x: calls.append(x) or real(n, x))
+        return calls
+
+    @pytest.mark.parametrize("n", [1, 4, 5])
+    def test_sweep_factor_is_read_only(self, n):
+        f = deformation_factor(LatticeSpec(n, EDGE_ELLS, (13.458,) * len(EDGE_ELLS)))
+        with pytest.raises(ValueError, match="read-only"):
+            f[0] = 0.5
+
+    @pytest.mark.parametrize("n", [1, 4, 5])
+    def test_sweep_formed_once_per_point(self, n, evaluations):
+        sweep = LatticeSpec(n, EDGE_ELLS, (13.458,) * len(EDGE_ELLS))
+        f = deformation_factor(sweep)
+        radiation.decay_rate(sweep, CAVITY)
+        polariton.transition_matrices(sweep, CAVITY, -n + 4)
+        assert deformation_factor(sweep) is f
+        assert evaluations == list(EDGE_ELLS)
+
+    @pytest.mark.parametrize("n", [1, 4, 5])
+    @pytest.mark.parametrize("ell", EDGE_ELLS)
+    def test_one_lattice_formed_once(self, n, ell, evaluations):
+        lat = LatticeSpec(n, ell, 13.458)
+        f = deformation_factor(lat)
+        radiation.decay_rate(lat, CAVITY)
+        walk = polariton.transition_matrices(lat, CAVITY, -n + 2)
+        eps = float(walk.sectors[1].stark_splittings[0])
+        polariton.closed_form_coefficients(lat, CAVITY, -n + 2, eps)
+        assert deformation_factor(lat) is f
+        assert evaluations == [ell]
+
+    @pytest.mark.parametrize("ells, omegas", [(0.3, 13.458), (EDGE_ELLS, (13.458,) * len(EDGE_ELLS))])
+    def test_kept_factor_leaves_identity_alone(self, ells, omegas):
+        read, fresh = LatticeSpec(5, ells, omegas), LatticeSpec(5, ells, omegas)
+        deformation_factor(read)
+        assert read == fresh and hash(read) == hash(fresh) and repr(read) == repr(fresh)
+        assert {read: "kept"}[fresh] == "kept"

@@ -269,9 +269,10 @@ class TestDiagonalization:
             assert np.isfinite(now[omega_q < 1e300]).all()
 
     def test_shared_deformation_factor_changes_no_bit(self):
-        # first_excited_transition and transition_matrices pass one f to
-        # every sector and raising matrix; each output is that of the
-        # calls that compute their own (TestBatchedDecayRate counts them)
+        # first_excited_transition and transition_matrices read one f,
+        # kept by the lattice, in every sector and raising matrix; each
+        # output is that of the separate calls (TestBatchedDecayRate
+        # counts the factor's evaluations)
         sweep = LatticeSpec(4, (0.0, 0.37, 2 / 3, 1.0), (13.458, 6.729, 20.187, 9.3))
         ladder = [polariton.diagonalize_sector(sweep, CAV, two_u) for two_u in (-4, -2, 0)]
         raising = [polariton.raising_matrix(sweep, up, lo) for lo, up in zip(ladder, ladder[1:])]

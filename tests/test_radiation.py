@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quasilattice.model import CavitySpec, LatticeSpec, deformation_factor
-from quasilattice import cli, polariton, radiation, validation
+from quasilattice import cli, model, polariton, radiation, validation
 
 LAT = LatticeSpec(n_qubits=4, relative_spacing=2 / 3, omega_q=13.458)
 CAV = CavitySpec(omega_c=6.729, eta=0.1)
@@ -415,17 +415,18 @@ class TestBatchedDecayRate:
             assert column.tobytes() == np.array([getattr(r, name) for r in references]).tobytes(), name
 
     def test_deformation_factor_once_per_point(self, monkeypatch):
-        # one call receives the whole sweep, giving one factor per point,
-        # and both sectors and the raising element share it
+        # the lattice forms its factor once, one formula per point, and
+        # both sectors and the raising element read that one
         calls = []
-        real = polariton.deformation_factor
-        monkeypatch.setattr(polariton, "deformation_factor", lambda p: calls.append(p) or real(p))
+        real = model._mean_squared_weight
+        monkeypatch.setattr(model, "_mean_squared_weight", lambda n, x: calls.append(x) or real(n, x))
         sweep = LatticeSpec(4, np.linspace(0.0, 1.0, 21), np.full(21, 13.458))
         radiation.decay_rate(sweep, CAV)
-        assert calls == [sweep]
+        assert calls == list(sweep.relative_spacing)
         calls.clear()
-        polariton.transition_matrices(LAT, CAV, 4)
-        assert calls == [LAT]  # shared by five sectors and four raising matrices
+        lattice = LatticeSpec(4, 2 / 3, 13.458)  # new, so its factor is not yet formed
+        polariton.transition_matrices(lattice, CAV, 4)
+        assert calls == [2 / 3]  # read by five sectors and four raising matrices
 
     def test_mixed_qubit_counts_rejected(self):
         # a sweep holds one n_qubits, so its points cannot mix counts; a
