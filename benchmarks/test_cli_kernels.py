@@ -4,9 +4,11 @@ Outside the Tier-1 ``testpaths``; run explicitly with
 
     python -m pytest benchmarks/test_cli_kernels.py --benchmark-only
 
-The kernels carry no timing asserts.  ``chi-sweep --n 16`` is the larger
-``chi_sweep`` operation of the radiation-sweep benchmark workload, where
-writing its 9 600 rows costs far more than the chi kernel; ``dynamics``
+The kernels carry no timing asserts.  ``chi-sweep --n 4`` and ``--n 16``
+are the two ``chi_sweep`` operations of the radiation-sweep benchmark
+workload, 2 400 and 9 600 rows, where formatting the rows costs far more
+than the chi kernel; ``decay-sweep`` at its defaults writes the 201 rows
+of each of that workload's ``decay_sweep`` operations, and ``dynamics``
 at its defaults is the bath-decay workload's operation.  Each round
 writes the CSV to a file under ``tmp_path``.  The JSON kernel times only
 the emission of the N=32 ``spectrum`` document with every sector (about
@@ -19,7 +21,9 @@ import pytest
 from quasilattice import cli
 
 
-@pytest.mark.parametrize("argv", [["chi-sweep", "--n", "16"], ["dynamics"]], ids=["chi_sweep_n16", "dynamics"])
+@pytest.mark.parametrize("argv", [
+    ["chi-sweep", "--n", "4"], ["chi-sweep", "--n", "16"], ["decay-sweep"], ["dynamics"],
+], ids=["chi_sweep_n4", "chi_sweep_n16", "decay_sweep", "dynamics"])
 def test_cli_csv(benchmark, tmp_path, argv):
     out = tmp_path / "out.csv"
     assert benchmark(cli.main, argv + ["--out", str(out)]) == cli.EXIT_OK

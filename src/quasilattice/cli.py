@@ -37,18 +37,28 @@ EXIT_VALIDATION = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 
-_CHUNK_ROWS = 1024  # rows held as Python objects at a time, bounding a CSV's memory
+_CHUNK_ROWS = 1024  # rows held as Python objects at a time; a column every block shares is held whole
+
+
+def _format(template: str, values) -> list[str]:
+    """template % v for each v: the one step at which a CSV value becomes text."""
+    return [template % v for v in values]
 
 
 def _write_csv(out, header: list[str], blocks, row=lambda *v: v) -> None:
-    """Write the header, then row(*values) for each row of each block of equal-length numpy
-    columns, at most _CHUNK_ROWS rows per write; every field is "%.17g" (an int prints as is)."""
-    template = ",".join(["%.17g"] * len(header)) + "\r\n"
+    """Write the header, then row(*values) for each row of each block, at most _CHUNK_ROWS rows per
+    write.  A block's columns are numpy arrays or lists of text of one length, or scalars, which
+    row receives as their text, formatted once per block.  A str field is written as is, any other
+    as "%.17g" (an int prints as is)."""
     out.write(",".join(header) + "\r\n")
     for columns in blocks:
-        for lo in range(0, len(columns[0]), _CHUNK_ROWS):
-            chunk = [c[lo : lo + _CHUNK_ROWS].tolist() for c in columns]
-            out.write("".join([template % row(*v) for v in zip(*chunk)]))
+        size = max(len(c) for c in columns if not np.isscalar(c))
+        columns = [itertools.repeat(_format("%.17g", [c])[0]) if np.isscalar(c) else c for c in columns]
+        for lo in range(0, size, _CHUNK_ROWS):
+            chunk = [c if isinstance(c, itertools.repeat) else c[lo : lo + _CHUNK_ROWS] for c in columns]
+            rows = list(map(row, *[c.tolist() if isinstance(c, np.ndarray) else c for c in chunk]))
+            template = ",".join(["%s" if isinstance(f, str) else "%.17g" for f in rows[0]]) + "\r\n"
+            out.write("".join(_format(template, rows)))
 
 
 def _json_pieces(value, sort_keys: bool, indent: str = "\n"):
@@ -226,12 +236,12 @@ def run_chi_sweep(args: argparse.Namespace) -> int:
     k_grid = np.linspace(args.k_min, args.k_max, args.k_points)
     ls = radiation.l_values(lattice)
     rows_by_l = radiation.chi(lattice, cavity, ls, k_grid)
+    k_text = _format("%.17g", k_grid.tolist())
 
     header = ["l_index", "l_value", "omega_k_ghz", "re_chi", "im_chi", "abs_chi", "arg_chi_rad"]
     with _output(args) as out:
         _write_csv(out, header, (
-            [np.full(args.k_points, i), np.full(args.k_points, l), k_grid, z]  # one block per l
-            for i, (l, z) in enumerate(zip(ls, rows_by_l))
+            [i, l, k_text, z] for i, (l, z) in enumerate(zip(ls, rows_by_l))  # one block per l
         ), lambda i, l, k, z: (i, l, k, z.real, z.imag, abs(z), math.atan2(z.imag, z.real)))
     return EXIT_OK
 
@@ -249,13 +259,11 @@ def run_decay_sweep(args: argparse.Namespace) -> int:
     if args.sweep == "ell":
         if not 0.0 <= args.ell_min < args.ell_max <= 1.0:
             raise ValueError("ell sweep range must satisfy 0 <= min < max <= 1")
-        ells = np.linspace(args.ell_min, args.ell_max, args.points)
-        omegas = np.full(args.points, args.omega_q)
+        axes = [np.linspace(args.ell_min, args.ell_max, args.points), args.omega_q]
     else:
         if not 0.0 < args.omega_q_min < args.omega_q_max < math.inf:
             raise ValueError("omega_q sweep range must satisfy 0 < min < max < inf")
-        ells = np.full(args.points, args.ell)
-        omegas = np.linspace(args.omega_q_min, args.omega_q_max, args.points)
+        axes = [args.ell, np.linspace(args.omega_q_min, args.omega_q_max, args.points)]
     cavity = CavitySpec(omega_c=args.omega_c, eta=args.eta)
     fields = {"s_kq_abs": "s_at_kq", "s_zero_abs": "s_at_zero", "gamma_normalized": "gamma_normalized"}
     if prefactor is not None:
@@ -264,10 +272,10 @@ def run_decay_sweep(args: argparse.Namespace) -> int:
     def blocks():
         """decay_rate over the grid, one sweep of at most _CHUNK_ROWS points at a time."""
         for lo in range(0, args.points, _CHUNK_ROWS):
-            ell_block, omega_block = ells[lo : lo + _CHUNK_ROWS], omegas[lo : lo + _CHUNK_ROWS]
-            sweep = LatticeSpec(n_qubits=args.n, relative_spacing=ell_block, omega_q=omega_block)
+            block = [a[lo : lo + _CHUNK_ROWS] if np.ndim(a) else a for a in axes]
+            sweep = LatticeSpec(args.n, *np.broadcast_arrays(*block))
             result = radiation.decay_rate(sweep, cavity, prefactor, args.branch)
-            yield [ell_block, omega_block] + [getattr(result, f) for f in fields.values()]
+            yield block + [getattr(result, f) for f in fields.values()]
 
     rows = blocks()
     first = next(rows)  # a sweep that fails in its first block writes no output

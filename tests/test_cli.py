@@ -1,3 +1,4 @@
+import collections
 import csv
 import io
 import json
@@ -616,11 +617,14 @@ class TestCsvBytes:
         ["chi-sweep", "--n", "3", "--ell", "0"],
         ["chi-sweep", "--n", "5", "--ell", "1", "--eta", "0"],
         ["chi-sweep", "--n", "2", "--k-points", "2500"],
+        ["chi-sweep", "--n", "4", "--k-points", "2500"],
+        ["chi-sweep", "--n", "16", "--k-points", "2"],
         ["decay-sweep"],
         ["decay-sweep", *_PREFACTOR],
         ["decay-sweep", "--sweep", "omega-q"],
         ["decay-sweep", "--sweep", "omega-q", "--n", "3", "--eta", "0", *_PREFACTOR],
         ["decay-sweep", "--n", "1", "--points", "1100"],
+        ["decay-sweep", "--sweep", "omega-q", "--points", "1100"],
         ["dynamics"],
         ["dynamics", "--sample-stride", "1", "--modes", "151"],
         ["dynamics", "--n", "1", "--ell", "1", "--modes", "51", "--t-final", "40"],
@@ -650,6 +654,26 @@ class TestCsvBytes:
         half = len(rows) // 2  # two blocks, one of them empty when there are no rows
         cli._write_csv(got, ["a", "b", "c"], [[c[:half] for c in columns], [c[half:] for c in columns]])
         assert got.getvalue() == expected.getvalue()
+
+    def test_each_value_formatted_once(self, monkeypatch):
+        # chi-sweep formats its shared k grid once per command, and each
+        # block's l_value once per chunk (one here), not once per row.
+        values = []
+        format_ = cli._format
+
+        def spy(template, rows):
+            rows = list(rows)
+            values.extend(v for r in rows for v in (r if isinstance(r, tuple) else [r]) if not isinstance(v, str))
+            return format_(template, rows)
+
+        monkeypatch.setattr(cli, "_format", spy)
+        monkeypatch.setattr(sys, "stdout", io.StringIO())
+        assert run(["chi-sweep", "--n", "16"]) == 0
+        counts = collections.Counter(v for v in values if not isinstance(v, int))  # not l_index
+        k_grid, ls = np.linspace(0.05, 30.0, 600).tolist(), (np.arange(16) / 16).tolist()
+        # A k equal to an l value (0.25, 0.5, 0.75) is formatted once more, as that l_value.
+        assert [counts[k] - (k in ls) for k in k_grid] == [1] * 600
+        assert [counts[l] - (l in k_grid) for l in ls] == [1] * 16
 
     @pytest.mark.parametrize("argv, rows", [
         (["dynamics", "--sample-stride", "1"], 19329),
