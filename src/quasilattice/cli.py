@@ -330,18 +330,19 @@ def run_dynamics(args: argparse.Namespace) -> int:
     )
     stride = traj.sample_stride
 
+    bound = traj.error_bound
     header = ["t_ns", "re_alpha", "im_alpha", "alpha_sq", "beta_total_sq", "norm_residual"]
-    columns = [traj.times[::stride], traj.alpha[::stride], traj.beta_total_sq, traj.norm_history]
+    columns = [traj.times[::stride], traj.alpha[::stride], traj.beta_total_sq, bound]
     with _output(args) as out:
-        _write_csv(out, header, [columns], lambda t, a, beta_sq, norm: (
-            t, a.real, a.imag, abs(a) ** 2, beta_sq, abs(1.0 - norm)))
+        _write_csv(out, header, [columns], lambda t, a, beta_sq, err: (
+            t, a.real, a.imag, abs(a) ** 2, beta_sq, err))
 
     summary = {
         "t_final_ns": float(traj.times[-1]),
         "dt_ns": args.dt,
         "n_modes": bath.n_modes,
         "bandwidth_ghz": args.bandwidth,
-        "max_norm_residual": float(np.max(np.abs(1.0 - traj.norm_history))),
+        "max_norm_residual": float(np.max(bound)),
     }
     try:
         summary["gamma_fit_ghz"] = dynamics.fit_decay(traj)

@@ -7,10 +7,10 @@ frame of the bath modes (see ``integrate_amplitudes``), so the
 exponential (Markov) decay law is an output to be checked against the
 analytic rate, not an assumption of the scheme.  The eigendecomposition
 is that of the arrowhead's bright modes: the roots of its secular
-equation and Loewner's eigenvectors, O(M^2) elementwise work with no
-BLAS or LAPACK call (see ``_bright_eigh``).  Times are in ns,
-frequencies in GHz, with 2*pi absorbed into the angular-frequency
-convention.
+equation and Loewner's eigenvectors, O(M^2) elementwise work (see
+``_bright_eigh``); neither it nor alpha's evaluation calls BLAS or
+LAPACK.  Times are in ns, frequencies in GHz, with 2*pi absorbed into
+the angular-frequency convention.
 """
 
 from __future__ import annotations
@@ -22,12 +22,6 @@ import numpy as np
 
 from .model import CavitySpec, LatticeSpec, refuse_sweep
 from .radiation import s_factor
-
-# Sampled rows per block of the state evaluation.  Its four scratch
-# arrays, about 1.2 MB each at 601 modes, are the largest set a call
-# holds at once, so they set the peak memory of ``dynamics`` at any
-# horizon.
-_CHUNK_ROWS = 128
 
 # Elements per scratch array of the arrowhead eigensolver, about 0.5 MB:
 # it works on blocks of roots of this many (root, mode) pairs.
@@ -106,15 +100,29 @@ class BathSpec:
 
 @dataclass(frozen=True)
 class AmplitudeTrajectory:
-    """Time series of the polariton amplitude alpha at every step, and of
-    the bath population sum_k |beta_k|^2 and the norm |alpha|^2 +
-    sum_k |beta_k|^2 at every sample_stride-th step, times[::sample_stride]."""
+    """The polariton amplitude alpha at every step, and the bound
+    error_floor + error_rate*t on its error (``integrate_amplitudes``).
+    The bath population and the bound are read at every
+    sample_stride-th step, times[::sample_stride]."""
 
     times: np.ndarray
     alpha: np.ndarray
-    beta_total_sq: np.ndarray
-    norm_history: np.ndarray
+    error_floor: float
+    error_rate: float
     sample_stride: int = 1
+
+    @property
+    def beta_total_sq(self) -> np.ndarray:
+        """sum_k |beta_k|^2 = 1 - |alpha|^2 at the sampled steps."""
+        return 1.0 - np.abs(self.alpha[:: self.sample_stride]) ** 2
+
+    @property
+    def error_bound(self) -> np.ndarray:
+        """The bound on alpha's error at the sampled steps; 0 at t = 0,
+        where alpha = 1 is set, not computed."""
+        bound = self.error_floor + self.error_rate * self.times[:: self.sample_stride]
+        bound[0] = 0.0
+        return bound
 
 
 def normalized_bath(
@@ -260,9 +268,9 @@ def _refine_roots(d, z2, o, s, far, hi, tau):
 
 def _secular_eigh(d, z):
     """Eigenpairs of H = [[0, z^T], [z, diag(d)]] for a strictly
-    increasing d and z with no zero entry: lam ascending, and the
+    increasing d and z with no zero entry: lam ascending, the
     eigenvectors as the rows of one (M+1)-square array, row j holding
-    (V_0j, V_1j, ..., V_Mj).
+    (V_0j, V_1j, ..., V_Mj), and the border z_hat they belong to.
 
     Root j is the one root of g(lam) = lam + sum_i z_i^2/(d_i - lam) in
     (d_(j-1), d_j), with d_(-1) = -inf and d_M = +inf.  It is sought as
@@ -272,13 +280,14 @@ def _secular_eigh(d, z):
     accuracy.  An inner root's side, and a start from the two-pole model,
     come from g at the interval's midpoint; the outer roots lie within
     max(0, -s*d_o) + |z| of their pole, and their brackets reach twice
-    |z| past that.  The eigenvectors follow from the z of Loewner's
-    formula, z_i^2 = (d_i - lam_0)(lam_M - d_i) prod_{j=1}^{M-1}
+    |z| past that.  The eigenvectors follow from the z_hat of Loewner's
+    formula, z_hat_i^2 = (d_i - lam_0)(lam_M - d_i) prod_{j=1}^{M-1}
     (lam_j - d_i)/(d_k - d_i), each factor paired with the pole
     k = j - 1 (i >= j) or j (i < j) beside its root, so that it lies in
-    (0, 1] and no partial product over- or underflows.  That z makes
-    the eigenvectors V_0j = 1/sqrt(1 + sum_i z_i^2/(lam_j - d_i)^2) and
-    V_ij = z_i*V_0j/(lam_j - d_i) orthogonal to a few ulp times M
+    (0, 1] and no partial product over- or underflows.  That z_hat
+    makes the eigenvectors V_0j = 1/sqrt(1 + sum_i z_hat_i^2/(lam_j -
+    d_i)^2) and V_ij = z_hat_i*V_0j/(lam_j - d_i) orthogonal to a few ulp
+    times M, and the pairs exact for the arrowhead with border z_hat
     (Gu & Eisenstat, SIAM J. Matrix Anal. Appl. 16, 172 (1995); Stor,
     Slapnicar & Barlow, Linear Algebra Appl. 464, 62 (2015)).  Scratch
     arrays hold _SOLVER_BLOCK elements, one block of roots at a time.
@@ -329,13 +338,19 @@ def _secular_eigh(d, z):
         v0 = 1.0 / np.sqrt(1.0 + np.sum(ratio * ratio, axis=1))
         ratio *= v0[:, None]
         vecs[lo_r : lo_r + rows, 0] = v0
-    return d[o] + s * tau, vecs
+    return d[o] + s * tau, vecs, z_hat
 
 
 def _bright_eigh(d, z):
     """Eigenvalues, ascending, and orthonormal eigenvectors, as columns,
     of the bright part of the arrowhead H = [[0, z^T], [z, diag(d)]], d
-    nondecreasing, by ``_secular_eigh``: no bit depends on BLAS threads.
+    nondecreasing, by ``_secular_eigh``, and their backward error: no bit
+    depends on BLAS threads.
+
+    d and z are scaled by 2^-k, max(max|d|, max|z|) in [2^(k-1), 2^k):
+    every step of the solver is homogeneous, so the bits are those of the
+    unscaled solve wherever that neither over- nor underflows, and its
+    rational steps stay in range at any finite input.
 
     A mode with |z_k| <= 8*eps*(max|d| + |z|), at most 16*eps*||H||_2, is
     dark and dropped: exact for H with that z_k set to zero.  Modes that
@@ -343,17 +358,23 @@ def _bright_eigh(d, z):
     |G| - 1 combinations orthogonal to z_G are dark.  A dark eigenvector
     has V_0j = 0 and so no weight in psi(t) (``integrate_amplitudes``);
     a merged mode's amplitude has the norm of its group's.  With no
-    bright mode H reduces to [[0]].
+    bright mode H reduces to [[0]].  The backward error is ||H - H_hat||_2,
+    H_hat having Loewner's z_hat for each |z_G| and zero for each dark z_k.
     """
     if np.any(d[1:] < d[:-1]):
         raise ValueError("the arrowhead's diagonal must be nondecreasing")
+    k = math.frexp(max(np.max(np.abs(d)), np.max(np.abs(z))))[1]
+    d, z = np.ldexp(d, -k), np.ldexp(z, -k)
     live = np.abs(z) > 8.0 * _EPS * (np.max(np.abs(d)) + math.sqrt(np.sum(z * z)))
+    dark_sq = np.sum(z[~live] ** 2)
     d, z = d[live], z[live]
     if not z.size:
-        return np.zeros(1), np.ones((1, 1))
+        return np.zeros(1), np.ones((1, 1)), math.ldexp(math.sqrt(dark_sq), k)
     starts = np.flatnonzero(np.r_[True, d[1:] != d[:-1]])  # the first mode of each pole
-    lam, vecs = _secular_eigh(d[starts], np.hypot.reduceat(z, starts))
-    return lam, vecs.T
+    z_g = np.hypot.reduceat(z, starts)
+    lam, vecs, z_hat = _secular_eigh(d[starts], z_g)
+    backward = math.sqrt(np.sum((z_g - z_hat) ** 2) + dark_sq)
+    return np.ldexp(lam, k), vecs.T, math.ldexp(backward, k)
 
 
 def integrate_amplitudes(
@@ -375,93 +396,70 @@ def integrate_amplitudes(
     In the rotating frame b_k = beta_k exp(-i Delta_k t), Delta_k =
     omega_q - omega_k, with the phase of s(k) absorbed into b_k, the
     system is psi' = -i H psi for psi = (alpha, b) and a constant real
-    symmetric arrowhead H: diagonal (0, Delta_k), border g_k |s(k)|.  The
-    frame change leaves |beta_k| unchanged, and with H = V diag(lam) V^T
+    symmetric arrowhead H: diagonal (0, Delta_k), border z_k = g_k |s(k)|.
+    With H = V diag(lam) V^T, alpha(t) = sum_j V_0j^2 exp(-i lam_j t), and
+    sum_k |beta_k|^2 = 1 - |alpha|^2, as psi keeps its norm.  lam and V
+    are H's bright pairs (``_bright_eigh``), the modes by descending
+    frequency so that the Delta_k ascend.  alpha is evaluated at every
+    step with the split n = q*B + r, B ~ sqrt(steps), as one
+    (q, j) x (j, r) product of block exponentials by ``np.einsum``, which
+    calls no BLAS.
 
-        alpha(t) = sum_j V_0j^2 exp(-i lam_j t),
-        psi(t) = V (exp(-i lam t) * V_0.).
-
-    lam and V are those of H's bright part (``_bright_eigh``; dark modes
-    add nothing to alpha or sum_k |beta_k|^2), with the modes by descending
-    frequency so that the Delta_k ascend; H itself is never formed.  Its
-    bits do not depend on the BLAS thread count; the two products below,
-    alpha's block product and the bath population's, go through BLAS.
-
-    alpha is evaluated at every step with the split n = q*B + r,
-    B ~ sqrt(steps), as one (q, j) x (j, r) product of block
-    exponentials.  sum_k |beta_k|^2 and the norm |alpha|^2 +
-    sum_k |beta_k|^2 are evaluated from psi at every sample_stride-th
-    step, _CHUNK_ROWS samples at a time.  The phases of sample lo + r
-    are those of sample r, from one block computed once, times those of
-    sample lo, and the real and imaginary parts of a chunk, stacked, go
-    through one real product with the bath rows of V.  This split rounds
-    each phase lam_j*t within a few eps*|lam_j|*t of one exponential of
-    the whole time, so sum_k |beta_k|^2 agrees with that route to a few
-    ulp at the ``dynamics`` defaults.  The norm's distance from 1
-    measures the rounding of the eigendecomposition and of both
-    evaluations.
+    The error bound error_floor + error_rate*t holds to first order in
+    eps.  The pairs are exact for H_hat, and ||exp(-iHt) - exp(-iH_hat t)||
+    <= t*||H - H_hat||_2, the backward error.  The exact weights of H_hat
+    sum to 1; the computed w_j's error is estimated by |sum_j w_j - 1|.
+    lam_j*t is formed as lam_j*t_q + lam_j*t_r, t_q + t_r within eps*t of
+    t and each product rounded by eps/2 relative: with the w_j summing to
+    1, 1.5*eps*max|lam|*t, taken as c*eps*max|lam|*t with c = 2.  Each of
+    the lam.size terms is rounded by about 8*eps/2 relative (two
+    exponentials, their product and the weight), and their sum by
+    lam.size*eps/2: (lam.size + 8)*eps/2.  |alpha|^2 and
+    sum_k |beta_k|^2 err by at most twice the bound.
 
     No step size limits the accuracy.  dt only sets where the output is
-    sampled; the StepSizeError guard keeps that sampling fine enough to
-    resolve the fastest bath detuning, and the RecurrenceError guard keeps
-    the horizon inside the discretized bath's recurrence time.
+    sampled: the StepSizeError guard keeps every phase lam_j*dt below
+    0.1, as |lam_j| <= ||H||_2 <= max|Delta_k| + |z|, and the
+    RecurrenceError guard keeps the horizon inside the discretized
+    bath's recurrence time.
     """
     if not (0 < t_final < math.inf and 0 < dt < math.inf):
         raise ValueError("t_final and dt must be positive and finite")
     if sample_stride < 1:
         raise ValueError(f"sample_stride must be at least 1, got {sample_stride}")
     detunings = lattice.omega_q - bath.mode_frequencies
-    max_det = float(np.max(np.abs(detunings))) if detunings.size else 0.0
-    if dt * max_det >= 0.1:
+    couplings = bath.couplings * np.abs(s_factor(lattice, cavity, bath.mode_frequencies, branch))
+    if not (np.isfinite(detunings).all() and np.isfinite(couplings).all()):
+        raise RuntimeError("non-finite amplitude equations")
+    reach = float(np.max(np.abs(detunings))) + math.hypot(*couplings)
+    if dt * reach >= 0.1:
         raise StepSizeError(
-            f"dt*max|omega_q-omega_k| = {dt * max_det:.3g} must stay below 0.1"
+            f"dt*max|omega_q-omega_k| + dt*|g s| = {dt * reach:.3g} must stay below 0.1"
         )
     if t_final >= bath.recurrence_time:
         raise RecurrenceError(
             f"t_final {t_final:g} ns exceeds bath recurrence {bath.recurrence_time:.3g} ns"
         )
 
-    s_k = np.atleast_1d(s_factor(lattice, cavity, bath.mode_frequencies, branch))
     n_steps = int(math.ceil(t_final / dt - 1e-12))
     times = np.arange(n_steps + 1) * dt
-
-    couplings = bath.couplings * np.abs(s_k)
-    if not (np.isfinite(detunings).all() and np.isfinite(couplings).all()):
-        raise RuntimeError("non-finite amplitude equations")
-    lam, vecs = _bright_eigh(detunings[::-1], couplings[::-1])
-    v0 = vecs[0]
+    lam, vecs, backward = _bright_eigh(detunings[::-1], couplings[::-1])
+    weights = vecs[0] ** 2
 
     block = math.isqrt(n_steps) + 1
-    e_q = np.exp(-1j * np.multiply.outer(times[::block], lam)) * v0**2
+    e_q = np.exp(-1j * np.multiply.outer(times[::block], lam)) * weights
     e_r = np.exp(-1j * np.multiply.outer(times[:block], lam))
-    alpha = (e_q @ e_r.T).ravel()[: n_steps + 1]
-    del e_q, e_r
+    alpha = np.einsum("qj,rj->qr", e_q, e_r).ravel()[: n_steps + 1]
     alpha[0] = 1.0  # the initial condition, not a rounding outcome
     if not np.all(np.isfinite(alpha)):
         bad = int(np.argmin(np.isfinite(alpha)))
         raise RuntimeError(f"non-finite amplitude at t={times[bad]:g} ns")
 
-    sampled = times[::sample_stride]
-    bath_vecs = vecs[1:].T
-    beta_sq = np.empty(sampled.size)
-    phases = np.exp(-1j * np.multiply.outer(sampled[:_CHUNK_ROWS], lam)) * v0
-    w = np.empty_like(phases)
-    parts = np.empty((2 * len(phases), lam.size))  # real parts above, imaginary below
-    b = np.empty((2 * len(phases), lam.size - 1))
-    for lo in range(0, sampled.size, _CHUNK_ROWS):
-        rows = min(_CHUNK_ROWS, sampled.size - lo)
-        np.multiply(phases[:rows], np.exp(-1j * sampled[lo] * lam), out=w[:rows])
-        parts[:rows] = w[:rows].real
-        parts[rows : 2 * rows] = w[:rows].imag
-        sq = np.matmul(parts[: 2 * rows], bath_vecs, out=b[: 2 * rows])
-        sq *= sq
-        beta_sq[lo : lo + rows] = np.sum(np.add(sq[:rows], sq[rows:], out=sq[:rows]), axis=1)
-    beta_sq[0] = 0.0  # likewise
-    norm = np.abs(alpha[::sample_stride]) ** 2 + beta_sq
-
     return AmplitudeTrajectory(
-        times=times, alpha=alpha, beta_total_sq=beta_sq,
-        norm_history=norm, sample_stride=sample_stride,
+        times=times, alpha=alpha,
+        error_floor=abs(float(np.sum(weights)) - 1.0) + 0.5 * _EPS * (lam.size + 8),
+        error_rate=backward + 2.0 * _EPS * float(np.max(np.abs(lam))),
+        sample_stride=sample_stride,
     )
 
 

@@ -164,7 +164,7 @@ class TestIntegration:
     def test_norm_conservation(self):
         bath = dynamics.normalized_bath(LAT, bandwidth=0.4, n_modes=101)
         traj = dynamics.integrate_amplitudes(LAT, CAV, bath, 60.0, 0.2)
-        assert np.max(np.abs(1.0 - traj.norm_history)) < 1e-6 * max(1.0, traj.times[-1])
+        assert np.max(traj.error_bound) < 1e-6 * max(1.0, traj.times[-1])
 
     @pytest.mark.parametrize(
         "n_qubits, ell", [(1, 2 / 3), (3, 2 / 3), (4, 2 / 3), (1, 0.0), (4, 0.0), (4, 1.0)]
@@ -192,7 +192,7 @@ class TestIntegration:
         every = dynamics.integrate_amplitudes(LAT, CAV, bath, 40.0, 0.2)
         strided = dynamics.integrate_amplitudes(LAT, CAV, bath, 40.0, 0.2, sample_stride=7)
         assert strided.times.size == strided.alpha.size == 201
-        assert strided.beta_total_sq.size == strided.norm_history.size == len(range(0, 201, 7))
+        assert strided.beta_total_sq.size == strided.error_bound.size == len(range(0, 201, 7))
         assert np.array_equal(strided.alpha, every.alpha)
         assert np.allclose(strided.beta_total_sq, every.beta_total_sq[::7], rtol=0, atol=1e-14)
 
@@ -242,7 +242,7 @@ class TestIntegration:
         traj = dynamics.integrate_amplitudes(LAT, CAV, bath, 5.0, 0.2)
         assert traj.alpha[0] == 1.0
         assert traj.beta_total_sq[0] == 0.0
-        assert traj.norm_history[0] == 1.0
+        assert traj.error_bound[0] == 0.0
 
     def test_dark_modes_change_no_bit(self):
         # a mode with zero coupling is dropped before the eigensolver, so
@@ -258,6 +258,21 @@ class TestIntegration:
         assert a.alpha.tobytes() == b.alpha.tobytes()
         assert a.beta_total_sq.tobytes() == b.beta_total_sq.tobytes()
 
+    def test_dynamics_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # OpenBLAS may split and round a product differently at another
+        # thread count; ``dynamics`` makes no BLAS call, so one and two
+        # threads give the same CSV and summary bytes
+        src = str(Path(dynamics.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        outputs = set()
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}.csv"
+            env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads)
+            subprocess.run([sys.executable, "-m", "quasilattice.cli", "dynamics", "--out", str(out)],
+                           env=env, check=True)
+            outputs.add((out.read_bytes(), Path(f"{out}.summary.json").read_bytes()))
+        assert len(outputs) == 1
+
 
 def _arrowhead(lattice, cavity, bath):
     """Diagonal d and border z of the rotating-frame arrowhead H, the
@@ -269,17 +284,17 @@ def _arrowhead(lattice, cavity, bath):
 def _arrowhead_eigensystem(lattice, cavity, bath):
     """lam and V of the rotating-frame arrowhead H, from the eigensolver
     ``integrate_amplitudes`` calls."""
-    return dynamics._bright_eigh(*_arrowhead(lattice, cavity, bath))
+    return dynamics._bright_eigh(*_arrowhead(lattice, cavity, bath))[:2]
 
 
 def _whole_time_alpha(lam, vecs, times):
     """alpha by the q*B + r block product that ``integrate_amplitudes``
-    has always used."""
+    uses, summed by ``np.einsum``."""
     n_steps = times.size - 1
     block = math.isqrt(n_steps) + 1
     e_q = np.exp(-1j * np.multiply.outer(times[::block], lam)) * vecs[0] ** 2
     e_r = np.exp(-1j * np.multiply.outer(times[:block], lam))
-    alpha = (e_q @ e_r.T).ravel()[: n_steps + 1]
+    alpha = np.einsum("qj,rj->qr", e_q, e_r).ravel()[: n_steps + 1]
     alpha[0] = 1.0
     return alpha
 
@@ -326,15 +341,16 @@ def _bath_tolerance(lam, t_final):
 
 
 BATH_CASES = {
-    # bath, cavity, t_final, dt, sample_stride
+    # bath, cavity, t_final, dt, sample_stride; the names count chunks of
+    # 128 samples, the unit of an earlier bath evaluation
     "defaults": (dynamics.normalized_bath(LAT, 0.5, 601), CAV, None, 0.2, 10),
-    # 601 samples: four full chunks of 128 and a partial one
+    # 601 samples
     "stride-1-partial-chunk": (dynamics.normalized_bath(LAT, 0.4, 51), CAV, 120.0, 0.2, 1),
-    # 512 samples: exactly four chunks
+    # 512 samples
     "whole-chunks": (dynamics.normalized_bath(LAT, 0.4, 51), CAV, 102.2, 0.2, 1),
     # 351 samples at stride 10
     "stride-10": (dynamics.normalized_bath(LAT, 0.4, 51), CAV, 700.0, 0.2, 10),
-    # 101 samples, fewer than one chunk
+    # 101 samples
     "short": (dynamics.normalized_bath(LAT, 0.4, 51), CAV, 20.0, 0.2, 1),
     "one-mode": (dynamics.BathSpec(np.array([LAT.omega_q]), np.array([0.05]), 1.0),
                  CAV, 300.0, 0.5, 1),
@@ -343,7 +359,9 @@ BATH_CASES = {
 
 
 class TestBathEvaluation:
-    """The block phases against one exponential of the whole time."""
+    """alpha against the block product bit for bit, and the bath
+    population 1 - |alpha|^2 against sum_k |beta_k|^2 evaluated from psi
+    with one exponential of the whole time."""
 
     @pytest.mark.parametrize("case", sorted(BATH_CASES))
     def test_matches_whole_time_phases(self, case):
@@ -416,7 +434,7 @@ class TestArrowheadEigensolver:
         d, z = _solver_case(case, m)
         h = np.diag(np.concatenate(([0.0], d)))
         h[0, 1:] = h[1:, 0] = z
-        lam, vecs = dynamics._bright_eigh(d, z)
+        lam, vecs, _ = dynamics._bright_eigh(d, z)
         full, dropped = _bright_embedding(d, z, vecs)
         reference = np.linalg.eigvalsh(h)
         h_norm = np.max(np.abs(reference))
@@ -430,7 +448,7 @@ class TestArrowheadEigensolver:
 
     def test_zero_couplings_decouple_exactly(self):
         d, z = _solver_case("eta-0", 51)
-        lam, vecs = dynamics._bright_eigh(d, z)
+        lam, vecs, _ = dynamics._bright_eigh(d, z)
         assert lam.tolist() == [0.0] and vecs.tolist() == [[1.0]]
 
     def test_coinciding_poles_deflate(self):
@@ -440,7 +458,7 @@ class TestArrowheadEigensolver:
         z = np.array([0.3, 0.2, 0.5, 0.1, 0.4])
         h = np.diag(np.concatenate(([0.0], d)))
         h[0, 1:] = h[1:, 0] = z
-        lam, vecs = dynamics._bright_eigh(d, z)
+        lam, vecs, _ = dynamics._bright_eigh(d, z)
         full, dropped = _bright_embedding(d, z, vecs)
         eps = np.finfo(float).eps
         assert lam.size == 4 and dropped.tolist() == [3.0, 3.0]  # |G| - 1 dark pairs
@@ -448,6 +466,35 @@ class TestArrowheadEigensolver:
         assert np.max(np.abs(spectrum - np.linalg.eigvalsh(h))) <= 4 * 5 * eps * 5.5
         assert np.max(np.abs(full.T @ full - np.eye(4))) <= 4 * 5 * eps
         assert np.max(np.abs(h @ full - full * lam)) <= 4 * 5 * eps * 5.5
+
+    @pytest.mark.parametrize("k", [-600, -40, 40, 600])
+    def test_power_of_two_scaling_changes_no_bit(self, k):
+        d, z = _solver_case("part-zero", 151)
+        lam, vecs, backward = dynamics._bright_eigh(d, z)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled = dynamics._bright_eigh(np.ldexp(d, k), np.ldexp(z, k))
+        assert scaled[0].tobytes() == np.ldexp(lam, k).tobytes()
+        assert scaled[1].tobytes() == vecs.tobytes()
+        assert scaled[2] == math.ldexp(backward, k)
+
+    @pytest.mark.parametrize("d", [[0.0], [-1e153, 0.0, 2e153]])
+    def test_huge_coupling_solves_without_overflow(self, d):
+        # d1*d2*g of the rational step overflows at z ~ 1e153 unless the
+        # solver works at unit scale
+        d, z = np.array(d), np.full(len(d), 1e153)
+        h = np.diag(np.concatenate(([0.0], d)))
+        h[0, 1:] = h[1:, 0] = z
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lam, vecs, _ = dynamics._bright_eigh(d, z)
+        eps = np.finfo(float).eps
+        reference = np.linalg.eigvalsh(h)
+        h_norm = np.max(np.abs(reference))
+        m = d.size
+        assert np.max(np.abs(lam - reference)) <= 4 * m * eps * h_norm
+        assert np.max(np.abs(vecs.T @ vecs - np.eye(m + 1))) <= 4 * m * eps
+        assert np.max(np.abs(h @ vecs - vecs * lam)) <= 4 * m * eps * h_norm
 
     def test_rejects_unsorted_diagonal(self):
         with pytest.raises(ValueError, match="nondecreasing"):
@@ -474,7 +521,7 @@ class TestArrowheadEigensolver:
         code = (
             "import hashlib, numpy as np, test_dynamics as t; "
             "from quasilattice import dynamics; "
-            "lam, vecs = dynamics._bright_eigh(*t._solver_case('on-quasi-period', 601)); "
+            "lam, vecs, _ = dynamics._bright_eigh(*t._solver_case('on-quasi-period', 601)); "
             "print(hashlib.sha256(lam.tobytes() + vecs.tobytes()).hexdigest())"
         )
         digests = set()
@@ -488,14 +535,90 @@ class TestArrowheadEigensolver:
         assert len(digests) == 1
 
 
+def _mpmath_alpha(d, z, times, mp):
+    """alpha(t) = sum_j V_0j^2 exp(-i lam_j t) of the arrowhead with
+    diagonal (0, d) and border z, the float64 entries taken exactly, from
+    mpmath's symmetric eigensolver at mp.dps digits."""
+    m = d.size
+    h = mp.zeros(m + 1, m + 1)
+    for i in range(m):
+        h[i + 1, i + 1] = mp.mpf(float(d[i]))
+        h[0, i + 1] = h[i + 1, 0] = mp.mpf(float(z[i]))
+    lam, vecs = mp.eigsy(h)
+    weights = [vecs[0, j] ** 2 for j in range(m + 1)]
+    return [mp.fsum(w * mp.expj(-lam[j] * mp.mpf(float(t))) for j, w in enumerate(weights))
+            for t in times]
+
+
+class TestErrorBound:
+    """``AmplitudeTrajectory.error_bound`` against broken solves, and
+    against an exact reference."""
+
+    BATH = dynamics.normalized_bath(LAT, 0.5, 601)
+
+    def _run(self):
+        return dynamics.integrate_amplitudes(LAT, CAV, self.BATH, 1000.0, 0.2, sample_stride=10)
+
+    def _assert_flags(self, clean, broken):
+        # the broken run strays far beyond the clean run's bound, its own
+        # bound rises by orders of magnitude, and the two bounds cover the
+        # distance between the runs
+        gap = np.abs(broken.alpha - clean.alpha)[::10]
+        assert np.max(gap) > 1e3 * np.max(clean.error_bound)
+        assert np.max(broken.error_bound) > 1e3 * np.max(clean.error_bound)
+        assert np.all(gap <= broken.error_bound + clean.error_bound)
+
+    def test_flags_a_perturbed_root(self, monkeypatch):
+        clean = self._run()
+        refine = dynamics._refine_roots
+
+        def shifted(d, z2, o, s, far, hi, tau):
+            refine(d, z2, o, s, far, hi, tau)
+            if o[0] == 0:  # the first block of roots
+                tau[50] += 1e-10  # an inner root, in the solver's unit scale
+
+        monkeypatch.setattr(dynamics, "_refine_roots", shifted)
+        self._assert_flags(clean, self._run())
+
+    def test_flags_a_perturbed_border(self, monkeypatch):
+        # the pairs of a border off by 1e-10 in one entry: z_hat is off by
+        # as much from the z the run was asked for
+        clean = self._run()
+        solve = dynamics._secular_eigh
+
+        def off(d, z):
+            z = z.copy()
+            z[300] += 1e-10
+            return solve(d, z)
+
+        monkeypatch.setattr(dynamics, "_secular_eigh", off)
+        self._assert_flags(clean, self._run())
+
+    @pytest.mark.parametrize("case", ["on-quasi-period", "off-quasi-period", "one-mode", "part-zero"])
+    def test_bounds_the_error_against_mpmath(self, case):
+        # 9-mode arrowheads, 501 samples against a 40-digit reference: about
+        # 0.3 s per case
+        mp = pytest.importorskip("mpmath").mp
+        lat = LatticeSpec(4, 0.37, 13.458) if case == "off-quasi-period" else LAT
+        bath = dynamics.normalized_bath(lat, 0.4, 1 if case == "one-mode" else 9)
+        if case == "part-zero":
+            couplings = bath.couplings.copy()
+            couplings[::3] = 0.0
+            bath = dynamics.BathSpec(bath.mode_frequencies, couplings, bath.spacing)
+        traj = dynamics.integrate_amplitudes(lat, CAV, bath, 100.0, 0.2)
+        with mp.workdps(40):
+            reference = _mpmath_alpha(*_arrowhead(lat, CAV, bath), traj.times, mp)
+            for a, ref, b, beta_sq in zip(traj.alpha, reference, traj.error_bound, traj.beta_total_sq):
+                # the reference's own rounding is below 1e-30
+                assert abs(mp.mpc(a) - ref) <= b + 1e-30
+                assert abs(beta_sq - (1 - abs(ref) ** 2)) <= 2 * b + 2 * np.finfo(float).eps
+
+
 class TestFitDecay:
     def _synthetic(self, rate: float, samples: int = 501) -> dynamics.AmplitudeTrajectory:
         t = np.linspace(0.0, 100.0, samples)
         alpha = np.exp(-0.5 * rate * t).astype(complex)
-        return dynamics.AmplitudeTrajectory(
-            times=t, alpha=alpha, beta_total_sq=1.0 - np.abs(alpha) ** 2,
-            norm_history=np.ones_like(t),
-        )
+        return dynamics.AmplitudeTrajectory(times=t, alpha=alpha, error_floor=0.0, error_rate=0.0)
 
     def test_exact_exponential(self):
         traj = self._synthetic(0.05)
