@@ -17,11 +17,13 @@ error bound, ``AmplitudeTrajectory.error_bound``, must stay below 1e-12
 The arrowhead eigensolver of ``integrate_amplitudes``, ``_bright_eigh``,
 is timed against ``np.linalg.eigh`` of the dense arrowhead it replaces,
 on the default bath at 151, 601 and 2401 modes, and alone on a partly
-dark bath, every third coupling zero, at 601 and 2401 modes, where an
-untimed call under ``tracemalloc`` records its peak as
-``extra_info["tracemalloc_peak_mb"]``.  ``dynamics --modes 2401`` runs in a
-fresh interpreter, as a user runs it, started by a second small one
-that records its wall time and its own ``ru_maxrss`` in
+dark bath, every third coupling zero, at 601 and 2401 modes.  After each
+timed ``_bright_eigh``, an untimed call under ``tracemalloc`` records its
+peak as ``extra_info["tracemalloc_peak_mb"]``: the solver returns the
+weights V_0j and no eigenvector rows, so its scratch stays a few
+``_SOLVER_BLOCK`` arrays at any mode count.  ``dynamics --modes 2401``
+runs in a fresh interpreter, as a user runs it, started by a second
+small one that records its wall time and its own ``ru_maxrss`` in
 ``extra_info["wall_s"]`` and ``extra_info["ru_maxrss_mb"]``.
 """
 
@@ -51,10 +53,17 @@ def test_integrate_amplitudes(benchmark):
     )
     assert traj.alpha.size == 19329
     assert np.max(traj.error_bound) < 1e-12
+    benchmark.extra_info["tracemalloc_peak_mb"] = _traced_peak_mb(
+        dynamics.integrate_amplitudes, LATTICE, CAVITY, bath, t_final, 0.2, sample_stride=10
+    )
+
+
+def _traced_peak_mb(run, *args, **kwargs):
+    """The tracemalloc peak, MB, of one untimed call run(*args, **kwargs)."""
     tracemalloc.start()
     try:
-        dynamics.integrate_amplitudes(LATTICE, CAVITY, bath, t_final, 0.2, sample_stride=10)
-        benchmark.extra_info["tracemalloc_peak_mb"] = tracemalloc.get_traced_memory()[1] / 1e6
+        run(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1] / 1e6
     finally:
         tracemalloc.stop()
 
@@ -84,6 +93,8 @@ def test_arrowhead_eigensolver(benchmark, solver, n_modes):
     rounds = 3 if n_modes > 1000 else 15
     lam = benchmark.pedantic(run, args=args, rounds=rounds, warmup_rounds=1)[0]
     assert lam.size == n_modes + 1
+    if solver == "secular":
+        benchmark.extra_info["tracemalloc_peak_mb"] = _traced_peak_mb(run, *args)
 
 
 @pytest.mark.parametrize("n_modes", [601, 2401])
@@ -92,12 +103,7 @@ def test_partly_dark_arrowhead(benchmark, n_modes):
     rounds = 3 if n_modes > 1000 else 15
     lam = benchmark.pedantic(dynamics._bright_eigh, args=(d, z), rounds=rounds, warmup_rounds=1)[0]
     assert lam.size == n_modes + 1 - np.count_nonzero(z == 0)
-    tracemalloc.start()
-    try:
-        dynamics._bright_eigh(d, z)
-        benchmark.extra_info["tracemalloc_peak_mb"] = tracemalloc.get_traced_memory()[1] / 1e6
-    finally:
-        tracemalloc.stop()
+    benchmark.extra_info["tracemalloc_peak_mb"] = _traced_peak_mb(dynamics._bright_eigh, d, z)
 
 
 # Runs one command and prints its wall time and its own ru_maxrss (kB).

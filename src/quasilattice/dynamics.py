@@ -7,10 +7,10 @@ frame of the bath modes (see ``integrate_amplitudes``), so the
 exponential (Markov) decay law is an output to be checked against the
 analytic rate, not an assumption of the scheme.  The eigendecomposition
 is that of the arrowhead's bright modes: the roots of its secular
-equation and Loewner's eigenvectors, O(M^2) elementwise work (see
-``_bright_eigh``); neither it nor alpha's evaluation calls BLAS or
-LAPACK.  Times are in ns, frequencies in GHz, with 2*pi absorbed into
-the angular-frequency convention.
+equation and the first entries of Loewner's eigenvectors, O(M^2)
+elementwise work in O(M) memory (see ``_bright_eigh``); neither it nor
+alpha's evaluation calls BLAS or LAPACK.  Times are in ns, frequencies
+in GHz, with 2*pi absorbed into the angular-frequency convention.
 """
 
 from __future__ import annotations
@@ -199,6 +199,16 @@ def _secular_terms(d, z2, o, s, tau):
     return sep, z2 / sep
 
 
+def _separations(d, o, s, tau):
+    """lam_j - d_i for roots lam_j = d_o + s*tau: -s times the
+    separations of ``_secular_terms``, to the same relative accuracy."""
+    sep = np.subtract(d, d[o, None])
+    sep *= s[:, None]
+    sep -= tau[:, None]
+    sep *= -s[:, None]
+    return sep
+
+
 def _model_step(g, near, beyond, tau, far):
     """The step eta from tau to the root tau + eta in (0, far) of the model
     c0 + w0/(-tau - eta) + w1/(far - tau - eta), with w0 = tau^2*near,
@@ -267,10 +277,9 @@ def _refine_roots(d, z2, o, s, far, hi, tau):
 
 
 def _secular_eigh(d, z):
-    """Eigenpairs of H = [[0, z^T], [z, diag(d)]] for a strictly
-    increasing d and z with no zero entry: lam ascending, the
-    eigenvectors as the rows of one (M+1)-square array, row j holding
-    (V_0j, V_1j, ..., V_Mj), and the border z_hat they belong to.
+    """Eigenvalues lam of H = [[0, z^T], [z, diag(d)]] for a strictly
+    increasing d and z with no zero entry, ascending, the first entries
+    V_0j of its eigenvectors, and the border z_hat they belong to.
 
     Root j is the one root of g(lam) = lam + sum_i z_i^2/(d_i - lam) in
     (d_(j-1), d_j), with d_(-1) = -inf and d_M = +inf.  It is sought as
@@ -289,8 +298,9 @@ def _secular_eigh(d, z):
     d_i)^2) and V_ij = z_hat_i*V_0j/(lam_j - d_i) orthogonal to a few ulp
     times M, and the pairs exact for the arrowhead with border z_hat
     (Gu & Eisenstat, SIAM J. Matrix Anal. Appl. 16, 172 (1995); Stor,
-    Slapnicar & Barlow, Linear Algebra Appl. 464, 62 (2015)).  Scratch
-    arrays hold _SOLVER_BLOCK elements, one block of roots at a time.
+    Slapnicar & Barlow, Linear Algebra Appl. 464, 62 (2015)).  Only V_0j
+    is formed, from separations lam_j - d_i (``_separations``) of one
+    block of roots at a time: scratch holds _SOLVER_BLOCK elements.
     """
     m = d.size
     z2 = z * z
@@ -317,35 +327,31 @@ def _secular_eigh(d, z):
         blk = slice(lo_r, lo_r + rows)
         _refine_roots(d, z2, o[blk], s[blk], far[blk], hi[blk], tau[blk])
 
-    vecs = np.empty((m + 1, m + 1))
     prod = np.ones(m)
     cols = np.arange(m)
     for lo_r in range(0, m + 1, rows):
-        blk = slice(lo_r, lo_r + rows)
-        sep = vecs[blk, 1:]  # lam_j - d_i
-        np.subtract(d, d[o[blk], None], out=sep)
-        sep *= s[blk, None]
-        sep -= tau[blk, None]
-        sep *= -s[blk, None]
         j = np.arange(max(lo_r, 1), min(lo_r + rows, m))  # the inner roots
         if j.size:
             paired = np.where(cols >= j[:, None], d[j - 1, None], d[j, None])
             paired -= d
-            prod *= np.prod(np.divide(vecs[j[0] : j[-1] + 1, 1:], paired, out=paired), axis=0)
-    z_hat = np.copysign(np.sqrt(-vecs[0, 1:] * vecs[m, 1:] * prod), z)
+            sep = _separations(d, o[j], s[j], tau[j])
+            prod *= np.prod(np.divide(sep, paired, out=paired), axis=0)
+    ends = _separations(d, o[[0, m]], s[[0, m]], tau[[0, m]])  # roots 0 and M
+    z_hat = np.copysign(np.sqrt(-ends[0] * ends[1] * prod), z)
+    v0 = np.empty(m + 1)
     for lo_r in range(0, m + 1, rows):
-        ratio = np.divide(z_hat, vecs[lo_r : lo_r + rows, 1:], out=vecs[lo_r : lo_r + rows, 1:])
-        v0 = 1.0 / np.sqrt(1.0 + np.sum(ratio * ratio, axis=1))
-        ratio *= v0[:, None]
-        vecs[lo_r : lo_r + rows, 0] = v0
-    return d[o] + s * tau, vecs, z_hat
+        blk = slice(lo_r, lo_r + rows)
+        sep = _separations(d, o[blk], s[blk], tau[blk])
+        ratio = np.divide(z_hat, sep, out=sep)
+        v0[blk] = 1.0 / np.sqrt(1.0 + np.sum(ratio * ratio, axis=1))
+    return d[o] + s * tau, v0, z_hat
 
 
 def _bright_eigh(d, z):
-    """Eigenvalues, ascending, and orthonormal eigenvectors, as columns,
-    of the bright part of the arrowhead H = [[0, z^T], [z, diag(d)]], d
-    nondecreasing, by ``_secular_eigh``, and their backward error: no bit
-    depends on BLAS threads.
+    """Eigenvalues, ascending, and the first entries V_0j of the
+    orthonormal eigenvectors of the bright part of the arrowhead
+    H = [[0, z^T], [z, diag(d)]], d nondecreasing, by ``_secular_eigh``,
+    and their backward error: no bit depends on BLAS threads.
 
     d and z are scaled by 2^-k, max(max|d|, max|z|) in [2^(k-1), 2^k):
     every step of the solver is homogeneous, so the bits are those of the
@@ -369,12 +375,12 @@ def _bright_eigh(d, z):
     dark_sq = np.sum(z[~live] ** 2)
     d, z = d[live], z[live]
     if not z.size:
-        return np.zeros(1), np.ones((1, 1)), math.ldexp(math.sqrt(dark_sq), k)
+        return np.zeros(1), np.ones(1), math.ldexp(math.sqrt(dark_sq), k)
     starts = np.flatnonzero(np.r_[True, d[1:] != d[:-1]])  # the first mode of each pole
     z_g = np.hypot.reduceat(z, starts)
-    lam, vecs, z_hat = _secular_eigh(d[starts], z_g)
+    lam, v0, z_hat = _secular_eigh(d[starts], z_g)
     backward = math.sqrt(np.sum((z_g - z_hat) ** 2) + dark_sq)
-    return np.ldexp(lam, k), vecs.T, math.ldexp(backward, k)
+    return np.ldexp(lam, k), v0, math.ldexp(backward, k)
 
 
 def integrate_amplitudes(
@@ -398,12 +404,12 @@ def integrate_amplitudes(
     system is psi' = -i H psi for psi = (alpha, b) and a constant real
     symmetric arrowhead H: diagonal (0, Delta_k), border z_k = g_k |s(k)|.
     With H = V diag(lam) V^T, alpha(t) = sum_j V_0j^2 exp(-i lam_j t), and
-    sum_k |beta_k|^2 = 1 - |alpha|^2, as psi keeps its norm.  lam and V
-    are H's bright pairs (``_bright_eigh``), the modes by descending
-    frequency so that the Delta_k ascend.  alpha is evaluated at every
-    step with the split n = q*B + r, B ~ sqrt(steps), as one
-    (q, j) x (j, r) product of block exponentials by ``np.einsum``, which
-    calls no BLAS.
+    sum_k |beta_k|^2 = 1 - |alpha|^2, as psi keeps its norm.  lam and
+    V_0j, no other entry of V, come from ``_bright_eigh``, the modes by
+    descending frequency so that the Delta_k ascend.  alpha is evaluated
+    at every step with the split n = q*B + r, B ~ sqrt(steps), as one
+    (q, j) x (j, r) product of block exponentials, each formed in place
+    in one complex array, by ``np.einsum``, which calls no BLAS.
 
     The error bound error_floor + error_rate*t holds to first order in
     eps.  The pairs are exact for H_hat, and ||exp(-iHt) - exp(-iH_hat t)||
@@ -443,12 +449,15 @@ def integrate_amplitudes(
 
     n_steps = int(math.ceil(t_final / dt - 1e-12))
     times = np.arange(n_steps + 1) * dt
-    lam, vecs, backward = _bright_eigh(detunings[::-1], couplings[::-1])
-    weights = vecs[0] ** 2
+    lam, v0, backward = _bright_eigh(detunings[::-1], couplings[::-1])
+    weights = v0**2
 
     block = math.isqrt(n_steps) + 1
-    e_q = np.exp(-1j * np.multiply.outer(times[::block], lam)) * weights
-    e_r = np.exp(-1j * np.multiply.outer(times[:block], lam))
+    e_q = np.multiply(-1j, np.multiply.outer(times[::block], lam))
+    e_r = np.multiply(-1j, np.multiply.outer(times[:block], lam))
+    np.exp(e_q, out=e_q)
+    np.exp(e_r, out=e_r)
+    e_q *= weights
     alpha = np.einsum("qj,rj->qr", e_q, e_r).ravel()[: n_steps + 1]
     alpha[0] = 1.0  # the initial condition, not a rounding outcome
     if not np.all(np.isfinite(alpha)):

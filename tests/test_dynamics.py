@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -196,6 +197,33 @@ class TestIntegration:
         assert np.array_equal(strided.alpha, every.alpha)
         assert np.allclose(strided.beta_total_sq, every.beta_total_sq[::7], rtol=0, atol=1e-14)
 
+    def test_peak_memory_holds_no_square_array(self):
+        """The ``dynamics`` defaults at 2401 modes under tracemalloc, about
+        1 s: 19 329 samples in blocks of B = 140, M + 1 = 2402 roots.
+
+        The run needs the two phase blocks of B x (M+1) complex values
+        (5.4 MB each), the real phase arguments of one block while it
+        becomes complex (half a block), alpha and the times (0.5 MB), and,
+        before the blocks, the solver's scratch: a few arrays of
+        _SOLVER_BLOCK doubles (0.5 MB each), four counted.  That is 16 MB.
+        The (M+1)-square eigenvector array alone would be 46 MB.
+        """
+        bath = dynamics.normalized_bath(LAT, 0.5, 2401)
+        gamma = radiation.decay_rate(LAT, CAV).gamma_normalized
+        t_final = min(3.0 / gamma, 0.8 * bath.recurrence_time)
+        tracemalloc.start()
+        try:
+            traj = dynamics.integrate_amplitudes(LAT, CAV, bath, t_final, 0.2, sample_stride=10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        roots = bath.n_modes + 1
+        block = math.isqrt(traj.alpha.size - 1) + 1
+        phase_block = block * roots * 16
+        needed = 2.5 * phase_block + traj.alpha.size * 24 + 4 * dynamics._SOLVER_BLOCK * 8
+        assert (block, traj.alpha.size) == (140, 19329)
+        assert peak < needed < roots**2 * 8 / 2
+
     def test_rejects_sample_stride_below_one(self):
         bath = dynamics.normalized_bath(LAT, bandwidth=0.4, n_modes=11)
         for stride in (0, -3):
@@ -281,10 +309,43 @@ def _arrowhead(lattice, cavity, bath):
     return (lattice.omega_q - bath.mode_frequencies)[::-1], (bath.couplings * np.abs(s_k))[::-1]
 
 
+def _bright_eigh_rows(d, z):
+    """lam, V with the bright eigenvectors as columns, and the backward
+    error, of ``_bright_eigh``, which returns V's first row only.  The
+    other rows are formed here by Loewner's formula, V_ij =
+    z_hat_i*V_0j/(lam_j - d_i), from the z_hat and the roots
+    lam_j = d_o + s*tau of its solve, with the separations formed by
+    ``dynamics._separations`` as the solver forms them: a plain lam - d
+    would lose their relative accuracy near the poles."""
+    solve, refine = dynamics._secular_eigh, dynamics._refine_roots
+    solves, roots = [], []
+
+    def recorded_solve(d, z):
+        lam, v0, z_hat = solve(d, z)
+        solves.append((d, z_hat))
+        return lam, v0, z_hat
+
+    def recorded_refine(d, z2, o, s, far, hi, tau):
+        refine(d, z2, o, s, far, hi, tau)
+        roots.append((o.copy(), s.copy(), tau.copy()))  # one block of roots, in order
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dynamics, "_secular_eigh", recorded_solve)
+        patch.setattr(dynamics, "_refine_roots", recorded_refine)
+        lam, v0, backward = dynamics._bright_eigh(d, z)
+    if not solves:  # no bright mode: H is [[0]]
+        return lam, v0[None, :], backward
+    [(poles, z_hat)] = solves
+    o, s, tau = (np.concatenate(part) for part in zip(*roots))
+    rows = np.divide(z_hat, dynamics._separations(poles, o, s, tau))  # row j: z_hat_i/(lam_j - d_i)
+    rows *= v0[:, None]
+    return lam, np.vstack((v0, rows.T)), backward
+
+
 def _arrowhead_eigensystem(lattice, cavity, bath):
     """lam and V of the rotating-frame arrowhead H, from the eigensolver
     ``integrate_amplitudes`` calls."""
-    return dynamics._bright_eigh(*_arrowhead(lattice, cavity, bath))[:2]
+    return _bright_eigh_rows(*_arrowhead(lattice, cavity, bath))[:2]
 
 
 def _whole_time_alpha(lam, vecs, times):
@@ -434,7 +495,7 @@ class TestArrowheadEigensolver:
         d, z = _solver_case(case, m)
         h = np.diag(np.concatenate(([0.0], d)))
         h[0, 1:] = h[1:, 0] = z
-        lam, vecs, _ = dynamics._bright_eigh(d, z)
+        lam, vecs, _ = _bright_eigh_rows(d, z)
         full, dropped = _bright_embedding(d, z, vecs)
         reference = np.linalg.eigvalsh(h)
         h_norm = np.max(np.abs(reference))
@@ -448,7 +509,7 @@ class TestArrowheadEigensolver:
 
     def test_zero_couplings_decouple_exactly(self):
         d, z = _solver_case("eta-0", 51)
-        lam, vecs, _ = dynamics._bright_eigh(d, z)
+        lam, vecs, _ = _bright_eigh_rows(d, z)
         assert lam.tolist() == [0.0] and vecs.tolist() == [[1.0]]
 
     def test_coinciding_poles_deflate(self):
@@ -458,7 +519,7 @@ class TestArrowheadEigensolver:
         z = np.array([0.3, 0.2, 0.5, 0.1, 0.4])
         h = np.diag(np.concatenate(([0.0], d)))
         h[0, 1:] = h[1:, 0] = z
-        lam, vecs, _ = dynamics._bright_eigh(d, z)
+        lam, vecs, _ = _bright_eigh_rows(d, z)
         full, dropped = _bright_embedding(d, z, vecs)
         eps = np.finfo(float).eps
         assert lam.size == 4 and dropped.tolist() == [3.0, 3.0]  # |G| - 1 dark pairs
@@ -470,10 +531,10 @@ class TestArrowheadEigensolver:
     @pytest.mark.parametrize("k", [-600, -40, 40, 600])
     def test_power_of_two_scaling_changes_no_bit(self, k):
         d, z = _solver_case("part-zero", 151)
-        lam, vecs, backward = dynamics._bright_eigh(d, z)
+        lam, vecs, backward = _bright_eigh_rows(d, z)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            scaled = dynamics._bright_eigh(np.ldexp(d, k), np.ldexp(z, k))
+            scaled = _bright_eigh_rows(np.ldexp(d, k), np.ldexp(z, k))
         assert scaled[0].tobytes() == np.ldexp(lam, k).tobytes()
         assert scaled[1].tobytes() == vecs.tobytes()
         assert scaled[2] == math.ldexp(backward, k)
@@ -487,7 +548,7 @@ class TestArrowheadEigensolver:
         h[0, 1:] = h[1:, 0] = z
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            lam, vecs, _ = dynamics._bright_eigh(d, z)
+            lam, vecs, _ = _bright_eigh_rows(d, z)
         eps = np.finfo(float).eps
         reference = np.linalg.eigvalsh(h)
         h_norm = np.max(np.abs(reference))
@@ -521,8 +582,8 @@ class TestArrowheadEigensolver:
         code = (
             "import hashlib, numpy as np, test_dynamics as t; "
             "from quasilattice import dynamics; "
-            "lam, vecs, _ = dynamics._bright_eigh(*t._solver_case('on-quasi-period', 601)); "
-            "print(hashlib.sha256(lam.tobytes() + vecs.tobytes()).hexdigest())"
+            "lam, v0, _ = dynamics._bright_eigh(*t._solver_case('on-quasi-period', 601)); "
+            "print(hashlib.sha256(lam.tobytes() + v0.tobytes()).hexdigest())"
         )
         digests = set()
         for threads in ("1", "2"):
