@@ -6,11 +6,11 @@ Outside the Tier-1 ``testpaths``; run explicitly with
 
 The kernels carry no timing asserts.  ``integrate_amplitudes`` runs at
 the ``dynamics`` defaults: N=4, ell=2/3, omega_q=3*6.729 GHz, a 601-mode
-bath of bandwidth 0.5 GHz, dt=0.2 ns, every 10th step sampled, and the
-horizon the command picks, min(3/gamma, 0.8 * recurrence time).  This is
-the propagation of the bath-decay benchmark workload.  One more call,
-untimed and under ``tracemalloc``, records the peak of the arrays it
-allocates as ``extra_info["tracemalloc_peak_mb"]``.  The timed call's
+bath of bandwidth 0.5 GHz, dt=0.2 ns and the horizon the command picks,
+min(3/gamma, 0.8 * recurrence time).  This is the propagation of the
+bath-decay benchmark workload.  One more call, untimed and under
+``tracemalloc``, records the peak of the arrays it allocates as
+``extra_info["tracemalloc_peak_mb"]``.  The timed call's
 error bound, ``AmplitudeTrajectory.error_bound``, must stay below 1e-12
 (it reaches about 5.2e-13 at these settings).
 
@@ -48,13 +48,11 @@ def test_integrate_amplitudes(benchmark):
     bath = dynamics.normalized_bath(LATTICE, 0.5, 601)
     gamma = radiation.decay_rate(LATTICE, CAVITY).gamma_normalized
     t_final = min(3.0 / gamma, 0.8 * bath.recurrence_time)
-    traj = benchmark(
-        dynamics.integrate_amplitudes, LATTICE, CAVITY, bath, t_final, 0.2, sample_stride=10
-    )
+    traj = benchmark(dynamics.integrate_amplitudes, LATTICE, CAVITY, bath, t_final, 0.2)
     assert traj.alpha.size == 19329
     assert np.max(traj.error_bound) < 1e-12
     benchmark.extra_info["tracemalloc_peak_mb"] = _traced_peak_mb(
-        dynamics.integrate_amplitudes, LATTICE, CAVITY, bath, t_final, 0.2, sample_stride=10
+        dynamics.integrate_amplitudes, LATTICE, CAVITY, bath, t_final, 0.2
     )
 
 

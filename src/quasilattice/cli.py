@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import itertools
 import json
@@ -317,22 +318,23 @@ def run_spectrum(args: argparse.Namespace) -> int:
 
 
 def run_dynamics(args: argparse.Namespace) -> int:
+    if args.sample_stride < 1:
+        raise ValueError(f"sample_stride must be at least 1, got {args.sample_stride}")
+    if args.t_final < 0:
+        raise ValueError(f"--t-final must be positive, or 0 for auto, got {args.t_final:g}")
     lattice, cavity = _specs(args)
     bath = dynamics.normalized_bath(lattice, args.bandwidth, args.modes)
     gamma = radiation.decay_rate(lattice, cavity, branch=args.branch).gamma_normalized
     t_final = args.t_final
-    if t_final <= 0:
-        horizon = 3.0 / gamma if gamma > 0 else 100.0
-        t_final = min(horizon, 0.8 * bath.recurrence_time)
-    traj = dynamics.integrate_amplitudes(
-        lattice, cavity, bath, t_final, args.dt,
-        branch=args.branch, sample_stride=args.sample_stride,
-    )
-    stride = traj.sample_stride
+    if t_final == 0:
+        t_final = min(3.0 / gamma if gamma > 0 else 100.0, 0.8 * bath.recurrence_time)
+    traj = dynamics.integrate_amplitudes(lattice, cavity, bath, t_final, args.dt, branch=args.branch)
+    rows = slice(None, None, args.sample_stride)  # the written steps
+    written = dataclasses.replace(traj, times=traj.times[rows], alpha=traj.alpha[rows])
 
-    bound = traj.error_bound
+    bound = written.error_bound
     header = ["t_ns", "re_alpha", "im_alpha", "alpha_sq", "beta_total_sq", "norm_residual"]
-    columns = [traj.times[::stride], traj.alpha[::stride], traj.beta_total_sq, bound]
+    columns = [written.times, written.alpha, written.beta_total_sq, bound]
     with _output(args) as out:
         _write_csv(out, header, [columns], lambda t, a, beta_sq, err: (
             t, a.real, a.imag, abs(a) ** 2, beta_sq, err))

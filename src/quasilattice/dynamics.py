@@ -101,26 +101,23 @@ class BathSpec:
 @dataclass(frozen=True)
 class AmplitudeTrajectory:
     """The polariton amplitude alpha at every step, and the bound
-    error_floor + error_rate*t on its error (``integrate_amplitudes``).
-    The bath population and the bound are read at every
-    sample_stride-th step, times[::sample_stride]."""
+    error_floor + error_rate*t on its error (``integrate_amplitudes``)."""
 
     times: np.ndarray
     alpha: np.ndarray
     error_floor: float
     error_rate: float
-    sample_stride: int = 1
 
     @property
     def beta_total_sq(self) -> np.ndarray:
-        """sum_k |beta_k|^2 = 1 - |alpha|^2 at the sampled steps."""
-        return 1.0 - np.abs(self.alpha[:: self.sample_stride]) ** 2
+        """sum_k |beta_k|^2 = 1 - |alpha|^2 at every step."""
+        return 1.0 - np.abs(self.alpha) ** 2
 
     @property
     def error_bound(self) -> np.ndarray:
-        """The bound on alpha's error at the sampled steps; 0 at t = 0,
-        where alpha = 1 is set, not computed."""
-        bound = self.error_floor + self.error_rate * self.times[:: self.sample_stride]
+        """The bound on alpha's error at every step; 0 at t = 0, where
+        alpha = 1 is set, not computed."""
+        bound = self.error_floor + self.error_rate * self.times
         bound[0] = 0.0
         return bound
 
@@ -188,24 +185,14 @@ def physical_bath(
     return BathSpec(mode_frequencies=w, couplings=g, spacing=base.spacing)
 
 
-def _secular_terms(d, z2, o, s, tau):
-    """For roots lam = d_o + s*tau, with origin poles o and frame signs
-    s = +-1: the separations s*(d_i - lam), formed as s*(d_i - d_o) - tau
-    so that each keeps a few ulp of relative accuracy, and the terms
-    z_i^2 over them."""
-    sep = np.subtract(d, d[o, None])
-    sep *= s[:, None]
-    sep -= tau[:, None]
-    return sep, z2 / sep
-
-
 def _separations(d, o, s, tau):
-    """lam_j - d_i for roots lam_j = d_o + s*tau: -s times the
-    separations of ``_secular_terms``, to the same relative accuracy."""
+    """For roots lam_j = d_o + s*tau, with origin poles o and frame signs
+    s = +-1, one row per root: the frame-signed separations s*(d_i - lam_j),
+    formed as s*(d_i - d_o) - tau so that each keeps a few ulp of relative
+    accuracy.  lam_j - d_i is -s times them, exactly."""
     sep = np.subtract(d, d[o, None])
     sep *= s[:, None]
     sep -= tau[:, None]
-    sep *= -s[:, None]
     return sep
 
 
@@ -231,7 +218,7 @@ def _model_step(g, near, beyond, tau, far):
 def _refine_roots(d, z2, o, s, far, hi, tau):
     """Move each offset tau (updated in place) onto the root of
     G(tau) = s*lam + sum_i z_i^2/(s*(d_i - lam)), lam = d_o + s*tau, inside
-    its bracket (0, hi].
+    its bracket (0, hi], each s*(d_i - lam) from ``_separations``.
 
     G increases with tau.  Each step fits c - a/tau + b/(far - tau) to G
     and G' at tau, the slopes of the poles at or beyond the origin lumped
@@ -248,7 +235,8 @@ def _refine_roots(d, z2, o, s, far, hi, tau):
     for _ in range(_SECULAR_STEPS):
         oa, ta, fa = o[act], tau[act], far[act]
         at = np.arange(act.size)
-        sep, t = _secular_terms(d, z2, oa, s[act], ta)
+        sep = _separations(d, oa, s[act], ta)
+        t = z2 / sep
         t[at, oa] = 0.0  # the origin pole's term, -z_o^2/tau, is kept apart
         signed = s[act] * d[oa] + ta  # s*lam
         pole = z2[oa] / ta
@@ -299,8 +287,9 @@ def _secular_eigh(d, z):
     times M, and the pairs exact for the arrowhead with border z_hat
     (Gu & Eisenstat, SIAM J. Matrix Anal. Appl. 16, 172 (1995); Stor,
     Slapnicar & Barlow, Linear Algebra Appl. 464, 62 (2015)).  Only V_0j
-    is formed, from separations lam_j - d_i (``_separations``) of one
-    block of roots at a time: scratch holds _SOLVER_BLOCK elements.
+    is formed.  Each pass takes s*(d_i - lam_j) from ``_separations``
+    for one block of roots at a time (scratch of _SOLVER_BLOCK elements):
+    z_i^2 over them, their product with -s, lam_j - d_i, or their squares.
     """
     m = d.size
     z2 = z * z
@@ -315,7 +304,7 @@ def _secular_eigh(d, z):
         j = np.arange(lo_r, min(lo_r + rows, m))
         gap = d[j] - d[j - 1]
         half = 0.5 * gap
-        _, t = _secular_terms(d, z2, j - 1, np.ones(j.size), half)
+        t = z2 / _separations(d, j - 1, np.ones(j.size), half)
         mid_g = d[j - 1] + half + np.sum(t, axis=1)
         right = mid_g <= 0  # the root lies in the upper half
         o[j], s[j], far[j], hi[j] = j - 1 + right, np.where(right, -1.0, 1.0), gap, gap
@@ -335,14 +324,15 @@ def _secular_eigh(d, z):
             paired = np.where(cols >= j[:, None], d[j - 1, None], d[j, None])
             paired -= d
             sep = _separations(d, o[j], s[j], tau[j])
+            sep *= -s[j, None]  # lam_j - d_i
             prod *= np.prod(np.divide(sep, paired, out=paired), axis=0)
-    ends = _separations(d, o[[0, m]], s[[0, m]], tau[[0, m]])  # roots 0 and M
-    z_hat = np.copysign(np.sqrt(-ends[0] * ends[1] * prod), z)
+    ends = _separations(d, o[[0, m]], s[[0, m]], tau[[0, m]])  # roots 0 and M, s = -1 and +1
+    z_hat = np.copysign(np.sqrt(ends[0] * ends[1] * prod), z)
     v0 = np.empty(m + 1)
     for lo_r in range(0, m + 1, rows):
         blk = slice(lo_r, lo_r + rows)
         sep = _separations(d, o[blk], s[blk], tau[blk])
-        ratio = np.divide(z_hat, sep, out=sep)
+        ratio = np.divide(z_hat, sep, out=sep)  # +-z_hat_i/(lam_j - d_i)
         v0[blk] = 1.0 / np.sqrt(1.0 + np.sum(ratio * ratio, axis=1))
     return d[o] + s * tau, v0, z_hat
 
@@ -390,14 +380,13 @@ def integrate_amplitudes(
     t_final: float,
     dt: float,
     branch: int = 0,
-    sample_stride: int = 1,
 ) -> AmplitudeTrajectory:
     """Exact solution of
 
         d(alpha)/dt = -i sum_k g_k s(k) beta_k exp(-i(omega_q-omega_k)t)
         d(beta_k)/dt = -i g_k s*(k) alpha exp(+i(omega_q-omega_k)t)
 
-    from alpha(0)=1, beta(0)=0, sampled at t = n*dt for n = 0..ceil(t_final/dt).
+    from alpha(0)=1, beta(0)=0, at every step t = n*dt, n = 0..ceil(t_final/dt).
 
     In the rotating frame b_k = beta_k exp(-i Delta_k t), Delta_k =
     omega_q - omega_k, with the phase of s(k) absorbed into b_k, the
@@ -431,8 +420,6 @@ def integrate_amplitudes(
     """
     if not (0 < t_final < math.inf and 0 < dt < math.inf):
         raise ValueError("t_final and dt must be positive and finite")
-    if sample_stride < 1:
-        raise ValueError(f"sample_stride must be at least 1, got {sample_stride}")
     detunings = lattice.omega_q - bath.mode_frequencies
     couplings = bath.couplings * np.abs(s_factor(lattice, cavity, bath.mode_frequencies, branch))
     if not (np.isfinite(detunings).all() and np.isfinite(couplings).all()):
@@ -468,7 +455,6 @@ def integrate_amplitudes(
         times=times, alpha=alpha,
         error_floor=abs(float(np.sum(weights)) - 1.0) + 0.5 * _EPS * (lam.size + 8),
         error_rate=backward + 2.0 * _EPS * float(np.max(np.abs(lam))),
-        sample_stride=sample_stride,
     )
 
 

@@ -1,9 +1,11 @@
 import collections
 import csv
+import importlib.util
 import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import warnings
@@ -257,6 +259,15 @@ class TestDynamics:
         ])
         assert code == cli.EXIT_USAGE
 
+    @pytest.mark.parametrize("t_final", ["-5", "-inf", "nan", "inf"])
+    def test_negative_or_non_finite_horizon_is_usage_error(self, tmp_path, capsys, t_final):
+        # only 0 stands for the auto horizon
+        out = tmp_path / "dyn.csv"
+        assert run(["dynamics", "--modes", "11", f"--t-final={t_final}", "--out", str(out)]) == cli.EXIT_USAGE
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_step_size_violation_is_usage_error(self, tmp_path, capsys):
         # dynamics.StepSizeError is a ValueError, caught as bad arguments
         out = tmp_path / "dyn.csv"
@@ -340,6 +351,21 @@ class TestPlumbing:
             cli._parser.cache_clear()
         assert len(built) == 1
         assert (args.k_points, args.n, args.out) == (600, 4, None)
+
+    def test_bytecheck_commands_parse(self):
+        # a stale flag would make the parent's and the change's records both
+        # exit 2 with identical bytes, so bytecheck would pass unseen
+        path = Path(__file__).resolve().parent.parent / "bytecheck" / "run.py"
+        spec = importlib.util.spec_from_file_location("bytecheck_run", path)
+        bytecheck = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bytecheck)
+        parser, commands, refused = cli.build_parser(), bytecheck.commands(), []
+        for command in commands:
+            try:
+                parser.parse_args(shlex.split(command))
+            except SystemExit:
+                refused.append(command)
+        assert commands and refused == []
 
     def test_missing_output_directory(self, tmp_path):
         out = tmp_path / "nope" / "x.csv"
@@ -596,13 +622,11 @@ def _reference_csv(argv):
         if t_final <= 0:
             recurrence = 2.0 * math.pi / bath.spacing if bath.n_modes > 1 else math.inf
             t_final = min(3.0 / gamma if gamma > 0 else 100.0, 0.8 * recurrence)
-        traj = dynamics.integrate_amplitudes(
-            lattice, cavity, bath, t_final, args.dt,
-            branch=args.branch, sample_stride=args.sample_stride,
-        )
-        stride = traj.sample_stride
+        traj = dynamics.integrate_amplitudes(lattice, cavity, bath, t_final, args.dt, branch=args.branch)
+        stride = args.sample_stride
         writer.writerow(["t_ns", "re_alpha", "im_alpha", "alpha_sq", "beta_total_sq", "norm_residual"])
-        rows = zip(traj.times[::stride], traj.alpha[::stride], traj.beta_total_sq, traj.error_bound)
+        rows = zip(traj.times[::stride], traj.alpha[::stride], traj.beta_total_sq[::stride],
+                   traj.error_bound[::stride])
         for t, a, beta_sq, err in rows:
             writer.writerow([
                 _fmt(t), _fmt(a.real), _fmt(a.imag),

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from quasilattice.model import CavitySpec, LatticeSpec
-from quasilattice import dynamics, radiation
+from quasilattice import cli, dynamics, radiation
 
 CAV = CavitySpec(omega_c=6.729, eta=0.1)
 # drive frequency on a quasi-period multiple, where the golden-rule rate
@@ -188,14 +189,18 @@ class TestIntegration:
             errors.append(np.max(np.abs(alpha - exact)))
         assert errors[0] > 8 * errors[1]
 
-    def test_sampled_rows(self):
-        bath = dynamics.normalized_bath(LAT, bandwidth=0.4, n_modes=51)
-        every = dynamics.integrate_amplitudes(LAT, CAV, bath, 40.0, 0.2)
-        strided = dynamics.integrate_amplitudes(LAT, CAV, bath, 40.0, 0.2, sample_stride=7)
-        assert strided.times.size == strided.alpha.size == 201
-        assert strided.beta_total_sq.size == strided.error_bound.size == len(range(0, 201, 7))
-        assert np.array_equal(strided.alpha, every.alpha)
-        assert np.allclose(strided.beta_total_sq, every.beta_total_sq[::7], rtol=0, atol=1e-14)
+    def test_sampled_rows(self, tmp_path):
+        # the CLI writes rows 0, 7, 14, ... of the every-step CSV, byte for
+        # byte, and the largest written norm_residual as max_norm_residual
+        argv = ["dynamics", "--n", "1", "--modes", "51", "--t-final", "40"]
+        every, strided = tmp_path / "every.csv", tmp_path / "strided.csv"
+        assert cli.main(argv + ["--sample-stride", "1", "--out", str(every)]) == 0
+        assert cli.main(argv + ["--sample-stride", "7", "--out", str(strided)]) == 0
+        header, *rows = every.read_bytes().split(b"\r\n")[:-1]
+        assert len(rows) == 201
+        assert strided.read_bytes() == b"".join(r + b"\r\n" for r in [header, *rows[::7]])
+        summary = json.loads(Path(f"{strided}.summary.json").read_text())
+        assert summary["max_norm_residual"] == max(float(r.split(b",")[-1]) for r in rows[::7])
 
     def test_peak_memory_holds_no_square_array(self):
         """The ``dynamics`` defaults at 2401 modes under tracemalloc, about
@@ -213,7 +218,7 @@ class TestIntegration:
         t_final = min(3.0 / gamma, 0.8 * bath.recurrence_time)
         tracemalloc.start()
         try:
-            traj = dynamics.integrate_amplitudes(LAT, CAV, bath, t_final, 0.2, sample_stride=10)
+            traj = dynamics.integrate_amplitudes(LAT, CAV, bath, t_final, 0.2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -224,11 +229,13 @@ class TestIntegration:
         assert (block, traj.alpha.size) == (140, 19329)
         assert peak < needed < roots**2 * 8 / 2
 
-    def test_rejects_sample_stride_below_one(self):
-        bath = dynamics.normalized_bath(LAT, bandwidth=0.4, n_modes=11)
+    def test_rejects_sample_stride_below_one(self, tmp_path, capsys):
+        out = tmp_path / "dyn.csv"
         for stride in (0, -3):
-            with pytest.raises(ValueError):
-                dynamics.integrate_amplitudes(LAT, CAV, bath, 5.0, 0.2, sample_stride=stride)
+            argv = ["dynamics", "--modes", "11", "--t-final", "5", "--sample-stride", str(stride)]
+            assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_USAGE
+            assert capsys.readouterr().err == f"error: sample_stride must be at least 1, got {stride}\n"
+            assert not out.exists()
 
     def test_rejects_non_finite_horizon_and_step(self):
         bath = dynamics.normalized_bath(LAT, bandwidth=0.4, n_modes=1)
@@ -314,9 +321,9 @@ def _bright_eigh_rows(d, z):
     error, of ``_bright_eigh``, which returns V's first row only.  The
     other rows are formed here by Loewner's formula, V_ij =
     z_hat_i*V_0j/(lam_j - d_i), from the z_hat and the roots
-    lam_j = d_o + s*tau of its solve, with the separations formed by
-    ``dynamics._separations`` as the solver forms them: a plain lam - d
-    would lose their relative accuracy near the poles."""
+    lam_j = d_o + s*tau of its solve, with the separations lam_j - d_i
+    formed as the solver forms them, -s times ``dynamics._separations``:
+    a plain lam - d would lose their relative accuracy near the poles."""
     solve, refine = dynamics._secular_eigh, dynamics._refine_roots
     solves, roots = [], []
 
@@ -337,7 +344,7 @@ def _bright_eigh_rows(d, z):
         return lam, v0[None, :], backward
     [(poles, z_hat)] = solves
     o, s, tau = (np.concatenate(part) for part in zip(*roots))
-    rows = np.divide(z_hat, dynamics._separations(poles, o, s, tau))  # row j: z_hat_i/(lam_j - d_i)
+    rows = np.divide(z_hat, -s[:, None] * dynamics._separations(poles, o, s, tau))  # row j: z_hat_i/(lam_j - d_i)
     rows *= v0[:, None]
     return lam, np.vstack((v0, rows.T)), backward
 
@@ -402,8 +409,9 @@ def _bath_tolerance(lam, t_final):
 
 
 BATH_CASES = {
-    # bath, cavity, t_final, dt, sample_stride; the names count chunks of
-    # 128 samples, the unit of an earlier bath evaluation
+    # bath, cavity, t_final, dt and the stride of the steps compared; the
+    # names count chunks of 128 samples, the unit of an earlier bath
+    # evaluation
     "defaults": (dynamics.normalized_bath(LAT, 0.5, 601), CAV, None, 0.2, 10),
     # 601 samples
     "stride-1-partial-chunk": (dynamics.normalized_bath(LAT, 0.4, 51), CAV, 120.0, 0.2, 1),
@@ -430,13 +438,14 @@ class TestBathEvaluation:
         if t_final is None:  # the horizon ``dynamics`` picks at its defaults
             gamma = radiation.decay_rate(LAT, cavity).gamma_normalized
             t_final = min(3.0 / gamma, 0.8 * 2.0 * math.pi / bath.spacing)
-        traj = dynamics.integrate_amplitudes(LAT, cavity, bath, t_final, dt, sample_stride=stride)
+        traj = dynamics.integrate_amplitudes(LAT, cavity, bath, t_final, dt)
         lam, vecs = _arrowhead_eigensystem(LAT, cavity, bath)
         assert np.array_equal(traj.alpha, _whole_time_alpha(lam, vecs, traj.times))
         sampled = traj.times[::stride]
-        assert traj.beta_total_sq.size == sampled.size
+        beta_sq = traj.beta_total_sq[::stride]
+        assert beta_sq.size == sampled.size
         reference = _whole_time_bath(lam, vecs, sampled)
-        gap = np.max(np.abs(traj.beta_total_sq - reference))
+        gap = np.max(np.abs(beta_sq - reference))
         assert gap <= _bath_tolerance(lam, traj.times[-1])
 
 
@@ -618,16 +627,17 @@ class TestErrorBound:
     BATH = dynamics.normalized_bath(LAT, 0.5, 601)
 
     def _run(self):
-        return dynamics.integrate_amplitudes(LAT, CAV, self.BATH, 1000.0, 0.2, sample_stride=10)
+        return dynamics.integrate_amplitudes(LAT, CAV, self.BATH, 1000.0, 0.2)
 
     def _assert_flags(self, clean, broken):
         # the broken run strays far beyond the clean run's bound, its own
         # bound rises by orders of magnitude, and the two bounds cover the
         # distance between the runs
         gap = np.abs(broken.alpha - clean.alpha)[::10]
-        assert np.max(gap) > 1e3 * np.max(clean.error_bound)
-        assert np.max(broken.error_bound) > 1e3 * np.max(clean.error_bound)
-        assert np.all(gap <= broken.error_bound + clean.error_bound)
+        clean_bound, broken_bound = clean.error_bound[::10], broken.error_bound[::10]
+        assert np.max(gap) > 1e3 * np.max(clean_bound)
+        assert np.max(broken_bound) > 1e3 * np.max(clean_bound)
+        assert np.all(gap <= broken_bound + clean_bound)
 
     def test_flags_a_perturbed_root(self, monkeypatch):
         clean = self._run()
