@@ -22,21 +22,17 @@ timed ``_bright_eigh``, an untimed call under ``tracemalloc`` records its
 peak as ``extra_info["tracemalloc_peak_mb"]``: the solver returns the
 weights V_0j and no eigenvector rows, so its scratch stays a few
 ``_SOLVER_BLOCK`` arrays at any mode count.  ``dynamics --modes 2401``
-runs in a fresh interpreter, as a user runs it, started by a second
-small one that records its wall time and its own ``ru_maxrss`` in
-``extra_info["wall_s"]`` and ``extra_info["ru_maxrss_mb"]``.
+runs in a fresh interpreter, as a user runs it, through the
+``cli_process`` fixture of ``conftest.py``, which records its wall time
+and its own ``ru_maxrss`` in ``extra_info["wall_s"]`` and
+``extra_info["ru_maxrss_mb"]``.
 """
 
-import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import quasilattice
 from quasilattice import dynamics, radiation
 from quasilattice.model import CavitySpec, LatticeSpec
 
@@ -104,33 +100,9 @@ def test_partly_dark_arrowhead(benchmark, n_modes):
     benchmark.extra_info["tracemalloc_peak_mb"] = _traced_peak_mb(dynamics._bright_eigh, d, z)
 
 
-# Runs one command and prints its wall time and its own ru_maxrss (kB).
-# A child's ru_maxrss starts from the RSS of the process it was forked
-# from, so the command is started from this small interpreter, not from
-# the test process, which holds hundreds of MB after the eigh kernels.
-_MEASURE = """
-import os, subprocess, sys, time
-t = time.perf_counter()
-child = subprocess.Popen(sys.argv[1:])
-_, status, usage = os.wait4(child.pid, 0)
-assert os.waitstatus_to_exitcode(status) == 0
-print(time.perf_counter() - t, usage.ru_maxrss)
-"""
-
-
-def test_dynamics_2401_modes_subprocess(benchmark, tmp_path):
-    src = str(Path(quasilattice.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    argv = [sys.executable, "-c", _MEASURE, sys.executable, "-m", "quasilattice.cli",
-            "dynamics", "--modes", "2401", "--out", str(tmp_path / "dyn.csv")]
+def test_dynamics_2401_modes_subprocess(benchmark, cli_process, tmp_path):
     runs = []
-
-    def run():
-        done = subprocess.run(argv, env=dict(os.environ, PYTHONPATH=path),
-                              capture_output=True, text=True, check=True)
-        wall, peak_kb = done.stdout.split()
-        runs.append((float(wall), int(peak_kb) / 1024))
-
-    benchmark.pedantic(run, rounds=3, warmup_rounds=0)
+    benchmark.pedantic(lambda: runs.append(cli_process(
+        "dynamics", "--modes", "2401", "--out", str(tmp_path / "dyn.csv"))), rounds=3, warmup_rounds=0)
     benchmark.extra_info["wall_s"] = [wall for wall, _ in runs]
     benchmark.extra_info["ru_maxrss_mb"] = [peak for _, peak in runs]

@@ -1,65 +1,50 @@
 """Polariton spectra, selective radiation coupling, and spontaneous
-decay for a finite qubit quasi-lattice coupled to a cavity mode."""
+decay for a finite qubit quasi-lattice coupled to a cavity mode.
 
-from .model import (
-    CavitySpec,
-    LatticeSpec,
-    coupling_weights,
-    deformation_factor,
-)
-from .polariton import (
-    PolaritonSector,
-    SectorBasis,
-    TransitionMatrices,
-    diagonalize_sector,
-    closed_form_coefficients,
-    first_excited_transition,
-    transition_matrices,
-)
-from .radiation import (
-    DecayResult,
-    PrefactorInputs,
-    chi,
-    chi_closed_form,
-    decay_rate,
-    pv_integral_check,
-    quasi_period,
-    s_factor,
-)
-from .dynamics import (
-    AmplitudeTrajectory,
-    BathSpec,
-    fit_decay,
-    integrate_amplitudes,
-    normalized_bath,
-)
+The import is lazy: a public name, or one of the submodules ``model``,
+``polariton``, ``radiation`` and ``dynamics``, loads its module on first
+access (PEP 562).
+"""
+
+import importlib
+
+_EXPORTS = {
+    "model": ["CavitySpec", "LatticeSpec", "coupling_weights", "deformation_factor"],
+    "polariton": [
+        "PolaritonSector",
+        "SectorBasis",
+        "TransitionMatrices",
+        "diagonalize_sector",
+        "closed_form_coefficients",
+        "first_excited_transition",
+        "transition_matrices",
+    ],
+    "radiation": [
+        "DecayResult",
+        "PrefactorInputs",
+        "chi",
+        "chi_closed_form",
+        "decay_rate",
+        "pv_integral_check",
+        "quasi_period",
+        "s_factor",
+    ],
+    "dynamics": ["AmplitudeTrajectory", "BathSpec", "fit_decay", "integrate_amplitudes", "normalized_bath"],
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AmplitudeTrajectory",
-    "BathSpec",
-    "CavitySpec",
-    "DecayResult",
-    "LatticeSpec",
-    "PolaritonSector",
-    "PrefactorInputs",
-    "SectorBasis",
-    "TransitionMatrices",
-    "chi",
-    "chi_closed_form",
-    "closed_form_coefficients",
-    "coupling_weights",
-    "decay_rate",
-    "deformation_factor",
-    "diagonalize_sector",
-    "first_excited_transition",
-    "fit_decay",
-    "integrate_amplitudes",
-    "normalized_bath",
-    "pv_integral_check",
-    "quasi_period",
-    "s_factor",
-    "transition_matrices",
-    "__version__",
-]
+__all__ = sorted(_HOME) + ["__version__"]
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return importlib.import_module(f".{name}", __name__)
+    if name in _HOME:
+        return getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__) | set(_EXPORTS))

@@ -13,7 +13,8 @@ too large to allocate among them), 3 I/O error.  All floating-point CSV
 values are written with 17 significant digits so they round-trip
 exactly; CSV rows end in ``\r\n`` and no field is quoted, since every
 field is numeric.  Repeated runs with the same configuration are
-byte-identical.
+byte-identical.  Each ``run_*`` imports the layer modules it calls, so a
+run loads only its own subcommand's layers.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ import sys
 
 import numpy as np
 
-from . import dynamics, polariton, radiation, validation
 from .model import CavitySpec, LatticeSpec
 
 EXIT_OK = 0
@@ -229,6 +229,8 @@ def _output(args: argparse.Namespace):
 
 
 def run_chi_sweep(args: argparse.Namespace) -> int:
+    from . import radiation
+
     lattice, cavity = _specs(args)
     if args.k_points < 2:
         raise ValueError("--k-points must be at least 2")
@@ -248,6 +250,8 @@ def run_chi_sweep(args: argparse.Namespace) -> int:
 
 
 def run_decay_sweep(args: argparse.Namespace) -> int:
+    from . import radiation
+
     if args.points < 2:
         raise ValueError("--points must be at least 2")
     prefactor = None
@@ -286,6 +290,8 @@ def run_decay_sweep(args: argparse.Namespace) -> int:
 
 
 def run_spectrum(args: argparse.Namespace) -> int:
+    from . import polariton
+
     lattice, cavity = _specs(args)
     walk = polariton.transition_matrices(
         lattice, cavity, -lattice.two_r + 2 * args.u_max_offset
@@ -318,6 +324,8 @@ def run_spectrum(args: argparse.Namespace) -> int:
 
 
 def run_dynamics(args: argparse.Namespace) -> int:
+    from . import dynamics, radiation
+
     if args.sample_stride < 1:
         raise ValueError(f"sample_stride must be at least 1, got {args.sample_stride}")
     if args.t_final < 0:
@@ -361,6 +369,8 @@ def run_dynamics(args: argparse.Namespace) -> int:
 
 
 def run_validate(args: argparse.Namespace) -> int:
+    from . import validation
+
     report = validation.run_all(seed=args.seed)
     doc = report.to_dict()
     doc["seed"] = args.seed

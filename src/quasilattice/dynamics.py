@@ -95,7 +95,8 @@ class BathSpec:
     @property
     def recurrence_time(self) -> float:
         """2*pi/spacing, ns, when the discrete modes rephase; infinite for one."""
-        return 2.0 * math.pi / self.spacing if self.n_modes > 1 else math.inf
+        # a float quotient: inf, not an overflow warning, at a subnormal spacing
+        return 2.0 * math.pi / float(self.spacing) if self.n_modes > 1 else math.inf
 
 
 @dataclass(frozen=True)
@@ -144,8 +145,9 @@ def normalized_bath(
         freqs = np.array([w_q])
         spacing = bandwidth
     else:
-        freqs = np.linspace(w_q - bandwidth / 2.0, w_q + bandwidth / 2.0, n_modes)
-        if not (np.diff(freqs) > 0).all():
+        top = w_q + bandwidth / 2.0  # an infinite edge is refused before linspace warns on it
+        freqs = np.linspace(w_q - bandwidth / 2.0, top, n_modes) if top < math.inf else None
+        if freqs is None or not (np.diff(freqs) > 0).all():
             raise ValueError(
                 f"a bandwidth of {bandwidth:g} GHz around omega_q = {w_q:g} GHz does not "
                 f"resolve into {n_modes} distinct float64 mode frequencies"

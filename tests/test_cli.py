@@ -24,6 +24,18 @@ def run(argv):
     return cli.main(argv)
 
 
+def fresh(code, *argv):
+    """The stdout of ``python -c code *argv`` in a fresh interpreter that
+    imports quasilattice from this checkout."""
+    src = str(Path(quasilattice.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, check=True,
+    )
+    return done.stdout
+
+
 class TestChiSweep:
     def test_schema_and_row_count(self, tmp_path):
         out = tmp_path / "chi.csv"
@@ -288,6 +300,35 @@ class TestDynamics:
         assert err.startswith("error: a bandwidth of 0.5 GHz") and err.count("\n") == 1
         assert "distinct float64 mode frequencies" in err
 
+    def test_infinite_band_edge_is_one_usage_error(self, tmp_path, capsys):
+        # omega_q + B/2 overflows: refused before np.linspace warns on the edge
+        out = tmp_path / "dyn.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run([
+                "dynamics", "--n", "3", "--ell", "0.5", "--omega-q", "1e308", "--omega-c", "13.458",
+                "--eta", "1.7e308", "--modes", "10", "--bandwidth", "1.7e308", "--t-final", "1",
+                "--dt", "1", "--out", str(out),
+            ]) == cli.EXIT_USAGE
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: a bandwidth of 1.7e+308 GHz") and err.count("\n") == 1
+
+    def test_subnormal_spacing_runs_without_warning(self, tmp_path, capsys):
+        # 2*pi/spacing is inf at a subnormal spacing: no recurrence, and no
+        # overflow warning
+        out = tmp_path / "dyn.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run([
+                "dynamics", "--n", "2", "--ell", "0.5", "--omega-q", "2.2250738585072014e-308",
+                "--omega-c", "1e154", "--eta", "1e154", "--modes", "7",
+                "--bandwidth", "2.2250738585072014e-308", "--t-final", "10", "--dt", "1", "--out", str(out),
+            ]) == cli.EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert out.read_text().count("\n") == 3
+        assert json.loads((tmp_path / "dyn.csv.summary.json").read_text())["t_final_ns"] == 10.0
+
     @pytest.mark.parametrize("extra, message", [
         (["--modes", "1"], "error: a bare sector energy"),  # 2*pi*omega_k overflows
         (["--bandwidth", "1e306"], "error: mode frequencies and couplings must be finite"),
@@ -303,6 +344,53 @@ class TestDynamics:
         assert not out.exists()
         err = capsys.readouterr().err
         assert err.startswith(message) and err.count("\n") == 1
+
+
+class TestPublicApi:
+    # the names the package exported when it imported every layer eagerly
+    _EXPORTS = {
+        "model": ["CavitySpec", "LatticeSpec", "coupling_weights", "deformation_factor"],
+        "polariton": ["PolaritonSector", "SectorBasis", "TransitionMatrices", "diagonalize_sector",
+                      "closed_form_coefficients", "first_excited_transition", "transition_matrices"],
+        "radiation": ["DecayResult", "PrefactorInputs", "chi", "chi_closed_form", "decay_rate",
+                      "pv_integral_check", "quasi_period", "s_factor"],
+        "dynamics": ["AmplitudeTrajectory", "BathSpec", "fit_decay", "integrate_amplitudes",
+                     "normalized_bath"],
+    }
+
+    def test_all_names_resolve_to_their_home_module(self):
+        names = [(m, name) for m, names in self._EXPORTS.items() for name in names]
+        assert sorted(quasilattice.__all__) == sorted([name for _, name in names] + ["__version__"])
+        for module, name in names:
+            home = importlib.import_module(f"quasilattice.{module}")
+            assert getattr(quasilattice, name) is getattr(home, name), name
+
+    def test_star_import_and_dir(self):
+        namespace = {}
+        exec("from quasilattice import *", namespace)
+        assert set(quasilattice.__all__) <= set(namespace)
+        assert set(quasilattice.__all__) | set(self._EXPORTS) <= set(dir(quasilattice))
+
+    def test_bare_import_reaches_the_submodules(self):
+        # a fresh interpreter, where no test has imported a layer yet
+        code = (
+            "import quasilattice; "
+            "print(quasilattice.radiation.chi.__module__, quasilattice.model.LatticeSpec.__module__, "
+            "quasilattice.polariton.diagonalize_sector.__module__, "
+            "quasilattice.dynamics.fit_decay.__module__); "
+            "from quasilattice import cli, oracle, validation; "
+            "print(cli.__name__, oracle.__name__, validation.__name__)"
+        )
+        assert fresh(code).split() == [
+            "quasilattice.radiation", "quasilattice.model", "quasilattice.polariton",
+            "quasilattice.dynamics", "quasilattice.cli", "quasilattice.oracle", "quasilattice.validation",
+        ]
+
+    def test_unknown_name_is_attribute_error(self):
+        with pytest.raises(AttributeError, match="'no_such_name'"):
+            quasilattice.no_such_name
+        with pytest.raises(ImportError):
+            from quasilattice import no_such_name  # noqa: F401
 
 
 class TestValidate:
@@ -480,17 +568,31 @@ class TestPlumbing:
     def test_import_loads_no_scipy(self):
         # numpy is the only runtime dependency; a fresh interpreter shows
         # whether any import pulls scipy in
-        src = str(Path(quasilattice.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = dict(os.environ, PYTHONPATH=path)
         code = (
             "import sys, quasilattice, quasilattice.cli; "
             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
         )
-        done = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        assert fresh(code).strip() == "[]"
+
+    @pytest.mark.parametrize("argv, layers", [
+        ([], []),
+        (["spectrum", "--n", "2"], ["polariton"]),
+        (["chi-sweep", "--k-points", "5"], ["polariton", "radiation"]),
+        (["decay-sweep", "--points", "3"], ["polariton", "radiation"]),
+        (["dynamics", "--modes", "11", "--t-final", "10"], ["dynamics", "polariton", "radiation"]),
+        (["validate"], ["oracle", "polariton", "radiation", "validation"]),
+    ], ids=["import", "spectrum", "chi-sweep", "decay-sweep", "dynamics", "validate"])
+    def test_each_command_loads_its_own_layers(self, tmp_path, argv, layers):
+        # the import loads the CLI and the model alone; each subcommand
+        # adds the layers it calls, and no other
+        code = (
+            "import sys, quasilattice, quasilattice.cli; "
+            "assert not sys.argv[1:] or quasilattice.cli.main(sys.argv[1:]) == 0; "
+            "print(' '.join(sorted(m for m in sys.modules if m.startswith('quasilattice.'))))"
         )
-        assert done.stdout.strip() == "[]"
+        out = ["--out", str(tmp_path / "x.out")] if argv else []
+        loaded = fresh(code, *argv, *out).split()
+        assert loaded == [f"quasilattice.{m}" for m in sorted(["cli", "model", *layers])]
 
     def test_threads_flag_is_gone(self):
         assert run(["chi-sweep", "--k-points", "5", "--threads", "4"]) == cli.EXIT_USAGE
