@@ -21,9 +21,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import functools
-import itertools
 import json
 import math
 import os
@@ -38,7 +36,7 @@ EXIT_VALIDATION = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 
-_CHUNK_ROWS = 1024  # rows held as Python objects at a time; a column every block shares is held whole
+_CHUNK_ROWS = 1024  # rows held as Python objects at a time, and decay_rate points per call
 
 
 def _format(template: str, values) -> list[str]:
@@ -46,20 +44,16 @@ def _format(template: str, values) -> list[str]:
     return [template % v for v in values]
 
 
-def _write_csv(out, header: list[str], blocks, row=lambda *v: v) -> None:
-    """Write the header, then row(*values) for each row of each block, at most _CHUNK_ROWS rows per
-    write.  A block's columns are numpy arrays or lists of text of one length, or scalars, which
-    row receives as their text, formatted once per block.  A str field is written as is, any other
-    as "%.17g" (an int prints as is)."""
+def _write_csv(out, header: list[str], columns, row=lambda *v: v) -> None:
+    """Write the header, then row(*values) for each row of the table, whose columns are numpy arrays
+    or lists of text of one length, at most _CHUNK_ROWS rows per write.  A str field is written as
+    is, any other as "%.17g" (an int prints as is)."""
     out.write(",".join(header) + "\r\n")
-    for columns in blocks:
-        size = max(len(c) for c in columns if not np.isscalar(c))
-        columns = [itertools.repeat(_format("%.17g", [c])[0]) if np.isscalar(c) else c for c in columns]
-        for lo in range(0, size, _CHUNK_ROWS):
-            chunk = [c if isinstance(c, itertools.repeat) else c[lo : lo + _CHUNK_ROWS] for c in columns]
-            rows = list(map(row, *[c.tolist() if isinstance(c, np.ndarray) else c for c in chunk]))
-            template = ",".join(["%s" if isinstance(f, str) else "%.17g" for f in rows[0]]) + "\r\n"
-            out.write("".join(_format(template, rows)))
+    for lo in range(0, len(columns[0]), _CHUNK_ROWS):
+        chunk = [c[lo : lo + _CHUNK_ROWS] for c in columns]
+        rows = list(map(row, *[c.tolist() if isinstance(c, np.ndarray) else c for c in chunk]))
+        template = ",".join(["%s" if isinstance(f, str) else "%.17g" for f in rows[0]]) + "\r\n"
+        out.write("".join(_format(template, rows)))
 
 
 def _json_pieces(value, sort_keys: bool, indent: str = "\n"):
@@ -240,12 +234,13 @@ def run_chi_sweep(args: argparse.Namespace) -> int:
     ls = radiation.l_values(lattice)
     rows_by_l = radiation.chi(lattice, cavity, ls, k_grid)
     k_text = _format("%.17g", k_grid.tolist())
+    l_text = [_format("%d", range(ls.size)), _format("%.17g", ls.tolist())]  # l_index, l_value
+    columns = [[t for t in c for _ in k_text] for c in l_text] + [k_text * ls.size, rows_by_l.ravel()]
 
     header = ["l_index", "l_value", "omega_k_ghz", "re_chi", "im_chi", "abs_chi", "arg_chi_rad"]
     with _output(args) as out:
-        _write_csv(out, header, (
-            [i, l, k_text, z] for i, (l, z) in enumerate(zip(ls, rows_by_l))  # one block per l
-        ), lambda i, l, k, z: (i, l, k, z.real, z.imag, abs(z), math.atan2(z.imag, z.real)))
+        _write_csv(out, header, columns, lambda i, l, k, z: (
+            i, l, k, z.real, z.imag, abs(z), math.atan2(z.imag, z.real)))
     return EXIT_OK
 
 
@@ -274,18 +269,16 @@ def run_decay_sweep(args: argparse.Namespace) -> int:
     if prefactor is not None:
         fields["gamma_physical_ghz"] = "gamma_physical"
 
-    def blocks():
-        """decay_rate over the grid, one sweep of at most _CHUNK_ROWS points at a time."""
-        for lo in range(0, args.points, _CHUNK_ROWS):
-            block = [a[lo : lo + _CHUNK_ROWS] if np.ndim(a) else a for a in axes]
-            sweep = LatticeSpec(args.n, *np.broadcast_arrays(*block))
-            result = radiation.decay_rate(sweep, cavity, prefactor, args.branch)
-            yield block + [getattr(result, f) for f in fields.values()]
-
-    rows = blocks()
-    first = next(rows)  # a sweep that fails in its first block writes no output
+    results = []  # decay_rate over the grid, one sweep of at most _CHUNK_ROWS points at a time
+    for lo in range(0, args.points, _CHUNK_ROWS):
+        block = [a[lo : lo + _CHUNK_ROWS] if np.ndim(a) else a for a in axes]
+        result = radiation.decay_rate(LatticeSpec(args.n, *np.broadcast_arrays(*block)), cavity,
+                                      prefactor, args.branch)
+        results.append([getattr(result, f) for f in fields.values()])
+    columns = [a if np.ndim(a) else _format("%.17g", [a]) * args.points for a in axes]
+    columns += [np.concatenate(c) for c in zip(*results)]
     with _output(args) as out:
-        _write_csv(out, ["ell", "omega_q_ghz", *fields], itertools.chain([first], rows))
+        _write_csv(out, ["ell", "omega_q_ghz", *fields], columns)
     return EXIT_OK
 
 
@@ -338,13 +331,11 @@ def run_dynamics(args: argparse.Namespace) -> int:
         t_final = min(3.0 / gamma if gamma > 0 else 100.0, 0.8 * bath.recurrence_time)
     traj = dynamics.integrate_amplitudes(lattice, cavity, bath, t_final, args.dt, branch=args.branch)
     rows = slice(None, None, args.sample_stride)  # the written steps
-    written = dataclasses.replace(traj, times=traj.times[rows], alpha=traj.alpha[rows])
-
-    bound = written.error_bound
+    bound = traj.error_bound[rows]
     header = ["t_ns", "re_alpha", "im_alpha", "alpha_sq", "beta_total_sq", "norm_residual"]
-    columns = [written.times, written.alpha, written.beta_total_sq, bound]
+    columns = [traj.times[rows], traj.alpha[rows], traj.beta_total_sq[rows], bound]
     with _output(args) as out:
-        _write_csv(out, header, [columns], lambda t, a, beta_sq, err: (
+        _write_csv(out, header, columns, lambda t, a, beta_sq, err: (
             t, a.real, a.imag, abs(a) ** 2, beta_sq, err))
 
     summary = {

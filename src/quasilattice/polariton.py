@@ -98,8 +98,6 @@ def sector_basis(lattice: LatticeSpec, two_u: int) -> SectorBasis:
     n_lo = max(0, (two_u - two_r) // 2)
     n_hi = (two_u + two_r) // 2
     entries = tuple((n, two_u - 2 * n) for n in range(n_lo, n_hi + 1))
-    if not entries:
-        raise EmptySectorError(f"sector 2u={two_u} is empty")
     return SectorBasis(two_u=two_u, entries=entries)
 
 

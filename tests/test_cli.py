@@ -30,7 +30,7 @@ def fresh(code, *argv):
     src = str(Path(quasilattice.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-c", code, *argv],
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", code, *argv],
         env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, check=True,
     )
     return done.stdout
@@ -134,6 +134,21 @@ class TestDecaySweep:
         assert not out.exists()
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+    def test_failure_past_the_first_block_writes_nothing(self, tmp_path, capsys):
+        # The first 1024 points pass; the site phase overflows only in the
+        # second block of decay_rate calls, after those rows were computed.
+        argv = ["decay-sweep", "--n", "3", "--sweep", "omega-q", "--omega-q-min", "1",
+                "--omega-q-max", "1e308", "--points", "2000"]
+        assert 2000 > cli._CHUNK_ROWS
+        out = tmp_path / "decay.csv"
+        assert run(argv + ["--out", str(out)]) == cli.EXIT_USAGE
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: site phase") and err.count("\n") == 1
+        assert run(argv) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == err
 
 
 class TestSpectrum:
@@ -782,13 +797,12 @@ class TestCsvBytes:
         writer.writerows([[_fmt(x) for x in row] for row in rows])
         got = io.StringIO()
         columns = [np.array([row[c] for row in rows], dtype=float) for c in range(3)]
-        half = len(rows) // 2  # two blocks, one of them empty when there are no rows
-        cli._write_csv(got, ["a", "b", "c"], [[c[:half] for c in columns], [c[half:] for c in columns]])
+        cli._write_csv(got, ["a", "b", "c"], columns)
         assert got.getvalue() == expected.getvalue()
 
     def test_each_value_formatted_once(self, monkeypatch):
         # chi-sweep formats its shared k grid once per command, and each
-        # block's l_value once per chunk (one here), not once per row.
+        # l_value once per command, not once per row.
         values = []
         format_ = cli._format
 

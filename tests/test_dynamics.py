@@ -303,8 +303,8 @@ class TestIntegration:
         for threads in ("1", "2"):
             out = tmp_path / f"threads{threads}.csv"
             env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads)
-            subprocess.run([sys.executable, "-m", "quasilattice.cli", "dynamics", "--out", str(out)],
-                           env=env, check=True)
+            subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "quasilattice.cli",
+                            "dynamics", "--out", str(out)], env=env, check=True)
             outputs.add((out.read_bytes(), Path(f"{out}.summary.json").read_bytes()))
         assert len(outputs) == 1
 
@@ -599,7 +599,7 @@ class TestArrowheadEigensolver:
             path = os.pathsep.join(filter(None, [src, str(Path(__file__).parent),
                                                  os.environ.get("PYTHONPATH")]))
             env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads)
-            done = subprocess.run([sys.executable, "-c", code], env=env,
+            done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", code], env=env,
                                   capture_output=True, text=True, check=True)
             digests.add(done.stdout)
         assert len(digests) == 1
