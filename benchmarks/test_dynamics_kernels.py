@@ -8,7 +8,8 @@ The kernels carry no timing asserts.  ``integrate_amplitudes`` runs at
 the ``dynamics`` defaults: N=4, ell=2/3, omega_q=3*6.729 GHz, a 601-mode
 bath of bandwidth 0.5 GHz, dt=0.2 ns and the horizon the command picks,
 min(3/gamma, 0.8 * recurrence time).  This is the propagation of the
-bath-decay benchmark workload.  One more call, untimed and under
+bath-decay benchmark workload; its amplitude s(omega_k) is formed
+before the timed call, as the command forms it.  One more call, untimed and under
 ``tracemalloc``, records the peak of the arrays it allocates as
 ``extra_info["tracemalloc_peak_mb"]``.  The timed call's
 error bound, ``AmplitudeTrajectory.error_bound``, must stay below 1e-12
@@ -41,14 +42,16 @@ CAVITY = CavitySpec(omega_c=6.729, eta=0.1)
 
 
 def test_integrate_amplitudes(benchmark):
-    bath = dynamics.normalized_bath(LATTICE, 0.5, 601)
+    bath = dynamics.normalized_bath(LATTICE.omega_q, 0.5, 601)
     gamma = radiation.decay_rate(LATTICE, CAVITY).gamma_normalized
     t_final = min(3.0 / gamma, 0.8 * bath.recurrence_time)
-    traj = benchmark(dynamics.integrate_amplitudes, LATTICE, CAVITY, bath, t_final, 0.2)
+    s_k = radiation.s_factor(LATTICE, CAVITY, bath.mode_frequencies)
+    args = (LATTICE.omega_q, s_k, bath, t_final, 0.2)
+    traj = benchmark(dynamics.integrate_amplitudes, *args)
     assert traj.alpha.size == 19329
     assert np.max(traj.error_bound) < 1e-12
     benchmark.extra_info["tracemalloc_peak_mb"] = _traced_peak_mb(
-        dynamics.integrate_amplitudes, LATTICE, CAVITY, bath, t_final, 0.2
+        dynamics.integrate_amplitudes, *args
     )
 
 
@@ -66,7 +69,7 @@ def _arrowhead(n_modes, dark=False):
     """Diagonal and border of the default bath's arrowhead, as
     ``integrate_amplitudes`` forms them; with every third coupling zero
     if dark."""
-    bath = dynamics.normalized_bath(LATTICE, 0.5, n_modes)
+    bath = dynamics.normalized_bath(LATTICE.omega_q, 0.5, n_modes)
     s_k = radiation.s_factor(LATTICE, CAVITY, bath.mode_frequencies)
     z = bath.couplings * np.abs(s_k)
     if dark:

@@ -324,12 +324,13 @@ def run_dynamics(args: argparse.Namespace) -> int:
     if args.t_final < 0:
         raise ValueError(f"--t-final must be positive, or 0 for auto, got {args.t_final:g}")
     lattice, cavity = _specs(args)
-    bath = dynamics.normalized_bath(lattice, args.bandwidth, args.modes)
+    bath = dynamics.normalized_bath(lattice.omega_q, args.bandwidth, args.modes)
     gamma = radiation.decay_rate(lattice, cavity, branch=args.branch).gamma_normalized
     t_final = args.t_final
     if t_final == 0:
         t_final = min(3.0 / gamma if gamma > 0 else 100.0, 0.8 * bath.recurrence_time)
-    traj = dynamics.integrate_amplitudes(lattice, cavity, bath, t_final, args.dt, branch=args.branch)
+    amplitude = radiation.s_factor(lattice, cavity, bath.mode_frequencies, args.branch)
+    traj = dynamics.integrate_amplitudes(lattice.omega_q, amplitude, bath, t_final, args.dt)
     rows = slice(None, None, args.sample_stride)  # the written steps
     bound = traj.error_bound[rows]
     header = ["t_ns", "re_alpha", "im_alpha", "alpha_sq", "beta_total_sq", "norm_residual"]

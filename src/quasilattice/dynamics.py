@@ -1,16 +1,19 @@
-"""Time-domain decay of the lowest excited polariton into a discretized
-waveguide continuum.
+"""Time-domain decay of an emitter into a discretized waveguide
+continuum.
 
-The coupled amplitude equations are solved exactly, by one
+The coupled amplitude equations of an emitter of frequency omega_e and
+emission amplitude A(omega_k) are solved exactly, by one
 eigendecomposition of a real symmetric arrowhead matrix in the rotating
 frame of the bath modes (see ``integrate_amplitudes``), so the
 exponential (Markov) decay law is an output to be checked against the
-analytic rate, not an assumption of the scheme.  The eigendecomposition
-is that of the arrowhead's bright modes: the roots of its secular
-equation and the first entries of Loewner's eigenvectors, O(M^2)
-elementwise work in O(M) memory (see ``_bright_eigh``); neither it nor
-alpha's evaluation calls BLAS or LAPACK.  Times are in ns, frequencies
-in GHz, with 2*pi absorbed into the angular-frequency convention.
+analytic rate, not an assumption of the scheme.  The caller forms A;
+the lowest excited polariton's is s(omega_k) (``radiation.s_factor``).
+The eigendecomposition is that of the arrowhead's bright modes: the
+roots of its secular equation and the first entries of Loewner's
+eigenvectors, O(M^2) elementwise work in O(M) memory (see
+``_bright_eigh``); neither it nor alpha's evaluation calls BLAS or
+LAPACK.  Times are in ns, frequencies in GHz, with 2*pi absorbed into
+the angular-frequency convention.
 """
 
 from __future__ import annotations
@@ -20,8 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CavitySpec, LatticeSpec, refuse_sweep
-from .radiation import s_factor
+from .model import LatticeSpec
 
 # Elements per scratch array of the arrowhead eigensolver, about 0.5 MB:
 # it works on blocks of roots of this many (root, mode) pairs.
@@ -123,24 +125,18 @@ class AmplitudeTrajectory:
         return bound
 
 
-def normalized_bath(
-    lattice: LatticeSpec,
-    bandwidth: float,
-    n_modes: int,
-) -> BathSpec:
-    """Uniform bath over [omega_q - B/2, omega_q + B/2] with the
-    normalized coupling profile g_k^2 = spacing * k_q / (2 pi omega_k).
+def normalized_bath(w_q: float, bandwidth: float, n_modes: int) -> BathSpec:
+    """Uniform bath over [w_q - B/2, w_q + B/2] with the normalized
+    coupling profile g_k^2 = spacing * w_q / (2 pi omega_k).
 
-    With this measure the golden-rule rate for |alpha|^2 equals
-    |s(k_q)|^2, matching the normalized analytic decay rate.  A grid
-    whose n_modes frequencies are not distinct in float64 (a bandwidth
-    below the resolution of omega_q) raises ValueError before any
-    coupling is formed.
+    With this measure the golden-rule rate for |alpha|^2 of an emitter
+    at w_q equals |A(w_q)|^2 (``integrate_amplitudes``), and |s(k_q)|^2
+    for A = s, the normalized analytic decay rate.  A grid whose n_modes
+    frequencies are not distinct in float64 (a bandwidth below the
+    resolution of w_q) raises ValueError before any coupling is formed.
     """
-    refuse_sweep(lattice, "normalized_bath")
     if not 0 < bandwidth < math.inf or n_modes < 1:
         raise ValueError("bandwidth must be positive and finite, and n_modes >= 1")
-    w_q = lattice.omega_q
     if n_modes == 1:
         freqs = np.array([w_q])
         spacing = bandwidth
@@ -156,7 +152,7 @@ def normalized_bath(
     if freqs[0] <= 0:
         raise ValueError("bath extends to nonpositive frequencies; shrink bandwidth")
     with np.errstate(over="ignore", invalid="ignore"):  # BathSpec or the sector block refuses
-        g = np.sqrt(spacing * lattice.k_q / (2.0 * math.pi * freqs))
+        g = np.sqrt(spacing * w_q / (2.0 * math.pi * freqs))
     return BathSpec(mode_frequencies=freqs, couplings=g, spacing=spacing)
 
 
@@ -179,7 +175,7 @@ def physical_bath(
         raise ValueError(
             "mu must be finite, and epsilon_d, volume and speed finite and positive"
         )
-    base = normalized_bath(lattice, bandwidth, n_modes)
+    base = normalized_bath(lattice.omega_q, bandwidth, n_modes)
     w = base.mode_frequencies
     g = np.sqrt(
         base.spacing * speed * lattice.k_q**2 * mu**2 / (2.0 * epsilon_d * w * volume)
@@ -376,24 +372,21 @@ def _bright_eigh(d, z):
 
 
 def integrate_amplitudes(
-    lattice: LatticeSpec,
-    cavity: CavitySpec,
-    bath: BathSpec,
-    t_final: float,
-    dt: float,
-    branch: int = 0,
+    omega_e: float, amplitude, bath: BathSpec, t_final: float, dt: float
 ) -> AmplitudeTrajectory:
-    """Exact solution of
+    """Exact solution, for an emitter of frequency omega_e with the
+    emission amplitude A(omega_k) = amplitude[k] (complex, or a scalar
+    for every mode), of
 
-        d(alpha)/dt = -i sum_k g_k s(k) beta_k exp(-i(omega_q-omega_k)t)
-        d(beta_k)/dt = -i g_k s*(k) alpha exp(+i(omega_q-omega_k)t)
+        d(alpha)/dt = -i sum_k g_k A(omega_k) beta_k exp(-i(omega_e-omega_k)t)
+        d(beta_k)/dt = -i g_k A*(omega_k) alpha exp(+i(omega_e-omega_k)t)
 
     from alpha(0)=1, beta(0)=0, at every step t = n*dt, n = 0..ceil(t_final/dt).
 
     In the rotating frame b_k = beta_k exp(-i Delta_k t), Delta_k =
-    omega_q - omega_k, with the phase of s(k) absorbed into b_k, the
-    system is psi' = -i H psi for psi = (alpha, b) and a constant real
-    symmetric arrowhead H: diagonal (0, Delta_k), border z_k = g_k |s(k)|.
+    omega_e - omega_k, with the phase of A(omega_k) absorbed into b_k,
+    the system is psi' = -i H psi for psi = (alpha, b) and a constant real
+    symmetric arrowhead H: diagonal (0, Delta_k), border z_k = g_k |A(omega_k)|.
     With H = V diag(lam) V^T, alpha(t) = sum_j V_0j^2 exp(-i lam_j t), and
     sum_k |beta_k|^2 = 1 - |alpha|^2, as psi keeps its norm.  lam and
     V_0j, no other entry of V, come from ``_bright_eigh``, the modes by
@@ -422,8 +415,8 @@ def integrate_amplitudes(
     """
     if not (0 < t_final < math.inf and 0 < dt < math.inf):
         raise ValueError("t_final and dt must be positive and finite")
-    detunings = lattice.omega_q - bath.mode_frequencies
-    couplings = bath.couplings * np.abs(s_factor(lattice, cavity, bath.mode_frequencies, branch))
+    detunings = omega_e - bath.mode_frequencies
+    couplings = bath.couplings * np.abs(amplitude)
     if not (np.isfinite(detunings).all() and np.isfinite(couplings).all()):
         raise RuntimeError("non-finite amplitude equations")
     reach = float(np.max(np.abs(detunings))) + math.hypot(*couplings)

@@ -195,16 +195,18 @@ def test_criterion_6_principal_value(capsys):
 def test_criterion_7_wigner_weisskopf(capsys):
     lat = LatticeSpec(4, 2 / 3, 3 * 6.729)
     gamma = radiation.decay_rate(lat, CAV).gamma_normalized
-    bath = dynamics.normalized_bath(lat, bandwidth=max(60 * gamma, 0.5), n_modes=601)
+    bath = dynamics.normalized_bath(lat.omega_q, bandwidth=max(60 * gamma, 0.5), n_modes=601)
     t_final = min(3.0 / gamma, 0.8 * 2 * math.pi / bath.spacing)
-    traj = dynamics.integrate_amplitudes(lat, CAV, bath, t_final, 0.2)
+    s_k = radiation.s_factor(lat, CAV, bath.mode_frequencies)
+    traj = dynamics.integrate_amplitudes(lat.omega_q, s_k, bath, t_final, 0.2)
     fitted = dynamics.fit_decay(traj)
     ok = 0.9 < fitted / gamma < 1.1
     # single resonant mode: Rabi oscillation against the two-level solution
     g = 0.05
     single = dynamics.BathSpec(np.array([lat.omega_q]), np.array([g]), 1.0)
     rabi = g * abs(radiation.s_factor(lat, CAV, lat.omega_q))
-    tr = dynamics.integrate_amplitudes(lat, CAV, single, 60.0, 0.01)
+    s_single = radiation.s_factor(lat, CAV, single.mode_frequencies)
+    tr = dynamics.integrate_amplitudes(lat.omega_q, s_single, single, 60.0, 0.01)
     rms = float(
         np.sqrt(np.mean((np.abs(tr.alpha) ** 2 - np.cos(rabi * tr.times) ** 2) ** 2))
     )

@@ -609,6 +609,15 @@ class TestPlumbing:
         loaded = fresh(code, *argv, *out).split()
         assert loaded == [f"quasilattice.{m}" for m in sorted(["cli", "model", *layers])]
 
+    def test_dynamics_imports_no_physics_layer(self):
+        # the propagator takes its emission amplitude from the caller, so
+        # it needs neither radiation nor the polariton layer
+        code = (
+            "import sys, quasilattice.dynamics; "
+            "print(' '.join(sorted(m for m in sys.modules if m.startswith('quasilattice'))))"
+        )
+        assert fresh(code).split() == ["quasilattice", "quasilattice.dynamics", "quasilattice.model"]
+
     def test_threads_flag_is_gone(self):
         assert run(["chi-sweep", "--k-points", "5", "--threads", "4"]) == cli.EXIT_USAGE
 
@@ -733,13 +742,14 @@ def _reference_csv(argv):
                 row.append(_fmt(res.gamma_physical))
             writer.writerow(row)
     else:
-        bath = dynamics.normalized_bath(lattice, args.bandwidth, args.modes)
+        bath = dynamics.normalized_bath(lattice.omega_q, args.bandwidth, args.modes)
         gamma = radiation.decay_rate(lattice, cavity, branch=args.branch).gamma_normalized
         t_final = args.t_final
         if t_final <= 0:
             recurrence = 2.0 * math.pi / bath.spacing if bath.n_modes > 1 else math.inf
             t_final = min(3.0 / gamma if gamma > 0 else 100.0, 0.8 * recurrence)
-        traj = dynamics.integrate_amplitudes(lattice, cavity, bath, t_final, args.dt, branch=args.branch)
+        amplitude = radiation.s_factor(lattice, cavity, bath.mode_frequencies, args.branch)
+        traj = dynamics.integrate_amplitudes(lattice.omega_q, amplitude, bath, t_final, args.dt)
         stride = args.sample_stride
         writer.writerow(["t_ns", "re_alpha", "im_alpha", "alpha_sq", "beta_total_sq", "norm_residual"])
         rows = zip(traj.times[::stride], traj.alpha[::stride], traj.beta_total_sq[::stride],

@@ -19,6 +19,14 @@ CAV = CavitySpec(omega_c=6.729, eta=0.1)
 LAT = LatticeSpec(n_qubits=4, relative_spacing=2 / 3, omega_q=3 * 6.729)
 
 
+def _polariton(lattice, cavity, bath, t_final, dt):
+    """``integrate_amplitudes`` for the lowest excited polariton of
+    lattice, as the ``dynamics`` command calls it: the emitter at omega_q,
+    with the amplitude s(omega_k) at each bath mode."""
+    amplitude = radiation.s_factor(lattice, cavity, bath.mode_frequencies)
+    return dynamics.integrate_amplitudes(lattice.omega_q, amplitude, bath, t_final, dt)
+
+
 def _rk4_reference(lattice, cavity, bath, t_final, dt):
     """Fixed-step fourth-order Runge-Kutta integration of the amplitude
     equations in the interaction picture, an independent reference for
@@ -61,7 +69,7 @@ def _rk4_reference(lattice, cavity, bath, t_final, dt):
 
 class TestBathSpec:
     def test_uniform_grid_centered_on_qubit(self):
-        bath = dynamics.normalized_bath(LAT, bandwidth=0.5, n_modes=11)
+        bath = dynamics.normalized_bath(LAT.omega_q, bandwidth=0.5, n_modes=11)
         assert bath.n_modes == 11
         assert bath.mode_frequencies[5] == pytest.approx(LAT.omega_q)
         assert np.allclose(np.diff(bath.mode_frequencies), bath.spacing)
@@ -111,12 +119,12 @@ class TestBathSpec:
 
     def test_rejects_nonpositive_frequencies(self):
         with pytest.raises(ValueError):
-            dynamics.normalized_bath(LAT, bandwidth=100.0, n_modes=11)
+            dynamics.normalized_bath(LAT.omega_q, bandwidth=100.0, n_modes=11)
 
     @pytest.mark.parametrize("bandwidth", [math.nan, math.inf])
     def test_rejects_non_finite_bandwidth(self, bandwidth):
         with pytest.raises(ValueError):
-            dynamics.normalized_bath(LAT, bandwidth=bandwidth, n_modes=11)
+            dynamics.normalized_bath(LAT.omega_q, bandwidth=bandwidth, n_modes=11)
 
     @pytest.mark.parametrize("omega_q, bandwidth, n_modes", [
         (1e308, 0.5, 601),  # the grid collapses to one float; 2*pi*omega_k overflows
@@ -124,11 +132,10 @@ class TestBathSpec:
         (13.458, 1e-14, 11),  # a bandwidth far below the resolution of omega_q
     ])
     def test_unresolved_grid_raises_before_arithmetic(self, omega_q, bandwidth, n_modes):
-        lat = LatticeSpec(n_qubits=4, relative_spacing=2 / 3, omega_q=omega_q)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="distinct float64 mode frequencies"):
-                dynamics.normalized_bath(lat, bandwidth, n_modes)
+                dynamics.normalized_bath(omega_q, bandwidth, n_modes)
 
     def test_physical_couplings_scale(self):
         a = dynamics.physical_bath(LAT, 0.5, 11, mu=1.0, epsilon_d=1.0, volume=1.0)
@@ -141,14 +148,14 @@ class TestIntegration:
         bath = dynamics.BathSpec(
             np.linspace(19.0, 21.0, 11), np.zeros(11), 0.2
         )
-        traj = dynamics.integrate_amplitudes(LAT, CAV, bath, 2.0, 0.01)
+        traj = _polariton(LAT, CAV, bath, 2.0, 0.01)
         assert np.max(np.abs(traj.alpha - 1.0)) == 0.0
 
     def test_single_resonant_mode_rabi(self):
         g = 0.05
         bath = dynamics.BathSpec(np.array([LAT.omega_q]), np.array([g]), 1.0)
         rabi = g * abs(radiation.s_factor(LAT, CAV, LAT.omega_q))
-        traj = dynamics.integrate_amplitudes(LAT, CAV, bath, 60.0, 0.01)
+        traj = _polariton(LAT, CAV, bath, 60.0, 0.01)
         expected = np.cos(rabi * traj.times) ** 2
         assert np.max(np.abs(np.abs(traj.alpha) ** 2 - expected)) < 1e-9
 
@@ -158,14 +165,14 @@ class TestIntegration:
         g = 1.0  # 7 (N=1) and 27 (N=4) Rabi periods in the horizon
         bath = dynamics.BathSpec(np.array([lat.omega_q]), np.array([g]), 1.0)
         rabi = g * abs(radiation.s_factor(lat, CAV, lat.omega_q))
-        traj = dynamics.integrate_amplitudes(lat, CAV, bath, 3000.0, 0.5)
+        traj = _polariton(lat, CAV, bath, 3000.0, 0.5)
         expected = np.cos(rabi * traj.times) ** 2
         assert np.max(np.abs(np.abs(traj.alpha) ** 2 - expected)) < 1e-12
         assert np.max(np.abs(traj.beta_total_sq - (1.0 - expected))) < 1e-12
 
     def test_norm_conservation(self):
-        bath = dynamics.normalized_bath(LAT, bandwidth=0.4, n_modes=101)
-        traj = dynamics.integrate_amplitudes(LAT, CAV, bath, 60.0, 0.2)
+        bath = dynamics.normalized_bath(LAT.omega_q, bandwidth=0.4, n_modes=101)
+        traj = _polariton(LAT, CAV, bath, 60.0, 0.2)
         assert np.max(traj.error_bound) < 1e-6 * max(1.0, traj.times[-1])
 
     @pytest.mark.parametrize(
@@ -173,18 +180,18 @@ class TestIntegration:
     )
     def test_matches_rk4_reference(self, n_qubits, ell):
         lat = LatticeSpec(n_qubits, ell, LAT.omega_q)
-        bath = dynamics.normalized_bath(lat, bandwidth=0.4, n_modes=51)
-        traj = dynamics.integrate_amplitudes(lat, CAV, bath, 40.0, 0.2)
+        bath = dynamics.normalized_bath(lat.omega_q, bandwidth=0.4, n_modes=51)
+        traj = _polariton(lat, CAV, bath, 40.0, 0.2)
         alpha, beta_sq = _rk4_reference(lat, CAV, bath, 40.0, 0.2)
         assert np.max(np.abs(traj.alpha - alpha)) < 1e-10
         assert np.max(np.abs(traj.beta_total_sq - beta_sq)) < 1e-10
 
     def test_step_halving_convergence(self):
         # RK4's global error is O(dt^4): halving dt cuts it by about 16
-        bath = dynamics.normalized_bath(LAT, bandwidth=0.4, n_modes=51)
+        bath = dynamics.normalized_bath(LAT.omega_q, bandwidth=0.4, n_modes=51)
         errors = []
         for dt in (0.2, 0.1):
-            exact = dynamics.integrate_amplitudes(LAT, CAV, bath, 40.0, dt).alpha
+            exact = _polariton(LAT, CAV, bath, 40.0, dt).alpha
             alpha, _ = _rk4_reference(LAT, CAV, bath, 40.0, dt)
             errors.append(np.max(np.abs(alpha - exact)))
         assert errors[0] > 8 * errors[1]
@@ -213,12 +220,12 @@ class TestIntegration:
         _SOLVER_BLOCK doubles (0.5 MB each), four counted.  That is 16 MB.
         The (M+1)-square eigenvector array alone would be 46 MB.
         """
-        bath = dynamics.normalized_bath(LAT, 0.5, 2401)
+        bath = dynamics.normalized_bath(LAT.omega_q, 0.5, 2401)
         gamma = radiation.decay_rate(LAT, CAV).gamma_normalized
         t_final = min(3.0 / gamma, 0.8 * bath.recurrence_time)
         tracemalloc.start()
         try:
-            traj = dynamics.integrate_amplitudes(LAT, CAV, bath, t_final, 0.2)
+            traj = _polariton(LAT, CAV, bath, t_final, 0.2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -238,23 +245,23 @@ class TestIntegration:
             assert not out.exists()
 
     def test_rejects_non_finite_horizon_and_step(self):
-        bath = dynamics.normalized_bath(LAT, bandwidth=0.4, n_modes=1)
+        bath = dynamics.normalized_bath(LAT.omega_q, bandwidth=0.4, n_modes=1)
         for t_final, dt in ((math.inf, 0.2), (math.nan, 0.2), (5.0, math.inf), (5.0, math.nan)):
             with pytest.raises(ValueError):
-                dynamics.integrate_amplitudes(LAT, CAV, bath, t_final, dt)
+                _polariton(LAT, CAV, bath, t_final, dt)
 
     def test_coarse_step_rejected(self):
-        bath = dynamics.normalized_bath(LAT, bandwidth=10.0, n_modes=51)
+        bath = dynamics.normalized_bath(LAT.omega_q, bandwidth=10.0, n_modes=51)
         with pytest.raises(dynamics.StepSizeError):
-            dynamics.integrate_amplitudes(LAT, CAV, bath, 10.0, 0.1)
+            _polariton(LAT, CAV, bath, 10.0, 0.1)
 
     def test_recurrence_guard(self):
-        bath = dynamics.normalized_bath(LAT, bandwidth=0.5, n_modes=11)
+        bath = dynamics.normalized_bath(LAT.omega_q, bandwidth=0.5, n_modes=11)
         horizon = 2.0 * math.pi / bath.spacing + 1.0
         with pytest.raises(dynamics.RecurrenceError):
-            dynamics.integrate_amplitudes(LAT, CAV, bath, horizon, 0.2)
+            _polariton(LAT, CAV, bath, horizon, 0.2)
 
-    def test_l_resolved_matches_collapsed(self, monkeypatch):
+    def test_l_resolved_matches_collapsed(self):
         # the transition element is l-uniform, so driving the propagator
         # with an explicit per-l sum of chi_l gives the same dynamics as
         # the collapsed s(k)
@@ -265,16 +272,40 @@ class TestIntegration:
                 s_k += radiation.chi(lattice, cavity, l, k)
             return s_k * element / lattice.n_qubits
 
-        bath = dynamics.normalized_bath(LAT, bandwidth=0.4, n_modes=31)
-        a = dynamics.integrate_amplitudes(LAT, CAV, bath, 30.0, 0.2)
-        monkeypatch.setattr(dynamics, "s_factor", l_resolved_s)
-        b = dynamics.integrate_amplitudes(LAT, CAV, bath, 30.0, 0.2)
+        bath = dynamics.normalized_bath(LAT.omega_q, bandwidth=0.4, n_modes=31)
+        a = _polariton(LAT, CAV, bath, 30.0, 0.2)
+        l_resolved = l_resolved_s(LAT, CAV, bath.mode_frequencies)
+        b = dynamics.integrate_amplitudes(LAT.omega_q, l_resolved, bath, 30.0, 0.2)
         assert np.max(np.abs(a.alpha - b.alpha)) < 1e-12
         assert np.max(np.abs(a.beta_total_sq - b.beta_total_sq)) < 1e-12
 
+    def test_only_the_amplitude_modulus_enters(self):
+        # the phase of A(omega_k) is absorbed into b_k, and a scalar stands
+        # for every mode: s(omega_k) against |s(omega_k)| and against s
+        # turned by seeded quarter turns, which round nothing, and a scalar
+        # against the same constant per mode give the same bits; seeded
+        # phases of any angle round |A| by an ulp, and stay within the two
+        # runs' bounds
+        bath = dynamics.normalized_bath(LAT.omega_q, bandwidth=0.4, n_modes=51)
+        s_k = radiation.s_factor(LAT, CAV, bath.mode_frequencies)
+        rng = np.random.default_rng(0)
+        turns = np.array([1, 1j, -1, -1j])[rng.integers(0, 4, s_k.size)]
+        phases = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, s_k.size))
+        const = 0.7 - 0.2j
+
+        def run(amplitude):
+            return dynamics.integrate_amplitudes(LAT.omega_q, amplitude, bath, 120.0, 0.2)
+
+        for x, y in [(s_k, np.abs(s_k)), (s_k, s_k * turns), (const, np.full(s_k.size, const))]:
+            a, b = run(x), run(y)
+            assert a.alpha.tobytes() == b.alpha.tobytes()
+            assert a.error_bound.tobytes() == b.error_bound.tobytes()
+        a, b = run(s_k), run(s_k * phases)
+        assert np.all(np.abs(b.alpha - a.alpha) <= b.error_bound + a.error_bound)
+
     def test_initial_condition(self):
-        bath = dynamics.normalized_bath(LAT, bandwidth=0.4, n_modes=11)
-        traj = dynamics.integrate_amplitudes(LAT, CAV, bath, 5.0, 0.2)
+        bath = dynamics.normalized_bath(LAT.omega_q, bandwidth=0.4, n_modes=11)
+        traj = _polariton(LAT, CAV, bath, 5.0, 0.2)
         assert traj.alpha[0] == 1.0
         assert traj.beta_total_sq[0] == 0.0
         assert traj.error_bound[0] == 0.0
@@ -282,14 +313,14 @@ class TestIntegration:
     def test_dark_modes_change_no_bit(self):
         # a mode with zero coupling is dropped before the eigensolver, so
         # the run is the run on the bath without it, bit for bit
-        bath = dynamics.normalized_bath(LAT, bandwidth=0.4, n_modes=51)
+        bath = dynamics.normalized_bath(LAT.omega_q, bandwidth=0.4, n_modes=51)
         couplings = bath.couplings.copy()
         couplings[::3] = 0.0
         dark = dynamics.BathSpec(bath.mode_frequencies, couplings, bath.spacing)
         keep = couplings > 0
         bright = dynamics.BathSpec(bath.mode_frequencies[keep], couplings[keep], bath.spacing)
-        a = dynamics.integrate_amplitudes(LAT, CAV, dark, 120.0, 0.2)
-        b = dynamics.integrate_amplitudes(LAT, CAV, bright, 120.0, 0.2)
+        a = _polariton(LAT, CAV, dark, 120.0, 0.2)
+        b = _polariton(LAT, CAV, bright, 120.0, 0.2)
         assert a.alpha.tobytes() == b.alpha.tobytes()
         assert a.beta_total_sq.tobytes() == b.beta_total_sq.tobytes()
 
@@ -412,18 +443,18 @@ BATH_CASES = {
     # bath, cavity, t_final, dt and the stride of the steps compared; the
     # names count chunks of 128 samples, the unit of an earlier bath
     # evaluation
-    "defaults": (dynamics.normalized_bath(LAT, 0.5, 601), CAV, None, 0.2, 10),
+    "defaults": (dynamics.normalized_bath(LAT.omega_q, 0.5, 601), CAV, None, 0.2, 10),
     # 601 samples
-    "stride-1-partial-chunk": (dynamics.normalized_bath(LAT, 0.4, 51), CAV, 120.0, 0.2, 1),
+    "stride-1-partial-chunk": (dynamics.normalized_bath(LAT.omega_q, 0.4, 51), CAV, 120.0, 0.2, 1),
     # 512 samples
-    "whole-chunks": (dynamics.normalized_bath(LAT, 0.4, 51), CAV, 102.2, 0.2, 1),
+    "whole-chunks": (dynamics.normalized_bath(LAT.omega_q, 0.4, 51), CAV, 102.2, 0.2, 1),
     # 351 samples at stride 10
-    "stride-10": (dynamics.normalized_bath(LAT, 0.4, 51), CAV, 700.0, 0.2, 10),
+    "stride-10": (dynamics.normalized_bath(LAT.omega_q, 0.4, 51), CAV, 700.0, 0.2, 10),
     # 101 samples
-    "short": (dynamics.normalized_bath(LAT, 0.4, 51), CAV, 20.0, 0.2, 1),
+    "short": (dynamics.normalized_bath(LAT.omega_q, 0.4, 51), CAV, 20.0, 0.2, 1),
     "one-mode": (dynamics.BathSpec(np.array([LAT.omega_q]), np.array([0.05]), 1.0),
                  CAV, 300.0, 0.5, 1),
-    "eta-0": (dynamics.normalized_bath(LAT, 0.4, 51), CavitySpec(6.729, 0.0), 120.0, 0.2, 1),
+    "eta-0": (dynamics.normalized_bath(LAT.omega_q, 0.4, 51), CavitySpec(6.729, 0.0), 120.0, 0.2, 1),
 }
 
 
@@ -438,7 +469,7 @@ class TestBathEvaluation:
         if t_final is None:  # the horizon ``dynamics`` picks at its defaults
             gamma = radiation.decay_rate(LAT, cavity).gamma_normalized
             t_final = min(3.0 / gamma, 0.8 * 2.0 * math.pi / bath.spacing)
-        traj = dynamics.integrate_amplitudes(LAT, cavity, bath, t_final, dt)
+        traj = _polariton(LAT, cavity, bath, t_final, dt)
         lam, vecs = _arrowhead_eigensystem(LAT, cavity, bath)
         assert np.array_equal(traj.alpha, _whole_time_alpha(lam, vecs, traj.times))
         sampled = traj.times[::stride]
@@ -455,7 +486,7 @@ def _solver_case(case, m):
     (z = 0 everywhere), or with every third coupling zero."""
     lat = LAT if case != "off-quasi-period" else LatticeSpec(4, 0.37, 13.458)
     cavity = CAV if case != "eta-0" else CavitySpec(6.729, 0.0)
-    bath = dynamics.normalized_bath(lat, 0.5, m)
+    bath = dynamics.normalized_bath(lat.omega_q, 0.5, m)
     if case == "part-zero":
         couplings = bath.couplings.copy()
         couplings[::3] = 0.0
@@ -624,10 +655,10 @@ class TestErrorBound:
     """``AmplitudeTrajectory.error_bound`` against broken solves, and
     against an exact reference."""
 
-    BATH = dynamics.normalized_bath(LAT, 0.5, 601)
+    BATH = dynamics.normalized_bath(LAT.omega_q, 0.5, 601)
 
     def _run(self):
-        return dynamics.integrate_amplitudes(LAT, CAV, self.BATH, 1000.0, 0.2)
+        return _polariton(LAT, CAV, self.BATH, 1000.0, 0.2)
 
     def _assert_flags(self, clean, broken):
         # the broken run strays far beyond the clean run's bound, its own
@@ -671,12 +702,12 @@ class TestErrorBound:
         # 0.3 s per case
         mp = pytest.importorskip("mpmath").mp
         lat = LatticeSpec(4, 0.37, 13.458) if case == "off-quasi-period" else LAT
-        bath = dynamics.normalized_bath(lat, 0.4, 1 if case == "one-mode" else 9)
+        bath = dynamics.normalized_bath(lat.omega_q, 0.4, 1 if case == "one-mode" else 9)
         if case == "part-zero":
             couplings = bath.couplings.copy()
             couplings[::3] = 0.0
             bath = dynamics.BathSpec(bath.mode_frequencies, couplings, bath.spacing)
-        traj = dynamics.integrate_amplitudes(lat, CAV, bath, 100.0, 0.2)
+        traj = _polariton(lat, CAV, bath, 100.0, 0.2)
         with mp.workdps(40):
             reference = _mpmath_alpha(*_arrowhead(lat, CAV, bath), traj.times, mp)
             for a, ref, b, beta_sq in zip(traj.alpha, reference, traj.error_bound, traj.beta_total_sq):
@@ -699,7 +730,7 @@ class TestFitDecay:
         # horizon covers a full Rabi period, so the window contains a revival
         g = 0.05
         bath = dynamics.BathSpec(np.array([LAT.omega_q]), np.array([g]), 1.0)
-        traj = dynamics.integrate_amplitudes(LAT, CAV, bath, 3000.0, 0.5)
+        traj = _polariton(LAT, CAV, bath, 3000.0, 0.5)
         with pytest.raises(dynamics.NonMonotoneWindowError):
             dynamics.fit_decay(traj)
 
@@ -711,9 +742,9 @@ class TestFitDecay:
 
     def test_markov_regime_matches_analytic(self):
         gamma = radiation.decay_rate(LAT, CAV).gamma_normalized
-        bath = dynamics.normalized_bath(LAT, bandwidth=max(60 * gamma, 0.5), n_modes=601)
+        bath = dynamics.normalized_bath(LAT.omega_q, bandwidth=max(60 * gamma, 0.5), n_modes=601)
         recurrence = 2.0 * math.pi / bath.spacing
         t_final = min(3.0 / gamma, 0.8 * recurrence)
-        traj = dynamics.integrate_amplitudes(LAT, CAV, bath, t_final, 0.2)
+        traj = _polariton(LAT, CAV, bath, t_final, 0.2)
         fitted = dynamics.fit_decay(traj)
         assert 0.9 < fitted / gamma < 1.1

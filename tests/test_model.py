@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from quasilattice import dynamics, model, oracle, polariton, radiation
+from quasilattice import model, oracle, polariton, radiation
 from quasilattice.model import (
     CavitySpec,
     LatticeSpec,
@@ -23,7 +23,6 @@ ONE_LATTICE_ONLY = {
     "closed_form_coefficients": lambda: polariton.closed_form_coefficients(
         SWEEP, CAVITY, -2, 0.1
     ),
-    "normalized_bath": lambda: dynamics.normalized_bath(SWEEP, 0.5, 11),
     "exact_sector_spectrum": lambda: oracle.exact_sector_spectrum(
         oracle.build_operators(SWEEP, CAVITY, n_max=2), -4
     ),
