@@ -7,13 +7,14 @@ Outside the Tier-1 ``testpaths``; run explicitly with
 The kernels carry no timing asserts.  ``integrate_amplitudes`` runs at
 the ``dynamics`` defaults: N=4, ell=2/3, omega_q=3*6.729 GHz, a 601-mode
 bath of bandwidth 0.5 GHz, dt=0.2 ns and the horizon the command picks,
-min(3/gamma, 0.8 * recurrence time).  This is the propagation of the
-bath-decay benchmark workload; its amplitude s(omega_k) is formed
-before the timed call, as the command forms it.  One more call, untimed and under
-``tracemalloc``, records the peak of the arrays it allocates as
-``extra_info["tracemalloc_peak_mb"]``.  The timed call's
-error bound, ``AmplitudeTrajectory.error_bound``, must stay below 1e-12
-(it reaches about 5.2e-13 at these settings).
+min(3/gamma, 0.8 * recurrence time): at every step (stride 1, 19 329
+steps) and at the command's default ``--sample-stride`` 10 (1933
+written steps), the call of the bath-decay benchmark workload.  Its
+amplitude s(omega_k) is formed before the timed call, as the command
+forms it.  One more call, untimed and under ``tracemalloc``, records the
+peak of the arrays it allocates as ``extra_info["tracemalloc_peak_mb"]``.
+The timed call's error bound, ``AmplitudeTrajectory.error_bound``, must
+stay below 1e-12 (it reaches about 5.2e-13 at these settings).
 
 The arrowhead eigensolver of ``integrate_amplitudes``, ``_bright_eigh``,
 is timed against ``np.linalg.eigh`` of the dense arrowhead it replaces,
@@ -41,14 +42,15 @@ LATTICE = LatticeSpec(n_qubits=4, relative_spacing=2.0 / 3.0, omega_q=3 * 6.729)
 CAVITY = CavitySpec(omega_c=6.729, eta=0.1)
 
 
-def test_integrate_amplitudes(benchmark):
+@pytest.mark.parametrize("stride, steps", [(1, 19329), (10, 1933)])
+def test_integrate_amplitudes(benchmark, stride, steps):
     bath = dynamics.normalized_bath(LATTICE.omega_q, 0.5, 601)
     gamma = radiation.decay_rate(LATTICE, CAVITY).gamma_normalized
     t_final = min(3.0 / gamma, 0.8 * bath.recurrence_time)
     s_k = radiation.s_factor(LATTICE, CAVITY, bath.mode_frequencies)
-    args = (LATTICE.omega_q, s_k, bath, t_final, 0.2)
+    args = (LATTICE.omega_q, s_k, bath, t_final, 0.2, stride)
     traj = benchmark(dynamics.integrate_amplitudes, *args)
-    assert traj.alpha.size == 19329
+    assert traj.alpha.size == steps
     assert np.max(traj.error_bound) < 1e-12
     benchmark.extra_info["tracemalloc_peak_mb"] = _traced_peak_mb(
         dynamics.integrate_amplitudes, *args

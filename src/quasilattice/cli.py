@@ -330,17 +330,17 @@ def run_dynamics(args: argparse.Namespace) -> int:
     if t_final == 0:
         t_final = min(3.0 / gamma if gamma > 0 else 100.0, 0.8 * bath.recurrence_time)
     amplitude = radiation.s_factor(lattice, cavity, bath.mode_frequencies, args.branch)
-    traj = dynamics.integrate_amplitudes(lattice.omega_q, amplitude, bath, t_final, args.dt)
-    rows = slice(None, None, args.sample_stride)  # the written steps
-    bound = traj.error_bound[rows]
+    traj = dynamics.integrate_amplitudes(lattice.omega_q, amplitude, bath, t_final, args.dt,
+                                         args.sample_stride)
+    bound = traj.error_bound
     header = ["t_ns", "re_alpha", "im_alpha", "alpha_sq", "beta_total_sq", "norm_residual"]
-    columns = [traj.times[rows], traj.alpha[rows], traj.beta_total_sq[rows], bound]
+    columns = [traj.times, traj.alpha, traj.beta_total_sq, bound]
     with _output(args) as out:
         _write_csv(out, header, columns, lambda t, a, beta_sq, err: (
             t, a.real, a.imag, abs(a) ** 2, beta_sq, err))
 
     summary = {
-        "t_final_ns": float(traj.times[-1]),
+        "t_final_ns": traj.horizon,
         "dt_ns": args.dt,
         "n_modes": bath.n_modes,
         "bandwidth_ghz": args.bandwidth,

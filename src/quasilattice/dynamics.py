@@ -12,8 +12,10 @@ The eigendecomposition is that of the arrowhead's bright modes: the
 roots of its secular equation and the first entries of Loewner's
 eigenvectors, O(M^2) elementwise work in O(M) memory (see
 ``_bright_eigh``); neither it nor alpha's evaluation calls BLAS or
-LAPACK.  Times are in ns, frequencies in GHz, with 2*pi absorbed into
-the angular-frequency convention.
+LAPACK.  alpha is evaluated only at the steps 0, k, 2k, ... of the
+caller's stride k, each the same float whatever the stride.  Times are
+in ns, frequencies in GHz, with 2*pi absorbed into the angular-frequency
+convention.
 """
 
 from __future__ import annotations
@@ -103,22 +105,30 @@ class BathSpec:
 
 @dataclass(frozen=True)
 class AmplitudeTrajectory:
-    """The polariton amplitude alpha at every step, and the bound
-    error_floor + error_rate*t on its error (``integrate_amplitudes``)."""
+    """The polariton amplitude alpha at the written steps 0, k, 2k, ...
+    of a stride k, and the bound error_floor + error_rate*t on its error
+    (``integrate_amplitudes``).  alpha at step n is the same float
+    whatever the stride.  horizon is the last step's time, n_steps*dt,
+    written or not; it defaults to the last of times."""
 
     times: np.ndarray
     alpha: np.ndarray
     error_floor: float
     error_rate: float
+    horizon: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.horizon is None:
+            object.__setattr__(self, "horizon", float(self.times[-1]))
 
     @property
     def beta_total_sq(self) -> np.ndarray:
-        """sum_k |beta_k|^2 = 1 - |alpha|^2 at every step."""
+        """sum_k |beta_k|^2 = 1 - |alpha|^2 at every written step."""
         return 1.0 - np.abs(self.alpha) ** 2
 
     @property
     def error_bound(self) -> np.ndarray:
-        """The bound on alpha's error at every step; 0 at t = 0, where
+        """The bound on alpha's error at every written step; 0 at t = 0, where
         alpha = 1 is set, not computed."""
         bound = self.error_floor + self.error_rate * self.times
         bound[0] = 0.0
@@ -145,7 +155,7 @@ def normalized_bath(w_q: float, bandwidth: float, n_modes: int) -> BathSpec:
         freqs = np.linspace(w_q - bandwidth / 2.0, top, n_modes) if top < math.inf else None
         if freqs is None or not (np.diff(freqs) > 0).all():
             raise ValueError(
-                f"a bandwidth of {bandwidth:g} GHz around omega_q = {w_q:g} GHz does not "
+                f"a bandwidth of {bandwidth:g} GHz around omega_e = {w_q:g} GHz does not "
                 f"resolve into {n_modes} distinct float64 mode frequencies"
             )
         spacing = freqs[1] - freqs[0]
@@ -372,7 +382,7 @@ def _bright_eigh(d, z):
 
 
 def integrate_amplitudes(
-    omega_e: float, amplitude, bath: BathSpec, t_final: float, dt: float
+    omega_e: float, amplitude, bath: BathSpec, t_final: float, dt: float, stride: int = 1
 ) -> AmplitudeTrajectory:
     """Exact solution, for an emitter of frequency omega_e with the
     emission amplitude A(omega_k) = amplitude[k] (complex, or a scalar
@@ -381,7 +391,8 @@ def integrate_amplitudes(
         d(alpha)/dt = -i sum_k g_k A(omega_k) beta_k exp(-i(omega_e-omega_k)t)
         d(beta_k)/dt = -i g_k A*(omega_k) alpha exp(+i(omega_e-omega_k)t)
 
-    from alpha(0)=1, beta(0)=0, at every step t = n*dt, n = 0..ceil(t_final/dt).
+    from alpha(0)=1, beta(0)=0, at the steps t = n*dt, n = 0, k, 2k, ... <=
+    n_steps = ceil(t_final/dt), for the stride k (every step at k = 1).
 
     In the rotating frame b_k = beta_k exp(-i Delta_k t), Delta_k =
     omega_e - omega_k, with the phase of A(omega_k) absorbed into b_k,
@@ -391,9 +402,15 @@ def integrate_amplitudes(
     sum_k |beta_k|^2 = 1 - |alpha|^2, as psi keeps its norm.  lam and
     V_0j, no other entry of V, come from ``_bright_eigh``, the modes by
     descending frequency so that the Delta_k ascend.  alpha is evaluated
-    at every step with the split n = q*B + r, B ~ sqrt(steps), as one
-    (q, j) x (j, r) product of block exponentials, each formed in place
-    in one complex array, by ``np.einsum``, which calls no BLAS.
+    with the split n = q*B + r, B = isqrt(n_steps) + 1, as (q, j) x (j, r)
+    products of block exponentials, each formed in place in one complex
+    array, by ``np.einsum``, which calls no BLAS.  There is one product
+    per residue class of q*B mod k: the q = q0, q0 + p, ..., with
+    p = k/gcd(B, k), against the r that make q*B + r a multiple of k,
+    every k-th from one start, both basic slices of the blocks.  So
+    alpha at step n sums the same (q, r) terms in the same order at any
+    stride, and is the same float.  At k = 1, or any k dividing B, it is
+    one product, and only the r = 0, k, 2k, ... get phases.
 
     The error bound error_floor + error_rate*t holds to first order in
     eps.  The pairs are exact for H_hat, and ||exp(-iHt) - exp(-iH_hat t)||
@@ -408,13 +425,16 @@ def integrate_amplitudes(
     sum_k |beta_k|^2 err by at most twice the bound.
 
     No step size limits the accuracy.  dt only sets where the output is
-    sampled: the StepSizeError guard keeps every phase lam_j*dt below
-    0.1, as |lam_j| <= ||H||_2 <= max|Delta_k| + |z|, and the
-    RecurrenceError guard keeps the horizon inside the discretized
-    bath's recurrence time.
+    sampled, and the stride which of those samples are evaluated: the
+    StepSizeError guard keeps every phase lam_j*dt below 0.1, as
+    |lam_j| <= ||H||_2 <= max|Delta_k| + |z|, and the RecurrenceError
+    guard keeps the horizon inside the discretized bath's recurrence
+    time.
     """
     if not (0 < t_final < math.inf and 0 < dt < math.inf):
         raise ValueError("t_final and dt must be positive and finite")
+    if stride < 1:
+        raise ValueError(f"stride must be at least 1, got {stride}")
     detunings = omega_e - bath.mode_frequencies
     couplings = bath.couplings * np.abs(amplitude)
     if not (np.isfinite(detunings).all() and np.isfinite(couplings).all()):
@@ -422,7 +442,7 @@ def integrate_amplitudes(
     reach = float(np.max(np.abs(detunings))) + math.hypot(*couplings)
     if dt * reach >= 0.1:
         raise StepSizeError(
-            f"dt*max|omega_q-omega_k| + dt*|g s| = {dt * reach:.3g} must stay below 0.1"
+            f"dt*max|omega_e-omega_k| + dt*|g A| = {dt * reach:.3g} must stay below 0.1"
         )
     if t_final >= bath.recurrence_time:
         raise RecurrenceError(
@@ -430,24 +450,42 @@ def integrate_amplitudes(
         )
 
     n_steps = int(math.ceil(t_final / dt - 1e-12))
-    times = np.arange(n_steps + 1) * dt
+    times = np.arange(0, n_steps + 1, stride) * dt
     lam, v0, backward = _bright_eigh(detunings[::-1], couplings[::-1])
     weights = v0**2
 
     block = math.isqrt(n_steps) + 1
-    e_q = np.multiply(-1j, np.multiply.outer(times[::block], lam))
-    e_r = np.multiply(-1j, np.multiply.outer(times[:block], lam))
+    # q*B mod stride repeats with this period in q: each q0 < period is one
+    # residue class, whose steps q*B + r are the multiples of stride with
+    # r = r0, r0 + stride, ...; where stride divides B, r0 = 0 for all q
+    period = stride // math.gcd(block, stride)
+    r_step = stride if period == 1 else 1  # the r whose phases are read
+    e_q = np.multiply(-1j, np.multiply.outer(np.arange(0, n_steps + 1, block) * dt, lam))
+    e_r = np.multiply(-1j, np.multiply.outer(np.arange(0, block, r_step) * dt, lam))
     np.exp(e_q, out=e_q)
     np.exp(e_r, out=e_r)
     e_q *= weights
-    alpha = np.einsum("qj,rj->qr", e_q, e_r).ravel()[: n_steps + 1]
+    if period == 1:
+        alpha = np.einsum("qj,rj->qr", e_q, e_r).ravel()[: times.size]
+    else:
+        alpha = np.empty(times.size, dtype=complex)
+        q_gap = period * block // stride  # written steps from q to q + period
+        for q0 in range(min(period, e_q.shape[0])):
+            r0 = -q0 * block % stride
+            if r0 >= block:
+                continue
+            part = np.einsum("qj,rj->qr", e_q[q0::period], e_r[r0::stride])
+            at = (q0 * block + r0) // stride + np.add.outer(
+                q_gap * np.arange(part.shape[0]), np.arange(part.shape[1]))
+            keep = at < times.size
+            alpha[at[keep]] = part[keep]
     alpha[0] = 1.0  # the initial condition, not a rounding outcome
     if not np.all(np.isfinite(alpha)):
         bad = int(np.argmin(np.isfinite(alpha)))
         raise RuntimeError(f"non-finite amplitude at t={times[bad]:g} ns")
 
     return AmplitudeTrajectory(
-        times=times, alpha=alpha,
+        times=times, alpha=alpha, horizon=n_steps * dt,
         error_floor=abs(float(np.sum(weights)) - 1.0) + 0.5 * _EPS * (lam.size + 8),
         error_rate=backward + 2.0 * _EPS * float(np.max(np.abs(lam))),
     )

@@ -301,7 +301,7 @@ class TestDynamics:
         assert run(["dynamics", "--dt", "1", "--out", str(out)]) == cli.EXIT_USAGE
         assert not out.exists()
         err = capsys.readouterr().err
-        assert err.startswith("error: dt*max|omega_q-omega_k|") and err.count("\n") == 1
+        assert err.startswith("error: dt*max|omega_e-omega_k| + dt*|g A| = ") and err.count("\n") == 1
 
     def test_unresolved_bath_grid_is_one_usage_error(self, tmp_path, capsys):
         # at omega_q = 1e308 the 601 modes collapse onto one float: one typed

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import os
@@ -19,12 +20,22 @@ CAV = CavitySpec(omega_c=6.729, eta=0.1)
 LAT = LatticeSpec(n_qubits=4, relative_spacing=2 / 3, omega_q=3 * 6.729)
 
 
-def _polariton(lattice, cavity, bath, t_final, dt):
+def _polariton(lattice, cavity, bath, t_final, dt, stride=1):
     """``integrate_amplitudes`` for the lowest excited polariton of
     lattice, as the ``dynamics`` command calls it: the emitter at omega_q,
     with the amplitude s(omega_k) at each bath mode."""
     amplitude = radiation.s_factor(lattice, cavity, bath.mode_frequencies)
-    return dynamics.integrate_amplitudes(lattice.omega_q, amplitude, bath, t_final, dt)
+    return dynamics.integrate_amplitudes(lattice.omega_q, amplitude, bath, t_final, dt, stride)
+
+
+@functools.cache
+def _defaults_trajectory(stride):
+    """``_polariton`` at the ``dynamics`` defaults, 601 modes and the
+    auto horizon: 19 329 steps in blocks of B = 140, at the given stride."""
+    bath = dynamics.normalized_bath(LAT.omega_q, 0.5, 601)
+    gamma = radiation.decay_rate(LAT, CAV).gamma_normalized
+    t_final = min(3.0 / gamma, 0.8 * bath.recurrence_time)
+    return _polariton(LAT, CAV, bath, t_final, 0.2, stride)
 
 
 def _rk4_reference(lattice, cavity, bath, t_final, dt):
@@ -209,6 +220,48 @@ class TestIntegration:
         summary = json.loads(Path(f"{strided}.summary.json").read_text())
         assert summary["max_norm_residual"] == max(float(r.split(b",")[-1]) for r in rows[::7])
 
+    @pytest.mark.parametrize("stride", [1, 7, 9, 10, 140, 141, 19329])
+    def test_stride_keeps_the_bits_of_every_written_step(self, stride):
+        # one einsum per residue class of q*B mod stride sums the same (q, r)
+        # pairs as the every-step product: 7, 10 and 140 divide B = 140 (one
+        # class), 9 does not (nine classes of about 15 q each), 141 > B
+        # gives one q per class, and 19 329 is past the last step, so step
+        # 0 alone is written
+        every, strided = _defaults_trajectory(1), _defaults_trajectory(stride)
+        assert (every.times.size, math.isqrt(every.times.size - 1) + 1) == (19329, 140)
+        assert strided.times.tobytes() == every.times[::stride].tobytes()
+        assert strided.alpha.tobytes() == every.alpha[::stride].tobytes()
+        assert (strided.error_floor, strided.error_rate) == (every.error_floor, every.error_rate)
+        assert strided.horizon == every.horizon == every.times[-1]
+
+    @pytest.mark.parametrize("stride", [10, 9])
+    def test_fit_reads_the_written_rows(self, tmp_path, stride):
+        # gamma_fit_ghz is the least-squares fit of ln(alpha_sq) over the
+        # CSV's rows past the first 10% of their span, to rtol 1e-12; the
+        # fit over every step differs from it by 2e-9 relative or more
+        out = tmp_path / "dyn.csv"
+        assert cli.main(["dynamics", "--sample-stride", str(stride), "--out", str(out)]) == 0
+        data = np.loadtxt(out, delimiter=",", skiprows=1)
+        t, alpha_sq = data[:, 0], data[:, 3]
+        window = t >= 0.1 * t[-1]
+        rate = -np.polyfit(t[window], np.log(alpha_sq[window]), 1)[0]
+        summary = json.loads(Path(f"{out}.summary.json").read_text())
+        assert summary["gamma_fit_ghz"] == pytest.approx(rate, rel=1e-12, abs=0)
+        every_step = dynamics.fit_decay(_defaults_trajectory(1))
+        assert summary["gamma_fit_ghz"] != pytest.approx(every_step, rel=1e-9, abs=0)
+        # the horizon is the last step's time, not the last written row's
+        assert summary["t_final_ns"] == 19328 * 0.2 > t[-1]
+
+    def test_too_few_written_rows_in_the_window_give_no_fit(self, tmp_path):
+        # steps 0, 100 and 200 are written, and the window t >= 4 ns holds two
+        out = tmp_path / "dyn.csv"
+        argv = ["dynamics", "--n", "1", "--modes", "51", "--t-final", "40", "--sample-stride", "100"]
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        assert out.read_bytes().count(b"\r\n") == 4
+        summary = json.loads(Path(f"{out}.summary.json").read_text())
+        assert summary["gamma_fit_ghz"] is None
+        assert summary["fit_error"] == "fit window contains fewer than 3 samples"
+
     def test_peak_memory_holds_no_square_array(self):
         """The ``dynamics`` defaults at 2401 modes under tracemalloc, about
         1 s: 19 329 samples in blocks of B = 140, M + 1 = 2402 roots.
@@ -243,6 +296,12 @@ class TestIntegration:
             assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_USAGE
             assert capsys.readouterr().err == f"error: sample_stride must be at least 1, got {stride}\n"
             assert not out.exists()
+
+    def test_rejects_stride_below_one(self):
+        bath = dynamics.normalized_bath(LAT.omega_q, bandwidth=0.4, n_modes=1)
+        for stride in (0, -3):
+            with pytest.raises(ValueError, match=f"stride must be at least 1, got {stride}"):
+                dynamics.integrate_amplitudes(LAT.omega_q, 1.0, bath, 5.0, 0.2, stride)
 
     def test_rejects_non_finite_horizon_and_step(self):
         bath = dynamics.normalized_bath(LAT.omega_q, bandwidth=0.4, n_modes=1)
