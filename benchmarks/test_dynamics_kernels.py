@@ -8,8 +8,10 @@ The kernels carry no timing asserts.  ``integrate_amplitudes`` runs at
 the ``dynamics`` defaults: N=4, ell=2/3, omega_q=3*6.729 GHz, a 601-mode
 bath of bandwidth 0.5 GHz, dt=0.2 ns and the horizon the command picks,
 min(3/gamma, 0.8 * recurrence time): at every step (stride 1, 19 329
-steps) and at the command's default ``--sample-stride`` 10 (1933
-written steps), the call of the bath-decay benchmark workload.  Its
+steps), at the command's default ``--sample-stride`` 10 (1933 written
+steps), the call of the bath-decay benchmark workload, and at strides 9
+(2148 written steps) and 141 (138), which do not divide the block
+length isqrt(19328) + 1 = 140 and so take B = 144 and 141.  Its
 amplitude s(omega_k) is formed before the timed call, as the command
 forms it.  One more call, untimed and under ``tracemalloc``, records the
 peak of the arrays it allocates as ``extra_info["tracemalloc_peak_mb"]``.
@@ -42,7 +44,7 @@ LATTICE = LatticeSpec(n_qubits=4, relative_spacing=2.0 / 3.0, omega_q=3 * 6.729)
 CAVITY = CavitySpec(omega_c=6.729, eta=0.1)
 
 
-@pytest.mark.parametrize("stride, steps", [(1, 19329), (10, 1933)])
+@pytest.mark.parametrize("stride, steps", [(1, 19329), (10, 1933), (9, 2148), (141, 138)])
 def test_integrate_amplitudes(benchmark, stride, steps):
     bath = dynamics.normalized_bath(LATTICE.omega_q, 0.5, 601)
     gamma = radiation.decay_rate(LATTICE, CAVITY).gamma_normalized

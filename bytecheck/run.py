@@ -13,7 +13,8 @@ its exit code, to OUT.json, together with a fingerprint of the platform: the pyt
 numpy and BLAS versions and the BLAS thread count.  Two records from
 different platforms can differ in the last bit of a float without any
 change of code, so ``compare`` refuses them (exit 2).  Otherwise it
-names every command whose exit code or any hash differs, or that only
+names every command whose exit code or any hash differs, with the parts
+that differ (exit code, stdout, stderr, each file by name), or that only
 one record holds, and exits 1 if there is one, else 0.
 """
 
@@ -97,18 +98,30 @@ def record(src: Path, out: Path) -> int:
     return 0
 
 
+def _differing_parts(a: dict | None, b: dict | None) -> list[str]:
+    """The parts of one command's two records that differ: its exit code,
+    stdout, stderr and each file by name, or the one record that holds it."""
+    if a is None or b is None:
+        return ["only in " + ("B" if a is None else "A")]
+    parts = [name for key, name in (("exit_code", "exit code"), ("stdout_sha256", "stdout"),
+                                     ("stderr_sha256", "stderr")) if a[key] != b[key]]
+    files = dict.fromkeys([*a["files"], *b["files"]])
+    return parts + [f"file {name}" for name in files if a["files"].get(name) != b["files"].get(name)]
+
+
 def compare(a_path: Path, b_path: Path) -> int:
     a, b = (json.loads(p.read_text()) for p in (a_path, b_path))
     if a["fingerprint"] != b["fingerprint"]:
         print(f"error: fingerprints differ: {a['fingerprint']} vs {b['fingerprint']}",
               file=sys.stderr)
         return 2
-    differ = [
-        command for command in dict.fromkeys([*a["commands"], *b["commands"]])
-        if a["commands"].get(command) != b["commands"].get(command)
-    ]
-    for command in differ:
-        print(f"differs: {command}")
+    differ = {}
+    for command in dict.fromkeys([*a["commands"], *b["commands"]]):
+        parts = _differing_parts(a["commands"].get(command), b["commands"].get(command))
+        if parts:
+            differ[command] = parts
+    for command, parts in differ.items():
+        print(f"differs: {command} [{', '.join(parts)}]")
     print(f"{len(differ)} of {len(set(a['commands']) | set(b['commands']))} commands differ")
     return 1 if differ else 0
 

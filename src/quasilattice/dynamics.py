@@ -13,9 +13,9 @@ roots of its secular equation and the first entries of Loewner's
 eigenvectors, O(M^2) elementwise work in O(M) memory (see
 ``_bright_eigh``); neither it nor alpha's evaluation calls BLAS or
 LAPACK.  alpha is evaluated only at the steps 0, k, 2k, ... of the
-caller's stride k, each the same float whatever the stride.  Times are
-in ns, frequencies in GHz, with 2*pi absorbed into the angular-frequency
-convention.
+caller's stride k, and no step is too coarse: only a bound on alpha's
+error that reaches 1 refuses a run.  Times are in ns, frequencies in GHz,
+with 2*pi absorbed into the angular-frequency convention.
 """
 
 from __future__ import annotations
@@ -44,8 +44,8 @@ _SECULAR_STEPS = 100
 _EPS = np.finfo(float).eps
 
 
-class StepSizeError(ValueError):
-    """Sampling step too coarse for the largest bath detuning."""
+class ErrorBoundError(ValueError):
+    """alpha's error bound reaches 1 within the horizon: no digit is correct."""
 
 
 class RecurrenceError(ValueError):
@@ -107,19 +107,14 @@ class BathSpec:
 class AmplitudeTrajectory:
     """The polariton amplitude alpha at the written steps 0, k, 2k, ...
     of a stride k, and the bound error_floor + error_rate*t on its error
-    (``integrate_amplitudes``).  alpha at step n is the same float
-    whatever the stride.  horizon is the last step's time, n_steps*dt,
-    written or not; it defaults to the last of times."""
+    (``integrate_amplitudes``).  horizon is the last step's time,
+    n_steps*dt, written or not."""
 
     times: np.ndarray
     alpha: np.ndarray
     error_floor: float
     error_rate: float
-    horizon: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.horizon is None:
-            object.__setattr__(self, "horizon", float(self.times[-1]))
+    horizon: float
 
     @property
     def beta_total_sq(self) -> np.ndarray:
@@ -402,15 +397,12 @@ def integrate_amplitudes(
     sum_k |beta_k|^2 = 1 - |alpha|^2, as psi keeps its norm.  lam and
     V_0j, no other entry of V, come from ``_bright_eigh``, the modes by
     descending frequency so that the Delta_k ascend.  alpha is evaluated
-    with the split n = q*B + r, B = isqrt(n_steps) + 1, as (q, j) x (j, r)
-    products of block exponentials, each formed in place in one complex
-    array, by ``np.einsum``, which calls no BLAS.  There is one product
-    per residue class of q*B mod k: the q = q0, q0 + p, ..., with
-    p = k/gcd(B, k), against the r that make q*B + r a multiple of k,
-    every k-th from one start, both basic slices of the blocks.  So
-    alpha at step n sums the same (q, r) terms in the same order at any
-    stride, and is the same float.  At k = 1, or any k dividing B, it is
-    one product, and only the r = 0, k, 2k, ... get phases.
+    with the split n = q*B + r, B the least multiple of k at or above
+    isqrt(n_steps) + 1, k clamped to n_steps + 1, as one (q, j) x (j, r)
+    product of block exponentials, each formed in place in one complex
+    array, by ``np.einsum``, which calls no BLAS; only the r = 0, k,
+    2k, ... get phases.  Where k divides isqrt(n_steps) + 1 the split is
+    that of k = 1, so alpha at step n is the same float as at k = 1.
 
     The error bound error_floor + error_rate*t holds to first order in
     eps.  The pairs are exact for H_hat, and ||exp(-iHt) - exp(-iH_hat t)||
@@ -425,11 +417,13 @@ def integrate_amplitudes(
     sum_k |beta_k|^2 err by at most twice the bound.
 
     No step size limits the accuracy.  dt only sets where the output is
-    sampled, and the stride which of those samples are evaluated: the
-    StepSizeError guard keeps every phase lam_j*dt below 0.1, as
-    |lam_j| <= ||H||_2 <= max|Delta_k| + |z|, and the RecurrenceError
-    guard keeps the horizon inside the discretized bath's recurrence
-    time.
+    sampled, and the stride which of those samples are evaluated.  The
+    RecurrenceError guard keeps the horizon inside the discretized
+    bath's recurrence time, and ErrorBoundError refuses, before any
+    exponential, a horizon at which the bound is not below 1: no digit of
+    alpha would be correct.  Below it |lam_j|*t < 1/(2*eps) up to the
+    horizon, as error_rate >= 2*eps*max|lam|, and the weights sum to
+    less than 2, so alpha is finite.
     """
     if not (0 < t_final < math.inf and 0 < dt < math.inf):
         raise ValueError("t_final and dt must be positive and finite")
@@ -439,55 +433,37 @@ def integrate_amplitudes(
     couplings = bath.couplings * np.abs(amplitude)
     if not (np.isfinite(detunings).all() and np.isfinite(couplings).all()):
         raise RuntimeError("non-finite amplitude equations")
-    reach = float(np.max(np.abs(detunings))) + math.hypot(*couplings)
-    if dt * reach >= 0.1:
-        raise StepSizeError(
-            f"dt*max|omega_e-omega_k| + dt*|g A| = {dt * reach:.3g} must stay below 0.1"
-        )
     if t_final >= bath.recurrence_time:
         raise RecurrenceError(
             f"t_final {t_final:g} ns exceeds bath recurrence {bath.recurrence_time:.3g} ns"
         )
 
     n_steps = int(math.ceil(t_final / dt - 1e-12))
+    stride = min(stride, n_steps + 1)  # past the last step, step 0 alone is written
     times = np.arange(0, n_steps + 1, stride) * dt
     lam, v0, backward = _bright_eigh(detunings[::-1], couplings[::-1])
     weights = v0**2
+    error_floor = abs(float(np.sum(weights)) - 1.0) + 0.5 * _EPS * (lam.size + 8)
+    error_rate = backward + 2.0 * _EPS * float(np.max(np.abs(lam)))
+    horizon = n_steps * dt
+    bound = error_floor + error_rate * horizon
+    if not bound < 1.0:  # a nan is refused too
+        raise ErrorBoundError(
+            f"error bound error_floor + error_rate*t = {bound:.3g} at the horizon must stay below 1"
+        )
 
-    block = math.isqrt(n_steps) + 1
-    # q*B mod stride repeats with this period in q: each q0 < period is one
-    # residue class, whose steps q*B + r are the multiples of stride with
-    # r = r0, r0 + stride, ...; where stride divides B, r0 = 0 for all q
-    period = stride // math.gcd(block, stride)
-    r_step = stride if period == 1 else 1  # the r whose phases are read
+    # every written step q*B + r has r = 0, stride, 2*stride, ...
+    block = -(-(math.isqrt(n_steps) + 1) // stride) * stride
     e_q = np.multiply(-1j, np.multiply.outer(np.arange(0, n_steps + 1, block) * dt, lam))
-    e_r = np.multiply(-1j, np.multiply.outer(np.arange(0, block, r_step) * dt, lam))
+    e_r = np.multiply(-1j, np.multiply.outer(np.arange(0, block, stride) * dt, lam))
     np.exp(e_q, out=e_q)
     np.exp(e_r, out=e_r)
     e_q *= weights
-    if period == 1:
-        alpha = np.einsum("qj,rj->qr", e_q, e_r).ravel()[: times.size]
-    else:
-        alpha = np.empty(times.size, dtype=complex)
-        q_gap = period * block // stride  # written steps from q to q + period
-        for q0 in range(min(period, e_q.shape[0])):
-            r0 = -q0 * block % stride
-            if r0 >= block:
-                continue
-            part = np.einsum("qj,rj->qr", e_q[q0::period], e_r[r0::stride])
-            at = (q0 * block + r0) // stride + np.add.outer(
-                q_gap * np.arange(part.shape[0]), np.arange(part.shape[1]))
-            keep = at < times.size
-            alpha[at[keep]] = part[keep]
+    alpha = np.einsum("qj,rj->qr", e_q, e_r).ravel()[: times.size]
     alpha[0] = 1.0  # the initial condition, not a rounding outcome
-    if not np.all(np.isfinite(alpha)):
-        bad = int(np.argmin(np.isfinite(alpha)))
-        raise RuntimeError(f"non-finite amplitude at t={times[bad]:g} ns")
 
     return AmplitudeTrajectory(
-        times=times, alpha=alpha, horizon=n_steps * dt,
-        error_floor=abs(float(np.sum(weights)) - 1.0) + 0.5 * _EPS * (lam.size + 8),
-        error_rate=backward + 2.0 * _EPS * float(np.max(np.abs(lam))),
+        times=times, alpha=alpha, error_floor=error_floor, error_rate=error_rate, horizon=horizon
     )
 
 

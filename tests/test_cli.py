@@ -295,13 +295,20 @@ class TestDynamics:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    def test_step_size_violation_is_usage_error(self, tmp_path, capsys):
-        # dynamics.StepSizeError is a ValueError, caught as bad arguments
+    def test_error_bound_violation_is_usage_error(self, tmp_path, capsys):
+        # a 1 ns step runs within its bound; a coupling of about 4e153 GHz
+        # has a bound far above 1 at the horizon, and dynamics.ErrorBoundError
+        # is a ValueError, caught as bad arguments
         out = tmp_path / "dyn.csv"
-        assert run(["dynamics", "--dt", "1", "--out", str(out)]) == cli.EXIT_USAGE
+        assert run(["dynamics", "--dt", "1", "--out", str(out)]) == 0
+        assert json.loads(Path(f"{out}.summary.json").read_text())["max_norm_residual"] < 1e-12
+        out.unlink()
+        argv = ["dynamics", "--modes", "1", "--bandwidth", "1e308", "--t-final", "100", "--ell",
+                "0.6666666666666666", "--omega-q", "1e-300", "--omega-c", "1", "--eta", "0"]
+        assert run(argv + ["--out", str(out)]) == cli.EXIT_USAGE
         assert not out.exists()
         err = capsys.readouterr().err
-        assert err.startswith("error: dt*max|omega_e-omega_k| + dt*|g A| = ") and err.count("\n") == 1
+        assert err.startswith("error: error bound error_floor + error_rate*t = ") and err.count("\n") == 1
 
     def test_unresolved_bath_grid_is_one_usage_error(self, tmp_path, capsys):
         # at omega_q = 1e308 the 601 modes collapse onto one float: one typed
@@ -749,11 +756,11 @@ def _reference_csv(argv):
             recurrence = 2.0 * math.pi / bath.spacing if bath.n_modes > 1 else math.inf
             t_final = min(3.0 / gamma if gamma > 0 else 100.0, 0.8 * recurrence)
         amplitude = radiation.s_factor(lattice, cavity, bath.mode_frequencies, args.branch)
-        traj = dynamics.integrate_amplitudes(lattice.omega_q, amplitude, bath, t_final, args.dt)
-        stride = args.sample_stride
+        traj = dynamics.integrate_amplitudes(
+            lattice.omega_q, amplitude, bath, t_final, args.dt, args.sample_stride
+        )
         writer.writerow(["t_ns", "re_alpha", "im_alpha", "alpha_sq", "beta_total_sq", "norm_residual"])
-        rows = zip(traj.times[::stride], traj.alpha[::stride], traj.beta_total_sq[::stride],
-                   traj.error_bound[::stride])
+        rows = zip(traj.times, traj.alpha, traj.beta_total_sq, traj.error_bound)
         for t, a, beta_sq, err in rows:
             writer.writerow([
                 _fmt(t), _fmt(a.real), _fmt(a.imag),

@@ -208,29 +208,54 @@ class TestIntegration:
         assert errors[0] > 8 * errors[1]
 
     def test_sampled_rows(self, tmp_path):
-        # the CLI writes rows 0, 7, 14, ... of the every-step CSV, byte for
-        # byte, and the largest written norm_residual as max_norm_residual
+        # the CLI writes rows 0, 7, 14, ... of the every-step CSV: t_ns and
+        # norm_residual byte for byte, and the largest written norm_residual
+        # as max_norm_residual.  7 does not divide isqrt(200) + 1 = 15, so
+        # alpha comes from the split B = 21, each within twice the bound of
+        # the every-step value, and |alpha|^2 and 1 - |alpha|^2 within
+        # twice that plus the rounding of the square
         argv = ["dynamics", "--n", "1", "--modes", "51", "--t-final", "40"]
         every, strided = tmp_path / "every.csv", tmp_path / "strided.csv"
         assert cli.main(argv + ["--sample-stride", "1", "--out", str(every)]) == 0
         assert cli.main(argv + ["--sample-stride", "7", "--out", str(strided)]) == 0
         header, *rows = every.read_bytes().split(b"\r\n")[:-1]
-        assert len(rows) == 201
-        assert strided.read_bytes() == b"".join(r + b"\r\n" for r in [header, *rows[::7]])
+        written_header, *written = strided.read_bytes().split(b"\r\n")[:-1]
+        assert len(rows) == 201 and written_header == header and len(written) == len(rows[::7])
+        eps = np.finfo(float).eps
+        for mine, theirs in zip(written, rows[::7]):
+            mine, theirs = mine.split(b","), theirs.split(b",")
+            assert (mine[0], mine[-1]) == (theirs[0], theirs[-1])
+            _, re_a, im_a, a_sq, beta_sq, bound = np.array(mine, dtype=float)
+            _, re_b, im_b, b_sq, beta_b, _ = np.array(theirs, dtype=float)
+            assert abs(complex(re_a, im_a) - complex(re_b, im_b)) <= 2 * bound
+            assert abs(a_sq - b_sq) <= 4 * bound + 2 * eps
+            assert abs(beta_sq - beta_b) <= 4 * bound + 2 * eps
         summary = json.loads(Path(f"{strided}.summary.json").read_text())
         assert summary["max_norm_residual"] == max(float(r.split(b",")[-1]) for r in rows[::7])
 
-    @pytest.mark.parametrize("stride", [1, 7, 9, 10, 140, 141, 19329])
+    @pytest.mark.parametrize("stride", [1, 7, 10, 140, 19329, 10**20])
     def test_stride_keeps_the_bits_of_every_written_step(self, stride):
-        # one einsum per residue class of q*B mod stride sums the same (q, r)
-        # pairs as the every-step product: 7, 10 and 140 divide B = 140 (one
-        # class), 9 does not (nine classes of about 15 q each), 141 > B
-        # gives one q per class, and 19 329 is past the last step, so step
-        # 0 alone is written
+        # a stride that divides isqrt(19328) + 1 = 140 keeps the split
+        # B = 140 of the every-step product, so each written alpha sums the
+        # same (q, r) terms in the same order; 19 329 is past the last step,
+        # so step 0 alone is written, and so it is at 10**20, past the int64
+        # range, which is clamped to 19 329
         every, strided = _defaults_trajectory(1), _defaults_trajectory(stride)
         assert (every.times.size, math.isqrt(every.times.size - 1) + 1) == (19329, 140)
         assert strided.times.tobytes() == every.times[::stride].tobytes()
         assert strided.alpha.tobytes() == every.alpha[::stride].tobytes()
+        assert (strided.error_floor, strided.error_rate) == (every.error_floor, every.error_rate)
+        assert strided.horizon == every.horizon == every.times[-1]
+
+    @pytest.mark.parametrize("stride", [9, 141])
+    def test_stride_off_the_block_keeps_alpha_within_its_bound(self, stride):
+        # 9 and 141 do not divide 140: the split is B = 144 and 141, the
+        # same sum over other (q, r) pairs, so each written alpha lies
+        # within its bound of the exact value, as the every-step one does
+        every, strided = _defaults_trajectory(1), _defaults_trajectory(stride)
+        assert strided.times.tobytes() == every.times[::stride].tobytes()
+        gap = np.abs(strided.alpha - every.alpha[::stride])
+        assert np.all(gap <= 2 * strided.error_bound)
         assert (strided.error_floor, strided.error_rate) == (every.error_floor, every.error_rate)
         assert strided.horizon == every.horizon == every.times[-1]
 
@@ -309,10 +334,23 @@ class TestIntegration:
             with pytest.raises(ValueError):
                 _polariton(LAT, CAV, bath, t_final, dt)
 
-    def test_coarse_step_rejected(self):
+    def test_coarse_step_runs_within_its_bound(self):
+        # dt*max|omega_e - omega_k| = 0.5: no step size limits the accuracy,
+        # so alpha at the steps of dt = 0.1 lies within the two bounds of
+        # alpha at every other step of dt = 0.05, at the same times
         bath = dynamics.normalized_bath(LAT.omega_q, bandwidth=10.0, n_modes=51)
-        with pytest.raises(dynamics.StepSizeError):
-            _polariton(LAT, CAV, bath, 10.0, 0.1)
+        coarse = _polariton(LAT, CAV, bath, 10.0, 0.1)
+        fine = _polariton(LAT, CAV, bath, 10.0, 0.05, stride=2)
+        assert coarse.times.tobytes() == fine.times.tobytes() and coarse.times.size == 101
+        assert np.max(coarse.error_bound) < 1e-13
+        assert np.all(np.abs(coarse.alpha - fine.alpha) <= coarse.error_bound + fine.error_bound)
+
+    def test_bound_of_one_at_the_horizon_rejected(self):
+        # a coupling of 1e153 GHz: error_rate >= 2*eps*max|lam| makes the
+        # bound about 4e137*t, so no digit of alpha would be correct
+        bath = dynamics.BathSpec(np.array([LAT.omega_q]), np.array([1e153]), 1.0)
+        with pytest.raises(dynamics.ErrorBoundError, match="must stay below 1"):
+            dynamics.integrate_amplitudes(LAT.omega_q, 1.0, bath, 10.0, 0.2)
 
     def test_recurrence_guard(self):
         bath = dynamics.normalized_bath(LAT.omega_q, bandwidth=0.5, n_modes=11)
@@ -779,7 +817,9 @@ class TestFitDecay:
     def _synthetic(self, rate: float, samples: int = 501) -> dynamics.AmplitudeTrajectory:
         t = np.linspace(0.0, 100.0, samples)
         alpha = np.exp(-0.5 * rate * t).astype(complex)
-        return dynamics.AmplitudeTrajectory(times=t, alpha=alpha, error_floor=0.0, error_rate=0.0)
+        return dynamics.AmplitudeTrajectory(
+            times=t, alpha=alpha, error_floor=0.0, error_rate=0.0, horizon=t[-1]
+        )
 
     def test_exact_exponential(self):
         traj = self._synthetic(0.05)
