@@ -19,8 +19,14 @@ at N=16 is the 1 x 2 case that every ``decay_rate`` point pays.
 refinement of eps; the per-index factors of the multi-sum are formed
 once per call and its index sets once per process.
 ``validation.check_closed_form`` itself, at rng seed 0, is the whole
-check that ``validate`` runs: 50 random sectors at N = 2..6, each
-diagonalized and expanded branch by branch.
+check that ``validate`` runs: 50 random sectors at N = 2..6, drawn
+first, then one stacked eigensolve per (N, 2u) group of them and one
+expansion per branch that the gap rule keeps.
+``validation.check_deformation_identity`` at rng seed 0 is the first
+check of ``validate``: 50 draws at N = 1..8, one sweep per N for the
+drawn ell and one for their mirrors.  ``diagonalize_sector`` over a
+10-point cavity sweep at N=6, 2u=6 stacks ten blocks of dimension 7, the
+largest that ``check_closed_form`` draws, in one eigensolve.
 """
 
 import math
@@ -75,3 +81,15 @@ def test_closed_form_coefficients(benchmark):
 def test_check_closed_form(benchmark):
     results = benchmark(lambda: validation.check_closed_form(np.random.default_rng(0)))
     assert all(r.passed for r in results)
+
+
+def test_check_deformation_identity(benchmark):
+    results = benchmark(lambda: validation.check_deformation_identity(np.random.default_rng(0)))
+    assert all(r.passed for r in results)
+
+
+def test_diagonalize_sector_cavity_sweep(benchmark):
+    lattice = LatticeSpec(n_qubits=6, relative_spacing=0.37, omega_q=13.458)
+    cavity = CavitySpec(np.linspace(5.0, 20.0, 10), np.linspace(0.02, 0.5, 10))
+    sector = benchmark(polariton.diagonalize_sector, lattice, cavity, 6)
+    assert sector.eigenvalues.shape == (10, 7)

@@ -26,6 +26,7 @@ import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -56,19 +57,32 @@ def _write_csv(out, header: list[str], columns, row=lambda *v: v) -> None:
         out.write("".join(_format(template, rows)))
 
 
+def _json_leaf(value) -> str:
+    """json.dumps(value) for a leaf: a str, an int, a finite float, None, True or False without
+    json.dumps, any other value through it."""
+    kind = type(value)
+    if kind is int or kind is float and math.isfinite(value):
+        return kind.__repr__(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if value is None or kind is bool:
+        return "null" if value is None else "true" if value else "false"
+    return json.dumps(value)
+
+
 def _json_pieces(value, sort_keys: bool, indent: str = "\n"):
     """The text of json.dumps(value, indent=2, sort_keys=sort_keys), in pieces: a flat list of
-    finite floats is joined with float.__repr__, and every other leaf goes to json.dumps."""
+    finite floats is joined with float.__repr__, and every other leaf goes to _json_leaf."""
     inner = indent + "  "
     if isinstance(value, dict) and value:
         sep = "{" + inner
         for key, item in sorted(value.items()) if sort_keys else value.items():
-            yield sep + json.dumps(key) + ": "
+            yield sep + _json_leaf(key) + ": "
             yield from _json_pieces(item, sort_keys, inner)
             sep = "," + inner
         yield indent + "}"
     elif isinstance(value, (list, tuple)) and value:
-        if all(isinstance(v, float) for v in value) and math.isfinite(sum(value)):
+        if set(map(type, value)) == {float} and math.isfinite(sum(value)):
             yield "[" + inner + ("," + inner).join(map(float.__repr__, value)) + indent + "]"
             return
         sep = "[" + inner
@@ -78,7 +92,7 @@ def _json_pieces(value, sort_keys: bool, indent: str = "\n"):
             sep = "," + inner
         yield indent + "]"
     else:
-        yield json.dumps(value)
+        yield _json_leaf(value)
 
 
 def _write_json(out, doc, sort_keys: bool = False) -> None:

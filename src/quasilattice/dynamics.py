@@ -417,7 +417,8 @@ def integrate_amplitudes(
     sum_k |beta_k|^2 err by at most twice the bound.
 
     No step size limits the accuracy.  dt only sets where the output is
-    sampled, and the stride which of those samples are evaluated.  The
+    sampled, and the stride which of those samples are evaluated; a dt so
+    fine that t_final/dt overflows raises ValueError.  The
     RecurrenceError guard keeps the horizon inside the discretized
     bath's recurrence time, and ErrorBoundError refuses, before any
     exponential, a horizon at which the bound is not below 1: no digit of
@@ -438,7 +439,10 @@ def integrate_amplitudes(
             f"t_final {t_final:g} ns exceeds bath recurrence {bath.recurrence_time:.3g} ns"
         )
 
-    n_steps = int(math.ceil(t_final / dt - 1e-12))
+    steps = t_final / dt - 1e-12
+    if not math.isfinite(steps):
+        raise ValueError(f"t_final/dt = {t_final:g}/{dt:g} overflows the step count")
+    n_steps = int(math.ceil(steps))
     stride = min(stride, n_steps + 1)  # past the last step, step 0 alone is written
     times = np.arange(0, n_steps + 1, stride) * dt
     lam, v0, backward = _bright_eigh(detunings[::-1], couplings[::-1])

@@ -42,17 +42,7 @@ class LatticeSpec:
     def __post_init__(self) -> None:
         if self.n_qubits < 1:
             raise ValueError(f"n_qubits must be >= 1, got {self.n_qubits}")
-        ells, omegas = self.relative_spacing, self.omega_q
-        if hasattr(ells, "__len__") or hasattr(omegas, "__len__"):
-            ells, omegas = np.asarray(ells, dtype=float), np.asarray(omegas, dtype=float)
-            if not (ells.ndim == 1 and ells.shape == omegas.shape and ells.size):
-                raise ValueError("a sweep needs relative_spacing and omega_q of one nonzero length")
-            ells, omegas = tuple(ells.tolist()), tuple(omegas.tolist())
-            object.__setattr__(self, "relative_spacing", ells)
-            object.__setattr__(self, "omega_q", omegas)
-        else:
-            ells, omegas = (ells,), (omegas,)
-        for ell, omega_q in zip(ells, omegas):  # comparisons refuse NaN too
+        for ell, omega_q in _sweep_points(self, "relative_spacing", "omega_q"):  # NaN fails too
             if not 0.0 <= ell <= 1.0:
                 raise ValueError(f"relative_spacing must lie in [0, 1], got {ell}")
             if not 0.0 < omega_q < math.inf:
@@ -82,26 +72,47 @@ class LatticeSpec:
 @dataclass(frozen=True)
 class CavitySpec:
     """Fundamental cavity mode: frequency omega_c (= mode momentum k0 in
-    natural units) and maximal qubit-cavity coupling eta, both GHz."""
+    natural units) and maximal qubit-cavity coupling eta, both GHz.  A
+    sweep of them is one CavitySpec, as for ``LatticeSpec``."""
 
-    omega_c: float
-    eta: float
+    omega_c: float | tuple[float, ...]
+    eta: float | tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.omega_c < math.inf:
-            raise ValueError(f"omega_c must be positive and finite, got {self.omega_c}")
-        if not 0.0 <= self.eta < math.inf:
-            raise ValueError(f"eta must be nonnegative and finite, got {self.eta}")
+        for omega_c, eta in _sweep_points(self, "omega_c", "eta"):
+            if not 0.0 < omega_c < math.inf:
+                raise ValueError(f"omega_c must be positive and finite, got {omega_c}")
+            if not 0.0 <= eta < math.inf:
+                raise ValueError(f"eta must be nonnegative and finite, got {eta}")
 
-    def detuning(self, lattice: LatticeSpec) -> float:
-        """Cavity-qubit detuning omega_c - omega_q, GHz."""
+    def detuning(self, lattice: LatticeSpec) -> float | np.ndarray:
+        """Cavity-qubit detuning omega_c - omega_q, GHz; one entry per
+        point when the cavity or the lattice is a sweep."""
+        if isinstance(self.omega_c, tuple) or isinstance(lattice.omega_q, tuple):
+            return np.subtract(self.omega_c, lattice.omega_q)
         return self.omega_c - lattice.omega_q
 
 
-def refuse_sweep(lattice: LatticeSpec, caller: str) -> None:
-    """Raise ValueError, naming caller, when lattice is a sweep."""
-    if isinstance(lattice.relative_spacing, tuple):
-        raise ValueError(f"{caller} takes one lattice, not a sweep")
+def _sweep_points(spec: LatticeSpec | CavitySpec, a: str, b: str) -> list[tuple]:
+    """The values of the fields a and b of spec at each point.  A sweep, where either is a
+    sequence, needs both of one nonzero length, and stores each on spec as a tuple of floats."""
+    x, y = getattr(spec, a), getattr(spec, b)
+    if not (hasattr(x, "__len__") or hasattr(y, "__len__")):
+        return [(x, y)]
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if not (x.ndim == 1 and x.shape == y.shape and x.size):
+        raise ValueError(f"a sweep needs {a} and {b} of one nonzero length")
+    for name, value in ((a, x), (b, y)):
+        object.__setattr__(spec, name, tuple(value.tolist()))
+    return list(zip(getattr(spec, a), getattr(spec, b)))
+
+
+def refuse_sweep(caller: str, *specs: LatticeSpec | CavitySpec) -> None:
+    """Raise ValueError, naming caller and the kind of spec, when any of specs is a sweep."""
+    for spec in specs:
+        kind, field = ("lattice", spec.omega_q) if isinstance(spec, LatticeSpec) else ("cavity", spec.omega_c)
+        if isinstance(field, tuple):
+            raise ValueError(f"{caller} takes one {kind}, not a sweep")
 
 
 def coupling_weights(lattice: LatticeSpec) -> np.ndarray:

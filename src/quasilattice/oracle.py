@@ -99,6 +99,7 @@ def build_operators(
     written.  s_z, up and down depend on N only (`_site_pattern`); sigma_z
     and weight get one row per point of a sweep.  Each w_j^2 is libm's
     pow, as the scalar w_j**2 of one lattice rounds."""
+    refuse_sweep("build_operators", cavity)
     n = lattice.n_qubits
     if n > _MAX_QUBITS or n_max > _MAX_FOCK:
         raise DimensionGuardError(
@@ -185,5 +186,5 @@ def _sector_block(ops: ProductSpaceOperators, two_u: int) -> np.ndarray:
 def exact_sector_spectrum(ops: ProductSpaceOperators, two_u: int) -> np.ndarray:
     """Eigenvalues of H_total restricted to the excitation-u eigenspace,
     from the block of `_sector_block`; one lattice only."""
-    refuse_sweep(ops.lattice, "exact_sector_spectrum")
+    refuse_sweep("exact_sector_spectrum", ops.lattice)
     return np.linalg.eigvalsh(_sector_block(ops, two_u))

@@ -85,47 +85,53 @@ class TransitionMatrices:
 
 def sector_basis(lattice: LatticeSpec, two_u: int) -> SectorBasis:
     """Enumerate (n, m) combinations with n + m = u, sorted by n."""
-    two_r = lattice.two_r
+    return _sector_terms(lattice.two_r, two_u)[0]
+
+
+@functools.cache
+def _sector_terms(two_r: int, two_u: int) -> tuple[SectorBasis, np.ndarray]:
+    """The basis of sector 2u at 2r, and the rows n, m, sqrt(n), r - m and
+    r + m + 1 over its entries, read-only; formed once per (2r, 2u)."""
     if two_u < -two_r:
-        raise EmptySectorError(
-            f"sector 2u={two_u} lies below the ground sector 2u={-two_r}"
-        )
+        raise EmptySectorError(f"sector 2u={two_u} lies below the ground sector 2u={-two_r}")
     if (two_u - two_r) % 2 != 0:
-        raise EmptySectorError(
-            f"sector 2u={two_u} has the wrong parity for 2r={two_r}"
-        )
+        raise EmptySectorError(f"sector 2u={two_u} has the wrong parity for 2r={two_r}")
     # m = u - n must satisfy -r <= m <= r and n >= 0.
     n_lo = max(0, (two_u - two_r) // 2)
     n_hi = (two_u + two_r) // 2
     entries = tuple((n, two_u - 2 * n) for n in range(n_lo, n_hi + 1))
-    return SectorBasis(two_u=two_u, entries=entries)
+    terms = np.array([
+        (n, two_m / 2.0, math.sqrt(n), (two_r - two_m) / 2.0, (two_r + two_m) / 2.0 + 1.0)
+        for n, two_m in entries
+    ]).T
+    terms.flags.writeable = False
+    return SectorBasis(two_u=two_u, entries=entries), terms
 
 
 def _sector_block(
     lattice: LatticeSpec, cavity: CavitySpec, two_u: int
 ) -> tuple[SectorBasis, np.ndarray]:
     """Basis and dense block Hamiltonian of one sector (see
-    ``build_sector_hamiltonian``), with a leading point axis for a sweep.
-    A bare energy omega_q*m + omega_c*n, or a coupling, that overflows at
-    any point raises ValueError."""
-    two_r = lattice.two_r
-    basis = sector_basis(lattice, two_u)
+    ``build_sector_hamiltonian``), with a leading point axis for a sweep
+    of the lattice, of the cavity, or of both at one length.  A bare
+    energy omega_q*m + omega_c*n, or a coupling, that overflows at any
+    point raises ValueError."""
+    basis, (n, m, sqrt_n, rm, rm1) = _sector_terms(lattice.two_r, two_u)
     d = basis.dimension
-    # per entry: n, 2m, eta*sqrt(n), r - m and r + m + 1
-    n, two_m, eta_sqrt_n, rm, rm1 = np.array([
-        (n, two_m, cavity.eta * math.sqrt(n), (two_r - two_m) / 2.0, (two_r + two_m) / 2.0 + 1.0)
-        for n, two_m in basis.entries
-    ]).T
-    omega_q = np.asarray(lattice.omega_q)[..., None]
-    f = np.asarray(deformation_factor(lattice))[..., None]
-    h = np.zeros(omega_q.shape[:-1] + (d * d,))
+    fields = (lattice.omega_q, deformation_factor(lattice), cavity.omega_c, cavity.eta)
+    omega_q, f, omega_c, eta = (np.asarray(x)[..., None] for x in fields)
+    if omega_q.ndim == omega_c.ndim == 2 and omega_q.shape != omega_c.shape:
+        raise ValueError(f"a lattice sweep of {len(omega_q)} points and a cavity sweep of "
+                         f"{len(omega_c)} differ")
     with np.errstate(over="ignore", invalid="ignore"):  # raised below
-        h[..., :: d + 1] = omega_q * (two_m / 2.0) + cavity.omega_c * n
-        off = eta_sqrt_n[1:] * np.sqrt(f * rm[1:] * rm1[1:])
-    if not np.isfinite(h[..., :: d + 1]).all():
+        diagonal = omega_q * m + omega_c * n
+        off = eta * sqrt_n[1:] * np.sqrt(f * rm[1:] * rm1[1:])
+    if not np.isfinite(diagonal).all():
         raise ValueError("a bare sector energy omega_q*m + omega_c*n overflows")
     if not np.isfinite(off).all():
         raise ValueError("a sector coupling eta*sqrt(n)*sqrt(f*(r-m)*(r+m+1)) overflows")
+    h = np.zeros(diagonal.shape[:-1] + (d * d,))
+    h[..., :: d + 1] = diagonal
     h[..., 1 :: d + 1] = off  # the superdiagonal and the subdiagonal of each block
     h[..., d :: d + 1] = off
     return basis, h.reshape(h.shape[:-1] + (d, d))
@@ -272,7 +278,7 @@ def closed_form_coefficients(
     same dw, eta and f as the expansion (``_refine_splitting``: each
     step is exact and rounds once, to float).
     """
-    refuse_sweep(lattice, "closed_form_coefficients")
+    refuse_sweep("closed_form_coefficients", lattice, cavity)
     basis = sector_basis(lattice, two_u)
     two_r = lattice.two_r
     if two_u > two_r:
@@ -346,18 +352,15 @@ def raising_matrix(
     """
     if upper.basis.two_u != lower.basis.two_u + 2:
         raise ValueError("raising element requires adjacent sectors u and u-1")
-    f = np.asarray(deformation_factor(lattice))[..., None, None]
-    u = upper.basis.two_u / 2.0
-    r = lattice.two_r / 2.0
-    lower_by_n = {n: j for j, (n, _) in enumerate(lower.basis.entries)}
-    out = np.zeros(f.shape[:-2] + (upper.basis.dimension, lower.basis.dimension))
-    for i, (n, _) in enumerate(upper.basis.entries):
-        j = lower_by_n.get(n)
-        if j is None:
-            continue
-        amp = np.sqrt(f * (r + u - n) * (r - u + n + 1))
-        out += upper.coefficients[..., i, :, None] * lower.coefficients[..., j, None, :] * amp
-    return out
+    u, r = upper.basis.two_u / 2.0, lattice.two_r / 2.0
+    # every photon number of sector u but its highest is one of sector u-1
+    d = upper.basis.dimension - 1
+    n_lo = upper.basis.entries[0][0]
+    j = n_lo - lower.basis.entries[0][0]  # the entry of n_lo in sector u-1
+    n = np.arange(n_lo, n_lo + d)
+    amp = np.sqrt(np.asarray(deformation_factor(lattice))[..., None] * (r + u - n) * (r - u + n + 1))
+    outer = upper.coefficients[..., :d, :, None] * lower.coefficients[..., j : j + d, None, :]
+    return np.add.reduce(outer * amp[..., None, None], axis=-3, initial=0.0)
 
 
 def raising_element(

@@ -102,6 +102,7 @@ def _site_sum(
     axis, then the stack's axes lead the result.  Raises ValueError when
     a phase or the sum overflows.
     """
+    refuse_sweep("_site_sum", cavity)
     j = np.arange(lattice.n_qubits)
     k_arr = np.asarray(k, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):  # raised below instead
@@ -147,6 +148,7 @@ def _closed_form_terms(
     l, and each cos(m*l*pi) by math.cos.  scale is the l-independent
     C*eps*(N+1)*max(1, |phi|) of ``chi_closed_form_error_bound``.
     """
+    refuse_sweep("_closed_form_terms", cavity)
     n = lattice.n_qubits
     phase = math.pi * lattice.relative_spacing / cavity.omega_c * k
     e1, e_n, e_n1 = (np.exp(1j * m * phase) for m in (1, n, n + 1))
@@ -171,7 +173,7 @@ def chi_closed_form(
     anywhere on the input.  An array of l adds its axes in front, as for
     ``chi``; the phase factors are computed once (``_closed_form_terms``).
     """
-    refuse_sweep(lattice, "chi_closed_form")
+    refuse_sweep("chi_closed_form", lattice, cavity)
     num, den, _ = _closed_form_terms(lattice, cavity, l, np.asarray(k, dtype=complex))
     on_pole = np.argwhere(np.abs(den) <= 1e-9)
     if len(on_pole):
@@ -201,7 +203,7 @@ def chi_closed_form_error_bound(
     measured ratio was 5.3, hence C = 16.  A wrong l or a sign error
     differs by O(1) and exceeds the bound by orders of magnitude.
     """
-    refuse_sweep(lattice, "chi_closed_form_error_bound")
+    refuse_sweep("chi_closed_form_error_bound", lattice, cavity)
     if np.iscomplexobj(k):
         raise ValueError("chi_closed_form_error_bound takes real k only")
     _, den, scale = _closed_form_terms(lattice, cavity, l, np.asarray(k, dtype=float))
@@ -246,7 +248,7 @@ def quasi_period(lattice: LatticeSpec, cavity: CavitySpec) -> float:
     The ell = 0 limit has no periodicity; it is reported as an infinite
     period.
     """
-    refuse_sweep(lattice, "quasi_period")
+    refuse_sweep("quasi_period", lattice, cavity)
     if lattice.relative_spacing == 0.0:
         return math.inf
     return 2.0 * cavity.omega_c / lattice.relative_spacing
@@ -354,7 +356,7 @@ def pv_integral_check(lattice: LatticeSpec, cavity: CavitySpec) -> PVCheckResult
     ratio (N = 1..32, nine ell, seven omega_q in [5, 21]) was 0.0027.
     self_consistency is |Delta_M - Delta_2M| / scale.
     """
-    refuse_sweep(lattice, "pv_integral_check")
+    refuse_sweep("pv_integral_check", lattice, cavity)
     k_q = lattice.k_q
     n = lattice.n_qubits
     element = first_excited_transition(lattice, cavity)

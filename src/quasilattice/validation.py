@@ -71,36 +71,24 @@ class ValidationReport:
 
 def check_deformation_identity(rng: np.random.Generator) -> list[CheckResult]:
     """The closed-form deformation factor equals the mean squared site
-    weight, and is symmetric under ell -> 1 - ell."""
-    out = []
-    worst_id = 0.0
-    worst_sym = 0.0
+    weight, and is symmetric under ell -> 1 - ell.  The 50 draws of (N,
+    ell) are taken first, then each N is one sweep of its ell and one of
+    their mirrors 1 - ell."""
+    groups: dict[int, list[float]] = {}
     for _ in range(50):
-        n = int(rng.integers(1, 9))
-        ell = float(rng.uniform(0.0, 1.0))
-        lat = LatticeSpec(n_qubits=n, relative_spacing=ell, omega_q=10.0)
-        w = coupling_weights(lat)
+        groups.setdefault(int(rng.integers(1, 9)), []).append(float(rng.uniform(0.0, 1.0)))
+    worst_id = worst_sym = 0.0
+    for n, ells in groups.items():
+        lat = LatticeSpec(n, ells, [10.0] * len(ells))
+        mirror = LatticeSpec(n, [1.0 - ell for ell in ells], [10.0] * len(ells))
         f = deformation_factor(lat)
-        worst_id = max(worst_id, abs(f - float(np.mean(w**2))))
-        mirror = LatticeSpec(n_qubits=n, relative_spacing=1.0 - ell, omega_q=10.0)
-        worst_sym = max(worst_sym, abs(f - deformation_factor(mirror)))
-    out.append(
-        CheckResult(
-            name="deformation-factor-identity",
-            residual=worst_id,
-            tolerance=1e-12,
-            detail="closed form vs mean squared coupling weight, 50 random draws",
-        )
-    )
-    out.append(
-        CheckResult(
-            name="deformation-factor-symmetry",
-            residual=worst_sym,
-            tolerance=1e-12,
-            detail="f(ell) = f(1-ell), 50 random draws",
-        )
-    )
-    return out
+        worst_id = max(worst_id, *np.abs(f - np.mean(coupling_weights(lat) ** 2, axis=-1)).tolist())
+        worst_sym = max(worst_sym, *np.abs(f - deformation_factor(mirror)).tolist())
+    return [
+        CheckResult("deformation-factor-identity", worst_id, 1e-12,
+                    "closed form vs mean squared coupling weight, 50 random draws"),
+        CheckResult("deformation-factor-symmetry", worst_sym, 1e-12, "f(ell) = f(1-ell), 50 random draws"),
+    ]
 
 
 def check_commutators(rng: np.random.Generator) -> list[CheckResult]:
@@ -132,46 +120,42 @@ def check_commutators(rng: np.random.Generator) -> list[CheckResult]:
 
 
 def check_closed_form(rng: np.random.Generator) -> list[CheckResult]:
-    """Coefficient expansion vs tridiagonal eigensolver, on 50 random sectors."""
-    worst = 0.0
+    """Coefficient expansion vs tridiagonal eigensolver, on 50 random sectors.
+
+    The 50 draws of (N, 2u, ell, omega_q, omega_c, eta) are taken first.
+    Each (N, 2u) group is then one ``diagonalize_sector`` of a lattice and
+    a cavity sweep, each point solved as alone, and the expansion runs on
+    each branch that the gap rule keeps.  max never takes a NaN norm, so
+    the grouped order gives the maximum that the order of the draws gives."""
+    groups: dict[tuple[int, int], list[tuple[float, ...]]] = {}
     for _ in range(50):
         n = int(rng.integers(2, 7))
-        lat = LatticeSpec(
-            n_qubits=n,
-            relative_spacing=float(rng.uniform(0.05, 0.95)),
-            omega_q=float(rng.uniform(5.0, 20.0)),
-        )
-        cav = CavitySpec(
-            omega_c=float(rng.uniform(5.0, 20.0)), eta=float(rng.uniform(0.02, 0.5))
-        )
-        two_r = lat.two_r
-        two_u = int(rng.integers(-two_r + 2, two_r + 1))
-        if (two_u - two_r) % 2 != 0:
-            two_u += 1
+        ell, omega_q = float(rng.uniform(0.05, 0.95)), float(rng.uniform(5.0, 20.0))
+        omega_c, eta = float(rng.uniform(5.0, 20.0)), float(rng.uniform(0.02, 0.5))
+        two_u = int(rng.integers(-n + 2, n + 1))
+        groups.setdefault((n, two_u + (two_u - n) % 2), []).append((ell, omega_q, omega_c, eta))
+    worst = 0.0
+    for (n, two_u), points in groups.items():
+        ells, omega_qs, omega_cs, etas = zip(*points)
+        lat, cav = LatticeSpec(n, ells, omega_qs), CavitySpec(omega_cs, etas)
         sec = polariton.diagonalize_sector(lat, cav, two_u)
-        dw = cav.detuning(lat)
-        for b in range(sec.basis.dimension):
-            eps = float(sec.stark_splittings[b])
-            # Near-zero denominators eps - j*dw make the expansion
-            # ill-conditioned; skip those draws.  The rule guards small
-            # denominators only: closed_form_coefficients itself refines
-            # eps, so an error in eps needs no skip.
-            gap = min(abs(eps - j * dw) for j in range(sec.basis.dimension))
-            if gap < 1e-3 * max(1.0, abs(dw)):
-                continue
-            try:
-                c = polariton.closed_form_coefficients(lat, cav, two_u, eps)
-            except polariton.DegenerateDetuningError:
-                continue
-            worst = max(worst, float(np.linalg.norm(c - sec.coefficients[:, b])))
-    return [
-        CheckResult(
-            name="closed-form-coefficients",
-            residual=worst,
-            tolerance=1e-7,
-            detail="expansion vs eigensolver, 50 random sectors",
-        )
-    ]
+        dw = cav.detuning(lat)[:, None]
+        # Near-zero denominators eps - j*dw make the expansion
+        # ill-conditioned; skip those branches.  The rule guards small
+        # denominators only: closed_form_coefficients itself refines
+        # eps, so an error in eps needs no skip.
+        j_dw = np.arange(sec.basis.dimension) * dw[..., None]
+        gap = np.abs(sec.stark_splittings[..., None] - j_dw).min(-1)
+        keep = gap >= 1e-3 * np.maximum(1.0, np.abs(dw))
+        for point, eps, columns, kept in zip(points, sec.stark_splittings.tolist(), sec.coefficients, keep):
+            lat, cav = LatticeSpec(n, *point[:2]), CavitySpec(*point[2:])
+            for b in np.flatnonzero(kept).tolist():
+                try:
+                    c = polariton.closed_form_coefficients(lat, cav, two_u, eps[b])
+                except polariton.DegenerateDetuningError:
+                    continue
+                worst = max(worst, float(np.linalg.norm(c - columns[:, b])))
+    return [CheckResult("closed-form-coefficients", worst, 1e-7, "expansion vs eigensolver, 50 random sectors")]
 
 
 def _chi_identity_residual(lat: LatticeSpec, cav: CavitySpec, k: np.ndarray) -> float:

@@ -278,6 +278,14 @@ class TestDynamics:
         ] + bad)
         assert code == cli.EXIT_USAGE
 
+    def test_too_fine_a_step_is_usage_error(self, tmp_path, capsys):
+        # t_final/dt is inf: the one error line, not an OverflowError traceback
+        out = tmp_path / "dyn.csv"
+        argv = ["dynamics", "--modes", "11", "--t-final", "100", "--dt", "1e-308", "--out", str(out)]
+        assert run(argv) == cli.EXIT_USAGE
+        assert capsys.readouterr().err == "error: t_final/dt = 100/1e-308 overflows the step count\n"
+        assert not out.exists()
+
     def test_recurrence_violation_is_usage_error(self, tmp_path):
         out = tmp_path / "dyn.csv"
         code = run([
@@ -861,6 +869,7 @@ _JSON_EDGES = [
     [math.nan, 1.0], [-math.inf, 0.5], [-0.0, 5e-324, 1.7976931348623157e308], [1e308, 1e308],
     [1.0, 2, 3.5], [True, 1.0], [[], {}, [[]]], (1.0, 2.0), [np.float64(0.1), 0.2],
     {"b": {"\u00fc": [1.0, None]}, "a": [{"z": 1, "y": []}], "c": np.float64(-2.5)},
+    [2**70, -1, 0, 'tab\t"q"\\', None, False, True], {"\u00e9": 1.5, "k\n": [0.5, 2**70]},
 ]
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from quasilattice import model, oracle, polariton, radiation
+from quasilattice import model, oracle, polariton, radiation, validation
 from quasilattice.model import (
     CavitySpec,
     LatticeSpec,
@@ -13,20 +13,38 @@ from quasilattice.model import (
 
 SWEEP = LatticeSpec(4, (0.1, 0.2, 0.3, 0.4), (10.0, 11.0, 12.0, 13.0))
 CAVITY = CavitySpec(omega_c=6.729, eta=0.1)
+LATTICE = LatticeSpec(4, 0.3, 12.0)
+CAVITY_SWEEP = CavitySpec((6.0, 6.5, 7.0, 7.5), (0.1, 0.0, 0.2, 0.3))
+# each function that takes one spec of a kind: its call on (lattice,
+# cavity), and the kinds of spec it refuses a sweep of
 ONE_LATTICE_ONLY = {
-    "quasi_period": lambda: radiation.quasi_period(SWEEP, CAVITY),
-    "chi_closed_form": lambda: radiation.chi_closed_form(SWEEP, CAVITY, 0.25, 2.0),
-    "chi_closed_form_error_bound": lambda: radiation.chi_closed_form_error_bound(
-        SWEEP, CAVITY, 0.25, np.array([2.0, 3.0])
+    "quasi_period": (radiation.quasi_period, ("lattice", "cavity")),
+    "chi_closed_form": (
+        lambda lat, cav: radiation.chi_closed_form(lat, cav, 0.25, 2.0), ("lattice", "cavity")
     ),
-    "pv_integral_check": lambda: radiation.pv_integral_check(SWEEP, CAVITY),
-    "closed_form_coefficients": lambda: polariton.closed_form_coefficients(
-        SWEEP, CAVITY, -2, 0.1
+    "chi_closed_form_error_bound": (
+        lambda lat, cav: radiation.chi_closed_form_error_bound(lat, cav, 0.25, np.array([2.0, 3.0])),
+        ("lattice", "cavity"),
     ),
-    "exact_sector_spectrum": lambda: oracle.exact_sector_spectrum(
-        oracle.build_operators(SWEEP, CAVITY, n_max=2), -4
+    "pv_integral_check": (radiation.pv_integral_check, ("lattice", "cavity")),
+    "closed_form_coefficients": (
+        lambda lat, cav: polariton.closed_form_coefficients(lat, cav, -2, 0.1), ("lattice", "cavity")
+    ),
+    "exact_sector_spectrum": (
+        lambda lat, cav: oracle.exact_sector_spectrum(oracle.build_operators(lat, cav, n_max=2), -4),
+        ("lattice",),
+    ),
+    "build_operators": (lambda lat, cav: oracle.build_operators(lat, cav, n_max=2), ("cavity",)),
+    # chi, s_factor and decay_rate through the site sum
+    "_site_sum": (lambda lat, cav: radiation.chi(lat, cav, 0.25, 2.0), ("cavity",)),
+    "_closed_form_terms": (
+        lambda lat, cav: radiation._closed_form_terms(lat, cav, 0.25, np.array([2.0])), ("cavity",)
     ),
 }
+
+
+def _refusing(kind):
+    return [name for name, (_, kinds) in ONE_LATTICE_ONLY.items() if kind in kinds]
 
 
 def test_homogeneous_limit_is_one():
@@ -156,12 +174,23 @@ class TestSweepSpec:
             assert f.tobytes() == np.array(alone).tobytes()
         assert type(deformation_factor(LatticeSpec(4, 0.3, 10.0))) is float
 
-    @pytest.mark.parametrize("name", ONE_LATTICE_ONLY)
+    @pytest.mark.parametrize("name", _refusing("lattice"))
     def test_one_lattice_functions_refuse_a_sweep(self, name):
         # one plain ValueError naming the function, not a TypeError from
         # tuple arithmetic or a numpy broadcast error
         with pytest.raises(ValueError, match=f"^{name} takes one lattice, not a sweep$") as info:
-            ONE_LATTICE_ONLY[name]()
+            ONE_LATTICE_ONLY[name][0](SWEEP, CAVITY)
+        assert type(info.value) is ValueError
+
+    @pytest.mark.parametrize("name", _refusing("cavity"))
+    @pytest.mark.parametrize("lattice", [LATTICE, SWEEP], ids=["one_lattice", "lattice_sweep"])
+    def test_one_cavity_functions_refuse_a_cavity_sweep(self, name, lattice):
+        # refused before any arithmetic on the cavity; a function that
+        # takes one lattice refuses a lattice sweep first
+        call, kinds = ONE_LATTICE_ONLY[name]
+        kind = "lattice" if lattice is SWEEP and "lattice" in kinds else "cavity"
+        with pytest.raises(ValueError, match=f"^{name} takes one {kind}, not a sweep$") as info:
+            call(lattice, CAVITY_SWEEP)
         assert type(info.value) is ValueError
 
     def test_coupling_weights_per_point(self):
@@ -170,6 +199,86 @@ class TestSweepSpec:
         rows = coupling_weights(LatticeSpec(4, ells, (10.0,) * 4))
         alone = [coupling_weights(LatticeSpec(4, ell, 10.0)) for ell in ells]
         assert rows.shape == (4, 4) and rows.tobytes() == np.array(alone).tobytes()
+
+
+class TestCavitySweep:
+    """A cavity sweep is one CavitySpec with one omega_c and one eta per point."""
+
+    def test_one_cavity_keeps_float_fields(self):
+        cav = CavitySpec(omega_c=6.729, eta=0.1)
+        assert type(cav.omega_c) is float and type(cav.eta) is float
+        detuning = cav.detuning(LATTICE)
+        assert type(detuning) is float and detuning == 6.729 - 12.0
+
+    def test_stored_as_tuples_equal_and_hashable(self):
+        omegas, etas = np.linspace(5.0, 7.0, 5), np.array([0.0, 0.1, 0.2, 0.3, 0.4])
+        sweep = CavitySpec(omegas, etas)
+        assert sweep.omega_c == tuple(omegas.tolist()) and sweep.eta == tuple(etas.tolist())
+        assert all(type(v) is float for v in sweep.omega_c + sweep.eta)
+        same = CavitySpec(list(omegas), tuple(etas))
+        assert same == sweep and hash(same) == hash(sweep)
+        assert len({sweep, same, CavitySpec(omegas[::-1], etas)}) == 2
+
+    def test_detuning_per_point(self):
+        # each entry the float its point alone gives, for a lattice sweep too
+        detuning = CAVITY_SWEEP.detuning(LATTICE)
+        assert detuning.tolist() == [CavitySpec(w, 0.1).detuning(LATTICE) for w in CAVITY_SWEEP.omega_c]
+        both = CAVITY_SWEEP.detuning(SWEEP)
+        assert both.tolist() == [w - q for w, q in zip(CAVITY_SWEEP.omega_c, SWEEP.omega_q)]
+        assert CAVITY.detuning(SWEEP).tolist() == [6.729 - q for q in SWEEP.omega_q]
+
+    @pytest.mark.parametrize("omegas, etas", [
+        ((6.0, 7.0), (0.1,)),  # lengths differ
+        ((), ()),  # no point
+        (6.0, (0.1, 0.2)),  # one field a scalar, the other a sequence
+        (((6.0, 7.0),), ((0.1, 0.2),)),  # not one axis of points
+    ])
+    def test_refuses_bad_shapes(self, omegas, etas):
+        with pytest.raises(ValueError, match="a sweep needs omega_c and eta of one nonzero length"):
+            CavitySpec(omegas, etas)
+
+    @pytest.mark.parametrize("omegas, etas, field", [
+        ((6.0, 0.0, 7.0), (0.1, 0.1, 0.1), "omega_c"),
+        ((6.0, 7.0, math.inf), (0.1, 0.1, 0.1), "omega_c"),
+        ((math.nan, 6.0, 7.0), (0.1, 0.1, 0.1), "omega_c"),
+        ((6.0, 6.5, 7.0), (0.1, -0.1, 0.1), "eta"),
+        ((6.0, 6.5, 7.0), (0.1, 0.1, math.nan), "eta"),
+    ])
+    def test_refuses_any_bad_point(self, omegas, etas, field):
+        with pytest.raises(ValueError, match=field):
+            CavitySpec(omegas, etas)
+
+
+def _deformation_identity_per_draw(rng):
+    """The residuals of `validation.check_deformation_identity` as it was,
+    one lattice and one mirror per draw."""
+    worst_id = 0.0
+    worst_sym = 0.0
+    for _ in range(50):
+        n = int(rng.integers(1, 9))
+        ell = float(rng.uniform(0.0, 1.0))
+        lat = LatticeSpec(n_qubits=n, relative_spacing=ell, omega_q=10.0)
+        f = deformation_factor(lat)
+        worst_id = max(worst_id, abs(f - float(np.mean(coupling_weights(lat) ** 2))))
+        mirror = LatticeSpec(n_qubits=n, relative_spacing=1.0 - ell, omega_q=10.0)
+        worst_sym = max(worst_sym, abs(f - deformation_factor(mirror)))
+    return worst_id, worst_sym
+
+
+def test_check_deformation_identity_is_one_sweep_per_n(monkeypatch):
+    # bit for bit the per-draw loop, with the same rng draws
+    for seed in range(60):
+        old_rng, new_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = _deformation_identity_per_draw(old_rng)
+        got = validation.check_deformation_identity(new_rng)
+        assert repr(tuple(c.residual for c in got)) == repr(expected), seed
+        assert new_rng.bit_generator.state == old_rng.bit_generator.state
+    sweeps = []
+    weights = validation.coupling_weights
+    monkeypatch.setattr(validation, "coupling_weights", lambda lat: sweeps.append(lat) or weights(lat))
+    validation.check_deformation_identity(np.random.default_rng(0))
+    assert sorted(lat.n_qubits for lat in sweeps) == list(range(1, 9))
+    assert all(isinstance(lat.relative_spacing, tuple) for lat in sweeps)
 
 
 # ell in {0, 1}, ell on the analytic-limit branch, and two generic points

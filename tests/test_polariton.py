@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import eigh_tridiagonal
 
 from quasilattice.model import CavitySpec, LatticeSpec, deformation_factor
-from quasilattice import polariton, radiation
+from quasilattice import polariton, radiation, validation
 
 LAT = LatticeSpec(n_qubits=4, relative_spacing=2 / 3, omega_q=13.458)
 CAV = CavitySpec(omega_c=6.729, eta=0.1)
@@ -84,6 +84,32 @@ def _refine_reference(dw, eta, f, basis, two_r, eps):
             break
         eps = new
     return eps
+
+
+def _closed_form_per_draw(rng):
+    """The residual of `validation.check_closed_form` as it was: one
+    eigensolve per draw, and the gap rule branch by branch."""
+    worst = 0.0
+    for _ in range(50):
+        n = int(rng.integers(2, 7))
+        lat = LatticeSpec(n, float(rng.uniform(0.05, 0.95)), float(rng.uniform(5.0, 20.0)))
+        cav = CavitySpec(float(rng.uniform(5.0, 20.0)), float(rng.uniform(0.02, 0.5)))
+        two_u = int(rng.integers(-n + 2, n + 1))
+        if (two_u - n) % 2 != 0:
+            two_u += 1
+        sec = polariton.diagonalize_sector(lat, cav, two_u)
+        dw = cav.detuning(lat)
+        for b in range(sec.basis.dimension):
+            eps = float(sec.stark_splittings[b])
+            gap = min(abs(eps - j * dw) for j in range(sec.basis.dimension))
+            if gap < 1e-3 * max(1.0, abs(dw)):
+                continue
+            try:
+                c = polariton.closed_form_coefficients(lat, cav, two_u, eps)
+            except polariton.DegenerateDetuningError:
+                continue
+            worst = max(worst, float(np.linalg.norm(c - sec.coefficients[:, b])))
+    return worst
 
 
 def _bits(x):
@@ -206,6 +232,54 @@ class TestDiagonalization:
         element = polariton.first_excited_transition(sweep, cav)
         alone = [polariton.first_excited_transition(p, cav) for p in points]
         assert element.tobytes() == stacked(alone)
+
+    @pytest.mark.parametrize("n", [1, 3, 4])
+    @pytest.mark.parametrize("lattice_sweep", [False, True])
+    def test_cavity_sweep_stacks_its_points(self, n, lattice_sweep):
+        # a sweep of omega_c and eta, with one lattice or with a lattice
+        # sweep of its length: blocks, sectors, raising matrices and the
+        # first excited element of its points alone, stacked, bit for bit
+        omegas, etas = (6.729, 13.458, 5.1, 20.0), (0.1, 0.0, 0.37, 0.02)
+        ells, omega_qs = (0.0, 0.37, 2 / 3, 1.0), (13.458, 13.458, 20.187, 9.3)
+        cav = CavitySpec(omegas, etas)
+        if lattice_sweep:
+            lat = LatticeSpec(n, ells, omega_qs)
+            points = [
+                (LatticeSpec(n, ell, omega_q), CavitySpec(omega_c, eta))
+                for ell, omega_q, omega_c, eta in zip(ells, omega_qs, omegas, etas)
+            ]
+        else:
+            lat = LatticeSpec(n, 0.37, 13.458)
+            points = [(lat, CavitySpec(*c)) for c in zip(omegas, etas)]
+
+        def stacked(values):
+            return np.array(values).tobytes()
+
+        sectors = {}
+        for two_u in range(-n, n + 3, 2):
+            h = polariton.build_sector_hamiltonian(lat, cav, two_u)
+            assert h.tobytes() == stacked([polariton.build_sector_hamiltonian(*p, two_u) for p in points])
+            sec = sectors[two_u] = polariton.diagonalize_sector(lat, cav, two_u)
+            alone = [polariton.diagonalize_sector(*p, two_u) for p in points]
+            for field in ("eigenvalues", "coefficients", "stark_splittings"):
+                assert getattr(sec, field).tobytes() == stacked([getattr(a, field) for a in alone])
+            if two_u > -n:
+                raising = polariton.raising_matrix(lat, sec, sectors[two_u - 2])
+                assert raising.tobytes() == stacked([
+                    polariton.raising_matrix(p[0], a, polariton.diagonalize_sector(*p, two_u - 2))
+                    for p, a in zip(points, alone)
+                ])
+        element = polariton.first_excited_transition(lat, cav)
+        assert element.tobytes() == stacked([polariton.first_excited_transition(*p) for p in points])
+
+    @pytest.mark.parametrize("lattice_points, cavity_points", [(2, 3), (3, 2), (2, 1)])
+    def test_sweeps_of_other_lengths_are_refused(self, lattice_points, cavity_points):
+        # a one-point sweep does not broadcast against a longer one either
+        lat = LatticeSpec(4, (0.37,) * lattice_points, (13.458,) * lattice_points)
+        cav = CavitySpec((6.729,) * cavity_points, (0.1,) * cavity_points)
+        message = f"lattice sweep of {lattice_points} points and a cavity sweep of {cavity_points} differ"
+        with pytest.raises(ValueError, match=message):
+            polariton.diagonalize_sector(lat, cav, 0)
 
     @pytest.mark.parametrize("n, two_u", [(3, 1), (4, 0)])
     def test_overflowing_coupling_raises(self, n, two_u):
@@ -565,6 +639,36 @@ class TestClosedForm:
     def test_above_top_sector_rejected(self):
         with pytest.raises(ValueError):
             polariton.closed_form_coefficients(LAT, CAV, 6, 0.1)
+
+
+class TestCheckClosedForm:
+    """`validation.check_closed_form` stacks its draws by (N, 2u)."""
+
+    def test_equals_per_draw_loop(self):
+        # bit for bit, with the same rng draws
+        for seed in range(60):
+            old_rng, new_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            expected = _closed_form_per_draw(old_rng)
+            [got] = validation.check_closed_form(new_rng)
+            assert repr(got.residual) == repr(expected), seed
+            assert new_rng.bit_generator.state == old_rng.bit_generator.state
+
+    def test_one_eigensolve_per_group(self, monkeypatch):
+        # under run_all's rng, seed 0 draws 50 sectors in 20 (N, 2u) groups
+        rng = np.random.default_rng(0)
+        validation.check_deformation_identity(rng)
+        validation.check_commutators(rng)
+        calls = []
+        diagonalize = polariton.diagonalize_sector
+
+        def counted(lattice, cavity, two_u):
+            calls.append((lattice.n_qubits, two_u, len(lattice.omega_q), len(cavity.eta)))
+            return diagonalize(lattice, cavity, two_u)
+
+        monkeypatch.setattr(polariton, "diagonalize_sector", counted)
+        validation.check_closed_form(rng)
+        assert len(calls) == len({call[:2] for call in calls}) == 20
+        assert sum(call[2] for call in calls) == 50 and all(c[2] == c[3] for c in calls)
 
 
 class TestTransitions:
