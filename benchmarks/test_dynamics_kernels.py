@@ -24,7 +24,7 @@ on the default bath at 151, 601 and 2401 modes, and alone on a partly
 dark bath, every third coupling zero, at 601 and 2401 modes.  After each
 timed ``_bright_eigh``, an untimed call under ``tracemalloc`` records its
 peak as ``extra_info["tracemalloc_peak_mb"]``: the solver returns the
-weights V_0j and no eigenvector rows, so its scratch stays a few
+weights V_0j and no eigenvector rows, so its scratch stays one pair of
 ``_SOLVER_BLOCK`` arrays at any mode count.  ``dynamics --modes 2401``
 runs in a fresh interpreter, as a user runs it, through the
 ``cli_process`` fixture of ``conftest.py``, which records its wall time

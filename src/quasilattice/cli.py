@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import json
 import math
 import os
@@ -45,16 +46,16 @@ def _format(template: str, values) -> list[str]:
     return [template % v for v in values]
 
 
-def _write_csv(out, header: list[str], columns, row=lambda *v: v) -> None:
-    """Write the header, then row(*values) for each row of the table, whose columns are numpy arrays
-    or lists of text of one length, at most _CHUNK_ROWS rows per write.  A str field is written as
-    is, any other as "%.17g" (an int prints as is)."""
+def _write_csv(out, header: list[str], columns) -> None:
+    """Write the header, then the rows of the table, whose columns are numpy arrays or lists of one
+    length, at most _CHUNK_ROWS rows per write, each chunk as one % of its repeated row template over
+    one flat tuple.  A str field is written as is, any other as "%.17g" (an int prints as is)."""
     out.write(",".join(header) + "\r\n")
     for lo in range(0, len(columns[0]), _CHUNK_ROWS):
         chunk = [c[lo : lo + _CHUNK_ROWS] for c in columns]
-        rows = list(map(row, *[c.tolist() if isinstance(c, np.ndarray) else c for c in chunk]))
-        template = ",".join(["%s" if isinstance(f, str) else "%.17g" for f in rows[0]]) + "\r\n"
-        out.write("".join(_format(template, rows)))
+        chunk = [c.tolist() if isinstance(c, np.ndarray) else c for c in chunk]
+        template = ",".join(["%s" if isinstance(c[0], str) else "%.17g" for c in chunk]) + "\r\n"
+        out.write(_format(template * len(chunk[0]), [tuple(itertools.chain.from_iterable(zip(*chunk)))])[0])
 
 
 def _json_leaf(value) -> str:
@@ -249,12 +250,13 @@ def run_chi_sweep(args: argparse.Namespace) -> int:
     rows_by_l = radiation.chi(lattice, cavity, ls, k_grid)
     k_text = _format("%.17g", k_grid.tolist())
     l_text = [_format("%d", range(ls.size)), _format("%.17g", ls.tolist())]  # l_index, l_value
-    columns = [[t for t in c for _ in k_text] for c in l_text] + [k_text * ls.size, rows_by_l.ravel()]
+    z = rows_by_l.ravel()  # abs and atan2 of each complex chi, as the scalar calls form them
+    columns = [[t for t in c for _ in k_text] for c in l_text] + [k_text * ls.size, z.real, z.imag,
+               np.hypot(z.real, z.imag), np.fromiter(map(math.atan2, z.imag, z.real), float, z.size)]
 
     header = ["l_index", "l_value", "omega_k_ghz", "re_chi", "im_chi", "abs_chi", "arg_chi_rad"]
     with _output(args) as out:
-        _write_csv(out, header, columns, lambda i, l, k, z: (
-            i, l, k, z.real, z.imag, abs(z), math.atan2(z.imag, z.real)))
+        _write_csv(out, header, columns)
     return EXIT_OK
 
 
@@ -348,10 +350,10 @@ def run_dynamics(args: argparse.Namespace) -> int:
                                          args.sample_stride)
     bound = traj.error_bound
     header = ["t_ns", "re_alpha", "im_alpha", "alpha_sq", "beta_total_sq", "norm_residual"]
-    columns = [traj.times, traj.alpha, traj.beta_total_sq, bound]
+    re, im = traj.alpha.real, traj.alpha.imag  # abs(a) ** 2 of each complex alpha, through libm's pow
+    columns = [traj.times, re, im, np.float_power(np.hypot(re, im), 2), traj.beta_total_sq, bound]
     with _output(args) as out:
-        _write_csv(out, header, columns, lambda t, a, beta_sq, err: (
-            t, a.real, a.imag, abs(a) ** 2, beta_sq, err))
+        _write_csv(out, header, columns)
 
     summary = {
         "t_final_ns": traj.horizon,

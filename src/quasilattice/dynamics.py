@@ -27,8 +27,8 @@ import numpy as np
 
 from .model import LatticeSpec
 
-# Elements per scratch array of the arrowhead eigensolver, about 0.5 MB:
-# it works on blocks of roots of this many (root, mode) pairs.
+# Elements in each of the arrowhead eigensolver's two scratch arrays,
+# about 0.5 MB: it works on blocks of roots of this many (root, mode) pairs.
 _SOLVER_BLOCK = 1 << 16
 
 # A secular root stops when |G| <= _SECULAR_TOL * eps * (its terms' sum
@@ -188,14 +188,13 @@ def physical_bath(
     return BathSpec(mode_frequencies=w, couplings=g, spacing=base.spacing)
 
 
-def _separations(d, o, s, tau):
+def _separations(d, o, s, tau, out=None):
     """For roots lam_j = d_o + s*tau, with origin poles o and frame signs
-    s = +-1, one row per root: the frame-signed separations s*(d_i - lam_j),
-    formed as s*(d_i - d_o) - tau so that each keeps a few ulp of relative
-    accuracy.  lam_j - d_i is -s times them, exactly."""
-    sep = np.subtract(d, d[o, None])
-    sep *= s[:, None]
-    sep -= tau[:, None]
+    s = +-1, one row per root (into out if given): the unsigned offsets
+    u = d_i - lam_j, formed as (d_i - d_o) - s*tau so that each keeps a few
+    ulp of relative accuracy.  The frame-signed separation is s*u, exactly."""
+    sep = np.subtract(d, d[o, None], out=out)
+    sep -= (s * tau)[:, None]
     return sep
 
 
@@ -218,10 +217,11 @@ def _model_step(g, near, beyond, tau, far):
     return np.where(g * eta < 0, eta, newton)
 
 
-def _refine_roots(d, z2, o, s, far, hi, tau):
+def _refine_roots(d, z2, o, s, far, hi, tau, scratch):
     """Move each offset tau (updated in place) onto the root of
     G(tau) = s*lam + sum_i z_i^2/(s*(d_i - lam)), lam = d_o + s*tau, inside
-    its bracket (0, hi], each s*(d_i - lam) from ``_separations``.
+    its bracket (0, hi], with scratch a pair of arrays of tau.size x d.size
+    or more for each d_i - lam (from ``_separations``) and z_i^2 over it.
 
     G increases with tau.  Each step fits c - a/tau + b/(far - tau) to G
     and G' at tau, the slopes of the poles at or beyond the origin lumped
@@ -231,24 +231,23 @@ def _refine_roots(d, z2, o, s, far, hi, tau):
     root stops when |G| is within the rounding of its evaluation, or of
     tau itself (tau*G'*eps, as in LAPACK's dlaed4), or when its next step
     is within two ulp of it or its bracket two floats wide; only the
-    roots still moving are evaluated again.
+    roots still moving are evaluated again; s signs each unsigned sum.
     """
     act = np.arange(tau.size)
     lo, hi = np.zeros(tau.size), hi.copy()
     for _ in range(_SECULAR_STEPS):
-        oa, ta, fa = o[act], tau[act], far[act]
+        oa, sa, ta, fa = o[act], s[act], tau[act], far[act]
         at = np.arange(act.size)
-        sep = _separations(d, oa, s[act], ta)
-        t = z2 / sep
+        sep, t = scratch[:, : act.size]
+        np.divide(z2, _separations(d, oa, sa, ta, out=sep), out=t)
         t[at, oa] = 0.0  # the origin pole's term, -z_o^2/tau, is kept apart
-        signed = s[act] * d[oa] + ta  # s*lam
+        signed = sa * d[oa] + ta  # s*lam
         pole = z2[oa] / ta
-        g = signed + np.sum(t, axis=1) - pole
-        # the terms' slopes z_i^2/sep_i^2, over all poles and, signed like
-        # sep, net of those beyond the origin (sep < 0)
+        g = signed + sa * np.sum(t, axis=1) - pole
+        # the slopes z_i^2/sep_i^2, over all poles and net of those beyond the origin (s*sep < 0)
         slopes = np.divide(t, sep, out=sep)
         total = np.sum(slopes, axis=1)
-        behind = 0.5 * (total - np.sum(np.copysign(slopes, t, out=slopes), axis=1))
+        behind = 0.5 * (total - sa * np.sum(np.copysign(slopes, t, out=slopes), axis=1))
         scale = np.abs(signed) + np.sum(np.abs(t, out=t), axis=1) + pole
         grain = ta * (1.0 + total) + pole  # tau*G', G's step over one ulp of tau
         done = np.abs(g) <= _EPS * (_SECULAR_TOL * scale + 2.0 * grain)
@@ -290,13 +289,15 @@ def _secular_eigh(d, z):
     times M, and the pairs exact for the arrowhead with border z_hat
     (Gu & Eisenstat, SIAM J. Matrix Anal. Appl. 16, 172 (1995); Stor,
     Slapnicar & Barlow, Linear Algebra Appl. 464, 62 (2015)).  Only V_0j
-    is formed.  Each pass takes s*(d_i - lam_j) from ``_separations``
-    for one block of roots at a time (scratch of _SOLVER_BLOCK elements):
-    z_i^2 over them, their product with -s, lam_j - d_i, or their squares.
+    is formed.  Each pass takes d_i - lam_j from ``_separations`` for
+    one block of roots at a time into a pair of scratch arrays of
+    _SOLVER_BLOCK elements, allocated once per solve; s enters only through
+    row sums, as each quotient and square is that of the signed values.
     """
     m = d.size
     z2 = z * z
     rows = max(1, _SOLVER_BLOCK // m)
+    scratch = np.empty((2, min(rows, m + 1), m))
     o = np.empty(m + 1, dtype=np.intp)
     s, far, hi, tau = np.empty((4, m + 1))
     o[[0, m]], s[[0, m]] = (0, m - 1), (-1.0, 1.0)
@@ -307,8 +308,8 @@ def _secular_eigh(d, z):
         j = np.arange(lo_r, min(lo_r + rows, m))
         gap = d[j] - d[j - 1]
         half = 0.5 * gap
-        t = z2 / _separations(d, j - 1, np.ones(j.size), half)
-        mid_g = d[j - 1] + half + np.sum(t, axis=1)
+        t = _separations(d, j - 1, 1.0, half, out=scratch[0, : j.size])
+        mid_g = d[j - 1] + half + np.sum(np.divide(z2, t, out=t), axis=1)
         right = mid_g <= 0  # the root lies in the upper half
         o[j], s[j], far[j], hi[j] = j - 1 + right, np.where(right, -1.0, 1.0), gap, gap
         # the model of the two poles alone, with the rest held at its midpoint value
@@ -317,26 +318,27 @@ def _secular_eigh(d, z):
         tau[j] = np.where(np.abs(step) < half, half + step, half)
     for lo_r in range(0, m + 1, rows):
         blk = slice(lo_r, lo_r + rows)
-        _refine_roots(d, z2, o[blk], s[blk], far[blk], hi[blk], tau[blk])
+        _refine_roots(d, z2, o[blk], s[blk], far[blk], hi[blk], tau[blk], scratch)
 
     prod = np.ones(m)
-    cols = np.arange(m)
     for lo_r in range(0, m + 1, rows):
         j = np.arange(max(lo_r, 1), min(lo_r + rows, m))  # the inner roots
         if j.size:
-            paired = np.where(cols >= j[:, None], d[j - 1, None], d[j, None])
-            paired -= d
-            sep = _separations(d, o[j], s[j], tau[j])
-            sep *= -s[j, None]  # lam_j - d_i
+            sep, paired = scratch[:, : j.size]
+            # d_i - d_k, k = j - 1, or j where i < j, i.e. i - r < j_0 in row r: one flag per diagonal
+            lower = np.lib.stride_tricks.sliding_window_view(np.arange(1 - j.size, m) < j[0], m)
+            np.subtract(d, d[j - 1, None], out=paired)
+            np.subtract(d, d[j, None], out=paired, where=lower[::-1])
+            _separations(d, o[j], s[j], tau[j], out=sep)  # (lam_j - d_i)/(d_k - d_i), both negated
             prod *= np.prod(np.divide(sep, paired, out=paired), axis=0)
     ends = _separations(d, o[[0, m]], s[[0, m]], tau[[0, m]])  # roots 0 and M, s = -1 and +1
-    z_hat = np.copysign(np.sqrt(ends[0] * ends[1] * prod), z)
+    z_hat = np.copysign(np.sqrt(-ends[0] * ends[1] * prod), z)
     v0 = np.empty(m + 1)
     for lo_r in range(0, m + 1, rows):
         blk = slice(lo_r, lo_r + rows)
-        sep = _separations(d, o[blk], s[blk], tau[blk])
-        ratio = np.divide(z_hat, sep, out=sep)  # +-z_hat_i/(lam_j - d_i)
-        v0[blk] = 1.0 / np.sqrt(1.0 + np.sum(ratio * ratio, axis=1))
+        sep = _separations(d, o[blk], s[blk], tau[blk], out=scratch[0, : tau[blk].size])
+        ratio = np.divide(z_hat, sep, out=sep)  # -+z_hat_i/(lam_j - d_i)
+        v0[blk] = 1.0 / np.sqrt(1.0 + np.sum(np.multiply(ratio, ratio, out=ratio), axis=1))
     return d[o] + s * tau, v0, z_hat
 
 

@@ -131,6 +131,7 @@ def chi(
     do not depend on l, are computed once, and each l is one
     matrix-vector product on them, bit for bit its scalar call.
     """
+    refuse_sweep("chi", cavity)
     j = np.arange(lattice.n_qubits)
     return _site_sum(lattice, cavity, np.cos(np.multiply.outer(l, j * math.pi)), k)
 
@@ -233,6 +234,7 @@ def s_factor(
     For a sweep, k and transition_element carry a leading point axis
     (see ``_site_sum``).
     """
+    refuse_sweep("s_factor", cavity)
     n = lattice.n_qubits
     if transition_element is None:
         transition_element = first_excited_transition(lattice, cavity, branch)
@@ -283,6 +285,7 @@ def decay_rate(
     overflowing bare sector energy, a RuntimeError for any other
     non-finite sector.
     """
+    refuse_sweep("decay_rate", cavity)
     k_q = np.asarray(lattice.k_q)
     try:
         element = first_excited_transition(lattice, cavity, branch)

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import quasilattice
 from quasilattice import cli, dynamics, radiation, validation
@@ -781,6 +781,14 @@ _SPECIAL = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 1.7976931348623157
 _PREFACTOR = ["--mu", "0.5", "--epsilon-d", "2.0", "--area", "1.0"]
 
 
+def _scalar_square(x):
+    """x ** 2 of a float, inf where it overflows (a float ** 2 raises)."""
+    try:
+        return x ** 2
+    except OverflowError:
+        return math.inf
+
+
 class TestCsvBytes:
     @pytest.mark.parametrize("argv", [
         ["chi-sweep"],
@@ -824,6 +832,25 @@ class TestCsvBytes:
         columns = [np.array([row[c] for row in rows], dtype=float) for c in range(3)]
         cli._write_csv(got, ["a", "b", "c"], columns)
         assert got.getvalue() == expected.getvalue()
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)
+                                | st.sampled_from([-0.0, 5e-324, -2.2250738585072014e-308])] * 2),
+                    min_size=1, max_size=50))
+    @example([(0.0, -0.0), (-0.0, 0.0), (5e-324, 5e-324), (1e-310, -3e-320), (1.7976931348623157e308, 0.0),
+              (2.0**511.25, 0.0)])
+    def test_column_identities(self, values):
+        # abs_chi and alpha_sq, like decay_rate's |s| and its square, are
+        # formed on arrays as hypot and libm's pow: bit for bit the scalar
+        # abs(z) and abs(z) ** 2 wherever abs(z) is finite
+        values = [(re, im) for re, im in values if math.hypot(re, im) < math.inf]
+        assume(values)
+        re, im = np.array(values).T
+        h = [abs(complex(*v)) for v in values]
+        squares = [_scalar_square(x) for x in h]
+        assert np.hypot(re, im).tobytes() == np.array(h).tobytes()
+        with np.errstate(over="ignore"):
+            assert np.float_power(np.array(h), 2).tobytes() == np.array(squares).tobytes()
 
     def test_each_value_formatted_once(self, monkeypatch):
         # chi-sweep formats its shared k grid once per command, and each

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quasilattice.model import CavitySpec, LatticeSpec
 from quasilattice import cli, dynamics, radiation
@@ -450,7 +451,7 @@ def _bright_eigh_rows(d, z):
     other rows are formed here by Loewner's formula, V_ij =
     z_hat_i*V_0j/(lam_j - d_i), from the z_hat and the roots
     lam_j = d_o + s*tau of its solve, with the separations lam_j - d_i
-    formed as the solver forms them, -s times ``dynamics._separations``:
+    formed as the solver forms them, -u of ``dynamics._separations``:
     a plain lam - d would lose their relative accuracy near the poles."""
     solve, refine = dynamics._secular_eigh, dynamics._refine_roots
     solves, roots = [], []
@@ -460,8 +461,8 @@ def _bright_eigh_rows(d, z):
         solves.append((d, z_hat))
         return lam, v0, z_hat
 
-    def recorded_refine(d, z2, o, s, far, hi, tau):
-        refine(d, z2, o, s, far, hi, tau)
+    def recorded_refine(d, z2, o, s, far, hi, tau, scratch):
+        refine(d, z2, o, s, far, hi, tau, scratch)
         roots.append((o.copy(), s.copy(), tau.copy()))  # one block of roots, in order
 
     with pytest.MonkeyPatch.context() as patch:
@@ -472,7 +473,7 @@ def _bright_eigh_rows(d, z):
         return lam, v0[None, :], backward
     [(poles, z_hat)] = solves
     o, s, tau = (np.concatenate(part) for part in zip(*roots))
-    rows = np.divide(z_hat, -s[:, None] * dynamics._separations(poles, o, s, tau))  # row j: z_hat_i/(lam_j - d_i)
+    rows = np.divide(z_hat, -dynamics._separations(poles, o, s, tau))  # row j: z_hat_i/(lam_j - d_i)
     rows *= v0[:, None]
     return lam, np.vstack((v0, rows.T)), backward
 
@@ -733,6 +734,165 @@ class TestArrowheadEigensolver:
         assert len(digests) == 1
 
 
+def _frame_signed_separations(d, o, s, tau):
+    """The solver's separations as they were formed before its offsets went
+    unsigned: s*(d_i - d_o) - tau, the frame-signed s*(d_i - lam_j)."""
+    sep = np.subtract(d, d[o, None])
+    sep *= s[:, None]
+    sep -= tau[:, None]
+    return sep
+
+
+def _frame_signed_refine_roots(d, z2, o, s, far, hi, tau):
+    """``dynamics._refine_roots`` on frame-signed separations, with a fresh
+    array for each of its passes: the reference for its bits."""
+    act = np.arange(tau.size)
+    lo, hi = np.zeros(tau.size), hi.copy()
+    for _ in range(dynamics._SECULAR_STEPS):
+        oa, ta, fa = o[act], tau[act], far[act]
+        at = np.arange(act.size)
+        sep = _frame_signed_separations(d, oa, s[act], ta)
+        t = z2 / sep
+        t[at, oa] = 0.0
+        signed = s[act] * d[oa] + ta
+        pole = z2[oa] / ta
+        g = signed + np.sum(t, axis=1) - pole
+        slopes = np.divide(t, sep, out=sep)
+        total = np.sum(slopes, axis=1)
+        behind = 0.5 * (total - np.sum(np.copysign(slopes, t, out=slopes), axis=1))
+        scale = np.abs(signed) + np.sum(np.abs(t, out=t), axis=1) + pole
+        grain = ta * (1.0 + total) + pole
+        done = np.abs(g) <= dynamics._EPS * (dynamics._SECULAR_TOL * scale + 2.0 * grain)
+        lo[act] = np.where(g < 0, ta, lo[act])
+        hi[act] = np.where(g > 0, ta, hi[act])
+        eta = dynamics._model_step(g, pole / ta + behind, 1.0 + total - behind, ta, fa)
+        done |= np.abs(eta) <= 2.0 * dynamics._EPS * ta
+        new = ta + eta
+        inside = (new > lo[act]) & (new < hi[act])
+        new = np.where(inside, new, 0.5 * (lo[act] + hi[act]))
+        done |= new == ta
+        tau[act] = np.where(done, ta, new)
+        act = act[~done]
+        if not act.size:
+            return
+    raise RuntimeError("a secular root of the bath arrowhead did not converge")
+
+
+def _frame_signed_secular_eigh(d, z):
+    """``dynamics._secular_eigh`` on frame-signed separations, each pass
+    multiplying by s and allocating its own arrays: the reference for its
+    bits."""
+    m = d.size
+    z2 = z * z
+    rows = max(1, dynamics._SOLVER_BLOCK // m)
+    o = np.empty(m + 1, dtype=np.intp)
+    s, far, hi, tau = np.empty((4, m + 1))
+    o[[0, m]], s[[0, m]] = (0, m - 1), (-1.0, 1.0)
+    hi[[0, m]] = np.maximum(0.0, -s[[0, m]] * d[[0, m - 1]]) + 2.0 * math.sqrt(np.sum(z2))
+    far[[0, m]] = 2.0 * hi[[0, m]]
+    tau[[0, m]] = 0.5 * hi[[0, m]]
+    for lo_r in range(1, m, rows):
+        j = np.arange(lo_r, min(lo_r + rows, m))
+        gap = d[j] - d[j - 1]
+        half = 0.5 * gap
+        t = z2 / _frame_signed_separations(d, j - 1, np.ones(j.size), half)
+        mid_g = d[j - 1] + half + np.sum(t, axis=1)
+        right = mid_g <= 0
+        o[j], s[j], far[j], hi[j] = j - 1 + right, np.where(right, -1.0, 1.0), gap, gap
+        near, beyond = z2[o[j]] / half**2, z2[2 * j - 1 - o[j]] / half**2
+        step = dynamics._model_step(s[j] * mid_g, near, beyond, half, gap)
+        tau[j] = np.where(np.abs(step) < half, half + step, half)
+    for lo_r in range(0, m + 1, rows):
+        blk = slice(lo_r, lo_r + rows)
+        _frame_signed_refine_roots(d, z2, o[blk], s[blk], far[blk], hi[blk], tau[blk])
+
+    prod = np.ones(m)
+    cols = np.arange(m)
+    for lo_r in range(0, m + 1, rows):
+        j = np.arange(max(lo_r, 1), min(lo_r + rows, m))
+        if j.size:
+            paired = np.where(cols >= j[:, None], d[j - 1, None], d[j, None])
+            paired -= d
+            sep = _frame_signed_separations(d, o[j], s[j], tau[j])
+            sep *= -s[j, None]
+            prod *= np.prod(np.divide(sep, paired, out=paired), axis=0)
+    ends = _frame_signed_separations(d, o[[0, m]], s[[0, m]], tau[[0, m]])
+    z_hat = np.copysign(np.sqrt(ends[0] * ends[1] * prod), z)
+    v0 = np.empty(m + 1)
+    for lo_r in range(0, m + 1, rows):
+        blk = slice(lo_r, lo_r + rows)
+        sep = _frame_signed_separations(d, o[blk], s[blk], tau[blk])
+        ratio = np.divide(z_hat, sep, out=sep)
+        v0[blk] = 1.0 / np.sqrt(1.0 + np.sum(ratio * ratio, axis=1))
+    return d[o] + s * tau, v0, z_hat
+
+
+def _solve_recording_warnings(d, z):
+    """``_bright_eigh``'s output and the text of every warning it emits."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = dynamics._bright_eigh(d, z)
+    return out, [str(w.message) for w in caught]
+
+
+def _assert_solver_bits(d, z):
+    """``_bright_eigh`` returns lam, V_0j and the backward error of the
+    frame-signed reference solve, bit for bit, with the same warnings."""
+    got, warned = _solve_recording_warnings(d, z)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dynamics, "_secular_eigh", _frame_signed_secular_eigh)
+        want, reference_warned = _solve_recording_warnings(d, z)
+    assert warned == reference_warned
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+    assert math.copysign(1.0, got[2]) == math.copysign(1.0, want[2]) and got[2] == want[2]
+
+
+class TestSolverBits:
+    """The secular solver's unsigned offsets and shared scratch change no
+    bit of its output against the frame-signed reference, and its scratch
+    is one pair of _SOLVER_BLOCK arrays."""
+
+    @pytest.mark.parametrize("m", [1, 2, 51, 151, 601, 2401])
+    def test_default_bath(self, m):
+        _assert_solver_bits(*_solver_case("on-quasi-period", m))
+
+    @pytest.mark.parametrize("case", ["off-quasi-period", "part-zero"])
+    def test_other_baths(self, case):
+        _assert_solver_bits(*_solver_case(case, 601))
+
+    def test_coinciding_poles(self):
+        _assert_solver_bits(np.array([-1.0, 3.0, 3.0, 3.0, 5.0]), np.array([0.3, 0.2, 0.5, 0.1, 0.4]))
+
+    @pytest.mark.parametrize("k", [-600, -40, 40, 600])
+    def test_power_of_two_scaling(self, k):
+        d, z = _solver_case("part-zero", 151)
+        _assert_solver_bits(np.ldexp(d, k), np.ldexp(z, k))
+
+    # 200 arrowheads of up to 64 modes, a few ms each
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(
+        st.floats(-1e3, 1e3, allow_subnormal=False),
+        st.floats(-1e2, 1e2, allow_subnormal=False) | st.just(0.0),
+    ), min_size=1, max_size=64), st.sampled_from([0, -40, 40]))
+    def test_random_arrowheads(self, modes, k):
+        d, z = np.array(sorted(modes)).T
+        _assert_solver_bits(np.ldexp(d, k), np.ldexp(z, k))
+
+    @pytest.mark.parametrize("m", [601, 2401])
+    def test_scratch_is_one_pair(self, m):
+        # two arrays of _SOLVER_BLOCK doubles, 1.05 MB, and O(M) vectors;
+        # a fresh block array in each pass took the peak to 2.5-2.8 MB
+        d, z = _solver_case("on-quasi-period", m)
+        tracemalloc.start()
+        try:
+            dynamics._bright_eigh(d, z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.0e6
+
+
 def _mpmath_alpha(d, z, times, mp):
     """alpha(t) = sum_j V_0j^2 exp(-i lam_j t) of the arrowhead with
     diagonal (0, d) and border z, the float64 entries taken exactly, from
@@ -771,8 +931,8 @@ class TestErrorBound:
         clean = self._run()
         refine = dynamics._refine_roots
 
-        def shifted(d, z2, o, s, far, hi, tau):
-            refine(d, z2, o, s, far, hi, tau)
+        def shifted(d, z2, o, s, far, hi, tau, scratch):
+            refine(d, z2, o, s, far, hi, tau, scratch)
             if o[0] == 0:  # the first block of roots
                 tau[50] += 1e-10  # an inner root, in the solver's unit scale
 

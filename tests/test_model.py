@@ -35,8 +35,10 @@ ONE_LATTICE_ONLY = {
         ("lattice",),
     ),
     "build_operators": (lambda lat, cav: oracle.build_operators(lat, cav, n_max=2), ("cavity",)),
-    # chi, s_factor and decay_rate through the site sum
-    "_site_sum": (lambda lat, cav: radiation.chi(lat, cav, 0.25, 2.0), ("cavity",)),
+    "chi": (lambda lat, cav: radiation.chi(lat, cav, 0.25, 2.0), ("cavity",)),
+    "s_factor": (lambda lat, cav: radiation.s_factor(lat, cav, 2.0), ("cavity",)),
+    "decay_rate": (radiation.decay_rate, ("cavity",)),
+    "_site_sum": (lambda lat, cav: radiation._site_sum(lat, cav, np.ones(4), 2.0), ("cavity",)),
     "_closed_form_terms": (
         lambda lat, cav: radiation._closed_form_terms(lat, cav, 0.25, np.array([2.0])), ("cavity",)
     ),
@@ -184,14 +186,18 @@ class TestSweepSpec:
 
     @pytest.mark.parametrize("name", _refusing("cavity"))
     @pytest.mark.parametrize("lattice", [LATTICE, SWEEP], ids=["one_lattice", "lattice_sweep"])
-    def test_one_cavity_functions_refuse_a_cavity_sweep(self, name, lattice):
-        # refused before any arithmetic on the cavity; a function that
-        # takes one lattice refuses a lattice sweep first
+    def test_one_cavity_functions_refuse_a_cavity_sweep(self, name, lattice, monkeypatch):
+        # refused before any arithmetic on the cavity, and before any
+        # sector eigensolve; a function that takes one lattice refuses a
+        # lattice sweep first
+        solves, solve = [], polariton.diagonalize_sector
+        monkeypatch.setattr(polariton, "diagonalize_sector", lambda *a: solves.append(a) or solve(*a))
         call, kinds = ONE_LATTICE_ONLY[name]
         kind = "lattice" if lattice is SWEEP and "lattice" in kinds else "cavity"
         with pytest.raises(ValueError, match=f"^{name} takes one {kind}, not a sweep$") as info:
             call(lattice, CAVITY_SWEEP)
         assert type(info.value) is ValueError
+        assert solves == []
 
     def test_coupling_weights_per_point(self):
         # one row per point, even when there are as many points as qubits
