@@ -25,8 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import LatticeSpec
-
 # Elements in each of the arrowhead eigensolver's two scratch arrays,
 # about 0.5 MB: it works on blocks of roots of this many (root, mode) pairs.
 _SOLVER_BLOCK = 1 << 16
@@ -62,8 +60,8 @@ class BathSpec:
 
     mode_frequencies: strictly increasing, positive, finite grid of
         omega_k, GHz.
-    couplings: finite nonnegative per-mode amplitudes g_k, GHz, already
-        scaled by the continuum measure sqrt(spacing/2pi-type factor).
+    couplings: finite nonnegative per-mode amplitudes g_k, GHz, with the
+        continuum measure: g_k^2 = spacing*w_q/(2*pi*omega_k) in ``normalized_bath``.
     spacing: positive finite grid spacing used for the density
         normalization.
     """
@@ -159,33 +157,6 @@ def normalized_bath(w_q: float, bandwidth: float, n_modes: int) -> BathSpec:
     with np.errstate(over="ignore", invalid="ignore"):  # BathSpec or the sector block refuses
         g = np.sqrt(spacing * w_q / (2.0 * math.pi * freqs))
     return BathSpec(mode_frequencies=freqs, couplings=g, spacing=spacing)
-
-
-def physical_bath(
-    lattice: LatticeSpec,
-    bandwidth: float,
-    n_modes: int,
-    mu: float,
-    epsilon_d: float,
-    volume: float,
-    speed: float = 1.0,
-) -> BathSpec:
-    """Bath with dimensional couplings g_k^2 = c k_q^2 mu^2/(2 eps_d k V),
-    scaled by the grid spacing for the continuum measure.
-
-    Raises ValueError, before any arithmetic, unless mu, epsilon_d,
-    volume and speed are finite and the last three positive."""
-    finite = all(math.isfinite(x) for x in (mu, epsilon_d, volume, speed))
-    if not finite or min(epsilon_d, volume, speed) <= 0:
-        raise ValueError(
-            "mu must be finite, and epsilon_d, volume and speed finite and positive"
-        )
-    base = normalized_bath(lattice.omega_q, bandwidth, n_modes)
-    w = base.mode_frequencies
-    g = np.sqrt(
-        base.spacing * speed * lattice.k_q**2 * mu**2 / (2.0 * epsilon_d * w * volume)
-    )
-    return BathSpec(mode_frequencies=w, couplings=g, spacing=base.spacing)
 
 
 def _separations(d, o, s, tau, out=None):
@@ -354,27 +325,32 @@ def _bright_eigh(d, z):
     rational steps stay in range at any finite input.
 
     A mode with |z_k| <= 8*eps*(max|d| + |z|), at most 16*eps*||H||_2, is
-    dark and dropped: exact for H with that z_k set to zero.  Modes that
-    share one float d_k become one mode with coupling |z_G|, and the
-    |G| - 1 combinations orthogonal to z_G are dark.  A dark eigenvector
-    has V_0j = 0 and so no weight in psi(t) (``integrate_amplitudes``);
-    a merged mode's amplitude has the norm of its group's.  With no
-    bright mode H reduces to [[0]].  The backward error is ||H - H_hat||_2,
-    H_hat having Loewner's z_hat for each |z_G| and zero for each dark z_k.
+    dark and dropped: exact for H with that z_k set to zero.  Modes whose
+    poles lie within that grain of the next one's, where z^2/tau^2 would
+    leave float range, form a group G moved onto its first pole: one mode
+    with coupling |z_G|, the |G| - 1 combinations orthogonal to z_G dark.
+    A dark eigenvector has V_0j = 0 and so no weight in psi(t)
+    (``integrate_amplitudes``); a merged mode's amplitude has the norm of
+    its group's.  With no bright mode H reduces to [[0]].  The backward
+    error bounds ||H - H_hat||_2, H_hat having each group at its first
+    pole, Loewner's z_hat for each |z_G| and zero for each dark z_k: the
+    border's error plus the largest group spread.
     """
     if np.any(d[1:] < d[:-1]):
         raise ValueError("the arrowhead's diagonal must be nondecreasing")
     k = math.frexp(max(np.max(np.abs(d)), np.max(np.abs(z))))[1]
     d, z = np.ldexp(d, -k), np.ldexp(z, -k)
-    live = np.abs(z) > 8.0 * _EPS * (np.max(np.abs(d)) + math.sqrt(np.sum(z * z)))
+    grain = 8.0 * _EPS * (np.max(np.abs(d)) + math.sqrt(np.sum(z * z)))
+    live = np.abs(z) > grain
     dark_sq = np.sum(z[~live] ** 2)
     d, z = d[live], z[live]
     if not z.size:
         return np.zeros(1), np.ones(1), math.ldexp(math.sqrt(dark_sq), k)
-    starts = np.flatnonzero(np.r_[True, d[1:] != d[:-1]])  # the first mode of each pole
+    starts = np.flatnonzero(np.r_[True, d[1:] - d[:-1] > grain])  # the first mode of each pole
     z_g = np.hypot.reduceat(z, starts)
     lam, v0, z_hat = _secular_eigh(d[starts], z_g)
-    backward = math.sqrt(np.sum((z_g - z_hat) ** 2) + dark_sq)
+    spread = np.max(d[np.r_[starts[1:], d.size] - 1] - d[starts])
+    backward = math.sqrt(np.sum((z_g - z_hat) ** 2) + dark_sq) + spread
     return np.ldexp(lam, k), v0, math.ldexp(backward, k)
 
 

@@ -41,10 +41,11 @@ class PrefactorInputs:
     area: float
 
     def __post_init__(self) -> None:
+        mu = float(self.mu)  # a float square overflows to inf, where numpy's would warn
         if not (
             0 < self.epsilon_d < math.inf
             and 0 < self.area < math.inf
-            and math.isfinite(self.mu * self.mu)
+            and math.isfinite(mu * mu)
         ):
             raise ValueError(
                 "epsilon_d and area must be positive, all three finite, and mu^2 finite"

@@ -109,26 +109,6 @@ class TestBathSpec:
         with pytest.raises(ValueError, match="spacing"):
             dynamics.BathSpec(np.array([1.0, 2.0]), np.array([0.1, 0.1]), spacing)
 
-    @pytest.mark.parametrize("epsilon_d", [0.0, -1.0])
-    def test_physical_bath_rejects_non_finite_couplings(self, epsilon_d):
-        # 1/0 and sqrt of a negative would give inf and nan couplings;
-        # the inputs are rejected before any coupling is computed
-        with pytest.raises(ValueError, match="finite"):
-            dynamics.physical_bath(LAT, 0.5, 11, mu=1.0, epsilon_d=epsilon_d, volume=1.0)
-
-    @pytest.mark.parametrize("name, value", [
-        ("epsilon_d", 0.0), ("epsilon_d", -1.0), ("epsilon_d", math.nan),
-        ("volume", 0.0), ("volume", -2.0), ("volume", math.inf),
-        ("speed", 0.0), ("speed", -1.0), ("speed", math.nan),
-        ("mu", math.nan), ("mu", -math.inf),
-    ])
-    def test_physical_bath_checks_inputs_before_arithmetic(self, name, value):
-        inputs = {"mu": 1.0, "epsilon_d": 1.0, "volume": 1.0, "speed": 1.0, name: value}
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="finite and positive"):
-                dynamics.physical_bath(LAT, 0.5, 11, **inputs)
-
     def test_rejects_nonpositive_frequencies(self):
         with pytest.raises(ValueError):
             dynamics.normalized_bath(LAT.omega_q, bandwidth=100.0, n_modes=11)
@@ -148,11 +128,6 @@ class TestBathSpec:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="distinct float64 mode frequencies"):
                 dynamics.normalized_bath(omega_q, bandwidth, n_modes)
-
-    def test_physical_couplings_scale(self):
-        a = dynamics.physical_bath(LAT, 0.5, 11, mu=1.0, epsilon_d=1.0, volume=1.0)
-        b = dynamics.physical_bath(LAT, 0.5, 11, mu=2.0, epsilon_d=1.0, volume=1.0)
-        assert np.allclose(b.couplings, 2.0 * a.couplings)
 
 
 class TestIntegration:
@@ -608,6 +583,27 @@ def _bright_embedding(d, z, vecs):
     return full, np.concatenate((d[z == 0], d[live][~head]))
 
 
+def _assert_alpha_within_bound(omega_e, freqs, couplings):
+    """``integrate_amplitudes`` for the bath (freqs, couplings) at unit
+    amplitude, with no RuntimeWarning, against alpha(t) from dense eigh of
+    the same arrowhead, over 0..20 ns.  eigh's pairs are exact for H + E,
+    ||E||_2 <= 4*n*eps*||H||_2 (see ``TestArrowheadEigensolver``), and
+    orthonormal to 4*n*eps: its alpha lies within 4*n*eps*(1 + ||H||_2*t)
+    of the exact one, and the solver's within its own bound."""
+    bath = dynamics.BathSpec(freqs, couplings, 1e-3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = dynamics.integrate_amplitudes(omega_e, 1.0, bath, 20.0, 0.5)
+    d = (omega_e - bath.mode_frequencies)[::-1]
+    h = np.diag(np.concatenate(([0.0], d)))
+    h[0, 1:] = h[1:, 0] = bath.couplings[::-1]
+    lam, vecs = np.linalg.eigh(h)
+    dense = np.exp(-1j * np.multiply.outer(traj.times, lam)) @ vecs[0] ** 2
+    n, h_norm = lam.size, np.max(np.abs(lam))
+    dense_bound = 4 * n * np.finfo(float).eps * (1.0 + h_norm * traj.times)
+    assert np.all(np.abs(traj.alpha - dense) <= traj.error_bound + dense_bound)
+
+
 class TestArrowheadEigensolver:
     """The secular-equation solver against LAPACK's dense eigh.
 
@@ -665,6 +661,40 @@ class TestArrowheadEigensolver:
         assert np.max(np.abs(spectrum - np.linalg.eigvalsh(h))) <= 4 * 5 * eps * 5.5
         assert np.max(np.abs(full.T @ full - np.eye(4))) <= 4 * 5 * eps
         assert np.max(np.abs(h @ full - full * lam)) <= 4 * 5 * eps * 5.5
+
+    def test_near_coincident_poles_merge(self):
+        # two poles 6e-252 apart at unit scale: z^2/tau^2 of the two-pole
+        # model overflows unless they merge, as coinciding poles do, into
+        # one pole at 0 with coupling sqrt(2), at a backward error of the
+        # spread; the bath [delta, 2*delta] at omega_e = 2*delta gives d exactly
+        delta = 6.13266001722915e-252
+        d, z = np.array([0.0, delta]), np.array([1.0, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lam, v0, backward = dynamics._bright_eigh(d, z)
+        eps = np.finfo(float).eps
+        assert np.max(np.abs(lam - [-math.sqrt(2.0), math.sqrt(2.0)])) <= 4 * 2 * eps * 1.5
+        assert np.max(np.abs(v0**2 - 0.5)) <= 4 * 2 * eps
+        assert delta <= backward <= delta + 4 * 2 * eps * 1.5
+        _assert_alpha_within_bound(2.0 * delta, np.array([delta, 2.0 * delta]), z)
+
+    # 100 baths of up to 24 modes in clusters whose poles lie from
+    # 1e-320 to 1e-12 apart, a few ms each
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(
+        st.integers(-2, 1000), st.floats(1.0, 2.0),  # the cluster's lowest mode, m*2^-e
+        st.lists(st.sampled_from([1e-320, 1e-300, 1e-250, 1e-200, 1e-155, 1e-150, 1e-100,
+                                  1e-20, 1e-16, 1e-15, 1e-12]), max_size=5),
+        st.floats(1e-3, 4.0),  # the coupling of each of its modes
+    ), min_size=1, max_size=4))
+    def test_clustered_poles_keep_alpha_within_its_bound(self, clusters):
+        freqs, z = [], []
+        for e, m, gaps, coupling in clusters:
+            modes = math.ldexp(m, -e) + np.cumsum([0.0, *gaps])
+            freqs.extend(modes)
+            z.extend([coupling] * modes.size)
+        freqs, first = np.unique(freqs, return_index=True)
+        _assert_alpha_within_bound(0.0, freqs, np.array(z)[first])
 
     @pytest.mark.parametrize("k", [-600, -40, 40, 600])
     def test_power_of_two_scaling_changes_no_bit(self, k):
@@ -1007,3 +1037,26 @@ class TestFitDecay:
         traj = _polariton(LAT, CAV, bath, t_final, 0.2)
         fitted = dynamics.fit_decay(traj)
         assert 0.9 < fitted / gamma < 1.1
+
+    @pytest.mark.parametrize("omega_e", [13.458, 16.0, 20.187, "s"])
+    def test_bath_measure_gives_the_golden_rule_rate(self, omega_e):
+        # away from ell = 2/3, omega_q = 3*omega_c: a constant amplitude a
+        # decays at |a|^2, and s(omega_k) at ell = 0.5, omega_q = 16 (off
+        # every quasi-period multiple) at |s(k_q)|^2.  The band of width B
+        # cut around omega_e gives the self-energy a real part of slope
+        # 2*rate/(pi*B) there, which raises the rate by that share to first
+        # order: rate/B bounds it, where a wrong measure, such as a 2*pi
+        # turned pi, is off by a factor of 2
+        bandwidth = 0.5
+        if omega_e == "s":
+            lat = LatticeSpec(4, 0.5, 16.0)
+            omega_e, amplitude = lat.omega_q, functools.partial(radiation.s_factor, lat, CAV)
+            rate = abs(radiation.s_factor(lat, CAV, lat.k_q)) ** 2
+        else:
+            amplitude, rate = (lambda freqs: 0.03), 0.03**2
+        bath = dynamics.normalized_bath(omega_e, bandwidth, 601)
+        t_final = min(3.0 / rate, 0.8 * bath.recurrence_time)
+        traj = dynamics.integrate_amplitudes(
+            omega_e, amplitude(bath.mode_frequencies), bath, t_final, 0.2, 10
+        )
+        assert abs(dynamics.fit_decay(traj) / rate - 1.0) <= rate / bandwidth

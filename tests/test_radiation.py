@@ -259,12 +259,27 @@ class TestDecayRate:
         with pytest.raises(ValueError, match="prefactor"):
             radiation.decay_rate(sweep, CAV, pref)
 
-    def test_prefactor_validation(self):
-        with pytest.raises(ValueError):
-            radiation.PrefactorInputs(mu=0.5, epsilon_d=-1.0, area=1.5)
-        for mu, epsilon_d, area in ((math.nan, 2.0, 1.5), (0.5, math.inf, 1.5), (0.5, 2.0, math.nan)):
-            with pytest.raises(ValueError):
-                radiation.PrefactorInputs(mu=mu, epsilon_d=epsilon_d, area=area)
+    @pytest.mark.parametrize("name, value", [
+        *((field, value) for field in ("epsilon_d", "area")
+          for value in (0.0, -1.0, math.nan, math.inf)),
+        ("mu", math.nan), ("mu", math.inf), ("mu", -math.inf), ("mu", 1e200),
+        # a numpy square would warn, not overflow to inf
+        pytest.param("mu", np.float64(1e200), id="mu-float64-1e+200"),
+    ])
+    def test_prefactor_validation(self, name, value):
+        inputs = {"mu": 0.5, "epsilon_d": 2.0, "area": 1.5, name: value}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="mu\\^2 finite"):
+                radiation.PrefactorInputs(**inputs)
+
+    def test_physical_rate_scales_with_mu_squared(self):
+        # doubling mu scales mu^2, and so every product after it, by exactly 4
+        pref = [radiation.PrefactorInputs(mu=mu, epsilon_d=2.0, area=1.5) for mu in (0.5, 1.0)]
+        sweep = LatticeSpec(4, (2 / 3, 0.5, 0.25), (13.458, 16.0, 20.187))
+        for lattice in (LAT, sweep):
+            single, double = (radiation.decay_rate(lattice, CAV, p).gamma_physical for p in pref)
+            assert np.array_equal(double, 4.0 * single)
 
     def test_symmetric_in_spacing_at_even_harmonic(self):
         # omega_q at twice the cavity frequency makes the sweep mirror-symmetric
