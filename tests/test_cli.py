@@ -701,6 +701,17 @@ class TestPlumbing:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "mu^2" in err
 
+    @pytest.mark.parametrize("epsilon_d", ["0.0", "-1.0"])
+    def test_nonpositive_epsilon_d_is_usage_error(self, tmp_path, capsys, epsilon_d):
+        # 1/0 or a negative dielectric constant would give an inf or a
+        # negative prefactor: bad arguments, refused before any row is written
+        out = tmp_path / "x.csv"
+        argv = ["decay-sweep", "--points", "5", "--mu", "1", f"--epsilon-d={epsilon_d}", "--area", "1"]
+        assert run(argv + ["--out", str(out)]) == cli.EXIT_USAGE
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: epsilon_d") and err.count("\n") == 1
+
     @pytest.mark.parametrize(
         "epsilon_d, area", [("1e-300", "1"), ("1", "1e-300"), ("1e200", "1e200")]
     )

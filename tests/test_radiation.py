@@ -259,6 +259,13 @@ class TestDecayRate:
         with pytest.raises(ValueError, match="prefactor"):
             radiation.decay_rate(sweep, CAV, pref)
 
+    def test_prefactor_validation(self):
+        with pytest.raises(ValueError):
+            radiation.PrefactorInputs(mu=0.5, epsilon_d=-1.0, area=1.5)
+        for mu, epsilon_d, area in ((math.nan, 2.0, 1.5), (0.5, math.inf, 1.5), (0.5, 2.0, math.nan)):
+            with pytest.raises(ValueError):
+                radiation.PrefactorInputs(mu=mu, epsilon_d=epsilon_d, area=area)
+
     @pytest.mark.parametrize("name, value", [
         *((field, value) for field in ("epsilon_d", "area")
           for value in (0.0, -1.0, math.nan, math.inf)),
@@ -266,7 +273,7 @@ class TestDecayRate:
         # a numpy square would warn, not overflow to inf
         pytest.param("mu", np.float64(1e200), id="mu-float64-1e+200"),
     ])
-    def test_prefactor_validation(self, name, value):
+    def test_prefactor_checks_inputs_before_arithmetic(self, name, value):
         inputs = {"mu": 0.5, "epsilon_d": 2.0, "area": 1.5, name: value}
         with warnings.catch_warnings():
             warnings.simplefilter("error")
