@@ -23,7 +23,6 @@ _EXPORTS = {
         "DecayResult",
         "PrefactorInputs",
         "chi",
-        "chi_closed_form",
         "decay_rate",
         "pv_integral_check",
         "quasi_period",

@@ -53,11 +53,6 @@ class LatticeSpec:
         """Twice the collective spin r = N/2, always an integer."""
         return self.n_qubits
 
-    @property
-    def k_q(self) -> float | tuple[float, ...]:
-        """Qubit transition momentum in natural units (equals omega_q)."""
-        return self.omega_q
-
     @functools.cached_property
     def deformation_factor(self) -> float | np.ndarray:
         """``deformation_factor``, formed on first read and kept."""

@@ -22,10 +22,6 @@ from .model import CavitySpec, LatticeSpec, refuse_sweep
 from .polariton import first_excited_transition
 
 
-class SingularDenominatorError(ValueError):
-    """Closed-form coupling coefficient hit a near-zero denominator."""
-
-
 @dataclass(frozen=True)
 class PrefactorInputs:
     """Physical inputs for the dimensional decay-rate prefactor.
@@ -137,81 +133,6 @@ def chi(
     return _site_sum(lattice, cavity, np.cos(np.multiply.outer(l, j * math.pi)), k)
 
 
-CHI_CLOSED_FORM_C = 16.0
-
-
-def _closed_form_terms(
-    lattice: LatticeSpec, cavity: CavitySpec, l, k: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(num, den, scale) of the geometric-sum closed form chi_l(k) = num/den.
-
-    num and den carry l's axes in front of k's; the phase factors
-    e^{i*phi}, e^{i*N*phi} and e^{i*(N+1)*phi} are computed once for every
-    l, and each cos(m*l*pi) by math.cos.  scale is the l-independent
-    C*eps*(N+1)*max(1, |phi|) of ``chi_closed_form_error_bound``.
-    """
-    refuse_sweep("_closed_form_terms", cavity)
-    n = lattice.n_qubits
-    phase = math.pi * lattice.relative_spacing / cavity.omega_c * k
-    e1, e_n, e_n1 = (np.exp(1j * m * phase) for m in (1, n, n + 1))
-    shape = np.shape(l) + (1,) * phase.ndim
-    cos_1, cos_n1, cos_n = (
-        np.reshape([math.cos(x) for x in (np.ravel(l) * m * math.pi).tolist()], shape)
-        for m in (1, n - 1, n)
-    )
-    num = 1.0 + e_n1 * cos_n1 - e_n * cos_n - e1 * cos_1
-    den = 1.0 + e1 * e1 - 2.0 * e1 * cos_1
-    scale = CHI_CLOSED_FORM_C * np.finfo(float).eps * (n + 1) * np.maximum(1.0, np.abs(phase))
-    return num, den, scale
-
-
-def chi_closed_form(
-    lattice: LatticeSpec, cavity: CavitySpec, l, k
-) -> complex | np.ndarray:
-    """Geometric-sum closed form of the coupling coefficient.
-
-    Cross-check only; raises SingularDenominatorError, naming the first
-    l on a pole, when the denominator magnitude drops below 1e-9
-    anywhere on the input.  An array of l adds its axes in front, as for
-    ``chi``; the phase factors are computed once (``_closed_form_terms``).
-    """
-    refuse_sweep("chi_closed_form", lattice, cavity)
-    num, den, _ = _closed_form_terms(lattice, cavity, l, np.asarray(k, dtype=complex))
-    on_pole = np.argwhere(np.abs(den) <= 1e-9)
-    if len(on_pole):
-        l_i = np.asarray(l)[tuple(on_pole[0, : np.ndim(l)])].item()
-        raise SingularDenominatorError(f"closed-form denominator below 1e-9 for l={l_i}")
-    out = num / den
-    return complex(out) if out.ndim == 0 else out
-
-
-def chi_closed_form_error_bound(
-    lattice: LatticeSpec, cavity: CavitySpec, l, k
-) -> np.ndarray:
-    """Per-point bound on |chi - chi_closed_form| in float64 arithmetic
-    at real frequencies k:
-    C*eps*(N+1)*max(1, theta)/|den|, with theta = pi*ell*k/omega_c the
-    site phase, den the closed form's denominator, eps machine epsilon
-    and C = CHI_CLOSED_FORM_C.  An array of l adds its axes in front.
-
-    First-order analysis: theta is off by about eps*theta, so the phase
-    factors exp(i*j*theta), j = 1, N, N+1, are off by up to about
-    2*eps*(N+1)*theta.  The numerator is then off by about
-    4*eps*(N+1)*max(1, theta) and the denominator by 5*eps*max(1, theta),
-    and dividing by den amplifies both by 1/|den| (|chi| <= N): about 9
-    units of eps*(N+1)*max(1, theta)/|den|.  The direct sum adds at most
-    eps*N^2*theta/2, within 14 such units for N <= 8 because |den| <= 4.  These worst cases
-    align every rounding error; over validate seeds 0-59 the largest
-    measured ratio was 5.3, hence C = 16.  A wrong l or a sign error
-    differs by O(1) and exceeds the bound by orders of magnitude.
-    """
-    refuse_sweep("chi_closed_form_error_bound", lattice, cavity)
-    if np.iscomplexobj(k):
-        raise ValueError("chi_closed_form_error_bound takes real k only")
-    _, den, scale = _closed_form_terms(lattice, cavity, l, np.asarray(k, dtype=float))
-    return scale / np.abs(den)
-
-
 def _l_summed_weights(n: int) -> np.ndarray:
     """Site weights w_j = sum_l cos(j*pi*l) over l = 0, 1/N, ..., (N-1)/N,
     exactly: N at j = 0, 1 at odd j and 0 at even j > 0."""
@@ -287,7 +208,7 @@ def decay_rate(
     non-finite sector.
     """
     refuse_sweep("decay_rate", cavity)
-    k_q = np.asarray(lattice.k_q)
+    k_q = np.asarray(lattice.omega_q)
     try:
         element = first_excited_transition(lattice, cavity, branch)
         s = [s_factor(lattice, cavity, k, branch, element) for k in (k_q, np.zeros_like(k_q))]
@@ -361,7 +282,7 @@ def pv_integral_check(lattice: LatticeSpec, cavity: CavitySpec) -> PVCheckResult
     self_consistency is |Delta_M - Delta_2M| / scale.
     """
     refuse_sweep("pv_integral_check", lattice, cavity)
-    k_q = lattice.k_q
+    k_q = lattice.omega_q
     n = lattice.n_qubits
     element = first_excited_transition(lattice, cavity)
     w = _l_summed_weights(n)

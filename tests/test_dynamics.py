@@ -1051,7 +1051,7 @@ class TestFitDecay:
         if omega_e == "s":
             lat = LatticeSpec(4, 0.5, 16.0)
             omega_e, amplitude = lat.omega_q, functools.partial(radiation.s_factor, lat, CAV)
-            rate = abs(radiation.s_factor(lat, CAV, lat.k_q)) ** 2
+            rate = abs(radiation.s_factor(lat, CAV, lat.omega_q)) ** 2
         else:
             amplitude, rate = (lambda freqs: 0.03), 0.03**2
         bath = dynamics.normalized_bath(omega_e, bandwidth, 601)

@@ -19,13 +19,6 @@ CAVITY_SWEEP = CavitySpec((6.0, 6.5, 7.0, 7.5), (0.1, 0.0, 0.2, 0.3))
 # cavity), and the kinds of spec it refuses a sweep of
 ONE_LATTICE_ONLY = {
     "quasi_period": (radiation.quasi_period, ("lattice", "cavity")),
-    "chi_closed_form": (
-        lambda lat, cav: radiation.chi_closed_form(lat, cav, 0.25, 2.0), ("lattice", "cavity")
-    ),
-    "chi_closed_form_error_bound": (
-        lambda lat, cav: radiation.chi_closed_form_error_bound(lat, cav, 0.25, np.array([2.0, 3.0])),
-        ("lattice", "cavity"),
-    ),
     "pv_integral_check": (radiation.pv_integral_check, ("lattice", "cavity")),
     "closed_form_coefficients": (
         lambda lat, cav: polariton.closed_form_coefficients(lat, cav, -2, 0.1), ("lattice", "cavity")
@@ -40,7 +33,7 @@ ONE_LATTICE_ONLY = {
     "decay_rate": (radiation.decay_rate, ("cavity",)),
     "_site_sum": (lambda lat, cav: radiation._site_sum(lat, cav, np.ones(4), 2.0), ("cavity",)),
     "_closed_form_terms": (
-        lambda lat, cav: radiation._closed_form_terms(lat, cav, 0.25, np.array([2.0])), ("cavity",)
+        lambda lat, cav: validation._closed_form_terms(lat, cav, 0.25, np.array([2.0])), ("cavity",)
     ),
 }
 
@@ -123,7 +116,8 @@ def test_specs_reject_non_finite(bad):
 def test_doubled_spin_and_resonant_momentum():
     lat = LatticeSpec(n_qubits=5, relative_spacing=0.3, omega_q=9.0)
     assert lat.two_r == 5
-    assert lat.k_q == pytest.approx(9.0)
+    # decay_rate evaluates s at the resonant momentum k_q = omega_q
+    assert radiation.decay_rate(lat, CAVITY).s_at_kq == abs(radiation.s_factor(lat, CAVITY, 9.0))
 
 
 class TestSweepSpec:
@@ -165,7 +159,7 @@ class TestSweepSpec:
         same = LatticeSpec(4, list(ells), tuple(omegas))
         assert same == sweep and hash(same) == hash(sweep)
         assert len({sweep, same, LatticeSpec(4, ells[::-1], omegas)}) == 2
-        assert sweep.k_q == sweep.omega_q and sweep.two_r == 4
+        assert sweep.two_r == 4
 
     def test_deformation_factor_per_point(self):
         # each entry bit for bit the point's own factor, ell in {0, 1} included

@@ -40,48 +40,29 @@ class TestChi:
             lat = LatticeSpec(n, float(rng.uniform(0.05, 0.95)), 13.458)
             k = np.linspace(0.02, 40.0, 2000)
             for l in radiation.l_values(lat):
-                phase = math.pi * lat.relative_spacing / CAV.omega_c * k
-                den = 1 + np.exp(2j * phase) - 2 * np.exp(1j * phase) * math.cos(l * math.pi)
-                good = np.abs(den) > 1e-3
+                good = _former_healthy(lat, CAV, l, k)
                 a = radiation.chi(lat, CAV, l, k[good])
-                b = radiation.chi_closed_form(lat, CAV, l, k[good])
-                bound = radiation.chi_closed_form_error_bound(lat, CAV, l, k[good])
-                assert np.max(np.abs(a - b) / bound) < 1.0
+                num, den, scale = validation._closed_form_terms(lat, CAV, l, k[good])
+                bound = scale / np.abs(den)
+                assert np.max(np.abs(a - num / den) / bound) < 1.0
                 if l == 0.0:
                     # the bound still rejects a phase-sign error and a wrong l
-                    flipped = radiation.chi_closed_form(lat, CAV, l, -k[good])
+                    flipped = _closed_form(lat, l, -k[good])
                     assert np.max(np.abs(a - flipped) / bound) > 1e3
-                    wrong = radiation.chi_closed_form(lat, CAV, 1.0 / n, k[good])
+                    wrong = _closed_form(lat, 1.0 / n, k[good])
                     assert np.max(np.abs(a - wrong) / bound) > 1e3
-
-    @pytest.mark.parametrize("k", [2.0 - 0.3j, np.array([2.0 - 0.3j, 3.0 + 1j])])
-    def test_error_bound_refuses_complex_k(self, k):
-        # the bound holds at real k only: no cast to the real parts, no warning
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="real k") as info:
-                radiation.chi_closed_form_error_bound(LAT, CAV, 0.25, k)
-        assert type(info.value) is ValueError
-
-    def test_closed_form_rejects_singular_denominator(self):
-        # l = 0 at k = 0 gives denominator 1 + 1 - 2 = 0
-        with pytest.raises(radiation.SingularDenominatorError):
-            radiation.chi_closed_form(LAT, CAV, 0.0, 0.0)
 
     def test_closed_form_small_momentum_limit(self):
         # l = 3/4 keeps the denominator finite as k -> 0
         direct = radiation.chi(LAT, CAV, 0.75, 1e-8)
-        closed = radiation.chi_closed_form(LAT, CAV, 0.75, 1e-8)
+        closed = complex(_closed_form(LAT, 0.75, np.asarray(1e-8)))
         assert closed == pytest.approx(direct, abs=1e-10)
 
 
-def _outcome(fn, *args):
-    """fn's value as its bytes and shape, or the type and message of what it raises."""
-    try:
-        value = np.asarray(fn(*args))
-    except ValueError as exc:
-        return type(exc), str(exc)
-    return value.tobytes(), value.shape
+def _closed_form(lat, l, k):
+    """chi_l(k) by validate's geometric-sum closed form, num/den."""
+    num, den, _ = validation._closed_form_terms(lat, CAV, l, k)
+    return num / den
 
 
 def _former_healthy(lat, cav, l, k):
@@ -104,7 +85,7 @@ def _former_chi_identity(rng):
         theta = math.pi * lat.relative_spacing / cav.omega_c * k
         e1, e_n, e_n1 = (np.exp(1j * m * theta) for m in (1, n, n + 1))
         eps = np.finfo(float).eps
-        scale = radiation.CHI_CLOSED_FORM_C * eps * (n + 1) * np.maximum(1.0, np.abs(theta))
+        scale = validation.CHI_CLOSED_FORM_C * eps * (n + 1) * np.maximum(1.0, np.abs(theta))
         for l in radiation.l_values(lat):
             good = _former_healthy(lat, cav, l, k)
             if not np.any(good):
@@ -124,52 +105,42 @@ class TestArrayL:
 
     K_REAL = np.linspace(0.05, 30.0, 97)
 
-    @pytest.mark.filterwarnings("ignore:divide by zero")  # the bound on a pole, as l by l
     @pytest.mark.parametrize("n", [1, 3, 4, 16])
     @pytest.mark.parametrize("ell", [0.0, 0.37, 2 / 3, 1.0])
     @pytest.mark.parametrize("k", [K_REAL, K_REAL + 0.4j * np.cos(K_REAL), 7.5, 2.0 - 0.3j, 0.0])
     def test_matches_scalar_calls(self, n, ell, k):
+        # chi, and num and den of validate's closed form; its scale has no l axis
         lat = LatticeSpec(n, ell, 13.458)
         ls = radiation.l_values(lat)
-        functions = [radiation.chi, radiation.chi_closed_form]
-        if np.isrealobj(k):
-            functions.append(radiation.chi_closed_form_error_bound)
-        for fn in functions:
-            per_l = [_outcome(fn, lat, CAV, l, k) for l in ls]
-            raised = [o for o in per_l if isinstance(o[0], type)]
-            if raised:  # the closed form refuses a pole: the first l on one decides
-                assert _outcome(fn, lat, CAV, ls, k) == raised[0]
-                continue
-            stacked = np.asarray(fn(lat, CAV, ls, k))
-            assert stacked.shape == (n,) + np.shape(k)
-            assert stacked.tobytes() == b"".join(o[0] for o in per_l)
+        k = np.asarray(k)
+        num, den, scale = validation._closed_form_terms(lat, CAV, ls, k)
+        per_l = [validation._closed_form_terms(lat, CAV, l, k) for l in ls]
+        for stacked, scalar in (
+            (radiation.chi(lat, CAV, ls, k), [radiation.chi(lat, CAV, l, k) for l in ls]),
+            (num, [terms[0] for terms in per_l]),
+            (den, [terms[1] for terms in per_l]),
+        ):
+            assert stacked.shape == (n,) + k.shape
+            assert stacked.tobytes() == b"".join(np.asarray(x).tobytes() for x in scalar)
+        assert all(terms[2].tobytes() == scale.tobytes() for terms in per_l)
 
     def test_scalar_l_types_unchanged(self):
         assert type(radiation.chi(LAT, CAV, 0.25, 7.5)) is complex
-        assert type(radiation.chi_closed_form(LAT, CAV, 0.25, 7.5)) is complex
-        assert type(radiation.chi_closed_form_error_bound(LAT, CAV, 0.25, 7.5)) is np.float64
         assert radiation.chi(LAT, CAV, [0.25, 0.5], 7.5).shape == (2,)
         assert radiation.chi(LAT, CAV, np.zeros((2, 3)), self.K_REAL).shape == (2, 3, 97)
 
-    @pytest.mark.parametrize("public_closed_form", [True, False])
-    def test_check_chi_identity_matches_former_loop(self, monkeypatch, public_closed_form):
+    @pytest.mark.parametrize("chi_as_is", [True, False])
+    def test_check_chi_identity_matches_former_loop(self, monkeypatch, chi_as_is):
         # rng seeds 20, 25, 26 and 33 put a grid point within 1e-9 of some l's
-        # pole, where chi_closed_form refuses.  The check evaluates the closed
-        # form's terms itself: without public_closed_form both public functions
-        # refuse every call, and chi is off by 1e6 wherever the former check
-        # skipped a point, so a check that compares any such point fails
-        seeds = [*range(8), 20, 25, 26, 33] if public_closed_form else [20, 25, 26, 33]
+        # pole.  Without chi_as_is, chi is off by 1e6 wherever the former
+        # check skipped a point, so a check that compares any such point fails
+        seeds = [*range(8), 20, 25, 26, 33] if chi_as_is else [20, 25, 26, 33]
         former = [repr(_former_chi_identity(np.random.default_rng(seed))) for seed in seeds]
-        if not public_closed_form:
-            def refuse(*args):
-                raise AssertionError("check_chi_identity called a public closed-form function")
-
+        if not chi_as_is:
             def chi_off_where_skipped(lat, cav, l, k, chi=radiation.chi):
                 healthy = np.array([_former_healthy(lat, cav, l_i, k) for l_i in l])
                 return np.where(healthy, chi(lat, cav, l, k), 1e6)
 
-            monkeypatch.setattr(radiation, "chi_closed_form", refuse)
-            monkeypatch.setattr(radiation, "chi_closed_form_error_bound", refuse)
             monkeypatch.setattr(radiation, "chi", chi_off_where_skipped)
         new = [repr(validation.check_chi_identity(np.random.default_rng(seed))[0].residual)
                for seed in seeds]
@@ -204,7 +175,7 @@ class TestSFactor:
 
     def test_homogeneous_limit_is_momentum_independent(self):
         lat = LatticeSpec(4, 0.0, 13.458)
-        at_kq = radiation.s_factor(lat, CAV, lat.k_q)
+        at_kq = radiation.s_factor(lat, CAV, lat.omega_q)
         at_zero = radiation.s_factor(lat, CAV, 0.0)
         assert at_kq == pytest.approx(at_zero, abs=1e-13)
 
@@ -247,7 +218,7 @@ class TestDecayRate:
     def test_physical_prefactor(self):
         pref = radiation.PrefactorInputs(mu=0.5, epsilon_d=2.0, area=1.5)
         res = radiation.decay_rate(LAT, CAV, pref)
-        expected = LAT.k_q * 0.5**2 / (4 * 2.0 * 1.5) * res.gamma_normalized
+        expected = LAT.omega_q * 0.5**2 / (4 * 2.0 * 1.5) * res.gamma_normalized
         assert res.gamma_physical == pytest.approx(expected)
 
     @pytest.mark.parametrize("epsilon_d, area", [(1e-300, 1.0), (1.0, 1e-300)])
@@ -352,7 +323,7 @@ def _decay_rate_reference(lattice, cavity, prefactor_inputs=None, branch=0):
         weights[0] = n
         return element * complex(np.exp(phase) @ weights) / n
 
-    k_q = lattice.k_q
+    k_q = lattice.omega_q
     s_kq = abs(s(k_q))
     s_0 = abs(s(0.0))
     gamma = 2.0 * s_kq**2 - s_0**2
