@@ -82,8 +82,8 @@ class CavitySpec:
 
     def detuning(self, lattice: LatticeSpec) -> float | np.ndarray:
         """Cavity-qubit detuning omega_c - omega_q, GHz; one entry per
-        point when the cavity or the lattice is a sweep."""
-        if isinstance(self.omega_c, tuple) or isinstance(lattice.omega_q, tuple):
+        point when the cavity or the lattice is a sweep (see ``paired_length``)."""
+        if paired_length(lattice, self):
             return np.subtract(self.omega_c, lattice.omega_q)
         return self.omega_c - lattice.omega_q
 
@@ -100,6 +100,16 @@ def _sweep_points(spec: LatticeSpec | CavitySpec, a: str, b: str) -> list[tuple]
     for name, value in ((a, x), (b, y)):
         object.__setattr__(spec, name, tuple(value.tolist()))
     return list(zip(getattr(spec, a), getattr(spec, b)))
+
+
+def paired_length(lattice: LatticeSpec, cavity: CavitySpec) -> int:
+    """The point count of a lattice sweep, a cavity sweep or both, 0 for neither.  Two sweeps
+    pair point by point, so they must have one length: a one-point sweep does not broadcast."""
+    a = len(lattice.omega_q) if isinstance(lattice.omega_q, tuple) else 0
+    b = len(cavity.omega_c) if isinstance(cavity.omega_c, tuple) else 0
+    if a and b and a != b:
+        raise ValueError(f"a lattice sweep of {a} points and a cavity sweep of {b} differ")
+    return a or b
 
 
 def refuse_sweep(caller: str, *specs: LatticeSpec | CavitySpec) -> None:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CavitySpec, LatticeSpec, deformation_factor, refuse_sweep
+from .model import CavitySpec, LatticeSpec, deformation_factor, paired_length, refuse_sweep
 
 
 class EmptySectorError(ValueError):
@@ -108,21 +108,20 @@ def _sector_terms(two_r: int, two_u: int) -> tuple[SectorBasis, np.ndarray]:
     return SectorBasis(two_u=two_u, entries=entries), terms
 
 
-def _sector_block(
-    lattice: LatticeSpec, cavity: CavitySpec, two_u: int
-) -> tuple[SectorBasis, np.ndarray]:
-    """Basis and dense block Hamiltonian of one sector (see
-    ``build_sector_hamiltonian``), with a leading point axis for a sweep
-    of the lattice, of the cavity, or of both at one length.  A bare
-    energy omega_q*m + omega_c*n, or a coupling, that overflows at any
-    point raises ValueError."""
+def build_sector_hamiltonian(lattice: LatticeSpec, cavity: CavitySpec, two_u: int) -> np.ndarray:
+    """Dense real symmetric block Hamiltonian of one excitation sector, GHz;
+    for a sweep (``paired_length``), a stack of them with a leading point axis.
+
+    Diagonal entries are the bare energies omega_q*m + omega_c*n; the
+    single off-diagonal couples (n, m) to (n-1, m+1) with strength
+    eta*sqrt(n)*sqrt(f*(r-m)*(r+m+1)).  A bare energy or a coupling that
+    overflows at any point raises ValueError.
+    """
     basis, (n, m, sqrt_n, rm, rm1) = _sector_terms(lattice.two_r, two_u)
+    paired_length(lattice, cavity)
     d = basis.dimension
     fields = (lattice.omega_q, deformation_factor(lattice), cavity.omega_c, cavity.eta)
     omega_q, f, omega_c, eta = (np.asarray(x)[..., None] for x in fields)
-    if omega_q.ndim == omega_c.ndim == 2 and omega_q.shape != omega_c.shape:
-        raise ValueError(f"a lattice sweep of {len(omega_q)} points and a cavity sweep of "
-                         f"{len(omega_c)} differ")
     with np.errstate(over="ignore", invalid="ignore"):  # raised below
         diagonal = omega_q * m + omega_c * n
         off = eta * sqrt_n[1:] * np.sqrt(f * rm[1:] * rm1[1:])
@@ -134,18 +133,7 @@ def _sector_block(
     h[..., :: d + 1] = diagonal
     h[..., 1 :: d + 1] = off  # the superdiagonal and the subdiagonal of each block
     h[..., d :: d + 1] = off
-    return basis, h.reshape(h.shape[:-1] + (d, d))
-
-
-def build_sector_hamiltonian(lattice: LatticeSpec, cavity: CavitySpec, two_u: int) -> np.ndarray:
-    """Dense real symmetric block Hamiltonian of one excitation sector, GHz;
-    for a sweep, a stack of them with a leading point axis.
-
-    Diagonal entries are the bare energies omega_q*m + omega_c*n; the
-    single off-diagonal couples (n, m) to (n-1, m+1) with strength
-    eta*sqrt(n)*sqrt(f*(r-m)*(r+m+1)).
-    """
-    return _sector_block(lattice, cavity, two_u)[1]
+    return h.reshape(h.shape[:-1] + (d, d))
 
 
 def diagonalize_sector(lattice: LatticeSpec, cavity: CavitySpec, two_u: int) -> PolaritonSector:
@@ -165,7 +153,8 @@ def diagonalize_sector(lattice: LatticeSpec, cavity: CavitySpec, two_u: int) -> 
     block as for each point alone, and the sector's arrays gain a leading
     point axis.
     """
-    basis, h = _sector_block(lattice, cavity, two_u)
+    basis = sector_basis(lattice, two_u)
+    h = build_sector_hamiltonian(lattice, cavity, two_u)
     try:
         vals, vecs = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:

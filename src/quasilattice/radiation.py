@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CavitySpec, LatticeSpec, refuse_sweep
+from .model import CavitySpec, LatticeSpec, paired_length, refuse_sweep
 from .polariton import first_excited_transition
 
 
@@ -92,18 +92,18 @@ def _site_sum(
     with theta = pi*ell/omega_c the site phase per unit frequency.
 
     Accepts scalar or array k; complex k is allowed (the sum is entire).
-    For a sweep, k carries a leading point axis and each point takes its
-    own theta.  The exponentials are computed once; each weight vector of
-    a stack of them is summed as one matrix-vector product on them (a
-    point with one k as one dot product over the sites), and the point
-    axis, then the stack's axes lead the result.  Raises ValueError when
-    a phase or the sum overflows.
+    For a sweep of the lattice, the cavity or both (``paired_length``), k
+    carries a leading point axis and each point takes its own theta.  The
+    exponentials are computed once, and each weight vector of a stack of
+    them is one matrix-vector product on them (a point with one k, one dot
+    product over the sites); the point axis, then the stack's axes lead
+    the result.  Raises ValueError when a phase or the sum overflows.
     """
-    refuse_sweep("_site_sum", cavity)
+    paired_length(lattice, cavity)
     j = np.arange(lattice.n_qubits)
     k_arr = np.asarray(k, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):  # raised below instead
-        theta = math.pi * np.asarray(lattice.relative_spacing) / cavity.omega_c
+        theta = math.pi * np.asarray(lattice.relative_spacing) / np.asarray(cavity.omega_c)
         k_rows = k_arr if k_arr.ndim > theta.ndim else k_arr[..., None]
         phase = np.reshape(1j * theta, theta.shape + (1,) * (k_rows.ndim - theta.ndim + 1))
         phase = phase * np.multiply.outer(k_rows, j)
@@ -128,7 +128,6 @@ def chi(
     do not depend on l, are computed once, and each l is one
     matrix-vector product on them, bit for bit its scalar call.
     """
-    refuse_sweep("chi", cavity)
     j = np.arange(lattice.n_qubits)
     return _site_sum(lattice, cavity, np.cos(np.multiply.outer(l, j * math.pi)), k)
 
@@ -156,7 +155,6 @@ def s_factor(
     For a sweep, k and transition_element carry a leading point axis
     (see ``_site_sum``).
     """
-    refuse_sweep("s_factor", cavity)
     n = lattice.n_qubits
     if transition_element is None:
         transition_element = first_excited_transition(lattice, cavity, branch)
@@ -207,15 +205,17 @@ def decay_rate(
     overflowing bare sector energy, a RuntimeError for any other
     non-finite sector.
     """
-    refuse_sweep("decay_rate", cavity)
-    k_q = np.asarray(lattice.omega_q)
+    points = paired_length(lattice, cavity)
+    k_q = np.full(points or (), lattice.omega_q)  # a k for each point of a sweep
     try:
         element = first_excited_transition(lattice, cavity, branch)
         s = [s_factor(lattice, cavity, k, branch, element) for k in (k_q, np.zeros_like(k_q))]
     except (ValueError, RuntimeError):
-        if k_q.ndim:  # a sweep: raise what its first failing point raises alone
-            for point in zip(lattice.relative_spacing, lattice.omega_q):
-                decay_rate(LatticeSpec(lattice.n_qubits, *point), cavity, prefactor_inputs, branch)
+        if points:  # a sweep: raise what its first failing point raises alone
+            fields = lattice.relative_spacing, lattice.omega_q, cavity.omega_c, cavity.eta
+            for ell, omega_q, omega_c, eta in np.transpose(np.broadcast_arrays(*fields)).tolist():
+                point = LatticeSpec(lattice.n_qubits, ell, omega_q), CavitySpec(omega_c, eta)
+                decay_rate(*point, prefactor_inputs, branch)
         raise
     s_kq, s_0 = (np.hypot(z.real, z.imag) for z in s)
     gamma = 2.0 * np.float_power(s_kq, 2) - np.float_power(s_0, 2)

@@ -28,10 +28,6 @@ ONE_LATTICE_ONLY = {
         ("lattice",),
     ),
     "build_operators": (lambda lat, cav: oracle.build_operators(lat, cav, n_max=2), ("cavity",)),
-    "chi": (lambda lat, cav: radiation.chi(lat, cav, 0.25, 2.0), ("cavity",)),
-    "s_factor": (lambda lat, cav: radiation.s_factor(lat, cav, 2.0), ("cavity",)),
-    "decay_rate": (radiation.decay_rate, ("cavity",)),
-    "_site_sum": (lambda lat, cav: radiation._site_sum(lat, cav, np.ones(4), 2.0), ("cavity",)),
     "_closed_form_terms": (
         lambda lat, cav: validation._closed_form_terms(lat, cav, 0.25, np.array([2.0])), ("cavity",)
     ),

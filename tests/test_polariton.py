@@ -271,20 +271,44 @@ class TestDiagonalization:
                 ])
         element = polariton.first_excited_transition(lat, cav)
         assert element.tobytes() == stacked([polariton.first_excited_transition(*p) for p in points])
+        # the radiation layer on the same points: chi and s on k with a
+        # point axis (k = omega_q and a grid), and the decay rate
+        k = np.array([(0.0, lat_p.omega_q, 30.0, -7.5) for lat_p, _ in points])
+        chi = radiation.chi(lat, cav, radiation.l_values(lat), k)
+        assert chi.tobytes() == stacked([
+            radiation.chi(*p, radiation.l_values(lat), k_p) for p, k_p in zip(points, k)
+        ])
+        s = radiation.s_factor(lat, cav, k)
+        assert s.tobytes() == stacked([radiation.s_factor(*p, k_p) for p, k_p in zip(points, k)])
+        rate = radiation.decay_rate(lat, cav)
+        alone = [radiation.decay_rate(*p) for p in points]
+        for field in ("gamma_normalized", "s_at_kq", "s_at_zero"):
+            assert getattr(rate, field).tobytes() == stacked([getattr(a, field) for a in alone])
 
-    @pytest.mark.parametrize("lattice_points, cavity_points", [(2, 3), (3, 2), (2, 1)])
+    @pytest.mark.parametrize("lattice_points, cavity_points", [(2, 3), (3, 2), (2, 1), (1, 3)])
     def test_sweeps_of_other_lengths_are_refused(self, lattice_points, cavity_points):
-        # a one-point sweep does not broadcast against a longer one either
+        # a one-point sweep does not broadcast against a longer one either;
+        # the sector layer, the radiation layer and the detuning share the rule
         lat = LatticeSpec(4, (0.37,) * lattice_points, (13.458,) * lattice_points)
         cav = CavitySpec((6.729,) * cavity_points, (0.1,) * cavity_points)
-        message = f"lattice sweep of {lattice_points} points and a cavity sweep of {cavity_points} differ"
-        with pytest.raises(ValueError, match=message):
-            polariton.diagonalize_sector(lat, cav, 0)
+        k = np.full(lattice_points, 2.0)
+        calls = {
+            "diagonalize_sector": lambda: polariton.diagonalize_sector(lat, cav, 0),
+            "chi": lambda: radiation.chi(lat, cav, 0.25, k),
+            "s_factor": lambda: radiation.s_factor(lat, cav, k),
+            "decay_rate": lambda: radiation.decay_rate(lat, cav),
+            "detuning": lambda: cav.detuning(lat),
+        }
+        message = f"^a lattice sweep of {lattice_points} points and a cavity sweep of {cavity_points} differ$"
+        for name, call in calls.items():
+            with pytest.raises(ValueError, match=message) as info:
+                call()
+            assert type(info.value) is ValueError, name
 
     @pytest.mark.parametrize("n, two_u", [(3, 1), (4, 0)])
     def test_overflowing_coupling_raises(self, n, two_u):
         # finite bare energies, but eta*sqrt(n)*sqrt(f*(r-m)*(r+m+1))
-        # overflows: refused before any eigensolve, in _sector_block
+        # overflows: refused before any eigensolve, in build_sector_hamiltonian
         lat = LatticeSpec(n_qubits=n, relative_spacing=0.37, omega_q=13.458)
         cav = CavitySpec(omega_c=6.729, eta=1e308)
         for call in (polariton.diagonalize_sector, polariton.build_sector_hamiltonian):
@@ -363,7 +387,7 @@ class TestDiagonalization:
     def test_overflowing_bare_energy_raises(self, n, two_u):
         # omega_q*m + omega_c*n overflows: at N=4, 2u=-4 to -inf, at N=3,
         # 2u=1 to inf and N=4, 2u=0 to -inf + inf; refused before any
-        # eigensolve, in _sector_block, which every caller goes through
+        # eigensolve, in build_sector_hamiltonian, which every caller goes through
         lat = LatticeSpec(n_qubits=n, relative_spacing=0.37, omega_q=1e308)
         cav = CavitySpec(omega_c=1e308, eta=0.1)
         for call in (polariton.diagonalize_sector, polariton.build_sector_hamiltonian):

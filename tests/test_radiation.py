@@ -356,37 +356,48 @@ def _assert_bitwise(result, references):
 
 @st.composite
 def _sweep_point(draw):
-    """One sweep point (ell, omega_q): ell at 0, 1, 1/2, 2/3 or anywhere
-    in [0, 1], and omega_q anywhere in [0.5, 45], on a quasi-period
-    multiple 2*m*omega_c/ell, or at or next to omega_c."""
+    """One sweep point (ell, omega_q, omega_c, eta): omega_c at 6.729 or
+    anywhere in [1, 30], eta at 0, 0.1 or anywhere in [0.001, 2], ell at
+    0, 1, 1/2, 2/3 or anywhere in [0, 1], and omega_q anywhere in
+    [0.5, 45], on a quasi-period multiple 2*m*omega_c/ell, or at or next
+    to omega_c."""
+    omega_c = draw(st.sampled_from([CAV.omega_c]) | st.floats(1.0, 30.0))
+    eta = draw(st.sampled_from([0.0, 0.1]) | st.floats(0.001, 2.0))
     ell = draw(st.sampled_from([0.0, 1.0, 0.5, 2 / 3]) | st.floats(0.0, 1.0))
     kind = draw(st.sampled_from(["any", "multiple", "omega_c", "near"]))
     if kind == "multiple" and ell >= 1e-3:  # a finite omega_q
-        omega_q = draw(st.integers(1, 4)) * 2.0 * CAV.omega_c / ell
+        omega_q = draw(st.integers(1, 4)) * 2.0 * omega_c / ell
     elif kind == "omega_c":
-        omega_q = CAV.omega_c
+        omega_q = omega_c
     elif kind == "near":
-        omega_q = math.nextafter(CAV.omega_c, draw(st.sampled_from([0.0, math.inf])))
+        omega_q = math.nextafter(omega_c, draw(st.sampled_from([0.0, math.inf])))
     else:
         omega_q = draw(st.floats(0.5, 45.0))
-    return ell, omega_q
+    return ell, omega_q, omega_c, eta
 
 
 class TestBatchedDecayRate:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(data=st.data(), n=st.integers(1, 32), branch=st.integers(0, 1),
-           eta=st.sampled_from([0.0, 0.1]) | st.floats(0.001, 2.0),
            prefactor=st.booleans())
-    def test_matches_reference_bitwise(self, data, n, branch, eta, prefactor):
-        pairs = data.draw(st.lists(_sweep_point(), min_size=1, max_size=12))
-        points = [LatticeSpec(n, *p) for p in pairs]
-        sweep = LatticeSpec(n, *zip(*pairs))
-        cavity = CavitySpec(omega_c=CAV.omega_c, eta=eta)
+    def test_matches_reference_bitwise(self, data, n, branch, prefactor):
+        # a lattice sweep with one cavity, one lattice with a cavity sweep,
+        # and the two sweeps paired: each point as its reference alone
+        draws = data.draw(st.lists(_sweep_point(), min_size=1, max_size=12))
+        ells, omegas, omega_cs, etas = zip(*draws)
+        points = [LatticeSpec(n, ell, omega_q) for ell, omega_q in zip(ells, omegas)]
+        cavities = [CavitySpec(omega_c, eta) for omega_c, eta in zip(omega_cs, etas)]
+        sweep, cavity_sweep = LatticeSpec(n, ells, omegas), CavitySpec(omega_cs, etas)
         pref = radiation.PrefactorInputs(mu=0.5, epsilon_d=2.0, area=1.5) if prefactor else None
-        references = [_decay_rate_reference(p, cavity, pref, branch) for p in points]
-        _assert_bitwise(radiation.decay_rate(sweep, cavity, pref, branch), references)
-        single = radiation.decay_rate(points[0], cavity, pref, branch)
-        _assert_bitwise(single, references[:1])
+        for lattice, cavity, pairs in (
+            (sweep, cavities[0], [(p, cavities[0]) for p in points]),
+            (points[0], cavity_sweep, [(points[0], c) for c in cavities]),
+            (sweep, cavity_sweep, list(zip(points, cavities))),
+        ):
+            references = [_decay_rate_reference(*pair, pref, branch) for pair in pairs]
+            _assert_bitwise(radiation.decay_rate(lattice, cavity, pref, branch), references)
+        single = radiation.decay_rate(points[0], cavities[0], pref, branch)
+        _assert_bitwise(single, references[:1])  # the paired sweep's point 0
         assert type(single.gamma_normalized) is np.float64
         assert type(single.s_at_kq) is np.float64
 
@@ -432,13 +443,19 @@ class TestBatchedDecayRate:
     def test_error_of_first_failing_point(self):
         # point 1 overflows its site phase, point 2 its bare sector
         # energy: the sweep raises what point 1 raises alone, as a
-        # point-by-point sweep does
-        cavity = CavitySpec(omega_c=1e-307, eta=0.1)
+        # point-by-point sweep does; in the omega_c sweep, paired with a
+        # lattice sweep, the tiny omega_c of point 1 overflows its phase
+        # and the omega_q of point 2 its bare energy
         ells, omegas = (0.0, 0.5, 0.5), (13.458, 13.458, 1e308)
-        with pytest.raises(ValueError, match="site phase"):
-            radiation.decay_rate(LatticeSpec(4, ells, omegas), cavity)
-        with pytest.raises(ValueError, match="bare sector energy"):
-            radiation.decay_rate(LatticeSpec(4, ells[::-1], omegas[::-1]), cavity)
+        omega_cs = (6.729, 1e-307, 20.0)
+        for cavity, reverse in (
+            (CavitySpec(omega_c=1e-307, eta=0.1),) * 2,
+            (CavitySpec(omega_cs, (0.1,) * 3), CavitySpec(omega_cs[::-1], (0.1,) * 3)),
+        ):
+            with pytest.raises(ValueError, match="site phase"):
+                radiation.decay_rate(LatticeSpec(4, ells, omegas), cavity)
+            with pytest.raises(ValueError, match="bare sector energy"):
+                radiation.decay_rate(LatticeSpec(4, ells[::-1], omegas[::-1]), reverse)
 
 
 # Mutants of the numeric side of the principal-value check; the closed
