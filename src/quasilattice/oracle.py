@@ -52,7 +52,7 @@ class ProductSpaceOperators:
     down: np.ndarray
     weight: np.ndarray
 
-    @property
+    @property  # no src reader: perfbench's traced runs record it per build_operators call
     def dimension(self) -> int:
         return self.s_z.size * (self.n_max + 1)
 

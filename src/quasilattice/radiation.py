@@ -92,18 +92,20 @@ def _site_sum(
     with theta = pi*ell/omega_c the site phase per unit frequency.
 
     Accepts scalar or array k; complex k is allowed (the sum is entire).
-    For a sweep of the lattice, the cavity or both (``paired_length``), k
-    carries a leading point axis and each point takes its own theta.  The
-    exponentials are computed once, and each weight vector of a stack of
-    them is one matrix-vector product on them (a point with one k, one dot
-    product over the sites); the point axis, then the stack's axes lead
-    the result.  Raises ValueError when a phase or the sum overflows.
+    For a sweep of the lattice, the cavity or both (``paired_length``),
+    each point takes its own theta and k's leading axis is the point
+    axis; a scalar k is each point's k.  The exponentials are computed
+    once, and each weight vector of a stack of them is one matrix-vector
+    product on each point's k rows, bit for bit the point's call alone;
+    the point axis, then the stack's axes lead the result.  Raises
+    ValueError when a phase or the sum overflows.
     """
     paired_length(lattice, cavity)
     j = np.arange(lattice.n_qubits)
     k_arr = np.asarray(k, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):  # raised below instead
         theta = math.pi * np.asarray(lattice.relative_spacing) / np.asarray(cavity.omega_c)
+        k_arr = np.broadcast_to(k_arr, theta.shape + k_arr.shape[theta.ndim :])
         k_rows = k_arr if k_arr.ndim > theta.ndim else k_arr[..., None]
         phase = np.reshape(1j * theta, theta.shape + (1,) * (k_rows.ndim - theta.ndim + 1))
         phase = phase * np.multiply.outer(k_rows, j)
@@ -126,7 +128,8 @@ def chi(
     Accepts scalar or array k; complex k is allowed (the sum is entire).
     An array of l adds its axes in front: the site exponentials, which
     do not depend on l, are computed once, and each l is one
-    matrix-vector product on them, bit for bit its scalar call.
+    matrix-vector product on them, bit for bit its scalar call.  A sweep
+    reads k as ``_site_sum`` does: a scalar k is each point's k.
     """
     j = np.arange(lattice.n_qubits)
     return _site_sum(lattice, cavity, np.cos(np.multiply.outer(l, j * math.pi)), k)
@@ -152,8 +155,8 @@ def s_factor(
     reuse a precomputed value across a k-sweep.  The l-sum is taken
     inside the site sum, on the exact weights of ``_l_summed_weights``.
 
-    For a sweep, k and transition_element carry a leading point axis
-    (see ``_site_sum``).
+    For a sweep, transition_element and k carry a leading point axis,
+    or k is each point's scalar k (see ``_site_sum``).
     """
     n = lattice.n_qubits
     if transition_element is None:
@@ -206,10 +209,9 @@ def decay_rate(
     non-finite sector.
     """
     points = paired_length(lattice, cavity)
-    k_q = np.full(points or (), lattice.omega_q)  # a k for each point of a sweep
     try:
         element = first_excited_transition(lattice, cavity, branch)
-        s = [s_factor(lattice, cavity, k, branch, element) for k in (k_q, np.zeros_like(k_q))]
+        s = [s_factor(lattice, cavity, k, branch, element) for k in (lattice.omega_q, 0.0)]
     except (ValueError, RuntimeError):
         if points:  # a sweep: raise what its first failing point raises alone
             fields = lattice.relative_spacing, lattice.omega_q, cavity.omega_c, cavity.eta
@@ -224,7 +226,7 @@ def decay_rate(
         try:
             with np.errstate(over="raise"):
                 pref = (
-                    k_q
+                    np.asarray(lattice.omega_q)
                     * prefactor_inputs.mu**2
                     / (np.float64(4.0) * prefactor_inputs.epsilon_d * prefactor_inputs.area)
                 )

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import oracle, polariton, radiation
-from .model import CavitySpec, LatticeSpec, coupling_weights, deformation_factor, refuse_sweep
+from .model import CavitySpec, LatticeSpec, coupling_weights, deformation_factor
 
 
 @dataclass
@@ -142,19 +142,16 @@ def check_closed_form(rng: np.random.Generator) -> list[CheckResult]:
         sec = polariton.diagonalize_sector(lat, cav, two_u)
         dw = cav.detuning(lat)[:, None]
         # Near-zero denominators eps - j*dw make the expansion
-        # ill-conditioned; skip those branches.  The rule guards small
-        # denominators only: closed_form_coefficients itself refines
-        # eps, so an error in eps needs no skip.
+        # ill-conditioned; skip those branches, so no kept one nears the
+        # expansion's degeneracy refusal.  closed_form_coefficients itself
+        # refines eps, so an error in eps needs no skip.
         j_dw = np.arange(sec.basis.dimension) * dw[..., None]
         gap = np.abs(sec.stark_splittings[..., None] - j_dw).min(-1)
         keep = gap >= 1e-3 * np.maximum(1.0, np.abs(dw))
         for point, eps, columns, kept in zip(points, sec.stark_splittings.tolist(), sec.coefficients, keep):
             lat, cav = LatticeSpec(n, *point[:2]), CavitySpec(*point[2:])
             for b in np.flatnonzero(kept).tolist():
-                try:
-                    c = polariton.closed_form_coefficients(lat, cav, two_u, eps[b])
-                except polariton.DegenerateDetuningError:
-                    continue
+                c = polariton.closed_form_coefficients(lat, cav, two_u, eps[b])
                 worst = max(worst, float(np.linalg.norm(c - columns[:, b])))
     return [CheckResult("closed-form-coefficients", worst, 1e-7, "expansion vs eigensolver, 50 random sectors")]
 
@@ -185,7 +182,6 @@ def _closed_form_terms(
     0-59 the largest measured ratio is 5.5, hence C = 16.  A wrong l or a
     sign error differs by O(1) and exceeds the bound by orders of magnitude.
     """
-    refuse_sweep("_closed_form_terms", cavity)
     n = lattice.n_qubits
     phase = math.pi * lattice.relative_spacing / cavity.omega_c * k
     e1, e_n, e_n1 = (np.exp(1j * m * phase) for m in (1, n, n + 1))

@@ -28,9 +28,6 @@ ONE_LATTICE_ONLY = {
         ("lattice",),
     ),
     "build_operators": (lambda lat, cav: oracle.build_operators(lat, cav, n_max=2), ("cavity",)),
-    "_closed_form_terms": (
-        lambda lat, cav: validation._closed_form_terms(lat, cav, 0.25, np.array([2.0])), ("cavity",)
-    ),
 }
 
 

@@ -233,7 +233,7 @@ class TestDiagonalization:
         alone = [polariton.first_excited_transition(p, cav) for p in points]
         assert element.tobytes() == stacked(alone)
 
-    @pytest.mark.parametrize("n", [1, 3, 4])
+    @pytest.mark.parametrize("n", [1, 3, 4, 12])
     @pytest.mark.parametrize("lattice_sweep", [False, True])
     def test_cavity_sweep_stacks_its_points(self, n, lattice_sweep):
         # a sweep of omega_c and eta, with one lattice or with a lattice
@@ -272,14 +272,17 @@ class TestDiagonalization:
         element = polariton.first_excited_transition(lat, cav)
         assert element.tobytes() == stacked([polariton.first_excited_transition(*p) for p in points])
         # the radiation layer on the same points: chi and s on k with a
-        # point axis (k = omega_q and a grid), and the decay rate
-        k = np.array([(0.0, lat_p.omega_q, 30.0, -7.5) for lat_p, _ in points])
-        chi = radiation.chi(lat, cav, radiation.l_values(lat), k)
-        assert chi.tobytes() == stacked([
-            radiation.chi(*p, radiation.l_values(lat), k_p) for p, k_p in zip(points, k)
-        ])
-        s = radiation.s_factor(lat, cav, k)
-        assert s.tobytes() == stacked([radiation.s_factor(*p, k_p) for p, k_p in zip(points, k)])
+        # point axis (k = omega_q and a grid) and on a scalar k, which is
+        # each point's k (omega_q and 0), and the decay rate
+        grid = np.array([(0.0, lat_p.omega_q, 30.0, -7.5) for lat_p, _ in points])
+        for k in (grid, 13.458, 0.0):
+            k_points = grid if k is grid else [k] * len(points)
+            chi = radiation.chi(lat, cav, radiation.l_values(lat), k)
+            assert chi.tobytes() == stacked([
+                radiation.chi(*p, radiation.l_values(lat), k_p) for p, k_p in zip(points, k_points)
+            ])
+            s = radiation.s_factor(lat, cav, k)
+            assert s.tobytes() == stacked([radiation.s_factor(*p, k_p) for p, k_p in zip(points, k_points)])
         rate = radiation.decay_rate(lat, cav)
         alone = [radiation.decay_rate(*p) for p in points]
         for field in ("gamma_normalized", "s_at_kq", "s_at_zero"):
