@@ -6,9 +6,11 @@
 ``record`` runs each command as ``python -m quasilattice.cli`` with
 SRC_DIR (the directory holding the ``quasilattice`` package, such as a
 checkout's ``src``) first on PYTHONPATH, in an empty directory of its
-own, one command at a time.  It writes the sha256 of its stdout, of its
-stderr (where SRC_DIR's path reads "SRC_DIR", since a warning names the
-file it comes from) and of each file it leaves in that directory, and
+own, one command at a time; BYTECHECK_DIR in a command is this
+directory, where the files a command reads are kept.  It writes the
+sha256 of its stdout, of its stderr (where SRC_DIR's and BYTECHECK_DIR's
+paths read "SRC_DIR" and "BYTECHECK_DIR", since a warning names the file
+it comes from) and of each file it leaves in that directory, and
 its exit code, to OUT.json, together with a fingerprint of the platform: the python,
 numpy and BLAS versions and the BLAS thread count.  Two records from
 different platforms can differ in the last bit of a float without any
@@ -34,7 +36,8 @@ from pathlib import Path
 
 import numpy as np
 
-COMMANDS = Path(__file__).with_name("commands.txt")
+HERE = Path(__file__).resolve().parent
+COMMANDS = HERE / "commands.txt"
 
 
 def commands() -> list[str]:
@@ -73,11 +76,13 @@ def run_one(src: Path, command: str) -> dict:
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
     with tempfile.TemporaryDirectory(prefix="bytecheck-") as cwd:
         proc = subprocess.run(
-            [sys.executable, "-m", "quasilattice.cli", *shlex.split(command)],
+            [sys.executable, "-m", "quasilattice.cli",
+             *shlex.split(command.replace("BYTECHECK_DIR", shlex.quote(str(HERE))))],
             cwd=cwd, env=env, capture_output=True, check=False,
         )
         files = {p.name: _sha256(p.read_bytes()) for p in sorted(Path(cwd).iterdir())}
     stderr = proc.stderr.replace(os.fsencode(src), b"SRC_DIR")
+    stderr = stderr.replace(os.fsencode(HERE), b"BYTECHECK_DIR")
     return {
         "exit_code": proc.returncode,
         "stdout_sha256": _sha256(proc.stdout),

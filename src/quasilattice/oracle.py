@@ -19,11 +19,10 @@ import numpy as np
 from .model import CavitySpec, LatticeSpec, coupling_weights, refuse_sweep
 
 _MAX_QUBITS = 8
-_MAX_FOCK = 12
 
 
 class DimensionGuardError(ValueError):
-    """Requested product space exceeds the supported dense size."""
+    """Requested chain exceeds the dense 2^N-square s_plus of `verify_commutators`."""
 
 
 class TruncationError(ValueError):
@@ -99,12 +98,9 @@ def build_operators(
     written.  s_z, up and down depend on N only (`_site_pattern`); sigma_z
     and weight get one row per point of a sweep.  Each w_j^2 is libm's
     pow, as the scalar w_j**2 of one lattice rounds."""
-    refuse_sweep("build_operators", cavity)
     n = lattice.n_qubits
-    if n > _MAX_QUBITS or n_max > _MAX_FOCK:
-        raise DimensionGuardError(
-            f"dense oracle limited to N <= {_MAX_QUBITS}, n_max <= {_MAX_FOCK}"
-        )
+    if n > _MAX_QUBITS:
+        raise DimensionGuardError(f"dense oracle limited to N <= {_MAX_QUBITS}")
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     weights = coupling_weights(lattice)
@@ -185,6 +181,6 @@ def _sector_block(ops: ProductSpaceOperators, two_u: int) -> np.ndarray:
 
 def exact_sector_spectrum(ops: ProductSpaceOperators, two_u: int) -> np.ndarray:
     """Eigenvalues of H_total restricted to the excitation-u eigenspace,
-    from the block of `_sector_block`; one lattice only."""
-    refuse_sweep("exact_sector_spectrum", ops.lattice)
+    from the block of `_sector_block`; one lattice and one cavity only."""
+    refuse_sweep("exact_sector_spectrum", ops.lattice, ops.cavity)
     return np.linalg.eigvalsh(_sector_block(ops, two_u))

@@ -281,8 +281,6 @@ def closed_form_coefficients(
     dw = cavity.detuning(lattice)
     eta = cavity.eta
 
-    if basis.dimension == 1:
-        return np.ones(1)
     if eta == 0.0:
         # Decoupled limit: the branch is a bare basis state picked by eps.
         diag = np.array([dw * n for n, _ in basis.entries])

@@ -94,15 +94,18 @@ def _site_sum(
     Accepts scalar or array k; complex k is allowed (the sum is entire).
     For a sweep of the lattice, the cavity or both (``paired_length``),
     each point takes its own theta and k's leading axis is the point
-    axis; a scalar k is each point's k.  The exponentials are computed
-    once, and each weight vector of a stack of them is one matrix-vector
-    product on each point's k rows, bit for bit the point's call alone;
-    the point axis, then the stack's axes lead the result.  Raises
-    ValueError when a phase or the sum overflows.
+    axis, or 1 long: k[None] is one grid for every point, and a scalar k
+    is each point's k.  The exponentials are computed once, and each
+    weight vector of a stack of them is one matrix-vector product on
+    each point's k rows, bit for bit the point's call alone; the point
+    axis, then the stack's axes lead the result.  Raises ValueError when
+    k's leading axis is another length, or a phase or the sum overflows.
     """
-    paired_length(lattice, cavity)
+    points = paired_length(lattice, cavity)
     j = np.arange(lattice.n_qubits)
     k_arr = np.asarray(k, dtype=complex)
+    if points and k_arr.ndim and k_arr.shape[0] not in (1, points):
+        raise ValueError(f"k's leading axis is the {points}-point axis; k[None] is one grid for every point")
     with np.errstate(over="ignore", invalid="ignore"):  # raised below instead
         theta = math.pi * np.asarray(lattice.relative_spacing) / np.asarray(cavity.omega_c)
         k_arr = np.broadcast_to(k_arr, theta.shape + k_arr.shape[theta.ndim :])
@@ -129,7 +132,7 @@ def chi(
     An array of l adds its axes in front: the site exponentials, which
     do not depend on l, are computed once, and each l is one
     matrix-vector product on them, bit for bit its scalar call.  A sweep
-    reads k as ``_site_sum`` does: a scalar k is each point's k.
+    reads k as ``_site_sum`` does (k[None]: one grid for every point).
     """
     j = np.arange(lattice.n_qubits)
     return _site_sum(lattice, cavity, np.cos(np.multiply.outer(l, j * math.pi)), k)
@@ -155,8 +158,8 @@ def s_factor(
     reuse a precomputed value across a k-sweep.  The l-sum is taken
     inside the site sum, on the exact weights of ``_l_summed_weights``.
 
-    For a sweep, transition_element and k carry a leading point axis,
-    or k is each point's scalar k (see ``_site_sum``).
+    For a sweep, transition_element carries a leading point axis, and k
+    is read as ``_site_sum`` reads it (k[None]: one grid for every point).
     """
     n = lattice.n_qubits
     if transition_element is None:

@@ -127,6 +127,7 @@ class TestDecaySweep:
         (["--sweep", "omega-q", "--omega-q-max", "1e308", "--branch", "2"],
          cli.EXIT_USAGE, "branch 2 outside"),
         (["--eta", "1e308", "--points", "3"], cli.EXIT_USAGE, "sector coupling"),
+        (["--points", "1"], cli.EXIT_USAGE, "--points must be at least 2"),
     ])
     def test_exit_codes(self, tmp_path, capsys, argv, code, message):
         out = tmp_path / "decay.csv"
@@ -550,7 +551,11 @@ class TestPlumbing:
             rows = list(csv.reader(fh))[1:]
         assert [float(r[0]) for r in rows] == [0.0, 0.5, 1.0]
 
-    @pytest.mark.parametrize("line", ["sweep = bogus", "points = five", "mu = x"])
+    @pytest.mark.parametrize("line", [
+        "sweep = bogus", "points = five", "mu = x",
+        "# comment and blank lines are skipped\n\npoints = five",
+        "points",  # no '='
+    ])
     def test_bad_config_value_is_usage_error(self, tmp_path, line):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(line + "\n")
@@ -582,12 +587,19 @@ class TestPlumbing:
     }
 
     @pytest.mark.parametrize("command", sorted(_DEFAULTS))
-    def test_defaults(self, command):
+    def test_defaults(self, command, capsys):
         args = vars(cli._parse(cli.build_parser(), [command]))
         expected = dict(self._DEFAULTS[command], command=command, config=None, out=None)
         assert args == expected
         for key, value in expected.items():
             assert type(args[key]) is type(value)
+        # --help appends each of them, and only them, to its option's help
+        # text; --out's help text states its own
+        assert run([command, "--help"]) == cli.EXIT_OK
+        text = " ".join(capsys.readouterr().out.split())
+        given = [value for value in self._DEFAULTS[command].values() if value is not None]
+        assert all(f"(default {value})" in text for value in given)
+        assert text.count("(default ") == len(given) + 1
 
     @pytest.mark.parametrize("argv", [
         ["validate", "--n", "8"],

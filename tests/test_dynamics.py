@@ -93,6 +93,10 @@ class TestBathSpec:
             dynamics.BathSpec(np.array([1.0, 2.0]), np.array([0.1, -0.1]), 1.0)
         with pytest.raises(ValueError):
             dynamics.BathSpec(np.array([-1.0, 2.0]), np.array([0.1, 0.1]), 3.0)
+        with pytest.raises(ValueError, match="nonempty vector"):
+            dynamics.BathSpec(np.array([]), np.array([]), 1.0)
+        with pytest.raises(ValueError, match="match mode_frequencies in shape"):
+            dynamics.BathSpec(np.array([1.0, 2.0]), np.array([0.1, 0.1, 0.1]), 1.0)
 
     @pytest.mark.parametrize("freqs, couplings", [
         ([1.0, math.inf], [0.1, 0.1]),
@@ -309,6 +313,10 @@ class TestIntegration:
         for t_final, dt in ((math.inf, 0.2), (math.nan, 0.2), (5.0, math.inf), (5.0, math.nan)):
             with pytest.raises(ValueError):
                 _polariton(LAT, CAV, bath, t_final, dt)
+        # a non-finite emitter frequency or amplitude makes no amplitude equations
+        for omega_e, amplitude in ((LAT.omega_q, math.nan), (LAT.omega_q, math.inf), (math.inf, 1.0)):
+            with pytest.raises(RuntimeError, match="^non-finite amplitude equations$"):
+                dynamics.integrate_amplitudes(omega_e, amplitude, bath, 5.0, 0.2)
 
     def test_coarse_step_runs_within_its_bound(self):
         # dt*max|omega_e - omega_k| = 0.5: no step size limits the accuracy,
@@ -1014,6 +1022,11 @@ class TestFitDecay:
     def test_exact_exponential(self):
         traj = self._synthetic(0.05)
         assert dynamics.fit_decay(traj) == pytest.approx(0.05, abs=1e-12)
+        # exp(-0.5*20*t) underflows to 0 from t of about 74.5 on, inside the window
+        traj = self._synthetic(20.0)
+        assert traj.alpha[-1] == 0.0
+        with pytest.raises(ValueError, match="vanished inside the fit window"):
+            dynamics.fit_decay(traj)
 
     def test_rabi_trajectory_rejected(self):
         # horizon covers a full Rabi period, so the window contains a revival

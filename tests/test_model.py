@@ -25,9 +25,8 @@ ONE_LATTICE_ONLY = {
     ),
     "exact_sector_spectrum": (
         lambda lat, cav: oracle.exact_sector_spectrum(oracle.build_operators(lat, cav, n_max=2), -4),
-        ("lattice",),
+        ("lattice", "cavity"),
     ),
-    "build_operators": (lambda lat, cav: oracle.build_operators(lat, cav, n_max=2), ("cavity",)),
 }
 
 

@@ -81,12 +81,15 @@ class TestBuildOperators:
         assert np.array_equal(ops.s_z, np.diag(_kron_reference(lat, CAV, 2)["s_z"]))
 
     def test_dimension_guard(self):
+        # N guards the dense 2^N-square s_plus of verify_commutators; no
+        # array grows with n_max, which must only be at least 1
         lat = LatticeSpec(n_qubits=9, relative_spacing=0.3, omega_q=10.0)
         with pytest.raises(oracle.DimensionGuardError):
             oracle.build_operators(lat, CAV, n_max=2)
         lat8 = LatticeSpec(n_qubits=8, relative_spacing=0.3, omega_q=10.0)
-        with pytest.raises(oracle.DimensionGuardError):
-            oracle.build_operators(lat8, CAV, n_max=13)
+        assert oracle.build_operators(lat8, CAV, n_max=13).dimension == 2**8 * 14
+        with pytest.raises(ValueError, match="^n_max must be at least 1$"):
+            oracle.build_operators(lat8, CAV, n_max=0)
 
     def test_lowering_is_adjoint(self):
         # the commutators take s_minus as the transpose of the raising
@@ -236,6 +239,10 @@ class TestCommutators:
                     splus_sminus_sz=max(at_zero) if at_zero else None,
                 )
                 assert repr(oracle.verify_commutators(sweep)) == repr(expected), (n, ells)
+                # the commutators read no cavity, so a cavity sweep is taken too
+                cavities = CavitySpec([OMEGA_C] * len(ells), [0.1] * len(ells))
+                with_cavities = oracle.build_operators(sweep.lattice, cavities, 1)
+                assert repr(oracle.verify_commutators(with_cavities)) == repr(expected), (n, ells)
 
     def test_check_commutators_is_one_sweep_per_n(self, monkeypatch):
         # ell = 0 joins each N's sweep of random ell: one build per N, with

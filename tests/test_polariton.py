@@ -272,17 +272,24 @@ class TestDiagonalization:
         element = polariton.first_excited_transition(lat, cav)
         assert element.tobytes() == stacked([polariton.first_excited_transition(*p) for p in points])
         # the radiation layer on the same points: chi and s on k with a
-        # point axis (k = omega_q and a grid) and on a scalar k, which is
-        # each point's k (omega_q and 0), and the decay rate
+        # point axis (k = omega_q and a grid), on one grid for every point
+        # (k[None]) and on a scalar k, which is each point's k (omega_q and
+        # 0), and the decay rate; a k of another leading length is refused
         grid = np.array([(0.0, lat_p.omega_q, 30.0, -7.5) for lat_p, _ in points])
-        for k in (grid, 13.458, 0.0):
-            k_points = grid if k is grid else [k] * len(points)
+        shared = np.array([0.0, 13.458, 30.0, -7.5, 2.5])
+        for k in (grid, shared[None], 13.458, 0.0):
+            k_points = grid if k is grid else [k[0] if np.ndim(k) else k] * len(points)
             chi = radiation.chi(lat, cav, radiation.l_values(lat), k)
             assert chi.tobytes() == stacked([
                 radiation.chi(*p, radiation.l_values(lat), k_p) for p, k_p in zip(points, k_points)
             ])
             s = radiation.s_factor(lat, cav, k)
             assert s.tobytes() == stacked([radiation.s_factor(*p, k_p) for p, k_p in zip(points, k_points)])
+        refusal = r"^k's leading axis is the 4-point axis; k\[None\] is one grid for every point$"
+        with pytest.raises(ValueError, match=refusal):
+            radiation.chi(lat, cav, 0.25, shared)
+        with pytest.raises(ValueError, match=refusal):
+            radiation.s_factor(lat, cav, shared)
         rate = radiation.decay_rate(lat, cav)
         alone = [radiation.decay_rate(*p) for p in points]
         for field in ("gamma_normalized", "s_at_kq", "s_at_zero"):
@@ -643,9 +650,16 @@ class TestClosedForm:
             assert abs(c[1]) == pytest.approx(abs(eps) / norm, abs=1e-12)
 
     def test_ground_sector_coefficient_is_one(self):
-        c = polariton.closed_form_coefficients(LAT, CAV, -4, 0.0)
-        assert c.shape == (1,)
-        assert c[0] == 1.0
+        # the multi-sum's n = 0 term; eps refines to 0.0 on one state, and
+        # a non-finite eps is refused as in every other sector
+        for eps in (0.0, -3.5, 1e300):
+            c = polariton.closed_form_coefficients(LAT, CAV, -4, eps)
+            assert c.tobytes() == np.ones(1).tobytes()
+        with pytest.raises(ValueError):
+            polariton.closed_form_coefficients(LAT, CAV, -4, math.nan)
+        for eps in (math.inf, -math.inf):
+            with pytest.raises(OverflowError):
+                polariton.closed_form_coefficients(LAT, CAV, -4, eps)
 
     def test_decoupled_limit(self):
         cav0 = CavitySpec(omega_c=6.729, eta=0.0)
