@@ -9,12 +9,13 @@ dimension 2304) and its lowest sectors match the ``exact_spectrum``
 operation of the validate-oracle benchmark workload; the build holds
 only the spin terms, and each sector call builds its own block; the
 N-only part of them (s_z and the entries of s_plus) is cached per N.
-``check_commutators`` makes one build and one ``verify_commutators``
-call per N = 2..6, on one sweep of ell = 0 and its 20 random ell.  The
+``check_commutators`` makes one ``verify_commutators`` call per N =
+2..6, on one sweep of ell = 0 and its 20 random ell, and no build.  The
 ``verify_commutators`` kernels take one lattice and a 20-point sweep at
-N=6, n_max=1 (the check's largest sweep has 21 points); the commutators
-are taken in the 2^N qubit space, one sweep point at a time in one
-reused s_plus buffer.
+N=6 (the check's largest sweep has 21 points); each call forms its own
+weight rows and cos^2-weighted Sigma_z from the lattice, which the
+timing includes, and takes the commutators in the 2^N qubit space, one
+sweep point at a time in one reused s_plus buffer.
 """
 
 import numpy as np
@@ -57,8 +58,7 @@ def test_three_sector_spectra(benchmark, ops):
 
 @pytest.mark.parametrize("lattice", COMMUTATOR_LATTICES.values(), ids=COMMUTATOR_LATTICES)
 def test_verify_commutators(benchmark, lattice):
-    ops = oracle.build_operators(lattice, CAVITY, n_max=1)
-    report = benchmark(oracle.verify_commutators, ops)
+    report = benchmark(oracle.verify_commutators, lattice)
     assert max(report.sz_splus, report.sz_sminus, report.splus_sminus_sigma) < 1e-12
     assert report.splus_sminus_sz is None
 

@@ -8,8 +8,9 @@ read it: ``--config`` and ``--out`` on all five; the model flags
 ``--branch`` on ``decay-sweep`` and ``dynamics``; ``--seed`` on
 ``validate``.  Any other flag, or ``--config`` key, is a usage error.
 
-Exit codes: 0 success, 1 validation failure, 2 bad arguments (a request
-too large to allocate among them), 3 I/O error.  All floating-point CSV
+Exit codes: 0 success, 1 a failed ``validate`` and nothing else, 2 bad
+arguments (among them a request too large to allocate, and finite inputs
+whose results leave the float range), 3 I/O error.  All floating-point CSV
 values are written with 17 significant digits so they round-trip
 exactly; CSV rows end in ``\r\n`` and no field is quoted, since every
 field is numeric.  Repeated runs with the same configuration are
@@ -406,12 +407,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ValueError, MemoryError) as exc:
+    except (ValueError, MemoryError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except RuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

@@ -1,12 +1,12 @@
 """Brute-force exact numerics in the full qubit-chain x Fock product
 space.
 
-The spin terms are read off the qubit basis-index bits at small N, with
-no product-space matrix, and serve as an independent check on the
-deformed collective-spin model: commutation relations in the 2^N qubit
-space, where S_pm = s_pm x 1 act, and exact sector spectra.  Each
-excitation sector is built directly as its own block, so no H_total
-outside it is ever formed.
+The spin terms are read off the qubit basis-index bits, with no
+product-space matrix, and serve as an independent check on the deformed
+collective-spin model: commutation relations in the 2^N qubit space,
+where S_pm = s_pm x 1 act, and exact sector spectra.  Each excitation
+sector is built directly as its own block, so no H_total outside it is
+ever formed.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ _MAX_QUBITS = 8
 
 
 class DimensionGuardError(ValueError):
-    """Requested chain exceeds the dense 2^N-square s_plus of `verify_commutators`."""
+    """N exceeds 8, the bound of the dense 2^N-square s_plus of `verify_commutators`."""
 
 
 class TruncationError(ValueError):
@@ -32,12 +32,9 @@ class TruncationError(ValueError):
 @dataclass(frozen=True)
 class ProductSpaceOperators:
     """The chain + cavity problem on the 2^N x (n_max+1) product space,
-    index spin*(n_max+1) + photons, held as its spin terms.
-
-    The spin terms are those of `build_operators`: the diagonals s_z and
-    sigma_z on the 2^N qubit space and the entries (up, down, weight) of
-    the weighted s_plus, which carries the site weights cos(j*pi*ell);
-    sigma_z is the cos^2-weighted inversion entering its commutator.
+    index spin*(n_max+1) + photons, held as the spin terms `_sector_block`
+    reads: the diagonal s_z on the 2^N qubit space and the entries (up,
+    down, weight) of the weighted s_plus, whose weights are cos(j*pi*ell).
     H_total = omega_q*S_z + omega_c*a_dag*a + eta*(S_plus*a + S_minus*a_dag)
     is formed one excitation sector at a time by `_sector_block`.
     """
@@ -46,7 +43,6 @@ class ProductSpaceOperators:
     cavity: CavitySpec
     n_max: int
     s_z: np.ndarray
-    sigma_z: np.ndarray
     up: np.ndarray
     down: np.ndarray
     weight: np.ndarray
@@ -93,33 +89,26 @@ def _site_pattern(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
 def build_operators(
     lattice: LatticeSpec, cavity: CavitySpec, n_max: int
 ) -> ProductSpaceOperators:
-    """The spin terms of the chain, for sectors and commutators on the
-    product space truncated at n_max photons; no product-space array is
-    written.  s_z, up and down depend on N only (`_site_pattern`); sigma_z
-    and weight get one row per point of a sweep.  Each w_j^2 is libm's
-    pow, as the scalar w_j**2 of one lattice rounds."""
-    n = lattice.n_qubits
-    if n > _MAX_QUBITS:
-        raise DimensionGuardError(f"dense oracle limited to N <= {_MAX_QUBITS}")
+    """The spin terms of the chain, for the sectors of the product space
+    truncated at n_max photons; no product-space array is written.  s_z,
+    up and down depend on N only (`_site_pattern`); weight gets one row
+    per point of a sweep."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    weights = coupling_weights(lattice)
-    s_z, site_z, up, down = _site_pattern(n)
-    squares = np.float_power(weights, 2)
-    sigma_z = np.zeros(weights.shape[:-1] + (2**n,))
-    for j in range(n):
-        sigma_z += squares[..., j, None] * site_z[j]
+    n = lattice.n_qubits
+    s_z, _, up, down = _site_pattern(n)
+    weight = np.repeat(coupling_weights(lattice), 2 ** (n - 1), axis=-1)
     return ProductSpaceOperators(
-        lattice=lattice, cavity=cavity, n_max=n_max, s_z=s_z, sigma_z=sigma_z,
-        up=up, down=down, weight=np.repeat(weights, 2 ** (n - 1), axis=-1),
+        lattice=lattice, cavity=cavity, n_max=n_max, s_z=s_z, up=up, down=down, weight=weight
     )
 
 
-def verify_commutators(ops: ProductSpaceOperators) -> CommutatorReport:
+def verify_commutators(lattice: LatticeSpec) -> CommutatorReport:
     """Residuals of [S_z, S_pm] = pm S_pm and [S_plus, S_minus] = 2*Sigma_z;
     at ell = 0 additionally [S_plus, S_minus] = 2*S_z.  For a sweep each
     residual is the worst over its points, the last over its points at
-    ell = 0 only (None when it has none).
+    ell = 0 only (None when it has none); N > 8 raises DimensionGuardError.
+    Each w_j^2 of Sigma_z is libm's pow, as the scalar w_j**2 rounds.
 
     Every operator here acts as x (x) 1 on the photons, so each identity
     holds on the product space exactly when it holds on the 2^N qubit
@@ -131,16 +120,25 @@ def verify_commutators(ops: ProductSpaceOperators) -> CommutatorReport:
     entries of x that residual is an exact +-0, so it is read on them
     only.  [S_plus, S_minus] is formed point by point in one 2^N-square
     s_plus buffer, whose entries each point writes anew."""
-    sz, up, down, w = ops.s_z, ops.up, ops.down, ops.weight
+    n = lattice.n_qubits
+    if n > _MAX_QUBITS:
+        raise DimensionGuardError(f"commutator check limited to N <= {_MAX_QUBITS}")
+    sz, site_z, up, down = _site_pattern(n)
+    weights = coupling_weights(lattice)
+    w = np.repeat(weights, 2 ** (n - 1), axis=-1)
+    squares = np.float_power(weights, 2)
+    sigma_z = np.zeros(weights.shape[:-1] + (2**n,))
+    for j in range(n):
+        sigma_z += squares[..., j, None] * site_z[j]
     r1 = float(np.max(np.abs(sz[up] * w - w * sz[down] - w), initial=0.0))
     r2 = float(np.max(np.abs(sz[down] * w - w * sz[up] + w), initial=0.0))
     r3, r4 = 0.0, None
     s_plus = np.zeros((sz.size, sz.size))
-    ells = np.ravel(ops.lattice.relative_spacing)
-    for ell, sigma_z, weight in zip(ells, np.atleast_2d(ops.sigma_z), np.atleast_2d(w)):
+    ells = np.ravel(lattice.relative_spacing)
+    for ell, sigma, weight in zip(ells, np.atleast_2d(sigma_z), np.atleast_2d(w)):
         s_plus[up, down] = weight
         pm = s_plus @ s_plus.T - s_plus.T @ s_plus
-        r3 = max(r3, float(np.max(np.abs(pm - np.diag(2.0 * sigma_z)))))
+        r3 = max(r3, float(np.max(np.abs(pm - np.diag(2.0 * sigma)))))
         if ell == 0.0:
             r4 = max(r4 or 0.0, float(np.max(np.abs(pm - np.diag(2.0 * sz)))))
     return CommutatorReport(sz_splus=r1, sz_sminus=r2, splus_sminus_sigma=r3, splus_sminus_sz=r4)

@@ -13,6 +13,7 @@ the lattice (``deformation_factor``), which forms it once.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -176,15 +177,12 @@ def diagonalize_sector(lattice: LatticeSpec, cavity: CavitySpec, two_u: int) -> 
 
 
 @functools.cache
-def _descending_index_sets(n_top: int, q: int, low: int = 0) -> tuple[tuple[int, ...], ...]:
-    """Index tuples j_1 > ... > j_q in {low..n_top} with pairwise gaps >= 2,
+def _descending_index_sets(n_top: int, q: int) -> tuple[tuple[int, ...], ...]:
+    """Index tuples j_1 > ... > j_q in {0..n_top} with pairwise gaps >= 2,
     ordered as their reversals are by itertools.combinations."""
-    if q == 0:
-        return ((),)
     return tuple(
-        rest + (j,)
-        for j in range(low, n_top - 2 * q + 3)
-        for rest in _descending_index_sets(n_top, q - 1, j + 2)
+        c[::-1] for c in itertools.combinations(range(n_top + 1), q)
+        if all(b - a >= 2 for a, b in itertools.pairwise(c))
     )
 
 
@@ -333,19 +331,18 @@ def raising_matrix(
     ``diagonalize_sector`` gives for it, a stack with a leading point axis.
 
     The basis states of the two sectors that share a photon number n are
-    joined by the ladder amplitude sqrt(f*(r+u-n)*(r-u+n+1)); their
-    coefficient outer products are accumulated in ascending n, so every
-    entry is rounded as a per-element sum over n would be.
+    joined by the ladder amplitude sqrt(f*(r+u-n)*(r-u+n+1)), whose factors
+    are the rows r + m + 1 and r - m of sector u-1; their coefficient outer
+    products are accumulated in ascending n, so every entry is rounded as
+    a per-element sum over n would be.
     """
     if upper.basis.two_u != lower.basis.two_u + 2:
         raise ValueError("raising element requires adjacent sectors u and u-1")
-    u, r = upper.basis.two_u / 2.0, lattice.two_r / 2.0
+    *_, rm, rm1 = _sector_terms(lattice.two_r, lower.basis.two_u)[1]
     # every photon number of sector u but its highest is one of sector u-1
     d = upper.basis.dimension - 1
-    n_lo = upper.basis.entries[0][0]
-    j = n_lo - lower.basis.entries[0][0]  # the entry of n_lo in sector u-1
-    n = np.arange(n_lo, n_lo + d)
-    amp = np.sqrt(np.asarray(deformation_factor(lattice))[..., None] * (r + u - n) * (r - u + n + 1))
+    j = upper.basis.entries[0][0] - lower.basis.entries[0][0]  # its lowest one's entry there
+    amp = np.sqrt(np.asarray(deformation_factor(lattice))[..., None] * rm1[j : j + d] * rm[j : j + d])
     outer = upper.coefficients[..., :d, :, None] * lower.coefficients[..., j : j + d, None, :]
     return np.add.reduce(outer * amp[..., None, None], axis=-3, initial=0.0)
 

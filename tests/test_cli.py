@@ -188,13 +188,14 @@ class TestSpectrum:
         assert run(["spectrum", "--u-max-offset", "0", "--out", str(out)]) == 0
         assert [sec["two_u"] for sec in json.loads(out.read_text())["sectors"]] == [-4]
 
-    def test_overflowing_sector_is_validation_failure(self, tmp_path, capsys):
+    def test_overflowing_sector_is_usage_error(self, tmp_path, capsys):
         # every bare energy is finite (at most 8.5e307), but the 2u=1 block's
-        # eigenvalues 8.5e307 +- 1.7e308 overflow in the eigensolve itself
+        # eigenvalues 8.5e307 +- 1.7e308 overflow in the eigensolve itself;
+        # exit 1 is kept for a failed validate
         out = tmp_path / "spec.json"
         argv = ["--n", "1", "--omega-q", "1.7e308", "--omega-c", "1.7e308", "--eta", "1.7e308",
                 "--u-max-offset", "1"]
-        assert run(["spectrum", *argv, "--out", str(out)]) == cli.EXIT_VALIDATION
+        assert run(["spectrum", *argv, "--out", str(out)]) == cli.EXIT_USAGE
         assert "non-finite" in capsys.readouterr().err
         assert not out.exists()
 

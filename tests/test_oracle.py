@@ -7,7 +7,7 @@ from quasilattice import oracle, polariton, radiation, validation
 
 OMEGA_C = 6.729
 CAV = CavitySpec(omega_c=OMEGA_C, eta=0.1)
-SPIN_TERMS = {"s_z", "sigma_z", "up", "down", "weight"}
+SPIN_TERMS = {"s_z", "up", "down", "weight"}
 
 
 def _kron_reference(lattice, cavity, n_max):
@@ -81,11 +81,13 @@ class TestBuildOperators:
         assert np.array_equal(ops.s_z, np.diag(_kron_reference(lat, CAV, 2)["s_z"]))
 
     def test_dimension_guard(self):
-        # N guards the dense 2^N-square s_plus of verify_commutators; no
-        # array grows with n_max, which must only be at least 1
+        # N guards the dense 2^N-square s_plus of verify_commutators alone;
+        # the sector terms have no N bound, and no array grows with n_max,
+        # which must only be at least 1
         lat = LatticeSpec(n_qubits=9, relative_spacing=0.3, omega_q=10.0)
         with pytest.raises(oracle.DimensionGuardError):
-            oracle.build_operators(lat, CAV, n_max=2)
+            oracle.verify_commutators(lat)
+        assert oracle.build_operators(lat, CAV, n_max=2).dimension == 2**9 * 3
         lat8 = LatticeSpec(n_qubits=8, relative_spacing=0.3, omega_q=10.0)
         assert oracle.build_operators(lat8, CAV, n_max=13).dimension == 2**8 * 14
         with pytest.raises(ValueError, match="^n_max must be at least 1$"):
@@ -116,7 +118,6 @@ class TestBuildOperators:
             ref = _kron_reference(lat, CAV, n_max)
             # the spin terms are the Kronecker chains
             assert np.array_equal(ops.s_z, np.diag(ref["s_z"])), (n, n_max)
-            assert np.array_equal(ops.sigma_z, np.diag(ref["sigma_z"])), (n, n_max)
             assert np.array_equal(_spin_raising(ops), ref["s_plus"]), (n, n_max)
             assert ops.dimension == ref["H_total"].shape[0]
             for two_u in _blocks_below_cutoff(n, n_max):
@@ -177,13 +178,12 @@ def _commutator_reference(ref, ell):
 def _two_builds_per_n(rng, draws=20):
     """The residuals (worst, worst_tc) of `validation.check_commutators` as
     it was with one sweep of the random ell and one ell = 0 lattice per N."""
-    cav = CavitySpec(omega_c=6.729, eta=0.1)
     worst = 0.0
     worst_tc = 0.0
     for n in range(2, 7):
         ells = rng.uniform(0.0, 1.0, size=draws)
         for lat in (LatticeSpec(n, ells, np.full(draws, 13.458)), LatticeSpec(n, 0.0, 13.458)):
-            rep = oracle.verify_commutators(oracle.build_operators(lat, cav, n_max=1))
+            rep = oracle.verify_commutators(lat)
             worst = max(rep.sz_splus, rep.sz_sminus, rep.splus_sminus_sigma, worst)
             if rep.splus_sminus_sz is not None:
                 worst_tc = max(worst_tc, rep.splus_sminus_sz)
@@ -193,13 +193,13 @@ def _two_builds_per_n(rng, draws=20):
 class TestCommutators:
     def test_equals_matmul_reference(self):
         rng = np.random.default_rng(11)
+        # the residual of [S_plus, S_minus] = 2*Sigma_z equals the Kronecker
+        # one only when verify_commutators forms the reference's Sigma_z
         for n in range(1, 8):
-            for n_max in (1, 2, 3):
-                for ell in (0.0, float(rng.uniform())):
-                    lat = LatticeSpec(n, ell, 13.458)
-                    ops = oracle.build_operators(lat, CAV, n_max=n_max)
-                    ref = _kron_reference(lat, CAV, n_max)
-                    assert oracle.verify_commutators(ops) == _commutator_reference(ref, ell)
+            for ell in (0.0, *(float(x) for x in rng.uniform(size=3))):
+                lat = LatticeSpec(n, ell, 13.458)
+                ref = _kron_reference(lat, CAV, 1)
+                assert oracle.verify_commutators(lat) == _commutator_reference(ref, ell)
 
     def test_product_space_residuals_on_validate_draws(self):
         # S_pm = s_pm (x) 1, so the identities hold on the product space
@@ -214,23 +214,22 @@ class TestCommutators:
                 ref = _kron_reference(lat, CAV, 1)
                 product = {key: np.kron(ref[key], eye_f)
                            for key in ("s_z", "s_plus", "s_minus", "sigma_z")}
-                ops = oracle.build_operators(lat, CAV, n_max=1)
-                assert oracle.verify_commutators(ops) == _commutator_reference(product, ell)
+                assert oracle.verify_commutators(lat) == _commutator_reference(product, ell)
 
     def test_sweep_report_is_max_over_point_reports(self):
         # bit for bit: each residual of a sweep is the max over its points'
         # own reports, the ell = 0 one over the points at ell = 0 only; the
-        # rows of sigma_z and weight are those of the points alone
+        # weight rows of a build are those of the points alone
         rng = np.random.default_rng(19)
         for n in range(1, 9):
             draws = [float(x) for x in rng.uniform(size=4)]
             for ells in ([0.0, 1.0, *draws], [*draws, 1.0], [draws[0], 0.0, 0.0]):
-                sweep = oracle.build_operators(LatticeSpec(n, ells, [13.458] * len(ells)), CAV, 1)
-                alone = [oracle.build_operators(LatticeSpec(n, x, 13.458), CAV, 1) for x in ells]
-                for i, ops in enumerate(alone):
-                    assert sweep.sigma_z[i].tobytes() == ops.sigma_z.tobytes()
-                    assert sweep.weight[i].tobytes() == ops.weight.tobytes()
-                reports = [oracle.verify_commutators(ops) for ops in alone]
+                sweep = LatticeSpec(n, ells, [13.458] * len(ells))
+                alone = [LatticeSpec(n, x, 13.458) for x in ells]
+                weights = oracle.build_operators(sweep, CAV, 1).weight
+                for i, lat in enumerate(alone):
+                    assert weights[i].tobytes() == oracle.build_operators(lat, CAV, 1).weight.tobytes()
+                reports = [oracle.verify_commutators(lat) for lat in alone]
                 at_zero = [r.splus_sminus_sz for r in reports if r.splus_sminus_sz is not None]
                 expected = oracle.CommutatorReport(
                     sz_splus=max(r.sz_splus for r in reports),
@@ -239,30 +238,26 @@ class TestCommutators:
                     splus_sminus_sz=max(at_zero) if at_zero else None,
                 )
                 assert repr(oracle.verify_commutators(sweep)) == repr(expected), (n, ells)
-                # the commutators read no cavity, so a cavity sweep is taken too
-                cavities = CavitySpec([OMEGA_C] * len(ells), [0.1] * len(ells))
-                with_cavities = oracle.build_operators(sweep.lattice, cavities, 1)
-                assert repr(oracle.verify_commutators(with_cavities)) == repr(expected), (n, ells)
 
     def test_check_commutators_is_one_sweep_per_n(self, monkeypatch):
-        # ell = 0 joins each N's sweep of random ell: one build per N, with
-        # the residuals and rng draws of two builds per N
+        # ell = 0 joins each N's sweep of random ell: one call per N, with
+        # the residuals and rng draws of two calls per N
         for seed in range(60):
             old_rng, new_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             expected = _two_builds_per_n(old_rng)
             got = validation.check_commutators(new_rng)
             assert repr(tuple(c.residual for c in got)) == repr(expected), seed
             assert new_rng.bit_generator.state == old_rng.bit_generator.state
-        builds = []
-        build = oracle.build_operators
+        calls = []
+        verify = oracle.verify_commutators
 
-        def counted(lattice, *args, **kwargs):
-            builds.append(lattice.n_qubits)
-            return build(lattice, *args, **kwargs)
+        def counted(lattice):
+            calls.append(lattice.n_qubits)
+            return verify(lattice)
 
-        monkeypatch.setattr(oracle, "build_operators", counted)
+        monkeypatch.setattr(oracle, "verify_commutators", counted)
         validation.check_commutators(np.random.default_rng(0))
-        assert builds == [2, 3, 4, 5, 6]
+        assert calls == [2, 3, 4, 5, 6]
 
     def test_site_pattern_is_cached_read_only(self):
         # every build at one N shares the cached N-only arrays, so a write
@@ -276,8 +271,7 @@ class TestCommutators:
 
     def test_homogeneous_su2(self):
         lat = LatticeSpec(n_qubits=4, relative_spacing=0.0, omega_q=13.458)
-        ops = oracle.build_operators(lat, CAV, n_max=1)
-        rep = oracle.verify_commutators(ops)
+        rep = oracle.verify_commutators(lat)
         assert max(rep.sz_splus, rep.sz_sminus, rep.splus_sminus_sigma) < 1e-12
         assert rep.splus_sminus_sz is not None and rep.splus_sminus_sz < 1e-12
 
@@ -285,9 +279,7 @@ class TestCommutators:
         rng = np.random.default_rng(5)
         for n in range(2, 7):
             for ell in rng.uniform(0.0, 1.0, size=5):
-                lat = LatticeSpec(n, float(ell), 13.458)
-                ops = oracle.build_operators(lat, CAV, n_max=1)
-                rep = oracle.verify_commutators(ops)
+                rep = oracle.verify_commutators(LatticeSpec(n, float(ell), 13.458))
                 assert rep.sz_splus < 1e-12
                 assert rep.sz_sminus < 1e-12
                 assert rep.splus_sminus_sigma < 1e-12
@@ -319,7 +311,9 @@ class TestSectorSpectra:
             assert not np.any(ref["H_total"][between])
 
     def test_homogeneous_limit_matches_model(self):
-        for n in (2, 4, 6):
+        # N = 9 and 12 lie past the commutators' N <= 8 guard, which the
+        # sector spectra, reading 2^N arrays only, do not share
+        for n in (2, 4, 6, 9, 12):
             lat = LatticeSpec(n_qubits=n, relative_spacing=0.0, omega_q=13.458)
             ops = oracle.build_operators(lat, CAV, n_max=6)
             for two_u in (-n, -n + 2, -n + 4):
@@ -373,9 +367,9 @@ class TestSectorSpectra:
             oracle.exact_sector_spectrum(ops, two_u)
         arrays = {k for k, v in vars(ops).items() if isinstance(v, np.ndarray)}
         assert arrays == SPIN_TERMS
-        # two 2^N diagonals and the N*2^(N-1) entries of s_plus
+        # the 2^N diagonal s_z and the N*2^(N-1) entries of s_plus
         held = sum(getattr(ops, k).nbytes for k in arrays)
-        assert held == 8 * (2 * 2**8 + 3 * 8 * 2**7)
+        assert held == 8 * (2**8 + 3 * 8 * 2**7)
 
     def test_truncation_guard(self):
         lat = LatticeSpec(n_qubits=2, relative_spacing=0.3, omega_q=10.0)
